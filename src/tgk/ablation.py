@@ -1,5 +1,5 @@
-"""Experiment recipes: the ordering probe, layer ablations, pyramid
-comparisons, and transfer-arm matchups.
+"""Experiment recipes: the ordering probe, layer ablations, the detection
+grid over pyramid settings, and transfer-arm matchups.
 
 The ordering probe is the controlled experiment at the heart of the layer
 comparison: fixed-size two-event windows whose label is the event order.
@@ -29,7 +29,7 @@ from .training import (
 
 __all__ = [
     "OrderProbeConfig", "train_order_probe", "run_order_separation",
-    "run_tdgc_ablations", "run_pyramid_comparison", "run_transfer_matchup",
+    "run_tdgc_ablations", "run_transfer_matchup",
     "run_ablation_grid",
 ]
 
@@ -139,30 +139,6 @@ def run_tdgc_ablations(seeds, probe: OrderProbeConfig = OrderProbeConfig()
     return out
 
 
-def run_pyramid_comparison(layer_kinds, seeds, data_cfg: SynthConfig,
-                           train_cfg: TrainConfig) -> dict:
-    """Detection quality per layer kind on the same corpora.
-
-    Trains a single-task detection model per (kind, seed) and reports the
-    averaged mAP. The caller's ``data_cfg`` decides the emission profile;
-    each seed regenerates its corpus so kinds compare on identical data.
-    """
-    out: dict = {}
-    for kind in layer_kinds:
-        per_seed = {}
-        for seed in seeds:
-            ds = generate_dataset(replace(data_cfg, seed=seed))
-            cfg = replace(train_cfg, seed=seed)
-            model = run_single("mq", ds, cfg, backbone_cfg=BackboneConfig(
-                layer_kind=kind, d_in=data_cfg.dim, d_model=data_cfg.dim,
-                num_stages=4))
-            result = evaluate(model, ds.val, cfg)
-            per_seed[seed] = result["mq"]["map_avg"]
-        out[kind] = {"per_seed": per_seed,
-                     "mean": float(np.mean(list(per_seed.values())))}
-    return out
-
-
 def run_transfer_matchup(novel_task: str, ds: SynthDataset,
                          cfg: TrainConfig, support_tasks=("ar", "oscc", "pnr"),
                          novel_train_videos: int | None = None) -> dict:
@@ -197,8 +173,10 @@ def run_ablation_grid(data_cfg: SynthConfig, train_cfg: TrainConfig,
                       seeds=(0,)) -> list[dict]:
     """Grid of detection runs over layer kind, pooling, and threshold.
 
-    Returns one record per cell with the averaged mAP; the command-line
-    harness turns these into tables.
+    Every cell trains a single-task detection model per seed; each seed
+    regenerates its corpus, so cells compare on identical data. Returns one
+    record per cell with the seed-mean mAP; the command-line harness turns
+    these into tables.
     """
     records = []
     for kind in layer_kinds:
@@ -209,9 +187,7 @@ def run_ablation_grid(data_cfg: SynthConfig, train_cfg: TrainConfig,
                     ds = generate_dataset(replace(data_cfg, seed=seed))
                     cfg = replace(train_cfg, seed=seed)
                     model = run_single("mq", ds, cfg, backbone_cfg=BackboneConfig(
-                        layer_kind=kind, d_in=data_cfg.dim,
-                        d_model=data_cfg.dim, num_stages=4,
-                        pooling=pooling, threshold_s=thr))
+                        layer_kind=kind, pooling=pooling, threshold_s=thr))
                     result = evaluate(model, ds.val, cfg)
                     per_seed.append(result["mq"]["map_avg"])
                 records.append({

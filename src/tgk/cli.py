@@ -33,11 +33,9 @@ from .ablation import (
     OrderProbeConfig, run_ablation_grid, run_order_separation,
     run_tdgc_ablations,
 )
-from .config import (
-    BackboneSettings, ExperimentConfig, resolve_backbone, save_config,
-    validate_config,
-)
+from .config import ExperimentConfig, save_config, validate_config
 from .egopack import activation_consensus, activation_histogram, knn_match
+from .hierarchy import BackboneConfig
 from .persist import (
     load_multitask, load_novel, load_translation, save_multitask,
     save_novel, save_translation,
@@ -47,13 +45,21 @@ from .synth import (
 )
 from .tasks import neck_forward
 from .training import (
-    DENSE_STAGE, TrainConfig, build_batch_graph, build_prototype_banks,
-    evaluate, run_mtl, run_novel, run_single, run_translation,
+    DENSE_STAGE, MultiTaskModel, TrainConfig, backbone_layout,
+    build_batch_graph, build_prototype_banks, evaluate, run_mtl, run_novel,
+    run_single, run_translation, stage_count_for,
 )
 
 __all__ = ["main"]
 
 NOVEL_METHODS = ("egopack", "mtl-ft", "mtl-ht", "single", "translation")
+# BackboneConfig fields settable by flag; each flag's dest is its field
+BACKBONE_FLAGS = {"layer_kind": "--layer-kind", "pooling": "--pooling",
+                  "threshold_s": "--threshold",
+                  "layers_per_stage": "--layers-per-stage",
+                  "gate_hidden": "--gate-hidden",
+                  "disable_sign": "--disable-sign",
+                  "disable_gate": "--disable-gate"}
 
 
 def _write_metrics(run_dir: Path, payload: dict) -> None:
@@ -73,7 +79,9 @@ def _write_table(run_dir: Path, name: str, header: list[str],
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--layer-kind", default="tdgc")
+    # backbone flags default to None (unset): fresh models then take the
+    # BackboneConfig defaults and warm-started ones the support run's values
+    p.add_argument("--layer-kind", default=None, help="default: tdgc")
     p.add_argument("--epochs", type=int, default=15)
     p.add_argument("--warmup", type=int, default=5)
     p.add_argument("--base-lr", type=float, default=1e-4)
@@ -81,12 +89,14 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    metavar="TASK=LR", help="per-task lr override, repeatable")
     p.add_argument("--batch-videos", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pooling", default="mean")
-    p.add_argument("--threshold", type=float, default=2.0)
-    p.add_argument("--layers-per-stage", type=int, default=2)
+    p.add_argument("--pooling", default=None, help="default: mean")
+    p.add_argument("--threshold", dest="threshold_s", type=float,
+                   default=None, help="default: 2.0")
+    p.add_argument("--layers-per-stage", type=int, default=None,
+                   help="default: 2")
     p.add_argument("--gate-hidden", type=int, default=None)
-    p.add_argument("--disable-sign", action="store_true")
-    p.add_argument("--disable-gate", action="store_true")
+    p.add_argument("--disable-sign", action="store_true", default=None)
+    p.add_argument("--disable-gate", action="store_true", default=None)
     p.add_argument("--knn-k", type=int, default=8)
     p.add_argument("--interaction-layers", type=int, default=2)
     p.add_argument("--no-rematch", action="store_true")
@@ -108,19 +118,36 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _backbone_settings(args) -> BackboneSettings:
-    return BackboneSettings(
-        layer_kind=args.layer_kind, layers_per_stage=args.layers_per_stage,
-        threshold_s=args.threshold, pooling=args.pooling,
-        gate_hidden=args.gate_hidden, disable_sign=args.disable_sign,
-        disable_gate=args.disable_gate,
-    )
+def _backbone_flags(args) -> dict:
+    """Backbone fields passed explicitly on the command line."""
+    return {name: getattr(args, name) for name in BACKBONE_FLAGS
+            if getattr(args, name) is not None}
 
 
-def _experiment_config(args, data_cfg: SynthConfig, tasks) -> ExperimentConfig:
+def _warm_start_backbone(args, support: MultiTaskModel) -> BackboneConfig:
+    """The support run's backbone laid out for the novel task, as
+    ``run_novel`` builds it; a passed backbone flag must agree with it."""
+    for name, value in _backbone_flags(args).items():
+        trained = getattr(support.backbone_cfg, name)
+        if value != trained:
+            raise SystemExit(
+                f"backbone.{name}: {BACKBONE_FLAGS[name]} {value} disagrees "
+                f"with the support run {args.support_run}, trained with "
+                f"{trained}")
+    return replace(support.backbone_cfg,
+                   num_stages=stage_count_for([args.task]))
+
+
+def _experiment_config(args, data_cfg: SynthConfig, tasks,
+                       backbone: BackboneConfig | None = None
+                       ) -> ExperimentConfig:
+    """Resolved run config; ``backbone`` defaults to a fresh one from the
+    backbone flags."""
+    if backbone is None:
+        backbone = backbone_layout(tasks, data_cfg.dim,
+                                   BackboneConfig(**_backbone_flags(args)))
     cfg = ExperimentConfig(data=data_cfg, train=_train_config(args),
-                           backbone=_backbone_settings(args),
-                           tasks=tuple(tasks))
+                           backbone=backbone, tasks=tuple(tasks))
     validate_config(cfg)
     return cfg
 
@@ -150,8 +177,7 @@ def _cmd_train_single(args) -> int:
     cfg = _experiment_config(args, ds.config, [args.task])
     run_dir = Path(args.run)
     save_config(run_dir, cfg)
-    model = run_single(args.task, ds, cfg.train,
-                       backbone_cfg=resolve_backbone(cfg))
+    model = run_single(args.task, ds, cfg.train, backbone_cfg=cfg.backbone)
     save_multitask(run_dir, model)
     metrics = evaluate(model, ds.val, cfg.train)
     _write_metrics(run_dir, {"arm": "single", "task": args.task,
@@ -166,7 +192,7 @@ def _cmd_train_mtl(args) -> int:
     cfg = _experiment_config(args, ds.config, tasks)
     run_dir = Path(args.run)
     save_config(run_dir, cfg)
-    model = run_mtl(tasks, ds, cfg.train, backbone_cfg=resolve_backbone(cfg))
+    model = run_mtl(tasks, ds, cfg.train, backbone_cfg=cfg.backbone)
     save_multitask(run_dir, model)
     metrics = evaluate(model, ds.val, cfg.train)
     _write_metrics(run_dir, {"arm": "mtl", "tasks": tasks, "metrics": metrics})
@@ -215,7 +241,16 @@ def _cmd_build_prototypes(args) -> int:
 
 def _cmd_train_novel(args) -> int:
     ds = load_dataset(args.data)
-    cfg = _experiment_config(args, ds.config, [args.task])
+    if args.method in ("single", "translation"):
+        cfg = _experiment_config(args, ds.config, [args.task])
+    else:
+        if not args.support_run:
+            raise SystemExit(f"--support-run is required for {args.method}")
+        if args.method == "egopack" and not args.banks:
+            raise SystemExit("--banks is required for egopack")
+        support = load_multitask(args.support_run)
+        cfg = _experiment_config(args, ds.config, [args.task],
+                                 _warm_start_backbone(args, support))
     run_dir = Path(args.run)
     save_config(run_dir, cfg)
 
@@ -225,28 +260,21 @@ def _cmd_train_novel(args) -> int:
 
     if args.method == "single":
         model = run_single(args.task, novel_ds, cfg.train,
-                           backbone_cfg=resolve_backbone(cfg))
+                           backbone_cfg=cfg.backbone)
         save_multitask(run_dir, model)
         metrics = evaluate(model, ds.val, cfg.train)
     elif args.method == "translation":
-        support_tasks = sorted(args.support_tasks.split(","))
-        support_models = {}
-        for t in support_tasks:
-            sub = replace(cfg.train, seed=cfg.train.seed)
-            support_models[t] = run_single(t, ds, sub)
+        support_models = {
+            t: run_single(t, ds, cfg.train, backbone_cfg=cfg.backbone)
+            for t in sorted(args.support_tasks.split(","))}
         model, tm = run_translation(args.task, novel_ds, cfg.train,
-                                    support_models)
+                                    support_models, backbone_cfg=cfg.backbone)
         save_translation(run_dir, model, tm)
         metrics = evaluate(model, ds.val, cfg.train, translation=tm)
     else:
-        if not args.support_run:
-            raise SystemExit(f"--support-run is required for {args.method}")
-        support = load_multitask(args.support_run)
         banks = None
         interaction = args.method == "egopack"
         if interaction:
-            if not args.banks:
-                raise SystemExit("--banks is required for egopack")
             from .egopack import load_bank
             banks = {t: load_bank(Path(args.banks) / "prototypes", t)
                      for t in support.tasks}

@@ -2,14 +2,16 @@
 
 Every command-line run resolves its settings into an ``ExperimentConfig``
 and writes it as ``config.json`` in the run directory, so a run is fully
-reproducible from its directory alone. Validation happens eagerly at
-construction time with named errors instead of failures mid-training.
+reproducible from its directory alone. ``backbone`` is the exact
+``BackboneConfig`` the run's model is built with. Validation happens
+eagerly at construction time with named errors instead of failures
+mid-training.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .hierarchy import BackboneConfig
@@ -17,31 +19,17 @@ from .layers import LAYER_KINDS
 from .synth import SynthConfig, TASK_NAMES
 from .training import TrainConfig, stage_count_for
 
-__all__ = ["BackboneSettings", "ExperimentConfig", "validate_config",
-           "load_config", "save_config", "resolve_backbone"]
+__all__ = ["ExperimentConfig", "validate_config", "load_config",
+           "save_config"]
 
 POOLINGS = ("mean", "max", "video-ss", "batch-ss")
-FUSIONS = ("features",)
-
-
-@dataclass(frozen=True)
-class BackboneSettings:
-    """User-settable backbone knobs; dimensions come from the data config."""
-
-    layer_kind: str = "tdgc"
-    layers_per_stage: int = 2
-    threshold_s: float = 2.0
-    pooling: str = "mean"
-    gate_hidden: int | None = None
-    disable_sign: bool = False
-    disable_gate: bool = False
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     data: SynthConfig = field(default_factory=SynthConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    backbone: BackboneSettings = field(default_factory=BackboneSettings)
+    backbone: BackboneConfig = field(default_factory=BackboneConfig)
     tasks: tuple = ("ar",)
 
     def to_json(self) -> str:
@@ -55,15 +43,33 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """Parse ``config.json``; a missing or unknown key in any section
+        raises ValueError naming it."""
         raw = json.loads(text)
-        cfg = cls(
-            data=SynthConfig(**raw["data"]),
-            train=TrainConfig(**raw["train"]),
-            backbone=BackboneSettings(**raw["backbone"]),
-            tasks=tuple(raw["tasks"]),
-        )
+        _check_keys("config", raw, [f.name for f in fields(cls)])
+        sections = {name: _section(name, raw[name], kind)
+                    for name, kind in (("data", SynthConfig),
+                                       ("train", TrainConfig),
+                                       ("backbone", BackboneConfig))}
+        cfg = cls(**sections, tasks=tuple(raw["tasks"]))
         validate_config(cfg)
         return cfg
+
+
+def _check_keys(section: str, raw: dict, expected) -> None:
+    """ValueError naming the first key ``raw`` lacks, else the first it
+    should not have."""
+    missing = sorted(set(expected) - set(raw))
+    unknown = sorted(set(raw) - set(expected))
+    if missing:
+        raise ValueError(f"{section}.{missing[0]}: missing key")
+    if unknown:
+        raise ValueError(f"{section}.{unknown[0]}: unknown key")
+
+
+def _section(name: str, raw: dict, kind):
+    _check_keys(name, raw, [f.name for f in fields(kind)])
+    return kind(**raw)
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -85,6 +91,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
                              f"choose from {TASK_NAMES}")
     if not cfg.tasks:
         raise ValueError("tasks: at least one task required")
+    for width in ("d_in", "d_model"):
+        if getattr(cfg.backbone, width) != cfg.data.dim:
+            raise ValueError(f"backbone.{width}: must equal data.dim "
+                             f"({cfg.data.dim}), got "
+                             f"{getattr(cfg.backbone, width)}")
+    stages = stage_count_for(cfg.tasks)
+    if cfg.backbone.num_stages != stages:
+        raise ValueError(f"backbone.num_stages: tasks {list(cfg.tasks)} "
+                         f"need {stages}, got {cfg.backbone.num_stages}")
     if cfg.data.dim % 2:
         raise ValueError("data.dim: must be even (time encodings pair up "
                          "sin/cos channels)")
@@ -105,27 +120,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("train.base_lr: must be positive")
     if cfg.train.knn_k < 1:
         raise ValueError("train.knn_k: must be >= 1")
-    if cfg.train.fusion not in FUSIONS:
-        raise ValueError(f"train.fusion: unknown mode {cfg.train.fusion!r}")
     if cfg.train.num_candidates < 1:
         raise ValueError("train.num_candidates: must be >= 1")
-
-
-def resolve_backbone(cfg: ExperimentConfig, tasks=None) -> BackboneConfig:
-    """Concrete backbone layout for a task set under this config."""
-    tasks = list(tasks if tasks is not None else cfg.tasks)
-    return BackboneConfig(
-        layer_kind=cfg.backbone.layer_kind,
-        d_in=cfg.data.dim,
-        d_model=cfg.data.dim,
-        num_stages=stage_count_for(tasks),
-        layers_per_stage=cfg.backbone.layers_per_stage,
-        threshold_s=cfg.backbone.threshold_s,
-        pooling=cfg.backbone.pooling,
-        gate_hidden=cfg.backbone.gate_hidden,
-        disable_sign=cfg.backbone.disable_sign,
-        disable_gate=cfg.backbone.disable_gate,
-    )
 
 
 def save_config(run_dir: str | Path, cfg: ExperimentConfig) -> None:

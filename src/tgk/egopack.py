@@ -9,7 +9,7 @@ A novel task queries the banks: each node matches its k nearest
 prototypes and refines itself through a stack of interaction layers that
 mix the node's own projection with the mean of its activated prototypes.
 One interaction stack exists per support task; their outputs are fused
-either in feature space (mean) or in logit space (per-task heads summed).
+in feature space (mean).
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def interaction_forward(p: InteractionParams, x: Tensor, bank: PrototypeBank,
     otherwise the input matching is reused throughout.
     """
     idx = knn_match(x.data, bank, k)
-    for w_self, w_proto in p.layers:
-        if rematch:
+    for layer, (w_self, w_proto) in enumerate(p.layers):
+        if rematch and layer:
             idx = knn_match(x.data, bank, k)
         proto_mean = bank.prototypes[idx].mean(axis=1)
         x = add(matmul(x, w_self), matmul(Tensor(proto_mean), w_proto))

@@ -17,7 +17,7 @@ import numpy as np
 
 __all__ = [
     "EdgeRule", "TemporalGraph", "build_graph", "rebuild_edges",
-    "subsample", "subsample_plan", "threshold_exponent",
+    "subsample_plan", "threshold_exponent",
     "save_features", "load_features",
 ]
 
@@ -136,25 +136,6 @@ def rebuild_edges(g: TemporalGraph, rule: EdgeRule = EdgeRule()) -> TemporalGrap
     return replace(g, edges=edges)
 
 
-def _pool_neighborhoods(g: TemporalGraph, how: str) -> np.ndarray:
-    """Per node, pool features over {node} union its out-neighbors."""
-    feats = g.features
-    n = g.num_nodes
-    if how == "mean":
-        acc = feats.copy()
-        count = np.ones(n)
-        if len(g.edges):
-            np.add.at(acc, g.edges[:, 0], feats[g.edges[:, 1]])
-            np.add.at(count, g.edges[:, 0], 1.0)
-        return acc / count[:, None]
-    if how == "max":
-        acc = feats.copy()
-        if len(g.edges):
-            np.maximum.at(acc, g.edges[:, 0], feats[g.edges[:, 1]])
-        return acc
-    raise ValueError(f"unknown pooling {how!r}")
-
-
 def subsample_plan(g: TemporalGraph, pooling: str) -> tuple[np.ndarray, np.ndarray]:
     """Survivor node indices and new video boundaries for one halving.
 
@@ -177,34 +158,6 @@ def subsample_plan(g: TemporalGraph, pooling: str) -> tuple[np.ndarray, np.ndarr
         new_bounds.append(new_bounds[-1] + len(keep))
     keep_idx = np.concatenate(keep_parts) if keep_parts else np.empty(0, dtype=np.intp)
     return keep_idx, np.asarray(new_bounds, dtype=np.intp)
-
-
-def subsample(g: TemporalGraph, pooling: str = "mean",
-              rule: EdgeRule = EdgeRule()) -> TemporalGraph:
-    """Halve each video (keep even local indices) and advance the stage.
-
-    Survivor features depend on ``pooling``:
-      mean / max:  pooled over each survivor's pre-drop closed neighborhood
-      video-ss:    raw features, alternation restarting at each video
-      batch-ss:    raw features, alternation running across the whole batch
-                   (per-video halving then only holds globally)
-
-    Edges are rebuilt for the new stage's wider window. Positions carry
-    over in seconds, untouched.
-    """
-    if pooling in ("mean", "max"):
-        pooled = _pool_neighborhoods(g, pooling)
-    else:
-        pooled = g.features
-    keep_idx, new_bounds = subsample_plan(g, pooling)
-    out = TemporalGraph(
-        features=pooled[keep_idx],
-        positions_s=g.positions_s[keep_idx],
-        edges=np.empty((0, 2), dtype=np.intp),
-        stage=g.stage + 1,
-        video_boundaries=new_bounds,
-    )
-    return rebuild_edges(out, rule)
 
 
 # ---------------------------------------------------------------------------

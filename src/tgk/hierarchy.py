@@ -34,7 +34,8 @@ class BackboneConfig:
 
     num_stages=1 keeps everything at full resolution (dense per-segment
     tasks); detection-style tasks use 4. ``disable_sign``/``disable_gate``
-    only apply to the tdgc layer kind.
+    only apply to the tdgc layer kind. A run records the config its model
+    is built with in both ``config.json`` and ``model_meta.json``.
     """
 
     layer_kind: str = "tdgc"

@@ -27,19 +27,13 @@ from .autodiff import (
     segment_mean, segment_sum, sub, tsum,
 )
 from .graph import TemporalGraph
-from .optim import uniform_fan_in
+from .optim import linear_init, uniform_fan_in
 
 __all__ = [
     "TdgcParams", "tdgc_forward", "GcnParams", "gcn_forward",
     "GatParams", "gat_forward", "SageParams", "sage_forward",
     "SgcnParams", "sgcn_forward", "sinusoidal_pe", "LayerKind", "LAYER_KINDS",
 ]
-
-
-def _linear_init(rng: np.random.Generator, d_in: int, d_out: int):
-    w = Tensor(uniform_fan_in(rng, (d_in, d_out)), requires_grad=True)
-    b = Tensor(uniform_fan_in(rng, (d_out,), fan_in=d_in), requires_grad=True)
-    return w, b
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +63,8 @@ class TdgcParams:
     def init(cls, rng: np.random.Generator, d_in: int, d_out: int,
              gate_hidden: int | None = None, disable_sign: bool = False,
              disable_gate: bool = False) -> "TdgcParams":
-        w_root, b_root = _linear_init(rng, d_in, d_out)
-        w_nbr, b_nbr = _linear_init(rng, d_in, d_out)
+        w_root, b_root = linear_init(rng, d_in, d_out)
+        w_nbr, b_nbr = linear_init(rng, d_in, d_out)
         # The gate's output affine starts at weight 0, bias 1 so the gate is
         # an exact pass-through at init. A random start would leave the ReLU
         # dead on about half the channels, and with a constant time offset
@@ -80,7 +74,7 @@ class TdgcParams:
             gb = Tensor(np.ones(d_out), requires_grad=True)
             gate = [gw, gb]
         else:
-            g1w, g1b = _linear_init(rng, 1, gate_hidden)
+            g1w, g1b = linear_init(rng, 1, gate_hidden)
             g2w = Tensor(np.zeros((gate_hidden, d_out)), requires_grad=True)
             g2b = Tensor(np.ones(d_out), requires_grad=True)
             gate = [g1w, g1b, g2w, g2b]
@@ -134,7 +128,7 @@ class GcnParams:
 
     @classmethod
     def init(cls, rng, d_in: int, d_out: int) -> "GcnParams":
-        return cls(*_linear_init(rng, d_in, d_out))
+        return cls(*linear_init(rng, d_in, d_out))
 
     def params(self) -> list[Tensor]:
         return [self.w, self.b]
@@ -175,7 +169,7 @@ class GatParams:
 
     @classmethod
     def init(cls, rng, d_in: int, d_out: int) -> "GatParams":
-        w, b = _linear_init(rng, d_in, d_out)
+        w, b = linear_init(rng, d_in, d_out)
         a_src = Tensor(uniform_fan_in(rng, (d_out, 1)), requires_grad=True)
         a_dst = Tensor(uniform_fan_in(rng, (d_out, 1)), requires_grad=True)
         return cls(w, b, a_src, a_dst)
@@ -216,8 +210,8 @@ class SageParams:
 
     @classmethod
     def init(cls, rng, d_in: int, d_out: int) -> "SageParams":
-        w_root, b = _linear_init(rng, d_in, d_out)
-        w_nbr, _ = _linear_init(rng, d_in, d_out)
+        w_root, b = linear_init(rng, d_in, d_out)
+        w_nbr, _ = linear_init(rng, d_in, d_out)
         return cls(w_root, b, w_nbr)
 
     def params(self) -> list[Tensor]:
@@ -244,8 +238,8 @@ class SgcnParams:
 
     @classmethod
     def init(cls, rng, d_in: int, d_out: int) -> "SgcnParams":
-        w_past, b = _linear_init(rng, d_in, d_out)
-        w_future, _ = _linear_init(rng, d_in, d_out)
+        w_past, b = linear_init(rng, d_in, d_out)
+        w_future, _ = linear_init(rng, d_in, d_out)
         return cls(w_past, w_future, b)
 
     def params(self) -> list[Tensor]:

@@ -11,7 +11,7 @@ import numpy as np
 
 __all__ = [
     "top1_accuracy", "levenshtein", "edit_distance", "localization_error",
-    "iou_1d", "iou_matrix", "soft_nms", "average_precision", "map_at_iou",
+    "iou_1d", "iou_matrix", "soft_nms", "map_at_iou",
     "recall_at_k",
 ]
 
@@ -111,51 +111,47 @@ def soft_nms(intervals: np.ndarray, scores: np.ndarray, sigma: float = 2.0,
     return np.asarray(kept_idx, dtype=np.intp), np.asarray(kept_score)
 
 
-def average_precision(det_intervals: np.ndarray, det_scores: np.ndarray,
-                      gt_intervals: np.ndarray, iou_thr: float) -> float:
-    """All-point interpolated AP for one class within one video pool.
-
-    Detections are visited by descending score (ties keep input order) and
-    greedily claim the unclaimed ground-truth interval of highest IoU,
-    requiring IoU >= iou_thr. AP integrates the precision envelope over
-    recall.
-    """
-    gt_intervals = np.asarray(gt_intervals, dtype=np.float64).reshape(-1, 2)
-    n_gt = len(gt_intervals)
-    if n_gt == 0:
-        raise ValueError("average_precision needs ground truth")
-    det_intervals = np.asarray(det_intervals, dtype=np.float64).reshape(-1, 2)
-    if len(det_intervals) == 0:
-        return 0.0
-    order = np.argsort(-np.asarray(det_scores), kind="stable")
-    claimed = np.zeros(n_gt, dtype=bool)
-    tp = np.zeros(len(order))
-    for rank, d in enumerate(order):
-        ious = iou_matrix(det_intervals[d:d + 1], gt_intervals)[0]
-        ious[claimed] = -1.0
-        best = int(np.argmax(ious))
-        if ious[best] >= iou_thr:
-            claimed[best] = True
-            tp[rank] = 1.0
-    cum_tp = np.cumsum(tp)
-    recall = cum_tp / n_gt
-    precision = cum_tp / np.arange(1, len(order) + 1)
-    # envelope: best precision at any recall >= r
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    prev_r = 0.0
-    ap = 0.0
-    for r, p in zip(recall, envelope):
-        ap += (r - prev_r) * p
-        prev_r = r
-    return float(ap)
-
-
 def _group(values: np.ndarray, *keys) -> dict:
     """Index rows by tuple of key columns."""
     out: dict = {}
     for i in range(len(values)):
         out.setdefault(tuple(k[i] for k in keys), []).append(i)
     return out
+
+
+def _class_ap(sel: np.ndarray, det_intervals: np.ndarray,
+              det_scores: np.ndarray, det_videos: np.ndarray,
+              gt_by_video: dict, n_gt: int, thr: float):
+    """All-point interpolated AP of one class's detections ``sel``.
+
+    Detections are visited by descending score (ties keep input order) and
+    greedily claim the unclaimed ground truth of highest IoU in their own
+    video, requiring IoU >= thr. AP integrates the precision envelope over
+    recall.
+    """
+    order = sel[np.argsort(-det_scores[sel], kind="stable")]
+    claimed = {v: np.zeros(len(g), dtype=bool) for v, g in gt_by_video.items()}
+    tp = np.zeros(len(order))
+    for rank, d in enumerate(order):
+        v = det_videos[d]
+        if v not in gt_by_video or len(gt_by_video[v]) == 0:
+            continue
+        ious = iou_matrix(det_intervals[d:d + 1], gt_by_video[v])[0]
+        ious[claimed[v]] = -1.0
+        best = int(np.argmax(ious))
+        if ious[best] >= thr:
+            claimed[v][best] = True
+            tp[rank] = 1.0
+    cum_tp = np.cumsum(tp)
+    recall = cum_tp / n_gt
+    precision = cum_tp / np.arange(1, len(order) + 1)
+    # envelope: best precision at any recall >= r
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    ap, prev_r = 0.0, 0.0
+    for r, p in zip(recall, envelope):
+        ap += (r - prev_r) * p
+        prev_r = r
+    return ap
 
 
 def map_at_iou(det_intervals, det_scores, det_classes, det_videos,
@@ -191,28 +187,8 @@ def map_at_iou(det_intervals, det_scores, det_classes, det_videos,
             if len(sel) == 0:
                 aps.append(0.0)
                 continue
-            order = sel[np.argsort(-det_scores[sel], kind="stable")]
-            claimed = {v: np.zeros(len(g), dtype=bool) for v, g in cls_gt.items()}
-            tp = np.zeros(len(order))
-            for rank, d in enumerate(order):
-                v = det_videos[d]
-                if v not in cls_gt or len(cls_gt[v]) == 0:
-                    continue
-                ious = iou_matrix(det_intervals[d:d + 1], cls_gt[v])[0]
-                ious[claimed[v]] = -1.0
-                best = int(np.argmax(ious))
-                if ious[best] >= thr:
-                    claimed[v][best] = True
-                    tp[rank] = 1.0
-            cum_tp = np.cumsum(tp)
-            recall = cum_tp / n_gt
-            precision = cum_tp / np.arange(1, len(order) + 1)
-            envelope = np.maximum.accumulate(precision[::-1])[::-1]
-            ap, prev_r = 0.0, 0.0
-            for r, p in zip(recall, envelope):
-                ap += (r - prev_r) * p
-                prev_r = r
-            aps.append(ap)
+            aps.append(_class_ap(sel, det_intervals, det_scores, det_videos,
+                                 cls_gt, n_gt, thr))
         per_thr[float(thr)] = 100.0 * float(np.mean(aps)) if aps else 0.0
     return {"per_threshold": per_thr,
             "mean": float(np.mean(list(per_thr.values()))) if per_thr else 0.0}

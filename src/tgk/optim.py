@@ -8,7 +8,8 @@ import numpy as np
 
 from .autodiff import GradientTape, Tensor, backward
 
-__all__ = ["Adam", "lr_at", "uniform_fan_in", "finite_diff_check"]
+__all__ = ["Adam", "lr_at", "uniform_fan_in", "linear_init",
+           "finite_diff_check"]
 
 
 class Adam:
@@ -87,6 +88,15 @@ def uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...],
         fan_in = shape[0]
     bound = math.sqrt(1.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
+
+
+def linear_init(rng: np.random.Generator, d_in: int, d_out: int
+                ) -> tuple[Tensor, Tensor]:
+    """Trainable (d_in, d_out) weight and (d_out,) bias, weight drawn first,
+    both on the weight's fan-in scale."""
+    w = Tensor(uniform_fan_in(rng, (d_in, d_out)), requires_grad=True)
+    b = Tensor(uniform_fan_in(rng, (d_out,), fan_in=d_in), requires_grad=True)
+    return w, b
 
 
 def finite_diff_check(build_loss, params: list[Tensor], rel_tol: float = 1e-4,

@@ -11,7 +11,7 @@ Prototype banks live in ``prototypes/`` in their own portable format.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,6 @@ from .hierarchy import BackboneConfig
 from .tasks import NeckParams
 from .training import (
     MultiTaskModel, NovelModel, TrainConfig, TranslationModel, WorldInfo,
-    _ParamsHolder,
 )
 from .translation import TranslationParams
 
@@ -125,11 +124,8 @@ def load_novel(run_dir: str | Path, cfg: TrainConfig
     interactions = {t: InteractionParams.init(rng, world.dim,
                                               meta["interaction_layers"])
                     for t in support_tasks}
-    branch = model.branches[meta["novel_task"]]
-    extra = [p for ip in interactions.values() for p in ip.params()]
-    if extra:
-        branch.heads = dict(branch.heads)
-        branch.heads["_interaction"] = _ParamsHolder(extra)
+    model.branches[meta["novel_task"]].extra = [
+        p for ip in interactions.values() for p in ip.params()]
     _read_arrays(run_dir / "model.npz", _model_params(model))
 
     support_necks = {}
@@ -144,17 +140,10 @@ def load_novel(run_dir: str | Path, cfg: TrainConfig
                 t.requires_grad = False
 
     banks = {t: load_bank(run_dir / "prototypes", t) for t in support_tasks}
-    cfg = TrainConfig(**{**asdict_train(cfg), "knn_k": meta["knn_k"],
-                         "rematch": meta["rematch"]})
+    cfg = replace(cfg, knn_k=meta["knn_k"], rematch=meta["rematch"])
     novel = NovelModel(model, meta["novel_task"], support_necks,
                        interactions, banks, cfg, meta["interaction_enabled"])
     return model, novel
-
-
-def asdict_train(cfg: TrainConfig) -> dict:
-    d = asdict(cfg)
-    d["task_lr"] = dict(d["task_lr"])
-    return d
 
 
 def save_translation(run_dir: str | Path, model: MultiTaskModel,
@@ -190,9 +179,7 @@ def load_translation(run_dir: str | Path
                                      sorted(support) + [meta["novel_task"]],
                                      num_layers=meta["encoder_layers"],
                                      num_heads=meta["encoder_heads"])
-    branch = model.branches[meta["novel_task"]]
-    branch.heads = dict(branch.heads)
-    branch.heads["_encoder"] = _ParamsHolder(encoder.params())
+    model.branches[meta["novel_task"]].extra = encoder.params()
     _read_arrays(run_dir / "model.npz", _model_params(model))
     _read_arrays(run_dir / "encoder.npz", encoder.params())
     for m in support.values():

@@ -29,7 +29,7 @@ from .autodiff import (
 )
 from .graph import TemporalGraph, build_graph, EdgeRule
 from .layers import TdgcParams, tdgc_forward
-from .optim import uniform_fan_in
+from .optim import linear_init
 
 __all__ = [
     "NeckParams", "neck_forward", "ClassifierParams", "classifier_forward",
@@ -38,12 +38,6 @@ __all__ = [
     "align_intervals", "align_video_intervals",
     "bce_with_logits", "focal_loss", "diou_loss",
 ]
-
-
-def _linear(rng, d_in, d_out):
-    w = Tensor(uniform_fan_in(rng, (d_in, d_out)), requires_grad=True)
-    b = Tensor(uniform_fan_in(rng, (d_out,), fan_in=d_in), requires_grad=True)
-    return w, b
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +55,7 @@ class NeckParams:
 
     @classmethod
     def init(cls, rng, dim: int) -> "NeckParams":
-        return cls(*_linear(rng, dim, dim), *_linear(rng, dim, dim))
+        return cls(*linear_init(rng, dim, dim), *linear_init(rng, dim, dim))
 
     def params(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -122,7 +116,7 @@ class ClassifierParams:
 
     @classmethod
     def init(cls, rng, dim: int, num_classes: int) -> "ClassifierParams":
-        return cls(*_linear(rng, dim, dim), *_linear(rng, dim, num_classes))
+        return cls(*linear_init(rng, dim, dim), *linear_init(rng, dim, num_classes))
 
     def params(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -141,7 +135,7 @@ class ScorerParams:
 
     @classmethod
     def init(cls, rng, dim: int) -> "ScorerParams":
-        return cls(*_linear(rng, dim, 1))
+        return cls(*linear_init(rng, dim, 1))
 
     def params(self) -> list[Tensor]:
         return [self.w, self.b]
@@ -241,8 +235,8 @@ class MqParams:
 
     @classmethod
     def init(cls, rng, dim: int, num_classes: int) -> "MqParams":
-        w_cls, b_cls = _linear(rng, dim, num_classes)
-        w_reg, b_reg = _linear(rng, dim, 2)
+        w_cls, b_cls = linear_init(rng, dim, num_classes)
+        w_reg, b_reg = linear_init(rng, dim, 2)
         return cls(w_cls, b_cls, w_reg, b_reg)
 
     def params(self) -> list[Tensor]:

@@ -24,7 +24,7 @@ phase contract: phase two may only read the novel task's annotations.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,7 +58,8 @@ from .translation import TranslationParams, translation_forward
 
 __all__ = [
     "TrainConfig", "WorldInfo", "AnnotationView", "TaskBranch",
-    "MultiTaskModel", "build_batch_graph", "run_single", "run_mtl",
+    "MultiTaskModel", "stage_count_for", "backbone_layout",
+    "build_batch_graph", "run_single", "run_mtl",
     "build_prototype_banks", "run_novel", "run_translation", "evaluate",
 ]
 
@@ -78,7 +79,6 @@ class TrainConfig:
     knn_k: int = 8
     interaction_layers: int = 2
     rematch: bool = True
-    fusion: str = "features"
     mq_min_score: float = 0.05
     num_candidates: int = 5
 
@@ -152,11 +152,17 @@ def build_batch_graph(videos: list[VideoSample], rule: EdgeRule) -> TemporalGrap
 
 @dataclass
 class TaskBranch:
-    """Neck plus head weights for one task."""
+    """Neck plus head weights for one task.
+
+    ``extra`` holds weights a transfer arm trains with the branch (its
+    interaction stacks or translation encoder); they come last in
+    ``params()``, so they share the branch's optimizer group.
+    """
 
     task: str
     neck: NeckParams
     heads: dict
+    extra: list[Tensor] = field(default_factory=list)
 
     @classmethod
     def init(cls, rng: np.random.Generator, task: str, world: WorldInfo
@@ -183,7 +189,7 @@ class TaskBranch:
         out = self.neck.params()
         for head in self.heads.values():
             out.extend(head.params())
-        return out
+        return out + self.extra
 
 
 def needs_pyramid(tasks) -> bool:
@@ -192,6 +198,16 @@ def needs_pyramid(tasks) -> bool:
 
 def stage_count_for(tasks) -> int:
     return 4 if needs_pyramid(tasks) else 1
+
+
+def backbone_layout(tasks, dim: int,
+                    backbone_cfg: BackboneConfig | None = None
+                    ) -> BackboneConfig:
+    """The backbone a model for ``tasks`` on ``dim``-wide features is built
+    with: ``backbone_cfg``'s settings (the defaults when None), with both
+    widths set to ``dim`` and the stage count the task set needs."""
+    return replace(backbone_cfg or BackboneConfig(), d_in=dim, d_model=dim,
+                   num_stages=stage_count_for(tasks))
 
 
 @dataclass
@@ -445,11 +461,9 @@ def run_single(task: str, ds: SynthDataset, cfg: TrainConfig,
                backbone_cfg: BackboneConfig | None = None) -> MultiTaskModel:
     """Fresh model trained on one task alone."""
     world = WorldInfo.from_dataset(ds)
-    if backbone_cfg is None:
-        backbone_cfg = BackboneConfig(d_in=world.dim, d_model=world.dim,
-                                      num_stages=stage_count_for([task]))
     rng = np.random.default_rng(cfg.seed)
-    model = MultiTaskModel.init(rng, [task], world, backbone_cfg)
+    model = MultiTaskModel.init(rng, [task], world,
+                                backbone_layout([task], world.dim, backbone_cfg))
     view = AnnotationView([task], world.lta_steps)
     _train_loop(model, ds.train, view, cfg)
     return model
@@ -460,11 +474,9 @@ def run_mtl(tasks, ds: SynthDataset, cfg: TrainConfig,
     """Hard parameter sharing over several tasks, losses summed unweighted."""
     tasks = sorted(tasks)
     world = WorldInfo.from_dataset(ds)
-    if backbone_cfg is None:
-        backbone_cfg = BackboneConfig(d_in=world.dim, d_model=world.dim,
-                                      num_stages=stage_count_for(tasks))
     rng = np.random.default_rng(cfg.seed)
-    model = MultiTaskModel.init(rng, tasks, world, backbone_cfg)
+    model = MultiTaskModel.init(rng, tasks, world,
+                                backbone_layout(tasks, world.dim, backbone_cfg))
     view = AnnotationView(tasks, world.lta_steps)
     _train_loop(model, ds.train, view, cfg)
     return model
@@ -556,17 +568,8 @@ def run_novel(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
     if interaction and not banks:
         raise ValueError("interaction requires prototype banks")
     world = support_model.world
-    backbone_cfg = BackboneConfig(
-        layer_kind=support_model.backbone_cfg.layer_kind,
-        d_in=world.dim, d_model=world.dim,
-        num_stages=stage_count_for([novel_task]),
-        layers_per_stage=support_model.backbone_cfg.layers_per_stage,
-        threshold_s=support_model.backbone_cfg.threshold_s,
-        pooling=support_model.backbone_cfg.pooling,
-        gate_hidden=support_model.backbone_cfg.gate_hidden,
-        disable_sign=support_model.backbone_cfg.disable_sign,
-        disable_gate=support_model.backbone_cfg.disable_gate,
-    )
+    backbone_cfg = replace(support_model.backbone_cfg,
+                           num_stages=stage_count_for([novel_task]))
     rng = np.random.default_rng(cfg.seed + 17)
 
     # warm-start: copy phase-one backbone weights; reuse them for extra
@@ -598,12 +601,9 @@ def run_novel(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
     novel = NovelModel(model, novel_task, support_necks, interactions,
                        banks or {}, cfg, interaction)
 
-    # interaction weights train as their own group inside the novel branch
+    # interaction weights train in the novel branch's optimizer group
     branch = model.branches[novel_task]
-    extra = [p for ip in interactions.values() for p in ip.params()]
-    if extra:
-        branch.heads = dict(branch.heads)
-        branch.heads["_interaction"] = _ParamsHolder(extra)
+    branch.extra = [p for ip in interactions.values() for p in ip.params()]
 
     view = AnnotationView([novel_task], world.lta_steps)
 
@@ -614,16 +614,6 @@ def run_novel(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
     _train_loop(model, ds.train, view, cfg,
                 trainable_backbone=not freeze_backbone, batch_hook=hook)
     return model, novel
-
-
-class _ParamsHolder:
-    """Wraps a flat parameter list so it can live in a branch's head dict."""
-
-    def __init__(self, params: list[Tensor]):
-        self._params = params
-
-    def params(self) -> list[Tensor]:
-        return self._params
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +652,8 @@ class TranslationModel:
 
 
 def run_translation(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
-                    support_models: dict[str, MultiTaskModel]
+                    support_models: dict[str, MultiTaskModel],
+                    backbone_cfg: BackboneConfig | None = None
                     ) -> tuple[MultiTaskModel, TranslationModel]:
     """Train the encoder-translation baseline for a novel task.
 
@@ -670,10 +661,10 @@ def run_translation(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
     head, and the encoder train on the novel task only.
     """
     world = WorldInfo.from_dataset(ds)
-    backbone_cfg = BackboneConfig(d_in=world.dim, d_model=world.dim,
-                                  num_stages=stage_count_for([novel_task]))
     rng = np.random.default_rng(cfg.seed + 29)
-    model = MultiTaskModel.init(rng, [novel_task], world, backbone_cfg)
+    model = MultiTaskModel.init(
+        rng, [novel_task], world,
+        backbone_layout([novel_task], world.dim, backbone_cfg))
     for m in support_models.values():
         _freeze(m.backbone.params())
         for b in m.branches.values():
@@ -683,8 +674,7 @@ def run_translation(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
     tm = TranslationModel(model, novel_task, support_models, encoder)
 
     branch = model.branches[novel_task]
-    branch.heads = dict(branch.heads)
-    branch.heads["_encoder"] = _ParamsHolder(encoder.params())
+    branch.extra = encoder.params()
     view = AnnotationView([novel_task], world.lta_steps)
 
     def hook(mdl, stages, batch, v):

@@ -20,7 +20,7 @@ from .autodiff import (
     Tensor, add, concat_rows, div, gather_rows, masked_softmax_rows, matmul,
     mul, relu, sqrt, sub, take_cols, tmean, transpose,
 )
-from .optim import uniform_fan_in
+from .optim import linear_init, uniform_fan_in
 
 __all__ = ["build_mask", "EncoderLayerParams", "TranslationParams",
            "encoder_forward", "translation_forward"]
@@ -51,12 +51,6 @@ def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return add(mul(div(xc, sqrt(add(var, Tensor(1e-6)))), gamma), beta)
 
 
-def _linear_init(rng, d_in, d_out):
-    w = Tensor(uniform_fan_in(rng, (d_in, d_out)), requires_grad=True)
-    b = Tensor(uniform_fan_in(rng, (d_out,), fan_in=d_in), requires_grad=True)
-    return w, b
-
-
 @dataclass
 class EncoderLayerParams:
     """One pre-norm block: masked multi-head attention, then a two-layer
@@ -84,12 +78,12 @@ class EncoderLayerParams:
     def init(cls, rng, dim: int, num_heads: int) -> "EncoderLayerParams":
         if dim % num_heads:
             raise ValueError("model dim must divide evenly into heads")
-        wq, bq = _linear_init(rng, dim, dim)
-        wk, bk = _linear_init(rng, dim, dim)
-        wv, bv = _linear_init(rng, dim, dim)
-        wo, bo = _linear_init(rng, dim, dim)
-        ff1_w, ff1_b = _linear_init(rng, dim, 4 * dim)
-        ff2_w, ff2_b = _linear_init(rng, 4 * dim, dim)
+        wq, bq = linear_init(rng, dim, dim)
+        wk, bk = linear_init(rng, dim, dim)
+        wv, bv = linear_init(rng, dim, dim)
+        wo, bo = linear_init(rng, dim, dim)
+        ff1_w, ff1_b = linear_init(rng, dim, 4 * dim)
+        ff2_w, ff2_b = linear_init(rng, 4 * dim, dim)
         ones = Tensor(np.ones(dim), requires_grad=True)
         zeros = Tensor(np.zeros(dim), requires_grad=True)
         ones2 = Tensor(np.ones(dim), requires_grad=True)

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from tgk.ablation import (
-    OrderProbeConfig, run_order_separation, run_pyramid_comparison,
+    OrderProbeConfig, run_ablation_grid, run_order_separation,
     run_tdgc_ablations,
 )
 from tgk.autodiff import GradientTape, Tensor, add, backward, mul, tsum
@@ -457,15 +457,15 @@ def test_check_06_localization_pipeline():
     data_cfg = SynthConfig(num_train_videos=40, num_val_videos=12,
                            segments_per_video=32, noise=0.1)
     train_cfg = TrainConfig(epochs=240, warmup_epochs=5, base_lr=1e-3)
-    res = run_pyramid_comparison(["tdgc", "sage"], [0, 1, 2],
-                                 data_cfg, train_cfg)
-    gap = res["tdgc"]["mean"] - res["sage"]["mean"]
+    res = {r["layer_kind"]: r["map_avg"] for r in run_ablation_grid(
+        data_cfg, train_cfg, layer_kinds=("tdgc", "sage"), seeds=(0, 1, 2))}
+    gap = res["tdgc"] - res["sage"]
 
     ok = exact and roundtrip and oracle_ok and gap >= 3.0
     _report(6, ok,
             f"decode roundtrip exact; suppression+mAP oracles match on 50 "
-            f"instances; pyramid mAP tdgc={res['tdgc']['mean']:.2f} vs "
-            f"sage={res['sage']['mean']:.2f} (gap {gap:+.2f} >= 3)")
+            f"instances; pyramid mAP tdgc={res['tdgc']:.2f} vs "
+            f"sage={res['sage']:.2f} (gap {gap:+.2f} >= 3)")
 
 
 # ---------------------------------------------------------------------------

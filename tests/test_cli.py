@@ -237,6 +237,8 @@ def test_train_novel_flag_requirements(tmp_path):
         main(["train-novel", "--data", str(ws / "data"), "--task", "pnr",
               "--method", "mtl-ft", "--run", str(tmp_path / "y")]
              + TRAIN_FLAGS)
+    # a rejected command leaves no run directory behind
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +305,75 @@ def test_unknown_novel_method_exits(tmp_path):
     with pytest.raises(SystemExit):
         main(["train-novel", "--data", str(ws / "data"), "--task", "pnr",
               "--method", "distill", "--run", str(tmp_path / "z")])
+
+
+# ---------------------------------------------------------------------------
+# the run config records the backbone every arm trains
+# ---------------------------------------------------------------------------
+
+NON_DEFAULT = ["--layer-kind", "gcn", "--pooling", "max", "--threshold", "3.0",
+               "--layers-per-stage", "1"]
+NON_DEFAULT_FIELDS = {"layer_kind": "gcn", "pooling": "max",
+                      "threshold_s": 3.0, "layers_per_stage": 1}
+
+
+def recorded_backbones(run: Path) -> tuple[dict, dict]:
+    config = json.loads((run / "config.json").read_text())["backbone"]
+    meta = json.loads((run / "model_meta.json").read_text())["backbone"]
+    return config, meta
+
+
+def test_every_arm_records_the_backbone_it_trains(tmp_path):
+    data = str(workspace() / "data")
+    fresh = {
+        "single": (["train-single", "--task", "mq"], 4),
+        "mtl": (["train-mtl", "--tasks", "ar,oscc"], 1),
+        "novel_single": (["train-novel", "--task", "mq",
+                          "--method", "single"], 4),
+        "translation": (["train-novel", "--task", "mq",
+                         "--method", "translation",
+                         "--support-tasks", "ar,oscc"], 4),
+    }
+    for name, (cmd, stages) in fresh.items():
+        run = tmp_path / name
+        assert main(cmd + ["--data", data, "--run", str(run)]
+                    + NON_DEFAULT + TRAIN_FLAGS) == 0
+        config, meta = recorded_backbones(run)
+        assert config == meta, name
+        assert {k: config[k] for k in NON_DEFAULT_FIELDS} == NON_DEFAULT_FIELDS
+        assert (config["d_in"], config["d_model"]) == (12, 12)
+        assert config["num_stages"] == stages, name
+    # token providers share every setting but their own stage count
+    config, _ = recorded_backbones(tmp_path / "translation")
+    for t in ("ar", "oscc"):
+        support = json.loads((tmp_path / "translation" / "support" / t /
+                              "model_meta.json").read_text())["backbone"]
+        assert support["num_stages"] == 1
+        assert {**support, "num_stages": config["num_stages"]} == config
+
+    # warm-start arms inherit the non-default support run's backbone
+    support_run = tmp_path / "mtl"
+    banks = tmp_path / "banks"
+    assert main(["build-prototypes", "--data", data, "--support-run",
+                 str(support_run), "--run", str(banks)]) == 0
+    support_backbone, _ = recorded_backbones(support_run)
+    warm = {"egopack": ["--banks", str(banks)], "mtl-ft": [],
+            "mtl-ht": ["--threshold", "3"]}  # an agreeing flag is accepted
+    for method, extra in warm.items():
+        run = tmp_path / method
+        assert main(["train-novel", "--data", data, "--task", "mq",
+                     "--method", method, "--support-run", str(support_run),
+                     "--run", str(run)] + extra + TRAIN_FLAGS) == 0
+        config, meta = recorded_backbones(run)
+        assert config == meta, method
+        assert config == {**support_backbone, "num_stages": 4}, method
+
+    for flag, field in ((["--layer-kind", "tdgc"], "backbone.layer_kind"),
+                        (["--disable-sign"], "backbone.disable_sign")):
+        run = tmp_path / "conflict"
+        with pytest.raises(SystemExit) as exc:
+            main(["train-novel", "--data", data, "--task", "mq",
+                  "--method", "mtl-ft", "--support-run", str(support_run),
+                  "--run", str(run)] + flag + TRAIN_FLAGS)
+        assert field in str(exc.value.code)
+        assert not run.exists()

@@ -1,0 +1,51 @@
+"""Run-config tests: JSON round trip, strict loading, and the checks
+that keep the recorded backbone consistent with the data and tasks."""
+
+import json
+from dataclasses import replace
+
+import pytest
+
+from tgk.config import ExperimentConfig, validate_config
+from tgk.hierarchy import BackboneConfig
+from tgk.synth import SynthConfig
+
+
+def mq_config() -> ExperimentConfig:
+    return ExperimentConfig(
+        data=SynthConfig(dim=12), tasks=("mq",),
+        backbone=BackboneConfig(layer_kind="sage", d_in=12, d_model=12,
+                                num_stages=4, threshold_s=5.0))
+
+
+def test_json_round_trip_is_exact():
+    cfg = mq_config()
+    text = cfg.to_json()
+    assert ExperimentConfig.from_json(text) == cfg
+    assert ExperimentConfig.from_json(text).to_json() == text
+
+
+@pytest.mark.parametrize("section, key, edit", [
+    ("train", "fusion", lambda raw: raw["train"].update(fusion="features")),
+    ("backbone", "d_in", lambda raw: raw["backbone"].pop("d_in")),
+    ("data", "dim", lambda raw: raw["data"].pop("dim")),
+    ("config", "extra", lambda raw: raw.update(extra=1)),
+    ("config", "tasks", lambda raw: raw.pop("tasks")),
+])
+def test_from_json_names_unknown_or_missing_key(section, key, edit):
+    raw = json.loads(mq_config().to_json())
+    edit(raw)
+    with pytest.raises(ValueError, match=f"^{section}.{key}: "):
+        ExperimentConfig.from_json(json.dumps(raw))
+
+
+@pytest.mark.parametrize("backbone, field", [
+    (dict(d_in=16), "backbone.d_in"),
+    (dict(d_model=16), "backbone.d_model"),
+    (dict(num_stages=1), "backbone.num_stages"),
+])
+def test_validate_rejects_backbone_not_laid_out_for_run(backbone, field):
+    cfg = mq_config()
+    cfg = replace(cfg, backbone=replace(cfg.backbone, **backbone))
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        validate_config(cfg)

@@ -2,11 +2,14 @@
 
 Edge sets are checked against a brute-force double loop over node pairs,
 and the halving plan against directly computed even-index survivors.
+Halving itself is checked on the path the backbone runs: the survivor
+plan, closed-neighborhood pooling, and a 2-stage ``backbone_forward``.
 """
 
 import numpy as np
 import pytest
 
+from tgk.autodiff import Tensor
 from tgk.graph import (
     EdgeRule,
     TemporalGraph,
@@ -14,9 +17,11 @@ from tgk.graph import (
     load_features,
     rebuild_edges,
     save_features,
-    subsample,
     subsample_plan,
     threshold_exponent,
+)
+from tgk.hierarchy import (
+    BackboneConfig, BackboneParams, backbone_forward, pool_closed_neighborhood,
 )
 
 
@@ -162,6 +167,22 @@ def test_subsample_plan_batch_alternation():
     assert np.array_equal(bounds, [0, 2, 4])
 
 
+def two_stage(g: TemporalGraph, pooling: str = "mean",
+              threshold_s: float = 2.0):
+    """Stage outputs of a 2-stage backbone over ``g``; the second stage's
+    graph carries the survivors of one halving as its features."""
+    d = g.features.shape[1]
+    cfg = BackboneConfig(d_in=d, d_model=d, num_stages=2, layers_per_stage=1,
+                         pooling=pooling, threshold_s=threshold_s)
+    params = BackboneParams.init(np.random.default_rng(0), cfg)
+    return backbone_forward(params, cfg, g)
+
+
+def pooled_survivors(g: TemporalGraph, how: str) -> np.ndarray:
+    keep, _ = subsample_plan(g, how)
+    return pool_closed_neighborhood(Tensor(g.features), g, how).data[keep]
+
+
 def test_subsample_ceil_halves_every_video():
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -169,7 +190,7 @@ def test_subsample_ceil_halves_every_video():
         bounds = np.concatenate([[0], np.cumsum(sizes)])
         positions = np.concatenate([np.arange(s, dtype=np.float64) for s in sizes])
         g = build_graph(rng.normal(size=(bounds[-1], 2)), positions, bounds)
-        h = subsample(g, "mean")
+        h = two_stage(g, "mean")[1].graph
         for v in range(3):
             n_before = bounds[v + 1] - bounds[v]
             n_after = h.video_boundaries[v + 1] - h.video_boundaries[v]
@@ -181,18 +202,26 @@ def test_subsample_mean_pools_closed_neighborhood():
     positions = np.array([0.0, 1.0, 2.0, 3.0])
     feats = np.array([[1.0], [2.0], [4.0], [8.0]])
     g = build_graph(feats, positions, rule=EdgeRule(threshold_s=1.5))
-    h = subsample(g, "mean", rule=EdgeRule(threshold_s=1.5))
     # node 0 pools {0, 1}; node 2 pools {1, 2, 3}
-    assert np.allclose(h.features, [[1.5], [14.0 / 3.0]], atol=1e-12)
-    assert np.array_equal(h.positions_s, [0.0, 2.0])
+    assert np.allclose(pooled_survivors(g, "mean"), [[1.5], [14.0 / 3.0]],
+                       atol=1e-12)
+    outs = two_stage(g, "mean", threshold_s=1.5)
+    assert np.array_equal(outs[1].graph.positions_s, [0.0, 2.0])
+    # the backbone feeds stage 2 the pooled survivors of stage 1's output
+    stage1 = TemporalGraph(outs[0].features.data, positions, g.edges)
+    assert np.array_equal(outs[1].graph.features,
+                          pooled_survivors(stage1, "mean"))
 
 
 def test_subsample_max_pools_closed_neighborhood():
     positions = np.array([0.0, 1.0, 2.0])
     feats = np.array([[1.0, 5.0], [2.0, 4.0], [9.0, 0.0]])
     g = build_graph(feats, positions, rule=EdgeRule(threshold_s=1.5))
-    h = subsample(g, "max", rule=EdgeRule(threshold_s=1.5))
-    assert np.array_equal(h.features, [[2.0, 5.0], [9.0, 4.0]])
+    assert np.array_equal(pooled_survivors(g, "max"), [[2.0, 5.0], [9.0, 4.0]])
+    outs = two_stage(g, "max", threshold_s=1.5)
+    stage1 = TemporalGraph(outs[0].features.data, positions, g.edges)
+    assert np.array_equal(outs[1].graph.features,
+                          pooled_survivors(stage1, "max"))
 
 
 def test_subsample_skip_variants_copy_raw_features():
@@ -200,14 +229,15 @@ def test_subsample_skip_variants_copy_raw_features():
     feats = rng.normal(size=(6, 2))
     g = build_graph(feats, np.arange(6.0))
     for pooling in ("video-ss", "batch-ss"):
-        h = subsample(g, pooling)
-        assert np.array_equal(h.features, feats[[0, 2, 4]])
+        outs = two_stage(g, pooling)
+        assert np.array_equal(outs[1].graph.features,
+                              outs[0].features.data[[0, 2, 4]])
 
 
 def test_subsample_rebuilds_edges_for_wider_window():
     positions = np.arange(8, dtype=np.float64)
     g = build_graph(np.zeros((8, 1)), positions, rule=EdgeRule(threshold_s=1.5))
-    h = subsample(g, "mean", rule=EdgeRule(threshold_s=1.5))
+    h = two_stage(g, "mean", threshold_s=1.5)[1].graph
     # survivors sit 2 s apart; the stage-2 window 3.0 links adjacent ones
     assert edge_set(h) == brute_force_edges(h.positions_s, [0, 4], 3.0)
     assert len(h.edges) > 0
@@ -216,7 +246,7 @@ def test_subsample_rebuilds_edges_for_wider_window():
 def test_subsample_rejects_unknown_pooling():
     g = build_graph(np.zeros((4, 1)), np.arange(4.0))
     with pytest.raises(ValueError):
-        subsample(g, "median")
+        two_stage(g, "median")
     with pytest.raises(ValueError):
         subsample_plan(g, "median")
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from tgk.metrics import (
-    average_precision,
     edit_distance,
     iou_1d,
     iou_matrix,
@@ -186,19 +185,34 @@ def test_soft_nms_empty():
 
 
 # ---------------------------------------------------------------------------
-# average precision
+# average precision of one class in one video
 # ---------------------------------------------------------------------------
+
+
+def single_class_ap(dets, scores, gt, thr):
+    """map_at_iou's percentage at ``thr`` with every detection and ground
+    truth in class 0 of video "a"."""
+    dets = np.asarray(dets, dtype=np.float64).reshape(-1, 2)
+    gt = np.asarray(gt, dtype=np.float64).reshape(-1, 2)
+    out = map_at_iou(dets, scores, np.zeros(len(dets), dtype=int),
+                     np.array(["a"] * len(dets)), gt,
+                     np.zeros(len(gt), dtype=int), np.array(["a"] * len(gt)),
+                     thresholds=(thr,))
+    return out["per_threshold"][thr]
 
 
 def test_average_precision_perfect_and_zero():
     gt = np.array([[0.0, 1.0], [2.0, 3.0]])
     dets = gt.copy()
-    assert average_precision(dets, np.array([0.9, 0.8]), gt, 0.5) == 1.0
+    assert single_class_ap(dets, np.array([0.9, 0.8]), gt, 0.5) == 100.0
     far = np.array([[10.0, 11.0], [12.0, 13.0]])
-    assert average_precision(far, np.array([0.9, 0.8]), gt, 0.5) == 0.0
-    assert average_precision(np.empty((0, 2)), np.empty(0), gt, 0.5) == 0.0
-    with pytest.raises(ValueError):
-        average_precision(dets, np.array([0.9, 0.8]), np.empty((0, 2)), 0.5)
+    assert single_class_ap(far, np.array([0.9, 0.8]), gt, 0.5) == 0.0
+    assert single_class_ap(np.empty((0, 2)), np.empty(0), gt, 0.5) == 0.0
+    # detections of a class without ground truth are not scored at all
+    out = map_at_iou(dets, np.array([0.9, 0.8]), np.array([0, 1]),
+                     np.array(["a", "a"]), gt[:1], np.array([0]),
+                     np.array(["a"]), thresholds=(0.5,))
+    assert out["per_threshold"][0.5] == 100.0
 
 
 def test_average_precision_hand_case():
@@ -207,8 +221,8 @@ def test_average_precision_hand_case():
     scores = np.array([0.9, 0.8, 0.7])
     # ranked TP, FP, TP: precision 1, 1/2, 2/3; envelope 1, 2/3, 2/3;
     # recall steps 1/2, 1/2, 1: AP = 0.5 * 1 + 0.5 * 2/3 = 5/6
-    got = average_precision(dets, scores, gt, 0.5)
-    assert abs(got - 5.0 / 6.0) < 1e-12
+    got = single_class_ap(dets, scores, gt, 0.5)
+    assert abs(got - 100.0 * 5.0 / 6.0) < 1e-10
 
 
 def test_average_precision_each_gt_claimed_once():
@@ -216,8 +230,8 @@ def test_average_precision_each_gt_claimed_once():
     dets = np.array([[0.0, 2.0], [0.0, 2.0]])
     scores = np.array([0.9, 0.8])
     # the second duplicate cannot re-claim: precision 1, then 1/2
-    got = average_precision(dets, scores, gt, 0.5)
-    assert got == 1.0
+    got = single_class_ap(dets, scores, gt, 0.5)
+    assert got == 100.0
 
 
 def test_average_precision_threshold_monotone():
@@ -228,9 +242,9 @@ def test_average_precision_threshold_monotone():
         ds = rng.uniform(0, 10, size=6)
         dets = np.stack([ds, ds + rng.uniform(1, 3, size=6)], axis=1)
         scores = rng.uniform(size=6)
-        ap_lo = average_precision(dets, scores, gt, 0.1)
-        ap_hi = average_precision(dets, scores, gt, 0.7)
-        assert ap_hi <= ap_lo + 1e-12
+        ap_lo = single_class_ap(dets, scores, gt, 0.1)
+        ap_hi = single_class_ap(dets, scores, gt, 0.7)
+        assert ap_hi <= ap_lo + 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -441,7 +441,8 @@ def test_novel_training_freezes_support_assets():
                       support.branches["ar"].neck.params()):
         assert not p.requires_grad
         assert np.array_equal(p.data, src.data)
-    assert "_interaction" in model.branches["oscc"].heads
+    assert model.branches["oscc"].extra == [
+        p for ip in novel.interactions.values() for p in ip.params()]
     assert model.tasks == ["oscc"]
 
 
@@ -501,7 +502,7 @@ def test_novel_without_interaction_is_plain_neck():
     model, novel = run_novel("pnr", tiny_dataset(), small_cfg(),
                              support, banks=None, interaction=False)
     assert novel.support_necks == {}
-    assert "_interaction" not in model.branches["pnr"].heads
+    assert model.branches["pnr"].extra == []
     video = tiny_dataset().val[0]
     graph = build_batch_graph([video], model.backbone_cfg.edge_rule)
     stages = model.forward_backbone(graph)
@@ -545,7 +546,7 @@ def test_translation_arm_trains_without_touching_supports():
                     before):
         assert not p.requires_grad
         assert np.array_equal(p.data, b)
-    assert "_encoder" in model.branches["oscc"].heads
+    assert model.branches["oscc"].extra == tm.encoder.params()
     out = evaluate(model, tiny_dataset().val, small_cfg(), tasks=["oscc"],
                    translation=tm)
     assert 0.0 <= out["oscc"]["top1"] <= 100.0
