@@ -64,8 +64,9 @@ BACKBONE_FLAGS = {"layer_kind": "--layer-kind", "pooling": "--pooling",
 
 def _write_metrics(run_dir: Path, payload: dict) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
+    # strict JSON: a missing metric is null, a non-finite one an error
     (run_dir / "metrics.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_table(run_dir: Path, name: str, header: list[str],
@@ -371,9 +372,9 @@ def _cmd_report(args) -> int:
         merged[run_dir.name] = payload
         metrics = payload.get("metrics", {})
         for task in sorted(metrics):
-            for key in sorted(metrics[task]):
+            for key, value in sorted(metrics[task].items()):
                 rows.append((run_dir.name, task, key,
-                             f"{metrics[task][key]:.6f}"))
+                             "" if value is None else f"{value:.6f}"))
     _write_table(out_dir, "summary", ["run", "task", "metric", "value"], rows)
     _write_metrics(out_dir, {"arm": "report", "runs": merged})
     print(f"report across {len(args.runs)} runs in {out_dir}")

@@ -23,6 +23,8 @@ __all__ = ["ExperimentConfig", "validate_config", "load_config",
            "save_config"]
 
 POOLINGS = ("mean", "max", "video-ss", "batch-ss")
+# backbone fields only the tdgc layer reads; other kinds must keep defaults
+TDGC_ONLY = ("gate_hidden", "disable_sign", "disable_gate")
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("backbone.threshold_s: must be positive")
     if cfg.backbone.layers_per_stage < 1:
         raise ValueError("backbone.layers_per_stage: must be >= 1")
+    if cfg.backbone.layer_kind != "tdgc":
+        for name in TDGC_ONLY:
+            if getattr(cfg.backbone, name) != getattr(BackboneConfig(), name):
+                raise ValueError(f"backbone.{name}: applies only to "
+                                 f"layer_kind tdgc")
     for t in cfg.tasks:
         if t not in TASK_NAMES:
             raise ValueError(f"tasks: unknown task {t!r}; "

@@ -154,7 +154,7 @@ DESIGN_MAP: tuple[MapEntry, ...] = (
              "PermissionError on any annotation read outside the phase's "
              "allowed tasks"),
     MapEntry("per-group-optimizers",
-             "training:MultiTaskModel",
+             "training:_train_loop",
              "one Adam per parameter group with per-task learning rates"),
     MapEntry("warmup-cosine-schedule",
              "optim:lr_at",

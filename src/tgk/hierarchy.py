@@ -33,9 +33,10 @@ class BackboneConfig:
     """Shape of the pyramid.
 
     num_stages=1 keeps everything at full resolution (dense per-segment
-    tasks); detection-style tasks use 4. ``disable_sign``/``disable_gate``
-    only apply to the tdgc layer kind. A run records the config its model
-    is built with in both ``config.json`` and ``model_meta.json``.
+    tasks); detection-style tasks use 4. ``gate_hidden``, ``disable_sign``
+    and ``disable_gate`` only apply to the tdgc layer kind, and
+    ``validate_config`` rejects them on any other. A run records the config
+    its model is built with in both ``config.json`` and ``model_meta.json``.
     """
 
     layer_kind: str = "tdgc"

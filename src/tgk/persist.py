@@ -161,7 +161,6 @@ def save_translation(run_dir: str | Path, model: MultiTaskModel,
     (run_dir / "model_meta.json").write_text(json.dumps(meta, indent=2,
                                                         sort_keys=True))
     _write_arrays(run_dir / "model.npz", _model_params(model))
-    _write_arrays(run_dir / "encoder.npz", tm.encoder.params())
     for t, m in tm.support_models.items():
         save_multitask(run_dir / "support" / t, m)
 
@@ -179,9 +178,10 @@ def load_translation(run_dir: str | Path
                                      sorted(support) + [meta["novel_task"]],
                                      num_layers=meta["encoder_layers"],
                                      num_heads=meta["encoder_heads"])
+    # the encoder trains as the novel branch's extra weights, so
+    # model.npz holds its arrays
     model.branches[meta["novel_task"]].extra = encoder.params()
     _read_arrays(run_dir / "model.npz", _model_params(model))
-    _read_arrays(run_dir / "encoder.npz", encoder.params())
     for m in support.values():
         for t in m.backbone.params():
             t.requires_grad = False

@@ -34,7 +34,7 @@ from .autodiff import (
 )
 from .egopack import (
     InteractionParams, PrototypeBank, build_prototypes, fuse_features,
-    interaction_forward, knn_match,
+    interaction_forward,
 )
 from .graph import EdgeRule, TemporalGraph, build_graph
 from .hierarchy import BackboneConfig, BackboneParams, StageOutput, backbone_forward
@@ -412,28 +412,50 @@ def task_loss(branch: TaskBranch, stage_features: list[Tensor],
 # phase one: single-task and multi-task training
 # ---------------------------------------------------------------------------
 
-def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
-                view: AnnotationView, cfg: TrainConfig,
-                trainable_backbone: bool = True,
-                batch_hook=None) -> None:
-    """Shared optimization loop: one optimizer per parameter group.
+def _stage_features(model: MultiTaskModel, task: str,
+                    stages: list[StageOutput], videos: list[VideoSample],
+                    novel: NovelModel | None = None,
+                    translation: TranslationModel | None = None
+                    ) -> list[Tensor]:
+    """Per stage, the features ``task``'s head reads: the egopack fusion of
+    a novel model, translated tokens at the dense stage of a translation
+    model, otherwise the task's own neck."""
+    if novel is not None:
+        return novel.fused_stage_features(stages)
+    neck = model.branches[task].neck
+    if translation is not None:
+        return [translation.translated_dense(videos, stages)] + [
+            neck_forward(neck, s.features) for s in stages[1:]]
+    return [neck_forward(neck, s.features) for s in stages]
 
-    ``batch_hook(model, stages, videos, tape)`` may return an extra loss
-    term; phase two uses it to insert interaction branches.
+
+def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
+                cfg: TrainConfig, novel: NovelModel | None = None,
+                translation: TranslationModel | None = None) -> None:
+    """Shared optimization loop of every arm.
+
+    Each batch runs the backbone once and sums the task losses, each read
+    from the features ``_stage_features`` picks. The backbone and every
+    branch get their own Adam at their own learning rate, over the
+    parameters that require grad, so a frozen backbone gets none.
+    Annotations are read through a view of the model's own tasks: a
+    phase-two model holds only its novel task.
     """
     rng = np.random.default_rng(cfg.seed)
-    groups: dict[str, tuple[list[Tensor], float, Adam]] = {}
-    if trainable_backbone:
-        bb = model.backbone.params()
-        groups["backbone"] = (bb, cfg.base_lr, Adam(bb, cfg.base_lr))
-    for name, branch in model.branches.items():
-        ps = [p for p in branch.params() if p.requires_grad]
+    view = AnnotationView(model.tasks, model.world.lta_steps)
+    owners = [(model.backbone.params(), cfg.base_lr)] + [
+        (branch.params(), cfg.lr_for(name))
+        for name, branch in model.branches.items()]
+    groups: list[tuple[float, Adam]] = []
+    all_params: list[Tensor] = []
+    for params, lr in owners:
+        ps = [p for p in params if p.requires_grad]
         if ps:
-            groups[name] = (ps, cfg.lr_for(name), Adam(ps, cfg.lr_for(name)))
-    all_params = [p for ps, _, _ in groups.values() for p in ps]
+            groups.append((lr, Adam(ps, lr)))
+            all_params.extend(ps)
 
     for epoch in range(cfg.epochs):
-        for _, (ps, base, opt) in groups.items():
+        for base, opt in groups:
             opt.set_lr(lr_at(epoch, base, cfg.warmup_epochs, cfg.epochs))
         order = rng.permutation(len(videos))
         for lo in range(0, len(order), cfg.batch_videos):
@@ -442,17 +464,14 @@ def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
             with GradientTape() as tape:
                 stages = model.forward_backbone(graph)
                 loss = None
-                if batch_hook is not None:
-                    loss = batch_hook(model, stages, batch, view)
-                else:
-                    for branch in model.branches.values():
-                        necked = [neck_forward(branch.neck, s.features)
-                                  for s in stages]
-                        term = task_loss(branch, necked, stages, batch,
-                                         view, model.world)
-                        loss = term if loss is None else add(loss, term)
+                for task, branch in model.branches.items():
+                    feats = _stage_features(model, task, stages, batch,
+                                            novel, translation)
+                    term = task_loss(branch, feats, stages, batch, view,
+                                     model.world)
+                    loss = term if loss is None else add(loss, term)
             backward(tape, loss, leaves=all_params)
-            for _, (_, _, opt) in groups.items():
+            for _, opt in groups:
                 opt.step()
                 opt.zero_grad()
 
@@ -464,8 +483,7 @@ def run_single(task: str, ds: SynthDataset, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     model = MultiTaskModel.init(rng, [task], world,
                                 backbone_layout([task], world.dim, backbone_cfg))
-    view = AnnotationView([task], world.lta_steps)
-    _train_loop(model, ds.train, view, cfg)
+    _train_loop(model, ds.train, cfg)
     return model
 
 
@@ -477,8 +495,7 @@ def run_mtl(tasks, ds: SynthDataset, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     model = MultiTaskModel.init(rng, tasks, world,
                                 backbone_layout(tasks, world.dim, backbone_cfg))
-    view = AnnotationView(tasks, world.lta_steps)
-    _train_loop(model, ds.train, view, cfg)
+    _train_loop(model, ds.train, cfg)
     return model
 
 
@@ -602,17 +619,9 @@ def run_novel(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
                        banks or {}, cfg, interaction)
 
     # interaction weights train in the novel branch's optimizer group
-    branch = model.branches[novel_task]
-    branch.extra = [p for ip in interactions.values() for p in ip.params()]
-
-    view = AnnotationView([novel_task], world.lta_steps)
-
-    def hook(mdl: MultiTaskModel, stages, batch, v):
-        fused = novel.fused_stage_features(stages)
-        return task_loss(branch, fused, stages, batch, v, world)
-
-    _train_loop(model, ds.train, view, cfg,
-                trainable_backbone=not freeze_backbone, batch_hook=hook)
+    model.branches[novel_task].extra = [
+        p for ip in interactions.values() for p in ip.params()]
+    _train_loop(model, ds.train, cfg, novel=novel)
     return model, novel
 
 
@@ -673,17 +682,8 @@ def run_translation(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
         rng, world.dim, sorted(support_models) + [novel_task])
     tm = TranslationModel(model, novel_task, support_models, encoder)
 
-    branch = model.branches[novel_task]
-    branch.extra = encoder.params()
-    view = AnnotationView([novel_task], world.lta_steps)
-
-    def hook(mdl, stages, batch, v):
-        translated = tm.translated_dense(batch, stages)
-        feats = [translated] + [neck_forward(branch.neck, s.features)
-                                for s in stages[1:]]
-        return task_loss(branch, feats, stages, batch, v, world)
-
-    _train_loop(model, ds.train, view, cfg, batch_hook=hook)
+    model.branches[novel_task].extra = encoder.params()
+    _train_loop(model, ds.train, cfg, translation=tm)
     return model, tm
 
 
@@ -691,159 +691,128 @@ def run_translation(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_dense_features(model: MultiTaskModel, video: VideoSample,
-                         novel: NovelModel | None,
-                         translation: TranslationModel | None):
-    graph = build_batch_graph([video], model.backbone_cfg.edge_rule)
-    stages = model.forward_backbone(graph)
-    if novel is not None:
-        feats = novel.fused_stage_features(stages)
-    elif translation is not None:
-        translated = translation.translated_dense([video], stages)
-        feats = [translated] + [
-            neck_forward(model.branches[translation.novel].neck, s.features)
-            for s in stages[1:]]
-    else:
-        feats = None
-    return graph, stages, feats
+_CLASS_HEADS = {"ar": ("verb", "noun"), "oscc": ("cls",)}
+
+
+def _predict_video(task: str, branch: TaskBranch, feats: list[Tensor],
+                   stages: list[StageOutput], video: VideoSample, idx: int,
+                   view: AnnotationView, cfg: TrainConfig):
+    """One video's predictions for ``task``, paired with its ground truth;
+    ``idx`` seeds the forecast sampling."""
+    graph = stages[DENSE_STAGE].graph
+    necked = feats[DENSE_STAGE]
+    if task in ("ar", "oscc"):
+        ivals, *labels = view.annotations(video, task)
+        aligned, _ = align_video_intervals(necked, graph, 0, ivals)
+        return {h: (classifier_forward(branch.heads[h], aligned).data.argmax(axis=1),
+                    y) for h, y in zip(_CLASS_HEADS[task], labels)}
+    if task == "pnr":
+        ivals, times = view.annotations(video, "pnr")
+        scores = scorer_forward(branch.heads["scorer"], necked).data[:, 0]
+        pos = graph.positions_s
+        pairs = []
+        for (start, end), key_t in zip(ivals, times):
+            inside = np.nonzero((pos > start) & (pos < end))[0]
+            if len(inside):
+                pairs.append((pos[inside[np.argmax(scores[inside])]], key_t))
+        return pairs
+    if task == "mq":
+        ivals, cats = view.annotations(video, "mq")
+        cands = []  # (intervals, scores, classes) per stage
+        for f, stage_out in zip(feats, stages):
+            scores, offsets = mq_forward(branch.heads["mq"], f,
+                                         stage_out.graph.stage)
+            cands.append(mq_decode(
+                stage_out.graph.positions_s, scores.data, offsets.data,
+                (0.0, video.duration_s), cfg.mq_min_score))
+        iv, sc, cl = (np.concatenate(parts) for parts in zip(*cands))
+        dets = []
+        for cls in np.unique(cl):
+            sel = np.nonzero(cl == cls)[0]
+            keep, decayed = soft_nms(iv[sel], sc[sel])
+            dets.extend((iv[sel[j]], s, cls) for j, s in zip(keep, decayed))
+        return video.video_id, ivals, cats, dets
+    if task == "lta":
+        anchor, verbs, nouns = view.annotations(video, "lta")
+        if len(verbs) == 0 or anchor[1] <= 0:
+            return None
+        context, _ = align_video_intervals(necked, graph, 0, np.array([anchor]))
+        vl, nl = lta_forward(branch.heads["lta"], context)
+        rng = np.random.default_rng(cfg.seed * 100003 + idx)
+        cands = lta_candidates(vl.data, nl.data, cfg.num_candidates, rng)
+        z = len(verbs)
+        return (edit_distance([c[0][:z] for c in cands], verbs),
+                edit_distance([c[1][:z] for c in cands], nouns))
+    raise ValueError(f"unknown task {task!r}")
+
+
+def _score(task: str, records: list) -> dict:
+    """Metrics of ``task`` over every video's ``_predict_video`` record; a
+    metric no video can score is None."""
+    if task in ("ar", "oscc"):
+        top1 = {h: top1_accuracy(np.concatenate([r[h][0] for r in records]),
+                                 np.concatenate([r[h][1] for r in records]))
+                for h in _CLASS_HEADS[task]}
+        if task == "oscc":
+            return {"top1": top1["cls"]}
+        return {"verb_top1": top1["verb"], "noun_top1": top1["noun"],
+                "mean_top1": (top1["verb"] + top1["noun"]) / 2.0}
+    if task == "pnr":
+        pairs = [pair for r in records for pair in r]
+        return {"loc_err_s": localization_error([p for p, _ in pairs],
+                                                [t for _, t in pairs])
+                if pairs else None}
+    if task == "mq":
+        det_i, det_s, det_c, det_v = [], [], [], []
+        gt_i, gt_c, gt_v = [], [], []
+        for video_id, ivals, cats, dets in records:
+            gt_i.append(ivals)
+            gt_c.append(cats)
+            gt_v.extend([video_id] * len(cats))
+            for iv, s, cls in dets:
+                det_i.append(iv)
+                det_s.append(s)
+                det_c.append(cls)
+                det_v.append(video_id)
+        gt_i = np.concatenate(gt_i, axis=0) if gt_i else np.empty((0, 2))
+        gt_c = np.concatenate(gt_c) if gt_c else np.empty(0, dtype=np.intp)
+        result = map_at_iou(det_i, det_s, det_c, det_v, gt_i, gt_c, gt_v)
+        return {
+            "map_avg": result["mean"],
+            **{f"map@{thr:.1f}": v
+               for thr, v in result["per_threshold"].items()},
+            **{f"recall@{k}_iou0.5": recall_at_k(det_i, det_s, det_c, det_v,
+                                                 gt_i, gt_c, gt_v, k=k)
+               for k in (1, 5)},
+        }
+    eds = [r for r in records if r is not None]
+    if not eds:
+        return {"verb_ed": None, "noun_ed": None, "mean_ed": None}
+    verb_ed = float(np.mean([v for v, _ in eds]))
+    noun_ed = float(np.mean([n for _, n in eds]))
+    return {"verb_ed": verb_ed, "noun_ed": noun_ed,
+            "mean_ed": (verb_ed + noun_ed) / 2.0}
 
 
 def evaluate(model: MultiTaskModel, videos: list[VideoSample],
              cfg: TrainConfig, tasks=None,
              novel: NovelModel | None = None,
              translation: TranslationModel | None = None) -> dict:
-    """Validation metrics per task; deterministic given cfg.seed."""
-    world = model.world
+    """Validation metrics per task; deterministic given cfg.seed.
+
+    Each video gets one graph and one backbone pass, which every task
+    reads; a metric no video can score is None.
+    """
     tasks = sorted(tasks or model.tasks)
-    view = AnnotationView(tasks, world.lta_steps)
-    out: dict[str, dict] = {}
-
-    for task in tasks:
-        branch = model.branches[task]
-        if task in ("ar", "oscc"):
-            preds_v, labels_v, preds_n, labels_n = [], [], [], []
-            for video in videos:
-                graph, stages, fused = _eval_dense_features(
-                    model, video, novel, translation)
-                necked = (fused[DENSE_STAGE] if fused is not None else
-                          neck_forward(branch.neck, stages[DENSE_STAGE].features))
-                ann = view.annotations(video, task)
-                ivals = ann[0]
-                aligned, _ = align_video_intervals(
-                    necked, stages[DENSE_STAGE].graph, 0, ivals)
-                if task == "ar":
-                    preds_v.append(classifier_forward(
-                        branch.heads["verb"], aligned).data.argmax(axis=1))
-                    preds_n.append(classifier_forward(
-                        branch.heads["noun"], aligned).data.argmax(axis=1))
-                    labels_v.append(ann[1])
-                    labels_n.append(ann[2])
-                else:
-                    preds_v.append(classifier_forward(
-                        branch.heads["cls"], aligned).data.argmax(axis=1))
-                    labels_v.append(ann[1])
-            if task == "ar":
-                verb_top1 = top1_accuracy(np.concatenate(preds_v),
-                                          np.concatenate(labels_v))
-                noun_top1 = top1_accuracy(np.concatenate(preds_n),
-                                          np.concatenate(labels_n))
-                out[task] = {"verb_top1": verb_top1, "noun_top1": noun_top1,
-                             "mean_top1": (verb_top1 + noun_top1) / 2.0}
-            else:
-                out[task] = {"top1": top1_accuracy(np.concatenate(preds_v),
-                                                   np.concatenate(labels_v))}
-
-        elif task == "pnr":
-            pred_t, true_t = [], []
-            for video in videos:
-                graph, stages, fused = _eval_dense_features(
-                    model, video, novel, translation)
-                necked = (fused[DENSE_STAGE] if fused is not None else
-                          neck_forward(branch.neck, stages[DENSE_STAGE].features))
-                ivals, times = view.annotations(video, "pnr")
-                if len(ivals) == 0:
-                    continue
-                scores = scorer_forward(branch.heads["scorer"], necked).data[:, 0]
-                pos = stages[DENSE_STAGE].graph.positions_s
-                for (start, end), key_t in zip(ivals, times):
-                    inside = np.nonzero((pos > start) & (pos < end))[0]
-                    if len(inside) == 0:
-                        continue
-                    best = inside[np.argmax(scores[inside])]
-                    pred_t.append(pos[best])
-                    true_t.append(key_t)
-            out[task] = {"loc_err_s": localization_error(pred_t, true_t)
-                         if pred_t else float("nan")}
-
-        elif task == "mq":
-            det_i, det_s, det_c, det_v = [], [], [], []
-            gt_i, gt_c, gt_v = [], [], []
-            for video in videos:
-                graph, stages, fused = _eval_dense_features(
-                    model, video, novel, translation)
-                ivals, cats = view.annotations(video, "mq")
-                gt_i.append(ivals)
-                gt_c.append(cats)
-                gt_v.extend([video.video_id] * len(cats))
-                cand_i, cand_s, cand_c = [], [], []
-                for si, stage_out in enumerate(stages):
-                    necked = (fused[si] if fused is not None else
-                              neck_forward(branch.neck, stage_out.features))
-                    scores, offsets = mq_forward(branch.heads["mq"], necked,
-                                                 stage_out.graph.stage)
-                    iv, sc, cl = mq_decode(
-                        stage_out.graph.positions_s, scores.data, offsets.data,
-                        (0.0, video.duration_s), cfg.mq_min_score)
-                    cand_i.append(iv)
-                    cand_s.append(sc)
-                    cand_c.append(cl)
-                iv = np.concatenate(cand_i, axis=0) if cand_i else np.empty((0, 2))
-                sc = np.concatenate(cand_s) if cand_s else np.empty(0)
-                cl = np.concatenate(cand_c) if cand_c else np.empty(0, dtype=np.intp)
-                for cls in np.unique(cl):
-                    sel = np.nonzero(cl == cls)[0]
-                    keep, decayed = soft_nms(iv[sel], sc[sel])
-                    for j, s in zip(keep, decayed):
-                        det_i.append(iv[sel[j]])
-                        det_s.append(s)
-                        det_c.append(cls)
-                        det_v.append(video.video_id)
-            gt_i = np.concatenate(gt_i, axis=0) if gt_i else np.empty((0, 2))
-            gt_c = np.concatenate(gt_c) if gt_c else np.empty(0, dtype=np.intp)
-            result = map_at_iou(det_i, det_s, det_c, det_v, gt_i, gt_c, gt_v)
-            out[task] = {
-                "map_avg": result["mean"],
-                **{f"map@{thr:.1f}": v
-                   for thr, v in result["per_threshold"].items()},
-                "recall@1_iou0.5": recall_at_k(det_i, det_s, det_c, det_v,
-                                               gt_i, gt_c, gt_v, k=1),
-                "recall@5_iou0.5": recall_at_k(det_i, det_s, det_c, det_v,
-                                               gt_i, gt_c, gt_v, k=5),
-            }
-
-        elif task == "lta":
-            ed_v, ed_n = [], []
-            for idx, video in enumerate(videos):
-                graph, stages, fused = _eval_dense_features(
-                    model, video, novel, translation)
-                necked = (fused[DENSE_STAGE] if fused is not None else
-                          neck_forward(branch.neck, stages[DENSE_STAGE].features))
-                anchor, verbs, nouns = view.annotations(video, "lta")
-                if len(verbs) == 0 or anchor[1] <= 0:
-                    continue
-                context, _ = align_video_intervals(
-                    necked, stages[DENSE_STAGE].graph, 0,
-                    np.array([anchor]))
-                vl, nl = lta_forward(branch.heads["lta"], context)
-                rng = np.random.default_rng(cfg.seed * 100003 + idx)
-                cands = lta_candidates(vl.data, nl.data, cfg.num_candidates, rng)
-                z = len(verbs)
-                ed_v.append(edit_distance([c[0][:z] for c in cands], verbs))
-                ed_n.append(edit_distance([c[1][:z] for c in cands], nouns))
-            verb_ed = float(np.mean(ed_v)) if ed_v else float("nan")
-            noun_ed = float(np.mean(ed_n)) if ed_n else float("nan")
-            out[task] = {"verb_ed": verb_ed, "noun_ed": noun_ed,
-                         "mean_ed": (verb_ed + noun_ed) / 2.0}
-        else:
-            raise ValueError(f"unknown task {task!r}")
-    return out
+    view = AnnotationView(tasks, model.world.lta_steps)
+    records: dict[str, list] = {task: [] for task in tasks}
+    for idx, video in enumerate(videos):
+        stages = model.forward_backbone(
+            build_batch_graph([video], model.backbone_cfg.edge_rule))
+        for task in tasks:
+            feats = _stage_features(model, task, stages, [video], novel,
+                                    translation)
+            records[task].append(_predict_video(
+                task, model.branches[task], feats, stages, video, idx,
+                view, cfg))
+    return {task: _score(task, records[task]) for task in tasks}

@@ -221,6 +221,8 @@ def test_train_novel_translation_round_trip(tmp_path):
                  "--run", str(run)] + TRAIN_FLAGS) == 0
     payload = metrics_of(run)
     assert payload["arm"] == "translation"
+    # the encoder's weights are stored once, inside model.npz
+    assert not (run / "encoder.npz").exists()
     out = tmp_path / "tr_eval"
     assert main(["eval", "--run", str(run), "--data", str(ws / "data"),
                  "--split", "val", "--out", str(out)]) == 0
@@ -256,6 +258,19 @@ def test_report_merges_runs(tmp_path):
     rows = (out / "tables" / "summary.csv").read_text().strip().splitlines()
     assert rows[0] == "run,task,metric,value"
     assert len(rows) > 3
+
+
+def test_report_leaves_missing_metrics_empty(tmp_path):
+    run = tmp_path / "run_flat"
+    run.mkdir()
+    (run / "metrics.json").write_text(json.dumps(
+        {"arm": "single", "metrics": {"pnr": {"loc_err_s": None}}}))
+    out = tmp_path / "report"
+    assert main(["report", "--runs", str(run), "--out", str(out)]) == 0
+    rows = (out / "tables" / "summary.csv").read_text().strip().splitlines()
+    assert rows[1:] == ["run_flat,pnr,loc_err_s,"]
+    assert metrics_of(out)["runs"]["run_flat"]["metrics"]["pnr"] == {
+        "loc_err_s": None}
 
 
 def test_ablate_order_probe(tmp_path):

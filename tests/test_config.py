@@ -49,3 +49,17 @@ def test_validate_rejects_backbone_not_laid_out_for_run(backbone, field):
     cfg = replace(cfg, backbone=replace(cfg.backbone, **backbone))
     with pytest.raises(ValueError, match=f"^{field}: "):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("setting", [
+    dict(gate_hidden=4), dict(disable_sign=True), dict(disable_gate=True),
+])
+def test_validate_rejects_tdgc_only_fields_on_other_kinds(setting):
+    cfg = mq_config()  # a sage backbone
+    cfg = replace(cfg, backbone=replace(cfg.backbone, **setting))
+    field = next(iter(setting))
+    with pytest.raises(ValueError,
+                       match=f"^backbone.{field}: applies only to layer_kind tdgc$"):
+        validate_config(cfg)
+    validate_config(replace(cfg, backbone=replace(cfg.backbone,
+                                                  layer_kind="tdgc")))

@@ -9,11 +9,14 @@ gradients cannot reach the backbone through an interaction branch.
 """
 
 import copy
+import json
 
 import numpy as np
 import pytest
 
+from tgk import training
 from tgk.autodiff import GradientTape, Tensor, add, backward, mul, tsum
+from tgk.cli import _write_metrics
 from tgk.graph import EdgeRule, build_graph
 from tgk.hierarchy import BackboneConfig
 from tgk.synth import (
@@ -259,14 +262,19 @@ def test_every_task_loss_is_finite_and_differentiable():
         assert neck_norm > 0.0, task
 
 
-def test_keyframe_loss_is_zero_without_state_changes():
-    world = WorldInfo.from_dataset(tiny_dataset())
-    rng = np.random.default_rng(3)
-    video = VideoSample(
+def flat_video(world, rng) -> VideoSample:
+    """One event without a state change: no keyframe, no forecast."""
+    return VideoSample(
         video_id="flat", features=rng.normal(size=(8, world.dim)),
         positions_s=np.arange(8) + 0.5,
         events=[Event(start_s=0.5, end_s=3.5, verb=3, noun=0,
                       state_change=False)])
+
+
+def test_keyframe_loss_is_zero_without_state_changes():
+    world = WorldInfo.from_dataset(tiny_dataset())
+    rng = np.random.default_rng(3)
+    video = flat_video(world, rng)
     cfg = BackboneConfig(d_in=world.dim, d_model=world.dim, num_stages=1)
     model = MultiTaskModel.init(rng, ["pnr"], world, cfg)
     branch = model.branches["pnr"]
@@ -355,6 +363,40 @@ def test_evaluate_is_deterministic():
     a = evaluate(model, ds.val, small_cfg())
     b = evaluate(model, ds.val, small_cfg())
     assert a == b
+
+
+def test_evaluate_runs_backbone_once_per_video(monkeypatch):
+    model = mtl_model()
+    videos = tiny_dataset().val
+    calls = []
+    real = training.backbone_forward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "backbone_forward", counting)
+    out = evaluate(model, videos, small_cfg())
+    assert set(out) == {"ar", "oscc"}
+    assert len(calls) == len(videos)
+
+
+def test_unscorable_metrics_are_null_in_strict_json(tmp_path):
+    video = flat_video(WorldInfo.from_dataset(tiny_dataset()),
+                       np.random.default_rng(3))
+    out = {**evaluate(trained("pnr"), [video], small_cfg()),
+           **evaluate(trained("lta"), [video], small_cfg())}
+    assert out == {"pnr": {"loc_err_s": None},
+                   "lta": {"verb_ed": None, "noun_ed": None, "mean_ed": None}}
+    _write_metrics(tmp_path, {"metrics": out})
+
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant}")
+
+    text = (tmp_path / "metrics.json").read_text()
+    assert json.loads(text, parse_constant=reject) == {"metrics": out}
+    with pytest.raises(ValueError):
+        _write_metrics(tmp_path, {"metrics": {"pnr": {"loc_err_s": np.nan}}})
 
 
 # ---------------------------------------------------------------------------
