@@ -13,9 +13,10 @@ Subcommands cover the full experiment lifecycle:
   report            aggregate several runs into one summary
 
 Every run directory receives ``config.json`` (the resolved experiment
-config) and ``metrics.json`` (sorted keys, no timestamps, so reruns with
-the same inputs are byte-identical); analytics land in ``tables/*.csv``
-and banks in ``prototypes/``. The ``TGK_THREADS`` environment variable
+config, the only record ``eval`` rebuilds the run from) and
+``metrics.json`` (sorted keys, no timestamps, so reruns with the same
+inputs are byte-identical); analytics land in ``tables/*.csv`` and banks
+in ``prototypes/``. The ``TGK_THREADS`` environment variable
 caps the numerics thread pool.
 """
 
@@ -33,19 +34,19 @@ from .ablation import (
     OrderProbeConfig, run_ablation_grid, run_order_separation,
     run_tdgc_ablations,
 )
-from .config import ExperimentConfig, save_config, validate_config
-from .egopack import activation_consensus, activation_histogram, knn_match
-from .hierarchy import BackboneConfig
-from .persist import (
-    load_multitask, load_novel, load_translation, save_multitask,
-    save_novel, save_translation,
+from .config import ExperimentConfig, load_config, save_config, validate_config
+from .egopack import (
+    activation_consensus, activation_histogram, knn_match, load_bank,
+    save_bank,
 )
+from .hierarchy import BackboneConfig
+from .persist import load_model, load_run, save_run
 from .synth import (
     SynthConfig, SynthDataset, generate_dataset, load_dataset, save_dataset,
 )
 from .tasks import neck_forward
 from .training import (
-    DENSE_STAGE, MultiTaskModel, TrainConfig, backbone_layout,
+    DENSE_STAGE, MultiTaskModel, TrainConfig, WorldInfo, backbone_layout,
     build_batch_graph, build_prototype_banks, evaluate, run_mtl, run_novel,
     run_single, run_translation, stage_count_for,
 )
@@ -139,17 +140,22 @@ def _warm_start_backbone(args, support: MultiTaskModel) -> BackboneConfig:
                    num_stages=stage_count_for([args.task]))
 
 
-def _experiment_config(args, data_cfg: SynthConfig, tasks,
+def _experiment_config(args, data_cfg: SynthConfig, tasks, arm: str,
+                       support_tasks=(),
                        backbone: BackboneConfig | None = None
                        ) -> ExperimentConfig:
     """Resolved run config; ``backbone`` defaults to a fresh one from the
-    backbone flags."""
+    backbone flags. An invalid config exits naming the field."""
     if backbone is None:
         backbone = backbone_layout(tasks, data_cfg.dim,
                                    BackboneConfig(**_backbone_flags(args)))
     cfg = ExperimentConfig(data=data_cfg, train=_train_config(args),
-                           backbone=backbone, tasks=tuple(tasks))
-    validate_config(cfg)
+                           backbone=backbone, tasks=tuple(tasks), arm=arm,
+                           support_tasks=tuple(support_tasks))
+    try:
+        validate_config(cfg)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     return cfg
 
 
@@ -175,11 +181,11 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train_single(args) -> int:
     ds = load_dataset(args.data)
-    cfg = _experiment_config(args, ds.config, [args.task])
+    cfg = _experiment_config(args, ds.config, [args.task], "single")
     run_dir = Path(args.run)
     save_config(run_dir, cfg)
     model = run_single(args.task, ds, cfg.train, backbone_cfg=cfg.backbone)
-    save_multitask(run_dir, model)
+    save_run(run_dir, model)
     metrics = evaluate(model, ds.val, cfg.train)
     _write_metrics(run_dir, {"arm": "single", "task": args.task,
                              "metrics": metrics})
@@ -190,11 +196,11 @@ def _cmd_train_single(args) -> int:
 def _cmd_train_mtl(args) -> int:
     ds = load_dataset(args.data)
     tasks = sorted(args.tasks.split(","))
-    cfg = _experiment_config(args, ds.config, tasks)
+    cfg = _experiment_config(args, ds.config, tasks, "mtl")
     run_dir = Path(args.run)
     save_config(run_dir, cfg)
     model = run_mtl(tasks, ds, cfg.train, backbone_cfg=cfg.backbone)
-    save_multitask(run_dir, model)
+    save_run(run_dir, model)
     metrics = evaluate(model, ds.val, cfg.train)
     _write_metrics(run_dir, {"arm": "mtl", "tasks": tasks, "metrics": metrics})
     print(json.dumps(metrics, indent=2, sort_keys=True))
@@ -203,26 +209,26 @@ def _cmd_train_mtl(args) -> int:
 
 def _cmd_build_prototypes(args) -> int:
     ds = load_dataset(args.data)
-    model = load_multitask(args.support_run)
+    model = load_model(args.support_run)
     support_tasks = sorted(args.tasks.split(",")) if args.tasks else model.tasks
     banks = build_prototype_banks(model, ds, support_tasks)
     run_dir = Path(args.run)
     run_dir.mkdir(parents=True, exist_ok=True)
-    from .egopack import save_bank
     for bank in banks.values():
         save_bank(run_dir / "prototypes", bank)
 
-    # analytics on validation-split node features
+    # analytics on validation-split node features: one backbone pass per
+    # video, read by every support task's neck
+    rows = {task: [] for task in support_tasks}
+    for video in ds.val:
+        graph = build_batch_graph([video], model.backbone_cfg.edge_rule)
+        dense = model.forward_backbone(graph)[DENSE_STAGE].features
+        for task in support_tasks:
+            rows[task].append(
+                neck_forward(model.branches[task].neck, dense).data)
     matches = {}
     for task in support_tasks:
-        rows = []
-        for video in ds.val:
-            graph = build_batch_graph([video], model.backbone_cfg.edge_rule)
-            stages = model.forward_backbone(graph)
-            necked = neck_forward(model.branches[task].neck,
-                                  stages[DENSE_STAGE].features)
-            rows.append(necked.data)
-        matches[task] = knn_match(np.concatenate(rows, axis=0),
+        matches[task] = knn_match(np.concatenate(rows[task], axis=0),
                                   banks[task], args.knn_k)
         hist = activation_histogram(matches[task], banks[task])
         _write_table(run_dir, f"activation_histogram_{task}",
@@ -242,16 +248,24 @@ def _cmd_build_prototypes(args) -> int:
 
 def _cmd_train_novel(args) -> int:
     ds = load_dataset(args.data)
-    if args.method in ("single", "translation"):
-        cfg = _experiment_config(args, ds.config, [args.task])
+    if args.method == "single":
+        cfg = _experiment_config(args, ds.config, [args.task], "single")
+    elif args.method == "translation":
+        cfg = _experiment_config(args, ds.config, [args.task], "translation",
+                                 sorted(args.support_tasks.split(",")))
     else:
         if not args.support_run:
             raise SystemExit(f"--support-run is required for {args.method}")
         if args.method == "egopack" and not args.banks:
             raise SystemExit("--banks is required for egopack")
-        support = load_multitask(args.support_run)
-        cfg = _experiment_config(args, ds.config, [args.task],
-                                 _warm_start_backbone(args, support))
+        support = load_model(args.support_run)
+        if support.world != WorldInfo.from_dataset(ds):
+            raise SystemExit(f"data: the support run {args.support_run} was "
+                             f"trained on another label space, {support.world}")
+        cfg = _experiment_config(
+            args, ds.config, [args.task], args.method,
+            support.tasks if args.method == "egopack" else (),
+            _warm_start_backbone(args, support))
     run_dir = Path(args.run)
     save_config(run_dir, cfg)
 
@@ -262,28 +276,24 @@ def _cmd_train_novel(args) -> int:
     if args.method == "single":
         model = run_single(args.task, novel_ds, cfg.train,
                            backbone_cfg=cfg.backbone)
-        save_multitask(run_dir, model)
+        save_run(run_dir, model)
         metrics = evaluate(model, ds.val, cfg.train)
     elif args.method == "translation":
         support_models = {
             t: run_single(t, ds, cfg.train, backbone_cfg=cfg.backbone)
-            for t in sorted(args.support_tasks.split(","))}
+            for t in cfg.support_tasks}
         model, tm = run_translation(args.task, novel_ds, cfg.train,
                                     support_models, backbone_cfg=cfg.backbone)
-        save_translation(run_dir, model, tm)
+        save_run(run_dir, model, translation=tm)
         metrics = evaluate(model, ds.val, cfg.train, translation=tm)
     else:
-        banks = None
-        interaction = args.method == "egopack"
-        if interaction:
-            from .egopack import load_bank
-            banks = {t: load_bank(Path(args.banks) / "prototypes", t)
-                     for t in support.tasks}
+        banks = {t: load_bank(Path(args.banks) / "prototypes", t)
+                 for t in cfg.support_tasks}
         model, novel = run_novel(
             args.task, novel_ds, cfg.train, support, banks=banks,
-            interaction=interaction,
+            interaction=args.method == "egopack",
             freeze_backbone=(args.method == "mtl-ht"))
-        save_novel(run_dir, model, novel)
+        save_run(run_dir, model, novel=novel)
         metrics = evaluate(model, ds.val, cfg.train, novel=novel)
 
     _write_metrics(run_dir, {"arm": args.method, "task": args.task,
@@ -340,23 +350,15 @@ def _cmd_ablate(args) -> int:
 def _cmd_eval(args) -> int:
     ds = load_dataset(args.data)
     run_dir = Path(args.run)
-    meta = json.loads((run_dir / "model_meta.json").read_text())
-    from .config import load_config
-    cfg = load_config(run_dir)
-    if meta["arm"] == "multitask":
-        model = load_multitask(run_dir)
-        metrics = evaluate(model, ds.split(args.split), cfg.train)
-    elif meta["arm"] == "novel":
-        model, novel = load_novel(run_dir, cfg.train)
-        metrics = evaluate(model, ds.split(args.split), cfg.train, novel=novel)
-    elif meta["arm"] == "translation":
-        model, tm = load_translation(run_dir)
-        metrics = evaluate(model, ds.split(args.split), cfg.train,
-                           translation=tm)
-    else:
-        raise SystemExit(f"cannot evaluate arm {meta['arm']!r}")
+    try:
+        cfg = load_config(run_dir)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{run_dir}: {exc}") from None
+    model, novel, tm = load_run(run_dir, cfg)
+    metrics = evaluate(model, ds.split(args.split), cfg.train, novel=novel,
+                       translation=tm)
     out_dir = Path(args.out) if args.out else run_dir
-    _write_metrics(out_dir, {"arm": meta["arm"], "metrics": metrics,
+    _write_metrics(out_dir, {"arm": cfg.arm, "metrics": metrics,
                              "split": args.split})
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0

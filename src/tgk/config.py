@@ -2,10 +2,12 @@
 
 Every command-line run resolves its settings into an ``ExperimentConfig``
 and writes it as ``config.json`` in the run directory, so a run is fully
-reproducible from its directory alone. ``backbone`` is the exact
-``BackboneConfig`` the run's model is built with. Validation happens
-eagerly at construction time with named errors instead of failures
-mid-training.
+reproducible from its directory alone: it is the only record of what
+ran, and ``tgk.persist.load_run`` rebuilds the model from it. ``backbone``
+is the exact ``BackboneConfig`` the run's model is built with, ``arm``
+the training arm and ``support_tasks`` the tasks whose banks (egopack) or
+token models (translation) the run reads. Validation happens eagerly at
+construction time with named errors instead of failures mid-training.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ __all__ = ["ExperimentConfig", "validate_config", "load_config",
            "save_config"]
 
 POOLINGS = ("mean", "max", "video-ss", "batch-ss")
+ARMS = ("single", "mtl", "translation", "egopack", "mtl-ft", "mtl-ht")
+# arms that read support tasks; every other arm records none
+SUPPORT_ARMS = ("egopack", "translation")
 # backbone fields only the tdgc layer reads; other kinds must keep defaults
 TDGC_ONLY = ("gate_hidden", "disable_sign", "disable_gate")
 
@@ -33,6 +38,8 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     tasks: tuple = ("ar",)
+    arm: str = "single"
+    support_tasks: tuple = ()
 
     def to_json(self) -> str:
         payload = {
@@ -40,6 +47,8 @@ class ExperimentConfig:
             "train": asdict(self.train),
             "backbone": asdict(self.backbone),
             "tasks": list(self.tasks),
+            "arm": self.arm,
+            "support_tasks": list(self.support_tasks),
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -53,7 +62,8 @@ class ExperimentConfig:
                     for name, kind in (("data", SynthConfig),
                                        ("train", TrainConfig),
                                        ("backbone", BackboneConfig))}
-        cfg = cls(**sections, tasks=tuple(raw["tasks"]))
+        cfg = cls(**sections, tasks=tuple(raw["tasks"]), arm=raw["arm"],
+                  support_tasks=tuple(raw["support_tasks"]))
         validate_config(cfg)
         return cfg
 
@@ -98,6 +108,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
                              f"choose from {TASK_NAMES}")
     if not cfg.tasks:
         raise ValueError("tasks: at least one task required")
+    if cfg.arm not in ARMS:
+        raise ValueError(f"arm: unknown arm {cfg.arm!r}; choose from {ARMS}")
+    for t in cfg.support_tasks:
+        if t not in TASK_NAMES:
+            raise ValueError(f"support_tasks: unknown task {t!r}; "
+                             f"choose from {TASK_NAMES}")
+    if cfg.support_tasks and cfg.arm not in SUPPORT_ARMS:
+        raise ValueError(f"support_tasks: arm {cfg.arm!r} reads none")
     for width in ("d_in", "d_model"):
         if getattr(cfg.backbone, width) != cfg.data.dim:
             raise ValueError(f"backbone.{width}: must equal data.dim "

@@ -36,7 +36,8 @@ class BackboneConfig:
     tasks); detection-style tasks use 4. ``gate_hidden``, ``disable_sign``
     and ``disable_gate`` only apply to the tdgc layer kind, and
     ``validate_config`` rejects them on any other. A run records the config
-    its model is built with in both ``config.json`` and ``model_meta.json``.
+    its model is built with in ``config.json``, which ``load_run`` rebuilds
+    the model from.
     """
 
     layer_kind: str = "tdgc"

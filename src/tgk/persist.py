@@ -1,34 +1,34 @@
 """Saving and loading trained models inside run directories.
 
-A run directory holds ``model_meta.json`` (structure: tasks, label
-spaces, backbone settings, arm-specific extras) plus ``model.npz`` with
-every parameter array in the model's canonical ``params()`` order.
-Rebuilding replays the exact construction code path of training and then
-overwrites the arrays, so order stays consistent by construction.
-Prototype banks live in ``prototypes/`` in their own portable format.
+``config.json`` is the only description of a run: ``load_run`` rebuilds
+its model from the ``ExperimentConfig`` alone, replaying the construction
+code path of training, and then overwrites the arrays of ``model.npz``,
+which holds every parameter in the model's canonical ``params()`` order.
+Arm-specific extras sit beside it: ``support_necks.npz`` and the banks in
+``prototypes/`` (egopack), and ``support/<task>/model.npz`` per token
+model (translation).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
+from .config import ExperimentConfig, load_config
 from .egopack import InteractionParams, load_bank, save_bank
-from .hierarchy import BackboneConfig
 from .tasks import NeckParams
 from .training import (
-    MultiTaskModel, NovelModel, TrainConfig, TranslationModel, WorldInfo,
+    MultiTaskModel, NovelModel, TranslationModel, WorldInfo, _freeze,
+    backbone_layout,
 )
 from .translation import TranslationParams
 
-__all__ = ["save_multitask", "load_multitask", "save_novel", "load_novel",
-           "save_translation", "load_translation"]
+__all__ = ["save_run", "load_run", "load_model"]
 
 
 def _write_arrays(path: Path, params: list) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     np.savez(path, **{f"p{i:05d}": t.data for i, t in enumerate(params)})
 
 
@@ -45,21 +45,6 @@ def _read_arrays(path: Path, params: list) -> None:
             t.data = arr.astype(np.float64)
 
 
-def _meta_core(model: MultiTaskModel) -> dict:
-    return {
-        "tasks": model.tasks,
-        "world": asdict(model.world),
-        "backbone": asdict(model.backbone_cfg),
-    }
-
-
-def _rebuild_multitask(meta: dict) -> MultiTaskModel:
-    world = WorldInfo(**meta["world"])
-    backbone_cfg = BackboneConfig(**meta["backbone"])
-    rng = np.random.default_rng(0)
-    return MultiTaskModel.init(rng, meta["tasks"], world, backbone_cfg)
-
-
 def _model_params(model: MultiTaskModel) -> list:
     out = model.backbone.params()
     for name in model.tasks:
@@ -67,126 +52,78 @@ def _model_params(model: MultiTaskModel) -> list:
     return out
 
 
-def save_multitask(run_dir: str | Path, model: MultiTaskModel) -> None:
+def _neck_params(necks: dict[str, NeckParams]) -> list:
+    return [t for name in sorted(necks) for t in necks[name].params()]
+
+
+def save_run(run_dir: str | Path, model: MultiTaskModel,
+             novel: NovelModel | None = None,
+             translation: TranslationModel | None = None) -> None:
+    """Write a trained model's arrays: ``model.npz`` (with interaction or
+    encoder weights), plus the frozen support necks and banks of a novel
+    model, or each token model of a translation model."""
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    meta = {"arm": "multitask", **_meta_core(model)}
-    (run_dir / "model_meta.json").write_text(json.dumps(meta, indent=2,
-                                                        sort_keys=True))
     _write_arrays(run_dir / "model.npz", _model_params(model))
+    if novel is not None:
+        if novel.support_necks:
+            _write_arrays(run_dir / "support_necks.npz",
+                          _neck_params(novel.support_necks))
+        for bank in novel.banks.values():
+            save_bank(run_dir / "prototypes", bank)
+    if translation is not None:
+        for t, m in translation.support_models.items():
+            _write_arrays(run_dir / "support" / t / "model.npz",
+                          _model_params(m))
 
 
-def load_multitask(run_dir: str | Path) -> MultiTaskModel:
+def load_run(run_dir: str | Path, cfg: ExperimentConfig
+             ) -> tuple[MultiTaskModel, NovelModel | None,
+                        TranslationModel | None]:
+    """Rebuild the model of the run ``cfg`` describes and load its arrays;
+    the novel or translation model is None unless ``cfg.arm`` has one."""
     run_dir = Path(run_dir)
-    meta = json.loads((run_dir / "model_meta.json").read_text())
-    model = _rebuild_multitask(meta)
-    _read_arrays(run_dir / "model.npz", _model_params(model))
-    return model
-
-
-def save_novel(run_dir: str | Path, model: MultiTaskModel,
-               novel: NovelModel) -> None:
-    """Persist a phase-two run: model (with interaction weights), frozen
-    support necks, and the banks it queried."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "arm": "novel",
-        **_meta_core(model),
-        "novel_task": novel.novel,
-        "support_tasks": sorted(novel.interactions),
-        "interaction_enabled": novel.interaction_enabled,
-        "interaction_layers": (len(next(iter(novel.interactions.values())).layers)
-                               if novel.interactions else 0),
-        "knn_k": novel.cfg.knn_k,
-        "rematch": novel.cfg.rematch,
-    }
-    (run_dir / "model_meta.json").write_text(json.dumps(meta, indent=2,
-                                                        sort_keys=True))
-    _write_arrays(run_dir / "model.npz", _model_params(model))
-    neck_params = [t for name in sorted(novel.support_necks)
-                   for t in novel.support_necks[name].params()]
-    if neck_params:
-        _write_arrays(run_dir / "support_necks.npz", neck_params)
-    for bank in novel.banks.values():
-        save_bank(run_dir / "prototypes", bank)
-
-
-def load_novel(run_dir: str | Path, cfg: TrainConfig
-               ) -> tuple[MultiTaskModel, NovelModel]:
-    run_dir = Path(run_dir)
-    meta = json.loads((run_dir / "model_meta.json").read_text())
-    world = WorldInfo(**meta["world"])
-    model = _rebuild_multitask(meta)
-    support_tasks = meta["support_tasks"]
+    d = cfg.data
+    world = WorldInfo(dim=d.dim, num_verbs=d.num_verbs,
+                      num_nouns=d.num_nouns, lta_steps=d.lta_steps)
     rng = np.random.default_rng(0)
-
-    interactions = {t: InteractionParams.init(rng, world.dim,
-                                              meta["interaction_layers"])
-                    for t in support_tasks}
-    model.branches[meta["novel_task"]].extra = [
-        p for ip in interactions.values() for p in ip.params()]
-    _read_arrays(run_dir / "model.npz", _model_params(model))
-
-    support_necks = {}
-    if support_tasks:
+    model = MultiTaskModel.init(rng, cfg.tasks, world, cfg.backbone)
+    novel = translation = None
+    task = cfg.tasks[0]
+    if cfg.arm in ("egopack", "mtl-ft", "mtl-ht"):
+        interactions = {t: InteractionParams.init(
+            rng, world.dim, cfg.train.interaction_layers)
+            for t in cfg.support_tasks}
+        model.branches[task].extra = [
+            p for ip in interactions.values() for p in ip.params()]
         support_necks = {t: NeckParams.init(rng, world.dim)
-                         for t in support_tasks}
-        neck_params = [t for name in sorted(support_necks)
-                       for t in support_necks[name].params()]
-        _read_arrays(run_dir / "support_necks.npz", neck_params)
-        for neck in support_necks.values():
-            for t in neck.params():
-                t.requires_grad = False
-
-    banks = {t: load_bank(run_dir / "prototypes", t) for t in support_tasks}
-    cfg = replace(cfg, knn_k=meta["knn_k"], rematch=meta["rematch"])
-    novel = NovelModel(model, meta["novel_task"], support_necks,
-                       interactions, banks, cfg, meta["interaction_enabled"])
-    return model, novel
-
-
-def save_translation(run_dir: str | Path, model: MultiTaskModel,
-                     tm: TranslationModel) -> None:
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "arm": "translation",
-        **_meta_core(model),
-        "novel_task": tm.novel,
-        "support_tasks": sorted(tm.support_models),
-        "encoder_layers": len(tm.encoder.layers),
-        "encoder_heads": tm.encoder.layers[0].num_heads,
-    }
-    (run_dir / "model_meta.json").write_text(json.dumps(meta, indent=2,
-                                                        sort_keys=True))
-    _write_arrays(run_dir / "model.npz", _model_params(model))
-    for t, m in tm.support_models.items():
-        save_multitask(run_dir / "support" / t, m)
-
-
-def load_translation(run_dir: str | Path
-                     ) -> tuple[MultiTaskModel, TranslationModel]:
-    run_dir = Path(run_dir)
-    meta = json.loads((run_dir / "model_meta.json").read_text())
-    world = WorldInfo(**meta["world"])
-    model = _rebuild_multitask(meta)
-    support = {t: load_multitask(run_dir / "support" / t)
-               for t in meta["support_tasks"]}
-    rng = np.random.default_rng(0)
-    encoder = TranslationParams.init(rng, world.dim,
-                                     sorted(support) + [meta["novel_task"]],
-                                     num_layers=meta["encoder_layers"],
-                                     num_heads=meta["encoder_heads"])
-    # the encoder trains as the novel branch's extra weights, so
-    # model.npz holds its arrays
-    model.branches[meta["novel_task"]].extra = encoder.params()
+                         for t in cfg.support_tasks}
+        if support_necks:
+            necks = _neck_params(support_necks)
+            _read_arrays(run_dir / "support_necks.npz", necks)
+            _freeze(necks)
+        banks = {t: load_bank(run_dir / "prototypes", t)
+                 for t in cfg.support_tasks}
+        novel = NovelModel(model, task, support_necks, interactions, banks,
+                           cfg.train, cfg.arm == "egopack")
+    elif cfg.arm == "translation":
+        support = {}
+        for t in cfg.support_tasks:
+            m = MultiTaskModel.init(
+                rng, [t], world, backbone_layout([t], world.dim, cfg.backbone))
+            _read_arrays(run_dir / "support" / t / "model.npz",
+                         _model_params(m))
+            _freeze(_model_params(m))
+            support[t] = m
+        encoder = TranslationParams.init(rng, world.dim,
+                                         sorted(support) + [task])
+        # the encoder trains as the novel branch's extra weights, so
+        # model.npz holds its arrays
+        model.branches[task].extra = encoder.params()
+        translation = TranslationModel(model, task, support, encoder)
     _read_arrays(run_dir / "model.npz", _model_params(model))
-    for m in support.values():
-        for t in m.backbone.params():
-            t.requires_grad = False
-        for b in m.branches.values():
-            for t in b.params():
-                t.requires_grad = False
-    tm = TranslationModel(model, meta["novel_task"], support, encoder)
-    return model, tm
+    return model, novel, translation
+
+
+def load_model(run_dir: str | Path) -> MultiTaskModel:
+    """The trained model of a support run (``train-single``/``train-mtl``)."""
+    return load_run(run_dir, load_config(run_dir))[0]

@@ -417,9 +417,11 @@ def _stage_features(model: MultiTaskModel, task: str,
                     novel: NovelModel | None = None,
                     translation: TranslationModel | None = None
                     ) -> list[Tensor]:
-    """Per stage, the features ``task``'s head reads: the egopack fusion of
-    a novel model, translated tokens at the dense stage of a translation
-    model, otherwise the task's own neck."""
+    """Per stage the task reads (only mq reads past the dense stage), the
+    features its head reads: the egopack fusion of a novel model,
+    translated tokens at the dense stage of a translation model, otherwise
+    the task's own neck."""
+    stages = stages[:stage_count_for([task])]
     if novel is not None:
         return novel.fused_stage_features(stages)
     neck = model.branches[task].neck

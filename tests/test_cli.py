@@ -9,13 +9,17 @@ runs with the same arguments must leave byte-identical metrics files.
 
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tgk.cli import main
+from tgk.config import load_config
+from tgk.persist import load_run
 from tgk.synth import SynthConfig, generate_dataset, load_dataset
+from tgk.training import MultiTaskModel
 
 _CACHE = {}
 
@@ -59,7 +63,11 @@ def test_gen_data_matches_in_process_generation():
     assert len(ds.train) == 8 and len(ds.val) == 3
     for got, want in zip(ds.train + ds.val, ref.train + ref.val):
         assert got.video_id == want.video_id
-        assert np.allclose(got.features, want.features, atol=1e-6)
+        # features are float32 on disk, float64 in memory: the two differ
+        # by float32 rounding and nothing else
+        assert got.features.dtype == want.features.dtype == np.float64
+        assert np.array_equal(got.features,
+                              want.features.astype("<f4").astype(np.float64))
         assert len(got.events) == len(want.events)
         assert all(vars(a) == vars(b) for a, b in zip(got.events, want.events))
 
@@ -172,6 +180,26 @@ def test_build_prototypes_writes_banks_and_tables():
     assert payload["banks"]["ar"]["num_prototypes"] > 0
 
 
+def test_build_prototypes_runs_backbone_once_per_video(tmp_path, monkeypatch):
+    ws = workspace()
+    calls = []
+    real = MultiTaskModel.forward_backbone
+
+    def counting(self, graph):
+        calls.append(1)
+        return real(self, graph)
+
+    monkeypatch.setattr(MultiTaskModel, "forward_backbone", counting)
+    run = tmp_path / "protos"
+    assert main(["build-prototypes", "--data", str(ws / "data"),
+                 "--support-run", str(ws / "run_mtl"), "--run", str(run),
+                 "--knn-k", "4"]) == 0
+    ds = load_dataset(ws / "data")
+    # one pass per train video for the banks, one per val video for the
+    # k-NN analytics of every support task
+    assert len(calls) == len(ds.train) + len(ds.val)
+
+
 def test_train_novel_egopack_round_trip(tmp_path):
     ws = workspace()
     run = tmp_path / "run_ego"
@@ -241,6 +269,49 @@ def test_train_novel_flag_requirements(tmp_path):
              + TRAIN_FLAGS)
     # a rejected command leaves no run directory behind
     assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
+
+def test_train_novel_rejects_support_run_on_another_label_space(tmp_path):
+    # config.json's data section is the label space the novel model is
+    # rebuilt with, so it must be the support run's
+    ws = workspace()
+    other = tmp_path / "data_lta4"
+    flags = list(DATA_FLAGS)
+    flags[flags.index("--lta-steps") + 1] = "4"
+    assert main(["gen-data", "--out", str(other)] + flags) == 0
+    run = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["train-novel", "--data", str(other), "--task", "lta",
+              "--method", "mtl-ft", "--support-run", str(ws / "run_mtl"),
+              "--run", str(run)] + TRAIN_FLAGS)
+    assert str(exc.value.code).startswith("data: ")
+    assert not run.exists()
+
+
+def test_invalid_config_exits_with_one_line(tmp_path):
+    ws = workspace()
+    run = tmp_path / "bad"
+    with pytest.raises(SystemExit) as exc:
+        main(["train-single", "--data", str(ws / "data"), "--task", "oscc",
+              "--run", str(run), "--layer-kind", "gcn", "--disable-sign"]
+             + TRAIN_FLAGS)
+    assert exc.value.code == ("backbone.disable_sign: applies only to "
+                              "layer_kind tdgc")
+    assert not run.exists()
+
+    # a run directory whose config.json lacks a field does not load
+    old = tmp_path / "old"
+    old.mkdir()
+    raw = json.loads((ws / "run_single_oscc" / "config.json").read_text())
+    del raw["arm"]
+    (old / "config.json").write_text(json.dumps(raw))
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--run", str(old), "--data", str(ws / "data")])
+    assert exc.value.code == f"{old}: config.arm: missing key"
+    # a prototypes directory has no config.json and is not a run to score
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--run", str(proto_run()), "--data", str(ws / "data")])
+    assert "config.json" in exc.value.code
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +404,24 @@ NON_DEFAULT_FIELDS = {"layer_kind": "gcn", "pooling": "max",
 
 
 def recorded_backbones(run: Path) -> tuple[dict, dict]:
-    config = json.loads((run / "config.json").read_text())["backbone"]
-    meta = json.loads((run / "model_meta.json").read_text())["backbone"]
-    return config, meta
+    """The backbone ``config.json`` records and the backbone of the model
+    ``load_run`` rebuilds from it."""
+    cfg = load_config(run)
+    model, _, _ = load_run(run, cfg)
+    return asdict(cfg.backbone), asdict(model.backbone_cfg)
+
+
+def assert_eval_reproduces_training(run: Path, data: str) -> None:
+    """``tgk eval`` rebuilds the run from its directory alone and scores it
+    as training did; no second record of the model is written."""
+    out = run.with_name(run.name + "_eval")
+    assert main(["eval", "--run", str(run), "--data", data,
+                 "--out", str(out)]) == 0
+    payload = metrics_of(out)
+    assert payload["metrics"] == metrics_of(run)["metrics"], run.name
+    assert payload["arm"] == json.loads(
+        (run / "config.json").read_text())["arm"]
+    assert not list(run.rglob("model_meta.json")), run.name
 
 
 def test_every_arm_records_the_backbone_it_trains(tmp_path):
@@ -358,11 +444,17 @@ def test_every_arm_records_the_backbone_it_trains(tmp_path):
         assert {k: config[k] for k in NON_DEFAULT_FIELDS} == NON_DEFAULT_FIELDS
         assert (config["d_in"], config["d_model"]) == (12, 12)
         assert config["num_stages"] == stages, name
+        assert_eval_reproduces_training(run, data)
     # token providers share every setting but their own stage count
-    config, _ = recorded_backbones(tmp_path / "translation")
+    run = tmp_path / "translation"
+    cfg = load_config(run)
+    _, _, tm = load_run(run, cfg)
+    config = asdict(cfg.backbone)
+    assert sorted(tm.support_models) == ["ar", "oscc"]
     for t in ("ar", "oscc"):
-        support = json.loads((tmp_path / "translation" / "support" / t /
-                              "model_meta.json").read_text())["backbone"]
+        assert [p.name for p in (run / "support" / t).iterdir()] == [
+            "model.npz"]
+        support = asdict(tm.support_models[t].backbone_cfg)
         assert support["num_stages"] == 1
         assert {**support, "num_stages": config["num_stages"]} == config
 
@@ -382,6 +474,7 @@ def test_every_arm_records_the_backbone_it_trains(tmp_path):
         config, meta = recorded_backbones(run)
         assert config == meta, method
         assert config == {**support_backbone, "num_stages": 4}, method
+        assert_eval_reproduces_training(run, data)
 
     for flag, field in ((["--layer-kind", "tdgc"], "backbone.layer_kind"),
                         (["--disable-sign"], "backbone.disable_sign")):

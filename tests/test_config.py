@@ -31,6 +31,7 @@ def test_json_round_trip_is_exact():
     ("data", "dim", lambda raw: raw["data"].pop("dim")),
     ("config", "extra", lambda raw: raw.update(extra=1)),
     ("config", "tasks", lambda raw: raw.pop("tasks")),
+    ("config", "arm", lambda raw: raw.pop("arm")),
 ])
 def test_from_json_names_unknown_or_missing_key(section, key, edit):
     raw = json.loads(mq_config().to_json())
@@ -63,3 +64,15 @@ def test_validate_rejects_tdgc_only_fields_on_other_kinds(setting):
         validate_config(cfg)
     validate_config(replace(cfg, backbone=replace(cfg.backbone,
                                                   layer_kind="tdgc")))
+
+
+@pytest.mark.parametrize("change, field", [
+    (dict(arm="distill"), "arm"),
+    (dict(arm="egopack", support_tasks=("ar", "asr")), "support_tasks"),
+    (dict(arm="mtl-ft", support_tasks=("ar",)), "support_tasks"),
+])
+def test_validate_rejects_unknown_arm_or_support_task(change, field):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        validate_config(replace(mq_config(), **change))
+    validate_config(replace(mq_config(), arm="translation",
+                            support_tasks=("ar", "oscc")))

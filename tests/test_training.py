@@ -381,6 +381,24 @@ def test_evaluate_runs_backbone_once_per_video(monkeypatch):
     assert len(calls) == len(videos)
 
 
+def test_each_task_necks_only_the_stages_it_reads(monkeypatch):
+    ds = tiny_dataset()
+    calls = []
+    real = training.neck_forward
+
+    def counting(neck, x):
+        calls.append(1)
+        return real(neck, x)
+
+    monkeypatch.setattr(training, "neck_forward", counting)
+    model = run_mtl(["ar", "mq"], ds, small_cfg())
+    # per batch: ar reads the dense stage, mq all four; 2 epochs x 2 batches
+    assert len(calls) == 4 * (1 + 4)
+    calls.clear()
+    evaluate(model, ds.val, small_cfg())
+    assert len(calls) == len(ds.val) * (1 + 4)
+
+
 def test_unscorable_metrics_are_null_in_strict_json(tmp_path):
     video = flat_video(WorldInfo.from_dataset(tiny_dataset()),
                        np.random.default_rng(3))
