@@ -159,6 +159,15 @@ def _experiment_config(args, data_cfg: SynthConfig, tasks, arm: str,
     return cfg
 
 
+def _load_support(support_run: str) -> MultiTaskModel:
+    """The model of ``--support-run``; a run that does not load exits with
+    one line naming it."""
+    try:
+        return load_model(support_run)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{support_run}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -209,7 +218,7 @@ def _cmd_train_mtl(args) -> int:
 
 def _cmd_build_prototypes(args) -> int:
     ds = load_dataset(args.data)
-    model = load_model(args.support_run)
+    model = _load_support(args.support_run)
     support_tasks = sorted(args.tasks.split(",")) if args.tasks else model.tasks
     banks = build_prototype_banks(model, ds, support_tasks)
     run_dir = Path(args.run)
@@ -258,7 +267,7 @@ def _cmd_train_novel(args) -> int:
             raise SystemExit(f"--support-run is required for {args.method}")
         if args.method == "egopack" and not args.banks:
             raise SystemExit("--banks is required for egopack")
-        support = load_model(args.support_run)
+        support = _load_support(args.support_run)
         if support.world != WorldInfo.from_dataset(ds):
             raise SystemExit(f"data: the support run {args.support_run} was "
                              f"trained on another label space, {support.world}")
@@ -352,9 +361,9 @@ def _cmd_eval(args) -> int:
     run_dir = Path(args.run)
     try:
         cfg = load_config(run_dir)
+        model, novel, tm = load_run(run_dir, cfg)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"{run_dir}: {exc}") from None
-    model, novel, tm = load_run(run_dir, cfg)
     metrics = evaluate(model, ds.split(args.split), cfg.train, novel=novel,
                        translation=tm)
     out_dir = Path(args.out) if args.out else run_dir

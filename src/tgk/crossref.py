@@ -131,10 +131,12 @@ DESIGN_MAP: tuple[MapEntry, ...] = (
              "task-embedded tokens through masked pre-norm attention"),
     MapEntry("soft-nms",
              "metrics:soft_nms",
-             "Gaussian overlap decay instead of hard suppression"),
+             "Gaussian overlap decay instead of hard suppression, from "
+             "one IoU matrix per group"),
     MapEntry("map-at-iou",
              "metrics:map_at_iou",
-             "pooled per-class ranking, greedy matching, envelope AP"),
+             "pooled per-class ranking, greedy matching of every "
+             "threshold on one IoU matrix per (class, video), envelope AP"),
     MapEntry("edit-distance",
              "metrics:edit_distance",
              "best candidate Levenshtein over target length"),

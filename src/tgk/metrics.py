@@ -91,67 +91,77 @@ def soft_nms(intervals: np.ndarray, scores: np.ndarray, sigma: float = 2.0,
     exp(-iou^2 / sigma) against the pick. Candidates whose decayed score
     falls below ``floor`` are discarded. Returns (kept input indices,
     decayed scores) in pick order.
+
+    The decay of every pair comes from one IoU matrix. Survivors stay
+    sorted by start (ties in input order), so the first highest score
+    among them is the pick.
     """
     intervals = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
-    scores = np.asarray(scores, dtype=np.float64).copy()
-    alive = [i for i in range(len(scores)) if scores[i] >= floor]
+    scores = np.asarray(scores, dtype=np.float64)
+    ov = iou_matrix(intervals, intervals)
+    decay = np.exp(-(ov * ov) / sigma)
+    rank = np.argsort(intervals[:, 0], kind="stable")
+    alive = rank[scores[rank] >= floor]
+    live = scores[alive]  # the survivors' decayed scores
     kept_idx, kept_score = [], []
-    while alive:
-        best = min(alive, key=lambda i: (-scores[i], intervals[i, 0], i))
+    while len(alive):
+        pos = int(np.argmax(live))
+        best = alive[pos]
         kept_idx.append(best)
-        kept_score.append(scores[best])
-        alive.remove(best)
-        survivors = []
-        for i in alive:
-            overlap = iou_1d(intervals[best], intervals[i])
-            scores[i] *= np.exp(-(overlap * overlap) / sigma)
-            if scores[i] >= floor:
-                survivors.append(i)
-        alive = survivors
+        kept_score.append(live[pos])
+        live = live * decay[best, alive]
+        keep = live >= floor
+        keep[pos] = False
+        alive, live = alive[keep], live[keep]
     return np.asarray(kept_idx, dtype=np.intp), np.asarray(kept_score)
 
 
-def _group(values: np.ndarray, *keys) -> dict:
-    """Index rows by tuple of key columns."""
-    out: dict = {}
-    for i in range(len(values)):
-        out.setdefault(tuple(k[i] for k in keys), []).append(i)
-    return out
+def _video_codes(det_videos: np.ndarray, gt_videos: np.ndarray):
+    """Integer codes of video ids, equal ids sharing one code; a ground
+    truth video without detections gets -1."""
+    names, det_codes = np.unique(det_videos, return_inverse=True)
+    code = {v: i for i, v in enumerate(names.tolist())}
+    gt_names, gt_inv = np.unique(gt_videos, return_inverse=True)
+    gt_codes = np.array([code.get(v, -1) for v in gt_names.tolist()],
+                        dtype=np.intp)
+    return det_codes, gt_codes[gt_inv]
 
 
-def _class_ap(sel: np.ndarray, det_intervals: np.ndarray,
-              det_scores: np.ndarray, det_videos: np.ndarray,
-              gt_by_video: dict, n_gt: int, thr: float):
-    """All-point interpolated AP of one class's detections ``sel``.
+def _greedy_hits(ious: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Greedy matching of ranked detections (rows of ``ious``) to one
+    video's ground truth (columns) at every threshold at once.
 
-    Detections are visited by descending score (ties keep input order) and
-    greedily claim the unclaimed ground truth of highest IoU in their own
-    video, requiring IoU >= thr. AP integrates the precision envelope over
-    recall.
+    Each detection claims the unclaimed ground truth of highest IoU (the
+    first on ties) when that IoU reaches the threshold. Returns (T, rows)
+    hits as 0/1 floats.
     """
-    order = sel[np.argsort(-det_scores[sel], kind="stable")]
-    claimed = {v: np.zeros(len(g), dtype=bool) for v, g in gt_by_video.items()}
-    tp = np.zeros(len(order))
-    for rank, d in enumerate(order):
-        v = det_videos[d]
-        if v not in gt_by_video or len(gt_by_video[v]) == 0:
-            continue
-        ious = iou_matrix(det_intervals[d:d + 1], gt_by_video[v])[0]
-        ious[claimed[v]] = -1.0
-        best = int(np.argmax(ious))
-        if ious[best] >= thr:
-            claimed[v][best] = True
-            tp[rank] = 1.0
-    cum_tp = np.cumsum(tp)
+    t = np.arange(len(thresholds))
+    claimed = np.zeros((len(thresholds), ious.shape[1]), dtype=bool)
+    hits = np.zeros((len(thresholds), len(ious)))
+    # a row whose best IoU misses every threshold claims nothing
+    reach = ious.max(axis=1) >= thresholds.min(initial=np.inf)
+    for j in np.nonzero(reach)[0]:
+        row = ious[j]
+        masked = np.where(claimed, -1.0, row)
+        best = masked.argmax(axis=1)
+        hit = masked[t, best] >= thresholds
+        claimed[t[hit], best[hit]] = True
+        hits[:, j] = hit
+    return hits
+
+
+def _envelope_ap(tp: np.ndarray, n_gt: int) -> np.ndarray:
+    """All-point interpolated AP per row of ranked 0/1 hits: the precision
+    envelope integrated over recall."""
+    cum_tp = np.cumsum(tp, axis=1)
     recall = cum_tp / n_gt
-    precision = cum_tp / np.arange(1, len(order) + 1)
+    precision = cum_tp / np.arange(1, tp.shape[1] + 1)
     # envelope: best precision at any recall >= r
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    ap, prev_r = 0.0, 0.0
-    for r, p in zip(recall, envelope):
-        ap += (r - prev_r) * p
-        prev_r = r
-    return ap
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    steps = np.diff(recall, axis=1, prepend=0.0)
+    # a running total, left to right; np.sum's pairwise order rounds
+    # differently
+    return np.cumsum(steps * envelope, axis=1)[:, -1]
 
 
 def map_at_iou(det_intervals, det_scores, det_classes, det_videos,
@@ -164,6 +174,10 @@ def map_at_iou(det_intervals, det_scores, det_classes, det_videos,
     without any ground truth are skipped; the reported value per threshold
     is the mean over classes, and "mean" averages the thresholds. All
     values are percentages.
+
+    AP per class pools videos: all detections of the class are ranked
+    together by descending score (ties keep input order), and each greedily
+    claims ground truth in its own video only (see ``_greedy_hits``).
     """
     det_intervals = np.asarray(det_intervals, dtype=np.float64).reshape(-1, 2)
     det_scores = np.asarray(det_scores, dtype=np.float64)
@@ -172,24 +186,28 @@ def map_at_iou(det_intervals, det_scores, det_classes, det_videos,
     gt_intervals = np.asarray(gt_intervals, dtype=np.float64).reshape(-1, 2)
     gt_classes = np.asarray(gt_classes, dtype=np.intp)
     gt_videos = np.asarray(gt_videos)
+    thr = np.asarray(thresholds, dtype=np.float64)
 
+    det_vid, gt_vid = _video_codes(det_videos, gt_videos)
     classes = sorted(set(gt_classes.tolist()))
-    per_thr: dict[float, float] = {}
-    for thr in thresholds:
-        aps = []
-        for cls in classes:
-            # AP per class pools videos: rank all detections of the class
-            # together but only match within their own video.
-            cls_gt = {v: gt_intervals[(gt_classes == cls) & (gt_videos == v)]
-                      for v in set(gt_videos[gt_classes == cls].tolist())}
-            n_gt = sum(len(g) for g in cls_gt.values())
-            sel = np.nonzero(det_classes == cls)[0]
-            if len(sel) == 0:
-                aps.append(0.0)
-                continue
-            aps.append(_class_ap(sel, det_intervals, det_scores, det_videos,
-                                 cls_gt, n_gt, thr))
-        per_thr[float(thr)] = 100.0 * float(np.mean(aps)) if aps else 0.0
+    aps = np.zeros((len(thr), len(classes)))
+    for c, cls in enumerate(classes):
+        sel = np.nonzero(det_classes == cls)[0]
+        if len(sel) == 0:
+            continue
+        order = sel[np.argsort(-det_scores[sel], kind="stable")]
+        ranked_vid = det_vid[order]
+        gt_sel = np.nonzero(gt_classes == cls)[0]
+        tp = np.zeros((len(thr), len(order)))
+        for v in np.unique(gt_vid[gt_sel]):
+            ranks = np.nonzero(ranked_vid == v)[0]
+            if len(ranks):
+                ious = iou_matrix(det_intervals[order[ranks]],
+                                  gt_intervals[gt_sel[gt_vid[gt_sel] == v]])
+                tp[:, ranks] = _greedy_hits(ious, thr)
+        aps[:, c] = _envelope_ap(tp, len(gt_sel))
+    per_thr = {float(t): 100.0 * float(np.mean(row)) if classes else 0.0
+               for t, row in zip(thr, aps)}
     return {"per_threshold": per_thr,
             "mean": float(np.mean(list(per_thr.values()))) if per_thr else 0.0}
 
@@ -200,8 +218,8 @@ def recall_at_k(det_intervals, det_scores, det_classes, det_videos,
     """Percentage of ground truths hit by a top-k prediction.
 
     Detections are grouped per (video, class) and cut to the k highest
-    scores; a ground truth counts as recalled when any of those overlaps
-    it with IoU >= iou_thr.
+    scores (ties keep input order); a ground truth counts as recalled when
+    any of those overlaps it with IoU >= iou_thr.
     """
     det_intervals = np.asarray(det_intervals, dtype=np.float64).reshape(-1, 2)
     det_scores = np.asarray(det_scores, dtype=np.float64)
@@ -211,16 +229,24 @@ def recall_at_k(det_intervals, det_scores, det_classes, det_videos,
     gt_classes = np.asarray(gt_classes, dtype=np.intp)
     gt_videos = np.asarray(gt_videos)
 
-    det_groups = _group(det_intervals, det_videos, det_classes)
+    # one integer key per (video, class); -1 for ground truth whose video
+    # has no detections
+    det_vid, gt_vid = _video_codes(det_videos, gt_videos)
+    classes, cls = np.unique(np.concatenate([det_classes, gt_classes]),
+                             return_inverse=True)
+    det_key = det_vid * len(classes) + cls[:len(det_classes)]
+    gt_key = np.where(gt_vid >= 0,
+                      gt_vid * len(classes) + cls[len(det_classes):], -1)
+    # grouped by key, then by descending score, ties in input order
+    order = np.lexsort((-det_scores, det_key))
+    sorted_key = det_key[order]
     recalled = 0
-    for i in range(len(gt_intervals)):
-        key = (gt_videos[i], gt_classes[i])
-        sel = det_groups.get(key, [])
-        if sel:
-            sel = np.asarray(sel)
-            top = sel[np.argsort(-det_scores[sel], kind="stable")][:k]
-            ious = iou_matrix(gt_intervals[i:i + 1], det_intervals[top])[0]
-            if (ious >= iou_thr).any():
-                recalled += 1
+    for key in np.unique(gt_key[gt_key >= 0]):
+        lo = int(np.searchsorted(sorted_key, key, side="left"))
+        hi = int(np.searchsorted(sorted_key, key, side="right"))
+        if hi > lo:
+            top = order[lo:hi][:k]
+            ious = iou_matrix(gt_intervals[gt_key == key], det_intervals[top])
+            recalled += int((ious >= iou_thr).any(axis=1).sum())
     total = len(gt_intervals)
     return 100.0 * recalled / total if total else 0.0

@@ -271,23 +271,12 @@ def mq_decode(positions_s: np.ndarray, scores: np.ndarray,
     scores = np.asarray(scores, dtype=np.float64)
     offsets_s = np.asarray(offsets_s, dtype=np.float64)
     lo, hi = float(extent_s[0]), float(extent_s[1])
-    n, c = scores.shape
     starts = np.clip(positions_s - offsets_s[:, 0], lo, hi)
     ends = np.clip(positions_s + offsets_s[:, 1], lo, hi)
-    ivals, svals, cvals = [], [], []
-    for i in range(n):
-        if ends[i] <= starts[i]:
-            continue
-        for cls in range(c):
-            if scores[i, cls] < min_score:
-                continue
-            ivals.append((starts[i], ends[i]))
-            svals.append(scores[i, cls])
-            cvals.append(cls)
-    if not ivals:
-        return (np.empty((0, 2)), np.empty(0), np.empty(0, dtype=np.intp))
-    return (np.asarray(ivals, dtype=np.float64), np.asarray(svals, dtype=np.float64),
-            np.asarray(cvals, dtype=np.intp))
+    keep = ~(ends <= starts)[:, None] & ~(scores < min_score)
+    nodes, classes = np.nonzero(keep)  # row-major: node-major, class-minor
+    return (np.stack([starts[nodes], ends[nodes]], axis=1),
+            scores[nodes, classes], classes.astype(np.intp))
 
 
 def mq_targets(positions_s: np.ndarray, stage: int, segments: np.ndarray,

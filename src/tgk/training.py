@@ -728,12 +728,15 @@ def _predict_video(task: str, branch: TaskBranch, feats: list[Tensor],
                 stage_out.graph.positions_s, scores.data, offsets.data,
                 (0.0, video.duration_s), cfg.mq_min_score))
         iv, sc, cl = (np.concatenate(parts) for parts in zip(*cands))
-        dets = []
+        picks, decayed = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for cls in np.unique(cl):
             sel = np.nonzero(cl == cls)[0]
-            keep, decayed = soft_nms(iv[sel], sc[sel])
-            dets.extend((iv[sel[j]], s, cls) for j, s in zip(keep, decayed))
-        return video.video_id, ivals, cats, dets
+            keep, scores = soft_nms(iv[sel], sc[sel])
+            picks.append(sel[keep])
+            decayed.append(scores)
+        picks = np.concatenate(picks)
+        return (video.video_id, ivals, cats,
+                (iv[picks], np.concatenate(decayed), cl[picks]))
     if task == "lta":
         anchor, verbs, nouns = view.annotations(video, "lta")
         if len(verbs) == 0 or anchor[1] <= 0:
@@ -765,19 +768,20 @@ def _score(task: str, records: list) -> dict:
                                                 [t for _, t in pairs])
                 if pairs else None}
     if task == "mq":
-        det_i, det_s, det_c, det_v = [], [], [], []
-        gt_i, gt_c, gt_v = [], [], []
-        for video_id, ivals, cats, dets in records:
+        # each list starts with an empty part, so no videos means no rows
+        det_i, det_s, det_c, det_v = ([np.empty((0, 2))], [np.empty(0)],
+                                      [np.empty(0, dtype=np.intp)], [])
+        gt_i, gt_c, gt_v = [np.empty((0, 2))], [np.empty(0, dtype=np.intp)], []
+        for video_id, ivals, cats, (iv, sc, cl) in records:
             gt_i.append(ivals)
             gt_c.append(cats)
             gt_v.extend([video_id] * len(cats))
-            for iv, s, cls in dets:
-                det_i.append(iv)
-                det_s.append(s)
-                det_c.append(cls)
-                det_v.append(video_id)
-        gt_i = np.concatenate(gt_i, axis=0) if gt_i else np.empty((0, 2))
-        gt_c = np.concatenate(gt_c) if gt_c else np.empty(0, dtype=np.intp)
+            det_i.append(iv)
+            det_s.append(sc)
+            det_c.append(cl)
+            det_v.extend([video_id] * len(sc))
+        det_i, det_s, det_c, gt_i, gt_c = (
+            np.concatenate(parts) for parts in (det_i, det_s, det_c, gt_i, gt_c))
         result = map_at_iou(det_i, det_s, det_c, det_v, gt_i, gt_c, gt_v)
         return {
             "map_avg": result["mean"],

@@ -288,6 +288,15 @@ def test_train_novel_rejects_support_run_on_another_label_space(tmp_path):
     assert not run.exists()
 
 
+def run_without_arm(run: Path) -> Path:
+    """A run directory as written before config.json recorded the arm."""
+    run.mkdir()
+    raw = json.loads((workspace() / "run_single_oscc" / "config.json").read_text())
+    del raw["arm"]
+    (run / "config.json").write_text(json.dumps(raw))
+    return run
+
+
 def test_invalid_config_exits_with_one_line(tmp_path):
     ws = workspace()
     run = tmp_path / "bad"
@@ -300,11 +309,7 @@ def test_invalid_config_exits_with_one_line(tmp_path):
     assert not run.exists()
 
     # a run directory whose config.json lacks a field does not load
-    old = tmp_path / "old"
-    old.mkdir()
-    raw = json.loads((ws / "run_single_oscc" / "config.json").read_text())
-    del raw["arm"]
-    (old / "config.json").write_text(json.dumps(raw))
+    old = run_without_arm(tmp_path / "old")
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--run", str(old), "--data", str(ws / "data")])
     assert exc.value.code == f"{old}: config.arm: missing key"
@@ -312,6 +317,50 @@ def test_invalid_config_exits_with_one_line(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--run", str(proto_run()), "--data", str(ws / "data")])
     assert "config.json" in exc.value.code
+
+
+def test_build_prototypes_exits_on_unreadable_support_run(tmp_path):
+    ws = workspace()
+    old = run_without_arm(tmp_path / "old")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for support, message in ((old, "config.arm: missing key"),
+                             (empty, "config.json")):
+        run = tmp_path / "protos"
+        with pytest.raises(SystemExit) as exc:
+            main(["build-prototypes", "--data", str(ws / "data"),
+                  "--support-run", str(support), "--run", str(run)])
+        assert exc.value.code.startswith(f"{support}: ")
+        assert message in exc.value.code
+        assert not run.exists()
+
+
+def test_train_novel_exits_on_unreadable_support_run(tmp_path):
+    ws = workspace()
+    old = run_without_arm(tmp_path / "old")
+    run = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["train-novel", "--data", str(ws / "data"), "--task", "pnr",
+              "--method", "mtl-ft", "--support-run", str(old),
+              "--run", str(run)] + TRAIN_FLAGS)
+    assert exc.value.code == f"{old}: config.arm: missing key"
+    assert not run.exists()
+
+
+def test_eval_exits_on_model_shape_mismatch(tmp_path):
+    ws = workspace()
+    run = tmp_path / "run"
+    run.mkdir()
+    src = ws / "run_single_oscc"
+    (run / "config.json").write_bytes((src / "config.json").read_bytes())
+    with np.load(src / "model.npz") as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays["p00000"] = arrays["p00000"][:-1]
+    np.savez(run / "model.npz", **arrays)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--run", str(run), "--data", str(ws / "data")])
+    assert exc.value.code.startswith(f"{run}: ")
+    assert "param 0 shape mismatch" in exc.value.code
 
 
 # ---------------------------------------------------------------------------

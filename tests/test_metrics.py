@@ -4,6 +4,12 @@ The edit-distance oracle is a memoized recursion (different algorithm
 from the rolling-row implementation), the suppression oracle a separate
 greedy rewrite, and the detection metrics are pinned on hand-worked
 examples plus exact best/worst cases.
+
+The detection metrics and ``mq_decode`` compute IoU as one matrix per
+group and decode with one mask. Their per-pair and per-detection loop
+forms are kept below as reference implementations (``*_loop``), and
+property tests require the two to agree byte for byte (hypothesis; the
+property tests skip when it is not installed).
 """
 
 from functools import lru_cache
@@ -22,6 +28,7 @@ from tgk.metrics import (
     soft_nms,
     top1_accuracy,
 )
+from tgk.tasks import mq_decode
 
 
 def levenshtein_oracle(a, b):
@@ -57,6 +64,150 @@ def soft_nms_oracle(intervals, scores, sigma=2.0, floor=1e-3):
     idx = np.array([i for i, _ in kept], dtype=np.intp)
     sc = np.array([s for _, s in kept])
     return idx, sc
+
+
+# ---------------------------------------------------------------------------
+# loop reference implementations of the detection metrics and mq_decode
+# ---------------------------------------------------------------------------
+
+
+def soft_nms_loop(intervals, scores, sigma=2.0, floor=1e-3):
+    intervals = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+    scores = np.asarray(scores, dtype=np.float64).copy()
+    alive = [i for i in range(len(scores)) if scores[i] >= floor]
+    kept_idx, kept_score = [], []
+    while alive:
+        best = min(alive, key=lambda i: (-scores[i], intervals[i, 0], i))
+        kept_idx.append(best)
+        kept_score.append(scores[best])
+        alive.remove(best)
+        survivors = []
+        for i in alive:
+            overlap = iou_1d(intervals[best], intervals[i])
+            scores[i] *= np.exp(-(overlap * overlap) / sigma)
+            if scores[i] >= floor:
+                survivors.append(i)
+        alive = survivors
+    return np.asarray(kept_idx, dtype=np.intp), np.asarray(kept_score)
+
+
+def group_loop(values, *keys):
+    out = {}
+    for i in range(len(values)):
+        out.setdefault(tuple(k[i] for k in keys), []).append(i)
+    return out
+
+
+def class_ap_loop(sel, det_intervals, det_scores, det_videos, gt_by_video,
+                  n_gt, thr):
+    order = sel[np.argsort(-det_scores[sel], kind="stable")]
+    claimed = {v: np.zeros(len(g), dtype=bool) for v, g in gt_by_video.items()}
+    tp = np.zeros(len(order))
+    for rank, d in enumerate(order):
+        v = det_videos[d]
+        if v not in gt_by_video or len(gt_by_video[v]) == 0:
+            continue
+        ious = iou_matrix(det_intervals[d:d + 1], gt_by_video[v])[0]
+        ious[claimed[v]] = -1.0
+        best = int(np.argmax(ious))
+        if ious[best] >= thr:
+            claimed[v][best] = True
+            tp[rank] = 1.0
+    cum_tp = np.cumsum(tp)
+    recall = cum_tp / n_gt
+    precision = cum_tp / np.arange(1, len(order) + 1)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    ap, prev_r = 0.0, 0.0
+    for r, p in zip(recall, envelope):
+        ap += (r - prev_r) * p
+        prev_r = r
+    return ap
+
+
+def map_at_iou_loop(det_intervals, det_scores, det_classes, det_videos,
+                    gt_intervals, gt_classes, gt_videos,
+                    thresholds=(0.1, 0.2, 0.3, 0.4, 0.5)):
+    det_intervals = np.asarray(det_intervals, dtype=np.float64).reshape(-1, 2)
+    det_scores = np.asarray(det_scores, dtype=np.float64)
+    det_classes = np.asarray(det_classes, dtype=np.intp)
+    det_videos = np.asarray(det_videos)
+    gt_intervals = np.asarray(gt_intervals, dtype=np.float64).reshape(-1, 2)
+    gt_classes = np.asarray(gt_classes, dtype=np.intp)
+    gt_videos = np.asarray(gt_videos)
+
+    classes = sorted(set(gt_classes.tolist()))
+    per_thr = {}
+    for thr in thresholds:
+        aps = []
+        for cls in classes:
+            cls_gt = {v: gt_intervals[(gt_classes == cls) & (gt_videos == v)]
+                      for v in set(gt_videos[gt_classes == cls].tolist())}
+            n_gt = sum(len(g) for g in cls_gt.values())
+            sel = np.nonzero(det_classes == cls)[0]
+            if len(sel) == 0:
+                aps.append(0.0)
+                continue
+            aps.append(class_ap_loop(sel, det_intervals, det_scores,
+                                     det_videos, cls_gt, n_gt, thr))
+        per_thr[float(thr)] = 100.0 * float(np.mean(aps)) if aps else 0.0
+    return {"per_threshold": per_thr,
+            "mean": float(np.mean(list(per_thr.values()))) if per_thr else 0.0}
+
+
+def recall_at_k_loop(det_intervals, det_scores, det_classes, det_videos,
+                     gt_intervals, gt_classes, gt_videos, k, iou_thr=0.5):
+    det_intervals = np.asarray(det_intervals, dtype=np.float64).reshape(-1, 2)
+    det_scores = np.asarray(det_scores, dtype=np.float64)
+    det_classes = np.asarray(det_classes, dtype=np.intp)
+    det_videos = np.asarray(det_videos)
+    gt_intervals = np.asarray(gt_intervals, dtype=np.float64).reshape(-1, 2)
+    gt_classes = np.asarray(gt_classes, dtype=np.intp)
+    gt_videos = np.asarray(gt_videos)
+
+    det_groups = group_loop(det_intervals, det_videos, det_classes)
+    recalled = 0
+    for i in range(len(gt_intervals)):
+        key = (gt_videos[i], gt_classes[i])
+        sel = det_groups.get(key, [])
+        if sel:
+            sel = np.asarray(sel)
+            top = sel[np.argsort(-det_scores[sel], kind="stable")][:k]
+            ious = iou_matrix(gt_intervals[i:i + 1], det_intervals[top])[0]
+            if (ious >= iou_thr).any():
+                recalled += 1
+    total = len(gt_intervals)
+    return 100.0 * recalled / total if total else 0.0
+
+
+def mq_decode_loop(positions_s, scores, offsets_s, extent_s, min_score=0.0):
+    positions_s = np.asarray(positions_s, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    offsets_s = np.asarray(offsets_s, dtype=np.float64)
+    lo, hi = float(extent_s[0]), float(extent_s[1])
+    n, c = scores.shape
+    starts = np.clip(positions_s - offsets_s[:, 0], lo, hi)
+    ends = np.clip(positions_s + offsets_s[:, 1], lo, hi)
+    ivals, svals, cvals = [], [], []
+    for i in range(n):
+        if ends[i] <= starts[i]:
+            continue
+        for cls in range(c):
+            if scores[i, cls] < min_score:
+                continue
+            ivals.append((starts[i], ends[i]))
+            svals.append(scores[i, cls])
+            cvals.append(cls)
+    if not ivals:
+        return (np.empty((0, 2)), np.empty(0), np.empty(0, dtype=np.intp))
+    return (np.asarray(ivals, dtype=np.float64),
+            np.asarray(svals, dtype=np.float64),
+            np.asarray(cvals, dtype=np.intp))
+
+
+def same_arrays(got, want):
+    """Equal dtype, shape and bytes, element by element of two tuples."""
+    return all(g.dtype == w.dtype and g.shape == w.shape
+               and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +478,165 @@ def test_recall_at_k_needs_sufficient_iou():
             gt, np.array([0]), np.array(["a"]))
     assert recall_at_k(*args, k=1, iou_thr=0.5) == 0.0
     assert recall_at_k(*args, k=1, iou_thr=0.25) == 100.0
+
+
+# ---------------------------------------------------------------------------
+# matrix forms against the loop references, byte for byte
+# ---------------------------------------------------------------------------
+
+# a coarse grid makes equal starts, equal scores, zero-length and identical
+# intervals common
+GRID_STARTS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+GRID_LENGTHS = (0.0, 0.5, 1.0, 2.0)
+GRID_SCORES = (0.0, 5e-4, 1e-3, 0.25, 0.5, 0.9)
+
+
+def strategies():
+    """hypothesis' ``given``, ``settings`` and the strategies module; the
+    calling test is skipped when hypothesis is not installed."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    settings = hyp.settings(max_examples=150, deadline=None,
+                            derandomize=True, database=None)
+    return hyp.given, settings, st
+
+
+def interval_lists(st, size):
+    start = st.one_of(st.sampled_from(GRID_STARTS), st.floats(0.0, 10.0))
+    length = st.one_of(st.sampled_from(GRID_LENGTHS), st.floats(0.0, 4.0))
+    return st.lists(st.tuples(start, length), min_size=size, max_size=size)
+
+
+def score_lists(st, size):
+    return st.lists(st.one_of(st.sampled_from(GRID_SCORES), st.floats(0.0, 1.0)),
+                    min_size=size, max_size=size)
+
+
+def as_intervals(rows):
+    return np.array([(s, s + n) for s, n in rows],
+                    dtype=np.float64).reshape(-1, 2)
+
+
+def detection_problems(st, max_dets=60, max_gt=16):
+    """(det intervals, scores, classes, videos, gt intervals, classes,
+    videos) over up to 6 videos and 5 classes, ids as ints or strings."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(0, max_dets))
+        g = draw(st.integers(0, max_gt))
+        videos = draw(st.integers(1, 6))
+        classes = draw(st.integers(1, 5))
+        det_i = as_intervals(draw(interval_lists(st, n)))
+        det_s = np.array(draw(score_lists(st, n)), dtype=np.float64)
+        gt_i = as_intervals(draw(interval_lists(st, g)))
+        ids = st.integers(0, classes - 1)
+        vids = st.integers(0, videos - 1)
+        det_c = np.array(draw(st.lists(ids, min_size=n, max_size=n)), dtype=int)
+        gt_c = np.array(draw(st.lists(ids, min_size=g, max_size=g)), dtype=int)
+        det_v = draw(st.lists(vids, min_size=n, max_size=n))
+        gt_v = draw(st.lists(vids, min_size=g, max_size=g))
+        if draw(st.booleans()):
+            det_v = [f"v{v}" for v in det_v]
+            gt_v = [f"v{v}" for v in gt_v]
+        return (det_i, det_s, det_c, np.array(det_v), gt_i, gt_c,
+                np.array(gt_v))
+
+    return build()
+
+
+def test_soft_nms_equals_loop_bytes():
+    given, settings, st = strategies()
+
+    @settings
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+               interval_lists(st, n), score_lists(st, n))),
+           st.sampled_from((2.0, 0.5, 0.05)), st.sampled_from((1e-3, 0.3)))
+    def check(problem, sigma, floor):
+        rows, scores = problem
+        intervals, scores = as_intervals(rows), np.array(scores, dtype=np.float64)
+        assert same_arrays(soft_nms(intervals, scores, sigma, floor),
+                           soft_nms_loop(intervals, scores, sigma, floor))
+
+    check()
+
+
+def test_map_at_iou_equals_loop_exactly():
+    given, settings, st = strategies()
+
+    @settings
+    @given(detection_problems(st),
+           st.sampled_from(((0.1, 0.2, 0.3, 0.4, 0.5), (0.5,),
+                            (0.0, 0.7, 1.0), ())))
+    def check(problem, thresholds):
+        got = map_at_iou(*problem, thresholds=thresholds)
+        assert got == map_at_iou_loop(*problem, thresholds=thresholds)
+
+    check()
+
+
+def test_recall_at_k_equals_loop_exactly():
+    given, settings, st = strategies()
+
+    @settings
+    @given(detection_problems(st), st.integers(0, 6),
+           st.sampled_from((0.5, 0.25, 0.0, 1.0)))
+    def check(problem, k, iou_thr):
+        assert (recall_at_k(*problem, k=k, iou_thr=iou_thr)
+                == recall_at_k_loop(*problem, k=k, iou_thr=iou_thr))
+
+    check()
+
+
+def test_mq_decode_equals_loop_bytes():
+    given, settings, st = strategies()
+
+    @st.composite
+    def heads(draw):
+        n = draw(st.integers(0, 24))
+        c = draw(st.integers(1, 5))
+        grid = st.sampled_from((0.0, 0.5, 1.0, 4.0))
+        positions = draw(st.lists(st.one_of(grid, st.floats(-2.0, 12.0)),
+                                  min_size=n, max_size=n))
+        offsets = draw(st.lists(st.one_of(grid, st.floats(0.0, 6.0)),
+                                min_size=2 * n, max_size=2 * n))
+        scores = draw(score_lists(st, n * c))
+        return (np.array(positions, dtype=np.float64),
+                np.array(scores, dtype=np.float64).reshape(n, c),
+                np.array(offsets, dtype=np.float64).reshape(n, 2))
+
+    @settings
+    @given(heads(), st.sampled_from(((0.0, 10.0), (1.0, 4.0), (0.0, 0.0))),
+           st.sampled_from((0.0, 0.05, 0.5)))
+    def check(head, extent, min_score):
+        positions, scores, offsets = head
+        assert same_arrays(
+            mq_decode(positions, scores, offsets, extent, min_score),
+            mq_decode_loop(positions, scores, offsets, extent, min_score))
+
+    check()
+
+
+def test_detection_metrics_on_empty_inputs_equal_loops():
+    none = np.empty((0, 2))
+    assert same_arrays(soft_nms(none, np.empty(0)),
+                       soft_nms_loop(none, np.empty(0)))
+    gt = np.array([[0.0, 1.0], [1.0, 1.0]])
+    problems = [
+        # no detections, as evaluation pools them: plain empty lists
+        ([], [], [], [], gt, np.array([0, 1]), np.array(["a", "b"])),
+        # no ground truth
+        (gt, np.array([0.5, 0.5]), np.array([0, 0]), np.array(["a", "a"]),
+         none, np.empty(0, dtype=int), np.empty(0, dtype=str)),
+        # neither
+        ([], [], [], [], none, np.empty(0, dtype=int), []),
+    ]
+    for problem in problems:
+        assert map_at_iou(*problem) == map_at_iou_loop(*problem)
+        for k in (1, 5):
+            assert (recall_at_k(*problem, k=k)
+                    == recall_at_k_loop(*problem, k=k))
+    assert same_arrays(
+        mq_decode(np.empty(0), np.empty((0, 3)), np.empty((0, 2)), (0.0, 5.0)),
+        mq_decode_loop(np.empty(0), np.empty((0, 3)), np.empty((0, 2)),
+                       (0.0, 5.0)))

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from tgk import training
+from tgk import metrics, training
 from tgk.autodiff import GradientTape, Tensor, add, backward, mul, tsum
 from tgk.cli import _write_metrics
 from tgk.graph import EdgeRule, build_graph
@@ -379,6 +379,32 @@ def test_evaluate_runs_backbone_once_per_video(monkeypatch):
     out = evaluate(model, videos, small_cfg())
     assert set(out) == {"ar", "oscc"}
     assert len(calls) == len(videos)
+
+
+def test_mq_evaluation_builds_one_iou_matrix_per_group(monkeypatch):
+    model = trained("mq")
+    videos = tiny_dataset().val
+    calls = {"iou_matrix": 0, "iou_1d": 0, "soft_nms": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(metrics, "iou_matrix")
+    counting(metrics, "iou_1d")
+    counting(training, "soft_nms")
+    evaluate(model, videos, small_cfg())
+    assert calls["soft_nms"] > 0
+    assert calls["iou_1d"] == 0
+    # one per soft-NMS group, one per (class, video) pair in mAP and one
+    # in recall, for each of recall@1 and recall@5
+    pairs = len(videos) * model.world.mq_classes
+    assert calls["iou_matrix"] <= calls["soft_nms"] + 3 * pairs
 
 
 def test_each_task_necks_only_the_stages_it_reads(monkeypatch):
