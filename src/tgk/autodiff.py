@@ -22,11 +22,11 @@ __all__ = [
     "GradientTape",
     "backward",
     "add", "sub", "neg", "mul", "div", "power", "matmul", "transpose",
-    "reshape", "exp", "log", "sqrt", "relu", "leaky_relu", "sigmoid",
+    "exp", "log", "sqrt", "relu", "leaky_relu", "sigmoid",
     "softplus", "clip", "minimum", "maximum", "tsum", "tmean",
     "gather_rows", "take_cols", "take_per_row", "segment_sum",
-    "segment_mean", "segment_max", "concat_rows", "tile_rows",
-    "softmax_rows", "masked_softmax_rows", "cross_entropy_rows",
+    "segment_mean", "segment_max", "concat_rows",
+    "masked_softmax_rows", "cross_entropy_rows",
 ]
 
 
@@ -35,16 +35,15 @@ class Tensor:
 
     ``requires_grad`` marks trainable leaves. Outputs of primitives set it
     automatically when any input requires grad. ``grad`` is populated by
-    ``backward`` for watched leaves.
+    ``backward`` for the leaves it reports.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -65,13 +64,8 @@ class Tensor:
         """A view of the same values that blocks gradient flow."""
         return Tensor(self.data, requires_grad=False)
 
-    def copy(self) -> "Tensor":
-        t = Tensor(self.data.copy(), requires_grad=self.requires_grad, name=self.name)
-        return t
-
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # operator sugar; constants are wrapped as non-grad tensors
     def __add__(self, other):
@@ -159,10 +153,6 @@ class GradientTape:
         for t in record.inputs:
             if t.requires_grad and id(t) not in self._produced:
                 self._watched[id(t)] = t
-
-    def watch(self, tensor: Tensor) -> None:
-        """Register a leaf so backward reports it even if unused."""
-        self._watched[id(tensor)] = tensor
 
     def leaves(self) -> list[Tensor]:
         return [t for i, t in self._watched.items() if i not in self._produced]
@@ -351,11 +341,6 @@ def transpose(a: Tensor) -> Tensor:
     return _emit(a.data.T, (a,), lambda g: (g.T,))
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.shape
-    return _emit(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
@@ -485,26 +470,11 @@ def concat_rows(tensors) -> Tensor:
     return _emit(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors), back)
 
 
-def tile_rows(a: Tensor, reps: int) -> Tensor:
-    """Repeat a (1, D) row ``reps`` times; backward sums over copies."""
-    if a.ndim != 2 or a.shape[0] != 1:
-        raise ValueError(f"tile_rows expects shape (1, D), got {a.shape}")
-    return _emit(np.repeat(a.data, reps, axis=0), (a,),
-                 lambda g: (g.sum(axis=0, keepdims=True),))
-
-
 # ---------------------------------------------------------------------------
 # composed row-wise softmax family
 # ---------------------------------------------------------------------------
 
 _MASK_OFF = -1e30  # large enough that exp underflows to exactly 0.0
-
-
-def softmax_rows(logits: Tensor) -> Tensor:
-    """Row-wise softmax; the max subtraction is treated as a constant."""
-    shift = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
-    e = exp(shift)
-    return div(e, tsum(e, axis=-1, keepdims=True))
 
 
 def masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:

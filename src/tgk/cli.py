@@ -58,7 +58,6 @@ NOVEL_METHODS = ("egopack", "mtl-ft", "mtl-ht", "single", "translation")
 BACKBONE_FLAGS = {"layer_kind": "--layer-kind", "pooling": "--pooling",
                   "threshold_s": "--threshold",
                   "layers_per_stage": "--layers-per-stage",
-                  "gate_hidden": "--gate-hidden",
                   "disable_sign": "--disable-sign",
                   "disable_gate": "--disable-gate"}
 
@@ -96,7 +95,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    default=None, help="default: 2.0")
     p.add_argument("--layers-per-stage", type=int, default=None,
                    help="default: 2")
-    p.add_argument("--gate-hidden", type=int, default=None)
     p.add_argument("--disable-sign", action="store_true", default=None)
     p.add_argument("--disable-gate", action="store_true", default=None)
     p.add_argument("--knn-k", type=int, default=8)
@@ -107,7 +105,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _train_config(args) -> TrainConfig:
-    task_lr = {"oscc": 1e-5, "pnr": 1e-5}
+    task_lr = dict(TrainConfig().task_lr)
     for item in args.task_lr:
         name, _, value = item.partition("=")
         task_lr[name] = float(value)

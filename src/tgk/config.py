@@ -29,7 +29,7 @@ ARMS = ("single", "mtl", "translation", "egopack", "mtl-ft", "mtl-ht")
 # arms that read support tasks; every other arm records none
 SUPPORT_ARMS = ("egopack", "translation")
 # backbone fields only the tdgc layer reads; other kinds must keep defaults
-TDGC_ONLY = ("gate_hidden", "disable_sign", "disable_gate")
+TDGC_ONLY = ("disable_sign", "disable_gate")
 
 
 @dataclass(frozen=True)

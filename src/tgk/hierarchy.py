@@ -33,8 +33,8 @@ class BackboneConfig:
     """Shape of the pyramid.
 
     num_stages=1 keeps everything at full resolution (dense per-segment
-    tasks); detection-style tasks use 4. ``gate_hidden``, ``disable_sign``
-    and ``disable_gate`` only apply to the tdgc layer kind, and
+    tasks); detection-style tasks use 4. ``disable_sign`` and
+    ``disable_gate`` only apply to the tdgc layer kind, and
     ``validate_config`` rejects them on any other. A run records the config
     its model is built with in ``config.json``, which ``load_run`` rebuilds
     the model from.
@@ -47,7 +47,6 @@ class BackboneConfig:
     layers_per_stage: int = 2
     threshold_s: float = 2.0
     pooling: str = "mean"
-    gate_hidden: int | None = None
     disable_sign: bool = False
     disable_gate: bool = False
 
@@ -71,8 +70,7 @@ class BackboneParams:
         kind = cfg.kind
         kwargs = {}
         if cfg.layer_kind == "tdgc":
-            kwargs = dict(gate_hidden=cfg.gate_hidden,
-                          disable_sign=cfg.disable_sign,
+            kwargs = dict(disable_sign=cfg.disable_sign,
                           disable_gate=cfg.disable_gate)
         stages = []
         for stage in range(cfg.num_stages):
@@ -125,18 +123,16 @@ def _run_block(block: list, kind: LayerKind, g: TemporalGraph, x: Tensor) -> Ten
 
 
 def backbone_forward(params: BackboneParams, cfg: BackboneConfig,
-                     graph: TemporalGraph, features: Tensor | None = None
-                     ) -> list[StageOutput]:
+                     graph: TemporalGraph) -> list[StageOutput]:
     """Run every stage; returns one StageOutput per stage, fine to coarse.
 
-    ``graph`` must be a stage-1 graph with edges already built. When
-    ``features`` is omitted the graph's own feature array is used as a
-    constant input.
+    ``graph`` must be a stage-1 graph with edges already built; its own
+    feature array is the constant input.
     """
     if graph.stage != 1:
         raise ValueError("backbone expects a stage-1 graph")
     kind = cfg.kind
-    x = features if features is not None else Tensor(graph.features)
+    x = Tensor(graph.features)
     g = graph
     outputs: list[StageOutput] = []
     for stage_idx, block in enumerate(params.stages):

@@ -46,52 +46,43 @@ class TdgcParams:
 
     The neighbor projection is shared across past and future neighbors;
     direction enters only through the per-edge sign, magnitude only through
-    the gate MLP (absolute time offset -> per-channel weights, ReLU kept
-    non-negative). ``gate_hidden`` inserts an optional hidden layer in the
-    gate.
+    the gate (absolute time offset -> per-channel weights through one
+    affine map, ReLU kept non-negative).
     """
 
     w_root: Tensor
     b_root: Tensor
     w_nbr: Tensor
     b_nbr: Tensor
-    gate: list[Tensor]  # [w, b] or [w1, b1, w2, b2]
+    gate_w: Tensor  # (1, d_out)
+    gate_b: Tensor  # (d_out,)
     disable_sign: bool = False
     disable_gate: bool = False
 
     @classmethod
     def init(cls, rng: np.random.Generator, d_in: int, d_out: int,
-             gate_hidden: int | None = None, disable_sign: bool = False,
+             disable_sign: bool = False,
              disable_gate: bool = False) -> "TdgcParams":
         w_root, b_root = linear_init(rng, d_in, d_out)
         w_nbr, b_nbr = linear_init(rng, d_in, d_out)
-        # The gate's output affine starts at weight 0, bias 1 so the gate is
-        # an exact pass-through at init. A random start would leave the ReLU
-        # dead on about half the channels, and with a constant time offset
-        # per stage those channels would never receive gradient again.
-        if gate_hidden is None:
-            gw = Tensor(np.zeros((1, d_out)), requires_grad=True)
-            gb = Tensor(np.ones(d_out), requires_grad=True)
-            gate = [gw, gb]
-        else:
-            g1w, g1b = linear_init(rng, 1, gate_hidden)
-            g2w = Tensor(np.zeros((gate_hidden, d_out)), requires_grad=True)
-            g2b = Tensor(np.ones(d_out), requires_grad=True)
-            gate = [g1w, g1b, g2w, g2b]
-        return cls(w_root, b_root, w_nbr, b_nbr, gate,
+        # The gate starts at weight 0, bias 1 so it is an exact pass-through
+        # at init. A random start would leave the ReLU dead on about half
+        # the channels, and with a constant time offset per stage those
+        # channels would never receive gradient again.
+        gate_w = Tensor(np.zeros((1, d_out)), requires_grad=True)
+        gate_b = Tensor(np.ones(d_out), requires_grad=True)
+        return cls(w_root, b_root, w_nbr, b_nbr, gate_w, gate_b,
                    disable_sign=disable_sign, disable_gate=disable_gate)
 
     def params(self) -> list[Tensor]:
-        return [self.w_root, self.b_root, self.w_nbr, self.b_nbr, *self.gate]
+        return [self.w_root, self.b_root, self.w_nbr, self.b_nbr,
+                self.gate_w, self.gate_b]
 
 
 def _gate_weights(p: TdgcParams, abs_dt: np.ndarray) -> Tensor:
     """Per-edge per-channel gate from the absolute time offset."""
     h = Tensor(abs_dt.reshape(-1, 1))
-    if len(p.gate) == 2:
-        return relu(add(matmul(h, p.gate[0]), p.gate[1]))
-    h = relu(add(matmul(h, p.gate[0]), p.gate[1]))
-    return relu(add(matmul(h, p.gate[2]), p.gate[3]))
+    return relu(add(matmul(h, p.gate_w), p.gate_b))
 
 
 def tdgc_forward(p: TdgcParams, g: TemporalGraph, x: Tensor) -> Tensor:

@@ -11,6 +11,7 @@ model (translation).
 
 from __future__ import annotations
 
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,12 @@ def _write_arrays(path: Path, params: list) -> None:
 
 
 def _read_arrays(path: Path, params: list) -> None:
-    with np.load(path) as npz:
+    try:
+        npz = np.load(path)
+    except zipfile.BadZipFile as exc:
+        raise ValueError(f"{path}: not a readable array archive: {exc}"
+                         ) from None
+    with npz:
         if len(npz.files) != len(params):
             raise ValueError(
                 f"{path}: holds {len(npz.files)} arrays, model wants {len(params)}")
@@ -65,9 +71,8 @@ def save_run(run_dir: str | Path, model: MultiTaskModel,
     run_dir = Path(run_dir)
     _write_arrays(run_dir / "model.npz", _model_params(model))
     if novel is not None:
-        if novel.support_necks:
-            _write_arrays(run_dir / "support_necks.npz",
-                          _neck_params(novel.support_necks))
+        _write_arrays(run_dir / "support_necks.npz",
+                      _neck_params(novel.support_necks))
         for bank in novel.banks.values():
             save_bank(run_dir / "prototypes", bank)
     if translation is not None:
@@ -89,7 +94,7 @@ def load_run(run_dir: str | Path, cfg: ExperimentConfig
     model = MultiTaskModel.init(rng, cfg.tasks, world, cfg.backbone)
     novel = translation = None
     task = cfg.tasks[0]
-    if cfg.arm in ("egopack", "mtl-ft", "mtl-ht"):
+    if cfg.arm == "egopack":
         interactions = {t: InteractionParams.init(
             rng, world.dim, cfg.train.interaction_layers)
             for t in cfg.support_tasks}
@@ -97,14 +102,13 @@ def load_run(run_dir: str | Path, cfg: ExperimentConfig
             p for ip in interactions.values() for p in ip.params()]
         support_necks = {t: NeckParams.init(rng, world.dim)
                          for t in cfg.support_tasks}
-        if support_necks:
-            necks = _neck_params(support_necks)
-            _read_arrays(run_dir / "support_necks.npz", necks)
-            _freeze(necks)
+        necks = _neck_params(support_necks)
+        _read_arrays(run_dir / "support_necks.npz", necks)
+        _freeze(necks)
         banks = {t: load_bank(run_dir / "prototypes", t)
                  for t in cfg.support_tasks}
         novel = NovelModel(model, task, support_necks, interactions, banks,
-                           cfg.train, cfg.arm == "egopack")
+                           cfg.train)
     elif cfg.arm == "translation":
         support = {}
         for t in cfg.support_tasks:

@@ -10,10 +10,10 @@ branches.
 
 Baseline arms reuse the same machinery:
   - single:      fresh backbone, novel task only;
-  - mtl-ft:      phase-two path with interaction disabled (backbone warm
-                 start, full fine-tune) - literally the same function;
+  - mtl-ft:      the phase-one backbone warm-started for the novel task,
+                 with no interaction branches, fully fine-tuned;
   - mtl-ht:      same with the backbone frozen (head tuning);
-  - egopack:     phase-two path with interaction enabled;
+  - egopack:     the warm-started model plus interaction branches;
   - translation: frozen single-task support models emit tokens, a masked
                  encoder translates them for the novel head.
 
@@ -538,8 +538,8 @@ def build_prototype_banks(model: MultiTaskModel, ds: SynthDataset,
 
 @dataclass
 class NovelModel:
-    """Phase-two model: warm-started backbone, novel branch, frozen support
-    necks, and one interaction stack per support task."""
+    """The egopack arm's interaction branches around a warm-started model:
+    frozen support necks and one interaction stack per support task."""
 
     base: MultiTaskModel
     novel: str
@@ -547,27 +547,24 @@ class NovelModel:
     interactions: dict[str, InteractionParams]
     banks: dict[str, PrototypeBank]
     cfg: TrainConfig
-    interaction_enabled: bool
 
     def fused_stage_features(self, stages: list[StageOutput]
                              ) -> list[Tensor]:
         """Per stage: mean of the novel branch and interaction branches.
 
         Support branches start from detached backbone features, so the
-        novel loss cannot reach the backbone through them; with
-        interaction disabled this reduces exactly to the plain novel neck.
+        novel loss cannot reach the backbone through them.
         """
         branch = self.base.branches[self.novel]
         out = []
         for s in stages:
             parts = [neck_forward(branch.neck, s.features)]
-            if self.interaction_enabled:
-                blocked = s.features.detach()
-                for t in sorted(self.interactions):
-                    sup = neck_forward(self.support_necks[t], blocked)
-                    parts.append(interaction_forward(
-                        self.interactions[t], sup, self.banks[t],
-                        self.cfg.knn_k, self.cfg.rematch))
+            blocked = s.features.detach()
+            for t in sorted(self.interactions):
+                sup = neck_forward(self.support_necks[t], blocked)
+                parts.append(interaction_forward(
+                    self.interactions[t], sup, self.banks[t],
+                    self.cfg.knn_k, self.cfg.rematch))
             out.append(fuse_features(parts))
         return out
 
@@ -575,12 +572,13 @@ class NovelModel:
 def run_novel(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
               support_model: MultiTaskModel,
               banks: dict[str, PrototypeBank] | None = None,
-              interaction: bool = True,
-              freeze_backbone: bool = False) -> tuple[MultiTaskModel, NovelModel]:
+              interaction: bool = True, freeze_backbone: bool = False
+              ) -> tuple[MultiTaskModel, NovelModel | None]:
     """Train a novel task against a phase-one support model.
 
-    ``interaction=True`` is the transfer path; ``interaction=False`` is
-    the fine-tune baseline (same code, no interaction branches);
+    ``interaction=True`` is the transfer path (egopack) and returns its
+    ``NovelModel``; ``interaction=False`` trains the warm-started model
+    alone, the fine-tune baseline, and returns None in its place;
     ``freeze_backbone=True`` on top of that is the head-tuning baseline.
     Only the novel task's annotations are readable in this phase.
     """
@@ -606,19 +604,20 @@ def run_novel(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
     model.backbone = backbone
     if freeze_backbone:
         _freeze(model.backbone.params())
+    if not interaction:
+        _train_loop(model, ds.train, cfg)
+        return model, None
 
     support_necks = {}
     interactions = {}
-    if interaction:
-        for t in sorted(banks):
-            neck_copy = copy.deepcopy(support_model.branches[t].neck)
-            _freeze(neck_copy.params())
-            support_necks[t] = neck_copy
-            interactions[t] = InteractionParams.init(
-                rng, world.dim, cfg.interaction_layers)
-
+    for t in sorted(banks):
+        neck_copy = copy.deepcopy(support_model.branches[t].neck)
+        _freeze(neck_copy.params())
+        support_necks[t] = neck_copy
+        interactions[t] = InteractionParams.init(
+            rng, world.dim, cfg.interaction_layers)
     novel = NovelModel(model, novel_task, support_necks, interactions,
-                       banks or {}, cfg, interaction)
+                       banks, cfg)
 
     # interaction weights train in the novel branch's optimizer group
     model.branches[novel_task].extra = [
@@ -735,8 +734,7 @@ def _predict_video(task: str, branch: TaskBranch, feats: list[Tensor],
             picks.append(sel[keep])
             decayed.append(scores)
         picks = np.concatenate(picks)
-        return (video.video_id, ivals, cats,
-                (iv[picks], np.concatenate(decayed), cl[picks]))
+        return ivals, cats, (iv[picks], np.concatenate(decayed), cl[picks])
     if task == "lta":
         anchor, verbs, nouns = view.annotations(video, "lta")
         if len(verbs) == 0 or anchor[1] <= 0:
@@ -769,17 +767,19 @@ def _score(task: str, records: list) -> dict:
                 if pairs else None}
     if task == "mq":
         # each list starts with an empty part, so no videos means no rows
-        det_i, det_s, det_c, det_v = ([np.empty((0, 2))], [np.empty(0)],
-                                      [np.empty(0, dtype=np.intp)], [])
-        gt_i, gt_c, gt_v = [np.empty((0, 2))], [np.empty(0, dtype=np.intp)], []
-        for video_id, ivals, cats, (iv, sc, cl) in records:
+        det_i, det_s, det_c = ([np.empty((0, 2))], [np.empty(0)],
+                               [np.empty(0, dtype=np.intp)])
+        gt_i, gt_c = [np.empty((0, 2))], [np.empty(0, dtype=np.intp)]
+        for ivals, cats, (iv, sc, cl) in records:
             gt_i.append(ivals)
             gt_c.append(cats)
-            gt_v.extend([video_id] * len(cats))
             det_i.append(iv)
             det_s.append(sc)
             det_c.append(cl)
-            det_v.extend([video_id] * len(sc))
+        # a video's code is its record index
+        codes = np.arange(len(records), dtype=np.intp)
+        gt_v = np.repeat(codes, [len(c) for c in gt_c[1:]])
+        det_v = np.repeat(codes, [len(s) for s in det_s[1:]])
         det_i, det_s, det_c, gt_i, gt_c = (
             np.concatenate(parts) for parts in (det_i, det_s, det_c, gt_i, gt_c))
         result = map_at_iou(det_i, det_s, det_c, det_v, gt_i, gt_c, gt_v)

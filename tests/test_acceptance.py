@@ -108,7 +108,7 @@ def test_check_01_gradient_correctness():
             x = Tensor(x_data)
             p = LAYER_KINDS[kind].init(rng, d, d)
             if kind == "tdgc":
-                _nudge_gate(p.gate, rng)
+                _nudge_gate([p.gate_w, p.gate_b], rng)
             w = rng.normal(size=(g.num_nodes, d))
             return p.params(), lambda: _weighted(
                 LAYER_KINDS[kind].forward(p, g, x), w)
@@ -116,15 +116,6 @@ def test_check_01_gradient_correctness():
 
     for kind in sorted(LAYER_KINDS):
         probe(kind, layer_case(kind))
-
-    def hidden_gate(rng):
-        g = _random_graph(rng, d=d)
-        x = Tensor(g.features.copy())
-        p = TdgcParams.init(rng, d, d, gate_hidden=4)
-        _nudge_gate(p.gate, rng)
-        w = rng.normal(size=(g.num_nodes, d))
-        return p.params(), lambda: _weighted(tdgc_forward(p, g, x), w)
-    probe("tdgc-hidden-gate", hidden_gate)
 
     def neck(rng):
         x = Tensor(rng.normal(size=(7, d)))
@@ -161,7 +152,8 @@ def test_check_01_gradient_correctness():
     def forecast_head(rng):
         ctx = Tensor(rng.normal(size=(2, d)))
         p = LtaParams.init(rng, d, 4, 3, 3)
-        _nudge_gate(p.refine1.gate + p.refine2.gate, rng)
+        _nudge_gate([p.refine1.gate_w, p.refine1.gate_b,
+                     p.refine2.gate_w, p.refine2.gate_b], rng)
         wv = rng.normal(size=(6, 4))
         wn = rng.normal(size=(6, 3))
         def loss():
@@ -213,7 +205,7 @@ def test_check_02_algebraic_identities():
     rng = np.random.default_rng(11)
     d = 5
     p = TdgcParams.init(rng, d, d)
-    _nudge_gate(p.gate, rng)
+    _nudge_gate([p.gate_w, p.gate_b], rng)
     tol = 1e-12
     margins = []
 
@@ -474,30 +466,30 @@ def test_check_06_localization_pipeline():
 
 
 def _blocking_factor_holds(model, novel_state, video) -> bool:
-    """Backbone gradients with interaction on must equal exactly
-    1/(1+num_support) of the gradients with it off: support branches are
-    detached, fusion is an arithmetic mean."""
+    """Backbone gradients through the interaction fusion must equal exactly
+    1/(1+num_support) of the gradients through the plain novel neck:
+    support branches are detached, fusion is an arithmetic mean."""
     graph = build_batch_graph([video], model.backbone_cfg.edge_rule)
     rng = np.random.default_rng(13)
     leaves = model.backbone.params()
+    neck = model.branches[novel_state.novel].neck
     weights = None
 
-    def grads(enabled):
+    def grads(fused_path):
         nonlocal weights
-        novel_state.interaction_enabled = enabled
-        try:
-            with GradientTape() as tape:
-                stages = model.forward_backbone(graph)
-                fused = novel_state.fused_stage_features(stages)
-                if weights is None:
-                    weights = [rng.normal(size=f.shape) for f in fused]
-                loss = None
-                for f, w in zip(fused, weights):
-                    term = _weighted(f, w)
-                    loss = term if loss is None else add(loss, term)
-            return backward(tape, loss, leaves=leaves)
-        finally:
-            novel_state.interaction_enabled = True
+        with GradientTape() as tape:
+            stages = model.forward_backbone(graph)
+            if fused_path:
+                feats = novel_state.fused_stage_features(stages)
+            else:
+                feats = [neck_forward(neck, s.features) for s in stages]
+            if weights is None:
+                weights = [rng.normal(size=f.shape) for f in feats]
+            loss = None
+            for f, w in zip(feats, weights):
+                term = _weighted(f, w)
+                loss = term if loss is None else add(loss, term)
+        return backward(tape, loss, leaves=leaves)
 
     g_on = grads(True)
     g_off = grads(False)

@@ -19,7 +19,7 @@ from tgk.cli import main
 from tgk.config import load_config
 from tgk.persist import load_run
 from tgk.synth import SynthConfig, generate_dataset, load_dataset
-from tgk.training import MultiTaskModel
+from tgk.training import MultiTaskModel, TrainConfig
 
 _CACHE = {}
 
@@ -361,6 +361,37 @@ def test_eval_exits_on_model_shape_mismatch(tmp_path):
         main(["eval", "--run", str(run), "--data", str(ws / "data")])
     assert exc.value.code.startswith(f"{run}: ")
     assert "param 0 shape mismatch" in exc.value.code
+
+
+def test_truncated_model_exits_with_one_line(tmp_path):
+    ws = workspace()
+    run = tmp_path / "run"
+    run.mkdir()
+    src = ws / "run_single_oscc"
+    (run / "config.json").write_bytes((src / "config.json").read_bytes())
+    whole = (src / "model.npz").read_bytes()
+    assert len(whole) > 2000
+    (run / "model.npz").write_bytes(whole[:2000])
+    novel = tmp_path / "novel"
+    for argv in (["eval", "--run", str(run), "--data", str(ws / "data")],
+                 ["train-novel", "--data", str(ws / "data"), "--task", "pnr",
+                  "--method", "mtl-ft", "--support-run", str(run),
+                  "--run", str(novel)] + TRAIN_FLAGS):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code.startswith(f"{run}: {run / 'model.npz'}: ")
+        assert "\n" not in exc.value.code
+    assert not novel.exists()
+
+
+def test_flag_defaults_are_the_config_defaults(tmp_path):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data)]) == 0
+    assert asdict(load_dataset(data).config) == asdict(SynthConfig())
+    run = tmp_path / "run"
+    assert main(["train-single", "--data", str(workspace() / "data"),
+                 "--task", "oscc", "--run", str(run)]) == 0
+    assert asdict(load_config(run).train) == asdict(TrainConfig())
 
 
 # ---------------------------------------------------------------------------

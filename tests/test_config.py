@@ -53,7 +53,7 @@ def test_validate_rejects_backbone_not_laid_out_for_run(backbone, field):
 
 
 @pytest.mark.parametrize("setting", [
-    dict(gate_hidden=4), dict(disable_sign=True), dict(disable_gate=True),
+    dict(disable_sign=True), dict(disable_gate=True),
 ])
 def test_validate_rejects_tdgc_only_fields_on_other_kinds(setting):
     cfg = mq_config()  # a sage backbone

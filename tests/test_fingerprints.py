@@ -1,0 +1,181 @@
+"""Byte fingerprints of every training arm, checked against a recorded file.
+
+Each entry of ``fingerprints.json`` is a sha256: of a run's trained
+parameters in ``params()`` order, of ``repr`` of its ``evaluate`` output
+(or of the order probe's result dict), or of one CLI output file. The runs
+are tiny and execute in a subprocess pinned to one BLAS thread, so the
+bytes depend only on the code and the numeric stack. The file records that
+stack (numpy version, BLAS build, thread count); on any other stack the
+test skips and names the difference rather than compare loosely.
+
+A change that moves bytes on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_fingerprints.py --write
+
+and names every changed entry in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+HERE = Path(__file__).resolve().parent
+RECORD = HERE / "fingerprints.json"
+SRC = HERE.parent / "src"
+THREAD_VARS = ("TGK_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+               "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+TIMEOUT_S = 120
+
+DATA_FLAGS = ["--train-videos", "8", "--val-videos", "3", "--segments", "16",
+              "--dim", "12", "--verbs", "4", "--nouns", "3", "--noise", "0.1",
+              "--lta-steps", "3", "--seed", "5"]
+TRAIN_FLAGS = ["--epochs", "2", "--warmup", "0", "--base-lr", "1e-3",
+               "--batch-videos", "4", "--seed", "0"]
+SUPPORT = ("ar", "oscc", "pnr")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _params_sha(params) -> str:
+    h = hashlib.sha256()
+    for t in params:
+        h.update(repr(t.data.shape).encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+def _model_params(model) -> list:
+    return model.backbone.params() + [
+        p for name in model.tasks for p in model.branches[name].params()]
+
+
+def _stack() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']} "
+                    f"{blas.get('openblas configuration', '')}".strip(),
+            "threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
+def compute() -> dict:
+    """Every fingerprint, keyed by run; run this pinned to one thread."""
+    from tgk.ablation import OrderProbeConfig, train_order_probe
+    from tgk.cli import main
+    from tgk.layers import LAYER_KINDS
+    from tgk.synth import SynthConfig, generate_dataset
+    from tgk.training import (
+        TrainConfig, build_prototype_banks, evaluate, run_mtl, run_novel,
+        run_single, run_translation,
+    )
+
+    out = {}
+
+    def record(name, model, metrics):
+        out[f"{name}/params"] = _params_sha(_model_params(model))
+        out[f"{name}/evaluate"] = _sha(repr(metrics).encode())
+
+    ds = generate_dataset(SynthConfig(
+        num_train_videos=8, num_val_videos=3, segments_per_video=16, dim=12,
+        num_verbs=4, num_nouns=3, noise=0.1, lta_steps=3, seed=5))
+    cfg = TrainConfig(epochs=2, warmup_epochs=0, base_lr=1e-3,
+                      batch_videos=4, seed=0)
+
+    singles = {}
+    for task in ("ar", "lta", "mq", "oscc", "pnr"):
+        singles[task] = run_single(task, ds, cfg)
+        record(f"single/{task}", singles[task],
+               evaluate(singles[task], ds.val, cfg))
+    mtl = run_mtl(("ar", "lta", "mq", "oscc", "pnr"), ds, cfg)
+    record("mtl/ar,lta,mq,oscc,pnr", mtl, evaluate(mtl, ds.val, cfg))
+
+    support = run_mtl(SUPPORT, ds, cfg)
+    banks = build_prototype_banks(support, ds, SUPPORT)
+    for arm, kwargs in (("egopack", dict(banks=banks, interaction=True)),
+                        ("mtl-ft", dict(interaction=False)),
+                        ("mtl-ht", dict(interaction=False,
+                                        freeze_backbone=True))):
+        model, novel = run_novel("mq", ds, cfg, support, **kwargs)
+        record(f"novel/{arm}/mq", model,
+               evaluate(model, ds.val, cfg, novel=novel))
+    # support models are frozen by the translation arm, after their own
+    # fingerprints are taken
+    model, tm = run_translation("mq", ds, cfg,
+                                {t: singles[t] for t in SUPPORT})
+    record("translation/mq", model, evaluate(model, ds.val, cfg,
+                                             translation=tm))
+
+    probe = OrderProbeConfig(num_windows=1000, epochs=2, warmup_epochs=0)
+    variants = [(kind, {}) for kind in sorted(LAYER_KINDS)] + [
+        ("tdgc-no-sign", {"disable_sign": True}),
+        ("tdgc-no-gate", {"disable_gate": True})]
+    for name, flags in variants:
+        kind = name if name in LAYER_KINDS else "tdgc"
+        result = train_order_probe(kind, 0, probe, **flags)
+        out[f"order_probe/{name}"] = _sha(repr(result).encode())
+
+    with tempfile.TemporaryDirectory(prefix="tgk_fp_") as tmp:
+        ws = Path(tmp)
+        data = str(ws / "data")
+        steps = [["gen-data", "--out", data] + DATA_FLAGS,
+                 ["train-mtl", "--data", data, "--tasks", ",".join(SUPPORT),
+                  "--run", str(ws / "support")] + TRAIN_FLAGS,
+                 ["train-novel", "--data", data, "--task", "mq",
+                  "--method", "mtl-ft", "--support-run", str(ws / "support"),
+                  "--run", str(ws / "ft")] + TRAIN_FLAGS]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in steps:
+                assert main(argv) == 0, argv
+        for name in ("metrics.json", "config.json"):
+            out[f"cli/mtl-ft/{name}"] = _sha((ws / "ft" / name).read_bytes())
+    return out
+
+
+def run_pinned() -> dict:
+    """``compute`` and the numeric stack, from a subprocess on one thread."""
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, str(Path(__file__)), "--print"],
+                          env=env, capture_output=True, text=True,
+                          timeout=TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"fingerprint run failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def test_fingerprints_match_record():
+    recorded = json.loads(RECORD.read_text())
+    got = run_pinned()
+    for key in ("numpy", "blas", "threads"):
+        if got["stack"][key] != recorded["stack"][key]:
+            pytest.skip(f"fingerprints were recorded with {key} "
+                        f"{recorded['stack'][key]!r}, this run has "
+                        f"{got['stack'][key]!r}")
+    assert sorted(got["fingerprints"]) == sorted(recorded["fingerprints"])
+    moved = [name for name, sha in recorded["fingerprints"].items()
+             if got["fingerprints"][name] != sha]
+    assert moved == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--print"]:
+        print(json.dumps({"stack": _stack(), "fingerprints": compute()}))
+    elif sys.argv[1:] == ["--write"]:
+        RECORD.write_text(json.dumps(run_pinned(), indent=2, sort_keys=True)
+                          + "\n")
+        print(f"wrote {RECORD}")
+    else:
+        raise SystemExit("usage: test_fingerprints.py --write | --print")

@@ -46,10 +46,7 @@ def leaky(x, slope=0.2):
 
 def gate_oracle(p, abs_dt):
     h = np.array([[abs_dt]])
-    if len(p.gate) == 2:
-        return np.maximum(h @ p.gate[0].data + p.gate[1].data, 0.0)[0]
-    h = np.maximum(h @ p.gate[0].data + p.gate[1].data, 0.0)
-    return np.maximum(h @ p.gate[2].data + p.gate[3].data, 0.0)[0]
+    return np.maximum(h @ p.gate_w.data + p.gate_b.data, 0.0)[0]
 
 
 def tdgc_oracle(p, g, x):
@@ -128,12 +125,11 @@ def sgcn_oracle(p, g, x):
 
 def test_tdgc_matches_dense_loop():
     rng = np.random.default_rng(0)
-    for trial in range(8):
+    for _ in range(8):
         g = random_graph(rng)
-        hidden = 3 if trial % 2 else None
-        p = TdgcParams.init(rng, 4, 5, gate_hidden=hidden)
+        p = TdgcParams.init(rng, 4, 5)
         # move the gate off its identity start so the oracle covers it
-        for t in p.gate:
+        for t in (p.gate_w, p.gate_b):
             t.data += rng.normal(scale=0.3, size=t.shape)
         got = tdgc_forward(p, g, Tensor(g.features)).data
         assert np.allclose(got, tdgc_oracle(p, g, g.features), atol=1e-12)
@@ -144,7 +140,7 @@ def test_tdgc_ablation_flags_match_dense_loop():
     for flags in [(True, False), (False, True), (True, True)]:
         g = random_graph(rng)
         p = TdgcParams.init(rng, 4, 5, disable_sign=flags[0], disable_gate=flags[1])
-        for t in p.gate:
+        for t in (p.gate_w, p.gate_b):
             t.data += rng.normal(scale=0.3, size=t.shape)
         got = tdgc_forward(p, g, Tensor(g.features)).data
         assert np.allclose(got, tdgc_oracle(p, g, g.features), atol=1e-12)
@@ -258,7 +254,7 @@ def test_layer_gradients_finite_difference():
     for name, kind in LAYER_KINDS.items():
         p = kind.init(np.random.default_rng(11), 3, 4)
         if name == "tdgc":
-            for t in p.gate:
+            for t in (p.gate_w, p.gate_b):
                 t.data += np.abs(rng.normal(scale=0.2, size=t.shape)) + 0.05
         weights = Tensor(rng.normal(size=(g.num_nodes, 4)))
 
@@ -267,21 +263,6 @@ def test_layer_gradients_finite_difference():
 
         worst = finite_diff_check(build_loss, p.params() + [x], rel_tol=1e-5)
         assert worst < 1e-5, f"{name}: {worst}"
-
-
-def test_tdgc_hidden_gate_gradients():
-    rng = np.random.default_rng(12)
-    g = random_graph(rng, n=8, d=3)
-    p = TdgcParams.init(rng, 3, 4, gate_hidden=5)
-    for t in p.gate:
-        t.data += np.abs(rng.normal(scale=0.2, size=t.shape)) + 0.05
-    x = Tensor(g.features, requires_grad=True)
-    weights = Tensor(rng.normal(size=(g.num_nodes, 4)))
-
-    def build_loss():
-        return tsum(tdgc_forward(p, g, x) * weights)
-
-    assert finite_diff_check(build_loss, p.params() + [x], rel_tol=1e-5) < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -493,11 +493,17 @@ GRID_SCORES = (0.0, 5e-4, 1e-3, 0.25, 0.5, 0.9)
 
 def strategies():
     """hypothesis' ``given``, ``settings`` and the strategies module; the
-    calling test is skipped when hypothesis is not installed."""
+    calling test is skipped when hypothesis is not installed.
+
+    Shrinking is off: it can run for minutes on a failure, and with
+    derandomized generation a failing test still reports the same
+    generated input every run."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     settings = hyp.settings(max_examples=150, deadline=None,
-                            derandomize=True, database=None)
+                            derandomize=True, database=None,
+                            phases=[p for p in hyp.Phase
+                                    if p is not hyp.Phase.shrink])
     return hyp.given, settings, st
 
 

@@ -154,7 +154,7 @@ def test_lta_steps_are_differentiated():
     p = LtaParams.init(rng, 6, num_verbs=4, num_nouns=3, num_steps=6)
     # nudge gates so time offsets modulate messages
     for layer in (p.refine1, p.refine2):
-        for t in layer.gate:
+        for t in (layer.gate_w, layer.gate_b):
             t.data += rng.normal(scale=0.2, size=t.shape)
     verbs, _ = lta_forward(p, Tensor(rng.normal(size=(1, 6))))
     diffs = np.abs(np.diff(verbs.data, axis=0)).max()
