@@ -166,6 +166,22 @@ def _load_support(support_run: str) -> MultiTaskModel:
         raise SystemExit(f"{support_run}: {exc}") from None
 
 
+def _load_banks(banks_run: str, support: MultiTaskModel) -> dict:
+    """Every support task's bank under ``--banks``; a bank that does not
+    load, or is not as wide as the support run's features, exits in one
+    line naming it."""
+    banks = {}
+    for task in support.tasks:
+        try:
+            banks[task] = load_bank(Path(banks_run) / "prototypes", task)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"{banks_run}: {exc}") from None
+        if banks[task].dim != support.world.dim:
+            raise SystemExit(f"{banks_run}: bank {task} has dim "
+                             f"{banks[task].dim}, not {support.world.dim}")
+    return banks
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -187,29 +203,25 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train_single(args) -> int:
-    ds = load_dataset(args.data)
-    cfg = _experiment_config(args, ds.config, [args.task], "single")
-    run_dir = Path(args.run)
-    save_config(run_dir, cfg)
-    model = run_single(args.task, ds, cfg.train, backbone_cfg=cfg.backbone)
-    save_run(run_dir, model)
-    metrics = evaluate(model, ds.val, cfg.train)
-    _write_metrics(run_dir, {"arm": "single", "task": args.task,
-                             "metrics": metrics})
-    print(json.dumps(metrics, indent=2, sort_keys=True))
-    return 0
+    return _train_fresh(args, [args.task], "single", {"task": args.task})
 
 
 def _cmd_train_mtl(args) -> int:
-    ds = load_dataset(args.data)
     tasks = sorted(args.tasks.split(","))
-    cfg = _experiment_config(args, ds.config, tasks, "mtl")
+    return _train_fresh(args, tasks, "mtl", {"tasks": tasks})
+
+
+def _train_fresh(args, tasks: list[str], arm: str, labels: dict) -> int:
+    """Train, save and evaluate a fresh model on ``tasks``; ``labels``
+    name them in metrics.json."""
+    ds = load_dataset(args.data)
+    cfg = _experiment_config(args, ds.config, tasks, arm)
     run_dir = Path(args.run)
     save_config(run_dir, cfg)
     model = run_mtl(tasks, ds, cfg.train, backbone_cfg=cfg.backbone)
     save_run(run_dir, model)
     metrics = evaluate(model, ds.val, cfg.train)
-    _write_metrics(run_dir, {"arm": "mtl", "tasks": tasks, "metrics": metrics})
+    _write_metrics(run_dir, {"arm": arm, **labels, "metrics": metrics})
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
 
@@ -218,6 +230,10 @@ def _cmd_build_prototypes(args) -> int:
     ds = load_dataset(args.data)
     model = _load_support(args.support_run)
     support_tasks = sorted(args.tasks.split(",")) if args.tasks else model.tasks
+    missing = sorted(set(support_tasks) - set(model.tasks))
+    if missing:
+        raise SystemExit(f"--tasks: the support run {args.support_run} has "
+                         f"no {','.join(missing)} branch")
     banks = build_prototype_banks(model, ds, support_tasks)
     run_dir = Path(args.run)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -254,6 +270,9 @@ def _cmd_build_prototypes(args) -> int:
 
 
 def _cmd_train_novel(args) -> int:
+    if args.novel_videos is not None and args.novel_videos < 1:
+        raise SystemExit(
+            f"--novel-videos: must be at least 1, got {args.novel_videos}")
     ds = load_dataset(args.data)
     if args.method == "single":
         cfg = _experiment_config(args, ds.config, [args.task], "single")
@@ -269,6 +288,8 @@ def _cmd_train_novel(args) -> int:
         if support.world != WorldInfo.from_dataset(ds):
             raise SystemExit(f"data: the support run {args.support_run} was "
                              f"trained on another label space, {support.world}")
+        banks = (_load_banks(args.banks, support)
+                 if args.method == "egopack" else None)
         cfg = _experiment_config(
             args, ds.config, [args.task], args.method,
             support.tasks if args.method == "egopack" else (),
@@ -294,8 +315,6 @@ def _cmd_train_novel(args) -> int:
         save_run(run_dir, model, translation=tm)
         metrics = evaluate(model, ds.val, cfg.train, translation=tm)
     else:
-        banks = {t: load_bank(Path(args.banks) / "prototypes", t)
-                 for t in cfg.support_tasks}
         model, novel = run_novel(
             args.task, novel_ds, cfg.train, support, banks=banks,
             interaction=args.method == "egopack",

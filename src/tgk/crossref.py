@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import re
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 

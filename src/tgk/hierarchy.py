@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, div, gather_rows, relu, segment_max, segment_mean,
+    Tensor, add, gather_rows, relu, segment_max, segment_mean,
 )
 from .graph import EdgeRule, TemporalGraph, rebuild_edges, subsample_plan
 from .layers import LAYER_KINDS, LayerKind, sinusoidal_pe

@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import (
     Tensor, add, div, exp, gather_rows, leaky_relu, matmul, mul, relu,
-    segment_mean, segment_sum, sub, tsum,
+    segment_mean, segment_sum, sub,
 )
 from .graph import TemporalGraph
 from .optim import linear_init, uniform_fan_in

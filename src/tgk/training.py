@@ -30,7 +30,7 @@ import numpy as np
 
 from .autodiff import (
     GradientTape, Tensor, add, backward, concat_rows, cross_entropy_rows,
-    gather_rows, mul, sub, take_cols, transpose,
+    gather_rows, mul,
 )
 from .egopack import (
     InteractionParams, PrototypeBank, build_prototypes, fuse_features,
@@ -239,11 +239,6 @@ def _freeze(params: list[Tensor]) -> None:
         t.requires_grad = False
 
 
-def _column_pair(left: Tensor, right: Tensor) -> Tensor:
-    """Stack two (M, 1) tensors into (M, 2)."""
-    return transpose(concat_rows([transpose(left), transpose(right)]))
-
-
 # ---------------------------------------------------------------------------
 # per-task losses on one batch
 # ---------------------------------------------------------------------------
@@ -313,43 +308,34 @@ def _mq_loss(stage_features: list[Tensor], stages: list[StageOutput],
              videos: list[VideoSample], view: AnnotationView,
              heads: dict, world: WorldInfo) -> Tensor:
     """Focal classification over every node of every stage plus
-    distance-IoU regression over positive nodes."""
-    score_rows, cls_rows = [], []
-    reg_pred_start, reg_pred_end, reg_true = [], [], []
-    num_pos = 0
+    distance-IoU regression over positive nodes.
+
+    A stage's rows are its videos' rows in batch order, so the head reads
+    each stage whole; only the targets are built per (video, stage).
+    """
+    anns = [view.annotations(video, "mq") for video in videos]
+    scores, offsets, targets = [], [], []
     for necked, stage_out in zip(stage_features, stages):
         g = stage_out.graph
-        scores, offsets = mq_forward(heads["mq"], necked, g.stage)
-        for vi, video in enumerate(videos):
-            ivals, cats = view.annotations(video, "mq")
-            sl = g.video_slice(vi)
-            pos = g.positions_s[sl]
-            cls_t, off_t, pos_mask = mq_targets(pos, g.stage, ivals, cats,
-                                                world.mq_classes)
-            node_rows = np.arange(sl.start, sl.stop, dtype=np.intp)
-            score_rows.append(gather_rows(scores, node_rows))
-            cls_rows.append(cls_t)
-            if pos_mask.any():
-                num_pos += int(pos_mask.sum())
-                pos_nodes = node_rows[pos_mask]
-                off_rows = gather_rows(offsets, pos_nodes)
-                centers = pos[pos_mask].reshape(-1, 1)
-                starts = sub(Tensor(centers), take_cols(off_rows, [0]))
-                ends = add(Tensor(centers), take_cols(off_rows, [1]))
-                reg_pred_start.append(starts)
-                reg_pred_end.append(ends)
-                scale = 2.0 ** (g.stage - 1)
-                true_ival = np.stack([
-                    centers[:, 0] - off_t[pos_mask, 0] * scale,
-                    centers[:, 0] + off_t[pos_mask, 1] * scale,
-                ], axis=1)
-                reg_true.append(true_ival)
-    all_scores = concat_rows(score_rows)
-    all_cls = np.concatenate(cls_rows, axis=0)
-    loss = focal_loss(all_scores, all_cls, normalizer=float(max(num_pos, 1)))
-    if reg_pred_start:
-        pred = _column_pair(concat_rows(reg_pred_start), concat_rows(reg_pred_end))
-        loss = add(loss, diou_loss(pred, np.concatenate(reg_true, axis=0)))
+        stage_scores, stage_offsets = mq_forward(heads["mq"], necked, g.stage)
+        scores.append(stage_scores)
+        offsets.append(stage_offsets)
+        for vi, (ivals, cats) in enumerate(anns):
+            cls_t, off_t, pos_mask = mq_targets(
+                g.positions_s[g.video_slice(vi)], g.stage, ivals, cats,
+                world.mq_classes)
+            targets.append((cls_t, off_t * 2.0 ** (g.stage - 1), pos_mask))
+    cls_t, off_t, pos_mask = (np.concatenate(parts) for parts in zip(*targets))
+    positives = np.nonzero(pos_mask)[0]
+    loss = focal_loss(concat_rows(scores), cls_t,
+                      normalizer=float(max(len(positives), 1)))
+    if len(positives):
+        # [t - left, t + right] in seconds around each positive node's time
+        sign = np.array([[-1.0, 1.0]])
+        t = np.concatenate([s.graph.positions_s for s in stages])[positives, None]
+        pred = add(Tensor(t), mul(gather_rows(concat_rows(offsets), positives),
+                                  Tensor(sign)))
+        loss = add(loss, diou_loss(pred, t + off_t[positives] * sign))
     return loss
 
 
@@ -481,12 +467,7 @@ def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
 def run_single(task: str, ds: SynthDataset, cfg: TrainConfig,
                backbone_cfg: BackboneConfig | None = None) -> MultiTaskModel:
     """Fresh model trained on one task alone."""
-    world = WorldInfo.from_dataset(ds)
-    rng = np.random.default_rng(cfg.seed)
-    model = MultiTaskModel.init(rng, [task], world,
-                                backbone_layout([task], world.dim, backbone_cfg))
-    _train_loop(model, ds.train, cfg)
-    return model
+    return run_mtl([task], ds, cfg, backbone_cfg)
 
 
 def run_mtl(tasks, ds: SynthDataset, cfg: TrainConfig,
@@ -590,15 +571,15 @@ def run_novel(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed + 17)
 
     # warm-start: copy phase-one backbone weights; reuse them for extra
-    # stages the support model did not have
+    # stages the support model did not have. Both backbones come from one
+    # config whose widths are all ``dim``, so every shape agrees.
     backbone = BackboneParams.init(rng, backbone_cfg)
     src_stages = support_model.backbone.stages
     for i, block in enumerate(backbone.stages):
         src_block = src_stages[min(i, len(src_stages) - 1)]
         for lp, src_lp in zip(block, src_block):
             for t, src_t in zip(lp.params(), src_lp.params()):
-                if t.data.shape == src_t.data.shape:
-                    t.data = src_t.data.copy()
+                t.data = src_t.data.copy()
 
     model = MultiTaskModel.init(rng, [novel_task], world, backbone_cfg)
     model.backbone = backbone

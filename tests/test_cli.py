@@ -288,6 +288,69 @@ def test_train_novel_rejects_support_run_on_another_label_space(tmp_path):
     assert not run.exists()
 
 
+def assert_exits_in_one_line(argv: list[str], run: Path, start: str) -> None:
+    """``argv`` exits with one line starting ``start`` and leaves no
+    ``run`` directory behind."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert isinstance(exc.value.code, str)
+    assert exc.value.code.startswith(start)
+    assert "\n" not in exc.value.code
+    assert not run.exists()
+
+
+def test_build_prototypes_rejects_task_the_support_run_lacks(tmp_path):
+    ws = workspace()
+    run = tmp_path / "protos"
+    assert_exits_in_one_line(
+        ["build-prototypes", "--data", str(ws / "data"), "--support-run",
+         str(ws / "run_mtl"), "--tasks", "ar,pnr", "--run", str(run)],
+        run, f"--tasks: the support run {ws / 'run_mtl'} has no pnr branch")
+
+
+def test_train_novel_rejects_directory_without_banks(tmp_path):
+    ws = workspace()
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    run = tmp_path / "run"
+    assert_exits_in_one_line(
+        ["train-novel", "--data", str(ws / "data"), "--task", "pnr",
+         "--method", "egopack", "--support-run", str(ws / "run_mtl"),
+         "--banks", str(empty), "--run", str(run)] + TRAIN_FLAGS,
+        run, f"{empty}: ")
+
+
+def test_train_novel_rejects_banks_of_another_width(tmp_path):
+    ws = workspace()
+    wide = tmp_path / "data16"
+    flags = list(DATA_FLAGS)
+    flags[flags.index("--dim") + 1] = "16"
+    protos = tmp_path / "protos16"
+    for argv in (["gen-data", "--out", str(wide)] + flags,
+                 ["train-mtl", "--data", str(wide), "--tasks", "ar,oscc",
+                  "--run", str(tmp_path / "mtl16")] + TRAIN_FLAGS,
+                 ["build-prototypes", "--data", str(wide), "--support-run",
+                  str(tmp_path / "mtl16"), "--run", str(protos)]):
+        assert main(argv) == 0
+    run = tmp_path / "run"
+    assert_exits_in_one_line(
+        ["train-novel", "--data", str(ws / "data"), "--task", "pnr",
+         "--method", "egopack", "--support-run", str(ws / "run_mtl"),
+         "--banks", str(protos), "--run", str(run)] + TRAIN_FLAGS,
+        run, f"{protos}: bank ar has dim 16, not 12")
+
+
+def test_train_novel_rejects_non_positive_video_count(tmp_path):
+    ws = workspace()
+    run = tmp_path / "run"
+    for count in ("-5", "0"):
+        assert_exits_in_one_line(
+            ["train-novel", "--data", str(ws / "data"), "--task", "pnr",
+             "--method", "mtl-ft", "--support-run", str(ws / "run_mtl"),
+             "--novel-videos", count, "--run", str(run)] + TRAIN_FLAGS,
+            run, f"--novel-videos: must be at least 1, got {count}")
+
+
 def run_without_arm(run: Path) -> Path:
     """A run directory as written before config.json recorded the arm."""
     run.mkdir()

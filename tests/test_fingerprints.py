@@ -103,13 +103,14 @@ def compute() -> dict:
 
     support = run_mtl(SUPPORT, ds, cfg)
     banks = build_prototype_banks(support, ds, SUPPORT)
-    for arm, kwargs in (("egopack", dict(banks=banks, interaction=True)),
-                        ("mtl-ft", dict(interaction=False)),
-                        ("mtl-ht", dict(interaction=False,
-                                        freeze_backbone=True))):
-        model, novel = run_novel("mq", ds, cfg, support, **kwargs)
-        record(f"novel/{arm}/mq", model,
-               evaluate(model, ds.val, cfg, novel=novel))
+    for task in ("mq", "lta"):
+        for arm, kwargs in (("egopack", dict(banks=banks, interaction=True)),
+                            ("mtl-ft", dict(interaction=False)),
+                            ("mtl-ht", dict(interaction=False,
+                                            freeze_backbone=True))):
+            model, novel = run_novel(task, ds, cfg, support, **kwargs)
+            record(f"novel/{arm}/{task}", model,
+                   evaluate(model, ds.val, cfg, novel=novel))
     # support models are frozen by the translation arm, after their own
     # fingerprints are taken
     model, tm = run_translation("mq", ds, cfg,

@@ -262,6 +262,27 @@ def test_every_task_loss_is_finite_and_differentiable():
         assert neck_norm > 0.0, task
 
 
+def test_detection_loss_records_do_not_grow_with_the_batch():
+    ds = tiny_dataset()
+    world = WorldInfo.from_dataset(ds)
+    cfg = BackboneConfig(d_in=world.dim, d_model=world.dim, num_stages=4)
+    model = MultiTaskModel.init(np.random.default_rng(2), ["mq"], world, cfg)
+    branch = model.branches["mq"]
+    view = AnnotationView(["mq"], world.lta_steps)
+
+    def loss_records(batch):
+        stages = model.forward_backbone(
+            build_batch_graph(batch, cfg.edge_rule))
+        necked = [neck_forward(branch.neck, s.features) for s in stages]
+        with GradientTape() as tape:
+            loss = task_loss(branch, necked, stages, batch, view, world)
+        assert loss.data > 0.0
+        return len(tape.records)
+
+    # the head reads each stage whole: the tape holds per-stage records only
+    assert loss_records(ds.train[:2]) == loss_records(ds.train[:6])
+
+
 def flat_video(world, rng) -> VideoSample:
     """One event without a state change: no keyframe, no forecast."""
     return VideoSample(
