@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import (
     GradientTape, Tensor, backward, cross_entropy_rows, segment_mean,
 )
-from .graph import EdgeRule, build_graph
+from .graph import EdgeRule, TemporalGraph, VideoCache, build_graph
 from .hierarchy import BackboneConfig, BackboneParams, backbone_forward
 from .optim import Adam, lr_at
 from .synth import SynthConfig, SynthDataset, generate_dataset, generate_order_windows
@@ -51,13 +51,15 @@ class OrderProbeConfig:
 
 
 def _window_batch_graph(feats: np.ndarray, positions: np.ndarray,
-                        rule: EdgeRule):
-    """Stack windows into one graph, each window its own video."""
+                        rule: EdgeRule, cache: VideoCache) -> TemporalGraph:
+    """Stack windows into one graph, each window its own video. Windows
+    share their positions, so ``build_graph`` wires one window per cache."""
     w, s, d = feats.shape
     flat = feats.reshape(w * s, d)
     pos = np.tile(positions, w)
     bounds = np.arange(0, (w + 1) * s, s)
-    return build_graph(flat, pos, bounds, rule=rule, stage=1)
+    return cache.graph(flat, pos, bounds, 1, rule, lambda video: build_graph(
+        video.features, video.positions_s, rule=rule))
 
 
 def train_order_probe(layer_kind: str, seed: int,
@@ -86,10 +88,11 @@ def train_order_probe(layer_kind: str, seed: int,
     readout = ClassifierParams.init(rng, probe.dim, 2)
     trainable = params.params() + readout.params()
     opt = Adam(trainable, probe.lr)
+    cache = VideoCache()
 
     def window_logits(batch_feats: np.ndarray) -> Tensor:
-        g = _window_batch_graph(batch_feats, positions, cfg.edge_rule)
-        out = backbone_forward(params, cfg, g)[0]
+        g = _window_batch_graph(batch_feats, positions, cfg.edge_rule, cache)
+        out = backbone_forward(params, cfg, g, cache)[0]
         pooled = segment_mean(out.features, g.video_of(), batch_feats.shape[0])
         return classifier_forward(readout, pooled)
 

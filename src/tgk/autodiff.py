@@ -368,14 +368,36 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # indexed primitives for graph aggregation
 # ---------------------------------------------------------------------------
 
+def _scatter_rows(values: np.ndarray, ids: np.ndarray,
+                  num_segments: int) -> np.ndarray:
+    """Rows of ``values`` summed per id into ``num_segments`` rows.
+
+    The bytes are those of ``np.add.at`` into zeros, without its
+    per-element dispatch: one stable argsort lines each segment's rows up
+    in input order, a padded table holds them, and the table's columns are
+    added left to right onto +0.0, skipping the empty slots.
+    """
+    order = np.argsort(ids, kind="stable")
+    counts = np.bincount(ids, minlength=num_segments)
+    sorted_ids = ids[order]
+    rank = np.arange(len(ids)) - (np.cumsum(counts) - counts)[sorted_ids]
+    width = int(counts.max(initial=0))
+    table = np.zeros((num_segments, width), dtype=np.intp)
+    table[sorted_ids, rank] = order
+    filled = (np.arange(width) < counts[:, None]).reshape(
+        table.shape + (1,) * (values.ndim - 1))
+    out = np.zeros((num_segments,) + values.shape[1:])
+    for col in range(width):
+        np.add(out, values[table[:, col]], out=out, where=filled[:, col])
+    return out
+
+
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows ``a[idx]``; backward scatter-adds into the source."""
     idx = np.asarray(idx, dtype=np.intp)
 
     def back(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return (out,)
+        return (_scatter_rows(g, idx, a.shape[0]),)
 
     return _emit(a.data[idx], (a,), back)
 
@@ -408,8 +430,7 @@ def take_per_row(a: Tensor, cols) -> Tensor:
 def segment_sum(a: Tensor, seg, num_segments: int) -> Tensor:
     """Sum rows sharing a segment id; empty segments yield zero rows."""
     seg = np.asarray(seg, dtype=np.intp)
-    out = np.zeros((num_segments,) + a.shape[1:], dtype=np.float64)
-    np.add.at(out, seg, a.data)
+    out = _scatter_rows(a.data, seg, num_segments)
     return _emit(out, (a,), lambda g: (g[seg],))
 
 
@@ -418,8 +439,7 @@ def segment_mean(a: Tensor, seg, num_segments: int) -> Tensor:
     seg = np.asarray(seg, dtype=np.intp)
     counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
     safe = np.maximum(counts, 1.0)
-    out = np.zeros((num_segments,) + a.shape[1:], dtype=np.float64)
-    np.add.at(out, seg, a.data)
+    out = _scatter_rows(a.data, seg, num_segments)
     out /= safe.reshape((-1,) + (1,) * (a.ndim - 1))
 
     def back(g):

@@ -41,7 +41,8 @@ DESIGN_MAP: tuple[MapEntry, ...] = (
              "cuts the tape so support branches cannot update the backbone"),
     MapEntry("temporal-window-rule",
              "graph:build_graph",
-             "edges between same-video nodes closer than the stage window"),
+             "edges between same-video nodes closer than the stage window, "
+             "built once per video and window by the loop's VideoCache"),
     MapEntry("stage-window-doubling",
              "graph:threshold_exponent",
              "stage l connects within threshold * 2**(l-1) seconds"),
@@ -51,7 +52,8 @@ DESIGN_MAP: tuple[MapEntry, ...] = (
     MapEntry("neighborhood-pooling",
              "hierarchy:pool_closed_neighborhood",
              "mean/max over each survivor's closed neighborhood, "
-             "differentiable through segment ops"),
+             "differentiable through segment ops; mean sums through the "
+             "sorted-segment kernel"),
     MapEntry("signed-neighbor-direction",
              "layers:tdgc_forward",
              "past and future neighbor messages enter with opposite signs"),
@@ -70,7 +72,8 @@ DESIGN_MAP: tuple[MapEntry, ...] = (
              "sinusoidal encodings of raw seconds for the PE baseline"),
     MapEntry("backbone-pyramid",
              "hierarchy:backbone_forward",
-             "stacked stages: layers, pool, halve, double the window"),
+             "stacked stages: layers, pool, halve, double the window; "
+             "coarser stages' edges per video from the VideoCache"),
     MapEntry("task-neck",
              "tasks:neck_forward",
              "two-layer dimension-preserving projection per task"),

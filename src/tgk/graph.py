@@ -5,6 +5,11 @@ A graph batches several videos; ``video_boundaries`` stores start offsets
 so edge building never crosses a video. Node timestamps are kept in
 seconds at every stage of the coarsening pyramid and are never rescaled;
 what widens with depth is the connection window.
+
+Edges never cross videos, so a batch's edges are its videos' local edges
+shifted by their start offsets. ``VideoCache`` keeps each video's local
+edges per (positions, window) for the length of one training or
+evaluation loop, which then computes them once per video and stage.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "EdgeRule", "TemporalGraph", "build_graph", "rebuild_edges",
-    "subsample_plan", "threshold_exponent",
+    "EdgeRule", "TemporalGraph", "VideoCache", "build_graph",
+    "rebuild_edges", "stage_window", "subsample_plan", "threshold_exponent",
     "save_features", "load_features",
 ]
 
@@ -39,6 +44,11 @@ def threshold_exponent(stage: int) -> int:
     if stage < 1:
         raise ValueError(f"stage must be >= 1, got {stage}")
     return stage - 1
+
+
+def stage_window(rule: EdgeRule, stage: int) -> float:
+    """Connection window in seconds at a pyramid stage."""
+    return rule.threshold_s * (2.0 ** threshold_exponent(stage))
 
 
 @dataclass
@@ -82,10 +92,8 @@ class TemporalGraph:
 
     def video_of(self) -> np.ndarray:
         """Video index per node, derived from the boundary offsets."""
-        out = np.zeros(self.num_nodes, dtype=np.intp)
-        for v in range(self.num_videos):
-            out[self.video_boundaries[v]:self.video_boundaries[v + 1]] = v
-        return out
+        return np.repeat(np.arange(self.num_videos, dtype=np.intp),
+                         np.diff(self.video_boundaries))
 
     def video_slice(self, v: int) -> slice:
         return slice(int(self.video_boundaries[v]), int(self.video_boundaries[v + 1]))
@@ -124,16 +132,54 @@ def build_graph(features: np.ndarray, positions_s: np.ndarray,
     positions_s = np.asarray(positions_s, dtype=np.float64)
     if video_boundaries is None:
         video_boundaries = np.array([0, features.shape[0]], dtype=np.intp)
-    window = rule.threshold_s * (2.0 ** threshold_exponent(stage))
-    edges = _edges_for_positions(positions_s, np.asarray(video_boundaries), window)
+    edges = _edges_for_positions(positions_s, np.asarray(video_boundaries),
+                                 stage_window(rule, stage))
     return TemporalGraph(features, positions_s, edges, stage, np.asarray(video_boundaries))
 
 
 def rebuild_edges(g: TemporalGraph, rule: EdgeRule = EdgeRule()) -> TemporalGraph:
     """Recompute edges from current positions and stage, leaving nodes alone."""
-    window = rule.threshold_s * (2.0 ** threshold_exponent(g.stage))
-    edges = _edges_for_positions(g.positions_s, g.video_boundaries, window)
+    edges = _edges_for_positions(g.positions_s, g.video_boundaries,
+                                 stage_window(rule, g.stage))
     return replace(g, edges=edges)
+
+
+class VideoCache:
+    """Work that depends only on one video's nodes at one stage, done the
+    first time a loop asks for it.
+
+    A loop creates one cache and drops it when it returns; a call given no
+    cache makes its own. Keys hold the bytes of the video's node positions
+    at the stage, so a video whose survivors depend on its place in the
+    batch (batch-ss pooling) gets one entry per survivor set.
+    """
+
+    def __init__(self):
+        self._memo: dict = {}
+
+    def get(self, key, compute):
+        """``compute()``'s value, computed on the first call with ``key``."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute()
+        return value
+
+    def graph(self, features: np.ndarray, positions_s: np.ndarray,
+              bounds: np.ndarray, stage: int, rule: EdgeRule,
+              wire) -> TemporalGraph:
+        """A batch's graph at ``stage``. Each video's edges are those of
+        ``wire(video)``, the video's own graph wired under ``rule``, made
+        on a miss and shifted by the video's start offset."""
+        window = stage_window(rule, stage)
+        unwired = np.empty((0, 2), dtype=np.intp)
+        parts = [unwired]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            pos = positions_s[lo:hi]
+            local = self.get(("edges", window, pos.tobytes()), lambda: wire(
+                TemporalGraph(features[lo:hi], pos, unwired, stage)).edges)
+            parts.append(local + lo)
+        return TemporalGraph(features, positions_s, np.concatenate(parts),
+                             stage, bounds)
 
 
 def subsample_plan(g: TemporalGraph, pooling: str) -> tuple[np.ndarray, np.ndarray]:

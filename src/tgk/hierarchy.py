@@ -9,7 +9,9 @@ throughout.
 
 ``backbone_forward`` returns every stage's (graph, features) pair so task
 necks can pick the resolution they need, and the feature path stays
-differentiable across the pooling steps.
+differentiable across the pooling steps. A coarser stage's edges are its
+videos' edges from a ``VideoCache``, each rebuilt once per video and stage
+by ``rebuild_edges``; the survivor plan is made per batch.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 from .autodiff import (
     Tensor, add, gather_rows, relu, segment_max, segment_mean,
 )
-from .graph import EdgeRule, TemporalGraph, rebuild_edges, subsample_plan
+from .graph import (
+    EdgeRule, TemporalGraph, VideoCache, rebuild_edges, subsample_plan,
+)
 from .layers import LAYER_KINDS, LayerKind, sinusoidal_pe
 
 __all__ = ["BackboneConfig", "BackboneParams", "StageOutput",
@@ -123,14 +127,17 @@ def _run_block(block: list, kind: LayerKind, g: TemporalGraph, x: Tensor) -> Ten
 
 
 def backbone_forward(params: BackboneParams, cfg: BackboneConfig,
-                     graph: TemporalGraph) -> list[StageOutput]:
+                     graph: TemporalGraph, cache: VideoCache | None = None
+                     ) -> list[StageOutput]:
     """Run every stage; returns one StageOutput per stage, fine to coarse.
 
     ``graph`` must be a stage-1 graph with edges already built; its own
-    feature array is the constant input.
+    feature array is the constant input. ``cache`` holds the coarser
+    stages' per-video edges across the calls of one loop.
     """
     if graph.stage != 1:
         raise ValueError("backbone expects a stage-1 graph")
+    cache = VideoCache() if cache is None else cache
     kind = cfg.kind
     x = Tensor(graph.features)
     g = graph
@@ -143,14 +150,9 @@ def backbone_forward(params: BackboneParams, cfg: BackboneConfig,
             else:
                 pooled = x
             x = gather_rows(pooled, keep_idx)
-            g = TemporalGraph(
-                features=x.data,
-                positions_s=g.positions_s[keep_idx],
-                edges=np.empty((0, 2), dtype=np.intp),
-                stage=g.stage + 1,
-                video_boundaries=new_bounds,
-            )
-            g = rebuild_edges(g, cfg.edge_rule)
+            g = cache.graph(x.data, g.positions_s[keep_idx], new_bounds,
+                            g.stage + 1, cfg.edge_rule,
+                            lambda video: rebuild_edges(video, cfg.edge_rule))
         if kind.adds_time_encoding:
             x = add(x, Tensor(sinusoidal_pe(g.positions_s, x.shape[1])))
         x = _run_block(block, kind, g, x)

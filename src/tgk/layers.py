@@ -127,10 +127,7 @@ class GcnParams:
 
 def _loop_degrees(g: TemporalGraph) -> np.ndarray:
     """Node degrees counting the implicit self-loop."""
-    deg = np.ones(g.num_nodes)
-    if len(g.edges):
-        np.add.at(deg, g.edges[:, 0], 1.0)
-    return deg
+    return 1.0 + np.bincount(g.edges[:, 0], minlength=g.num_nodes)
 
 
 def gcn_forward(p: GcnParams, g: TemporalGraph, x: Tensor) -> Tensor:

@@ -36,7 +36,7 @@ from .egopack import (
     InteractionParams, PrototypeBank, build_prototypes, fuse_features,
     interaction_forward,
 )
-from .graph import EdgeRule, TemporalGraph, build_graph
+from .graph import EdgeRule, TemporalGraph, VideoCache, build_graph
 from .hierarchy import BackboneConfig, BackboneParams, StageOutput, backbone_forward
 from .metrics import (
     edit_distance, localization_error, map_at_iou, recall_at_k, soft_nms,
@@ -138,12 +138,16 @@ class AnnotationView:
         raise ValueError(f"unknown task {task!r}")
 
 
-def build_batch_graph(videos: list[VideoSample], rule: EdgeRule) -> TemporalGraph:
-    """Concatenate videos into one stage-1 graph."""
+def build_batch_graph(videos: list[VideoSample], rule: EdgeRule,
+                      cache: VideoCache | None = None) -> TemporalGraph:
+    """Concatenate videos into one stage-1 graph; ``build_graph`` wires
+    each video's edges once per cache."""
+    cache = VideoCache() if cache is None else cache
     feats = np.concatenate([v.features for v in videos], axis=0)
     pos = np.concatenate([v.positions_s for v in videos])
     bounds = np.cumsum([0] + [len(v.positions_s) for v in videos])
-    return build_graph(feats, pos, bounds, rule=rule, stage=1)
+    return cache.graph(feats, pos, bounds, 1, rule, lambda video: build_graph(
+        video.features, video.positions_s, rule=rule))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +234,11 @@ class MultiTaskModel:
     def tasks(self) -> list[str]:
         return sorted(self.branches)
 
-    def forward_backbone(self, graph: TemporalGraph) -> list[StageOutput]:
-        return backbone_forward(self.backbone, self.backbone_cfg, graph)
+    def forward_backbone(self, graph: TemporalGraph,
+                         cache: VideoCache | None = None
+                         ) -> list[StageOutput]:
+        return backbone_forward(self.backbone, self.backbone_cfg, graph,
+                                cache)
 
 
 def _freeze(params: list[Tensor]) -> None:
@@ -304,27 +311,40 @@ def _pnr_loss(necked: Tensor, graph: TemporalGraph,
     return bce_with_logits(logits, np.concatenate(tgt_parts))
 
 
+def _video_mq_targets(video: VideoSample, g: TemporalGraph, vi: int,
+                      view: AnnotationView, world: WorldInfo,
+                      cache: VideoCache):
+    """``mq_targets`` of batch video ``vi`` at ``g``'s stage with offsets
+    in seconds, computed once per cache. The loop that owns the cache
+    holds every video it caches, so ``id(video)`` names one video."""
+    pos = g.positions_s[g.video_slice(vi)]
+
+    def compute():
+        ivals, cats = view.annotations(video, "mq")
+        cls_t, off_t, pos_mask = mq_targets(pos, g.stage, ivals, cats,
+                                            world.mq_classes)
+        return cls_t, off_t * 2.0 ** (g.stage - 1), pos_mask
+
+    return cache.get(("mq", id(video), g.stage, pos.tobytes()), compute)
+
+
 def _mq_loss(stage_features: list[Tensor], stages: list[StageOutput],
              videos: list[VideoSample], view: AnnotationView,
-             heads: dict, world: WorldInfo) -> Tensor:
+             heads: dict, world: WorldInfo, cache: VideoCache) -> Tensor:
     """Focal classification over every node of every stage plus
     distance-IoU regression over positive nodes.
 
     A stage's rows are its videos' rows in batch order, so the head reads
-    each stage whole; only the targets are built per (video, stage).
+    each stage whole; the targets come per (video, stage) from ``cache``.
     """
-    anns = [view.annotations(video, "mq") for video in videos]
     scores, offsets, targets = [], [], []
     for necked, stage_out in zip(stage_features, stages):
         g = stage_out.graph
         stage_scores, stage_offsets = mq_forward(heads["mq"], necked, g.stage)
         scores.append(stage_scores)
         offsets.append(stage_offsets)
-        for vi, (ivals, cats) in enumerate(anns):
-            cls_t, off_t, pos_mask = mq_targets(
-                g.positions_s[g.video_slice(vi)], g.stage, ivals, cats,
-                world.mq_classes)
-            targets.append((cls_t, off_t * 2.0 ** (g.stage - 1), pos_mask))
+        targets.extend(_video_mq_targets(video, g, vi, view, world, cache)
+                       for vi, video in enumerate(videos))
     cls_t, off_t, pos_mask = (np.concatenate(parts) for parts in zip(*targets))
     positives = np.nonzero(pos_mask)[0]
     loss = focal_loss(concat_rows(scores), cls_t,
@@ -373,11 +393,12 @@ def _lta_loss(necked: Tensor, graph: TemporalGraph,
 
 def task_loss(branch: TaskBranch, stage_features: list[Tensor],
               stages: list[StageOutput], videos: list[VideoSample],
-              view: AnnotationView, world: WorldInfo) -> Tensor:
+              view: AnnotationView, world: WorldInfo,
+              cache: VideoCache | None = None) -> Tensor:
     """Loss of one task on one batch, given its necked features per stage.
 
     Dense tasks consume only the full-resolution stage; the detection
-    task consumes every stage.
+    task consumes every stage, with its targets from ``cache``.
     """
     graph = stages[DENSE_STAGE].graph
     necked = stage_features[DENSE_STAGE]
@@ -388,7 +409,8 @@ def task_loss(branch: TaskBranch, stage_features: list[Tensor],
         return _pnr_loss(necked, graph, videos, view, branch.heads)
     if branch.task == "mq":
         return _mq_loss(stage_features, stages, videos, view,
-                        branch.heads, world)
+                        branch.heads, world,
+                        VideoCache() if cache is None else cache)
     if branch.task == "lta":
         return _lta_loss(necked, graph, videos, view, branch.heads)
     raise ValueError(f"unknown task {branch.task!r}")
@@ -427,10 +449,13 @@ def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
     branch get their own Adam at their own learning rate, over the
     parameters that require grad, so a frozen backbone gets none.
     Annotations are read through a view of the model's own tasks: a
-    phase-two model holds only its novel task.
+    phase-two model holds only its novel task. Per-video edges and
+    detection targets are computed on a video's first batch and kept in a
+    cache the loop drops when it returns.
     """
     rng = np.random.default_rng(cfg.seed)
     view = AnnotationView(model.tasks, model.world.lta_steps)
+    cache = VideoCache()
     owners = [(model.backbone.params(), cfg.base_lr)] + [
         (branch.params(), cfg.lr_for(name))
         for name, branch in model.branches.items()]
@@ -448,15 +473,16 @@ def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
         order = rng.permutation(len(videos))
         for lo in range(0, len(order), cfg.batch_videos):
             batch = [videos[i] for i in order[lo:lo + cfg.batch_videos]]
-            graph = build_batch_graph(batch, model.backbone_cfg.edge_rule)
+            graph = build_batch_graph(batch, model.backbone_cfg.edge_rule,
+                                      cache)
             with GradientTape() as tape:
-                stages = model.forward_backbone(graph)
+                stages = model.forward_backbone(graph, cache)
                 loss = None
                 for task, branch in model.branches.items():
                     feats = _stage_features(model, task, stages, batch,
                                             novel, translation)
                     term = task_loss(branch, feats, stages, batch, view,
-                                     model.world)
+                                     model.world, cache)
                     loss = term if loss is None else add(loss, term)
             backward(tape, loss, leaves=all_params)
             for _, opt in groups:
@@ -792,10 +818,11 @@ def evaluate(model: MultiTaskModel, videos: list[VideoSample],
     """
     tasks = sorted(tasks or model.tasks)
     view = AnnotationView(tasks, model.world.lta_steps)
+    cache = VideoCache()
     records: dict[str, list] = {task: [] for task in tasks}
     for idx, video in enumerate(videos):
-        stages = model.forward_backbone(
-            build_batch_graph([video], model.backbone_cfg.edge_rule))
+        stages = model.forward_backbone(build_batch_graph(
+            [video], model.backbone_cfg.edge_rule, cache), cache)
         for task in tasks:
             feats = _stage_features(model, task, stages, [video], novel,
                                     translation)

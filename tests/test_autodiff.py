@@ -217,6 +217,64 @@ def test_segment_ops_forward_and_empty_segments():
     assert np.array_equal(x.data, [[3.0, 4.0], [0.0, 0.0], [5.0, 6.0], [0.0, 0.0]])
 
 
+def _add_at(values, ids, num_segments):
+    """The scatter the segment kernel replaces: ``np.add.at`` into zeros."""
+    out = np.zeros((num_segments,) + values.shape[1:])
+    np.add.at(out, ids, values)
+    return out
+
+
+def test_segment_kernel_equals_add_at_bytes():
+    """segment_sum, segment_mean and gather_rows' backward give the bytes of
+    ``np.add.at``: repeated ids, empty segments, signed zeros, infinities,
+    1-D and 2-D rows, zero-length input. Derandomized and without a shrink phase, so a
+    failure reports the same input every run and does not shrink for
+    minutes."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    settings = hyp.settings(max_examples=200, deadline=None,
+                            derandomize=True, database=None,
+                            phases=[p for p in hyp.Phase
+                                    if p is not hyp.Phase.shrink])
+    grid = (0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 5e-324, -5e-324, 1e300, -1e300,
+            np.inf, -np.inf)
+
+    @st.composite
+    def problems(draw):
+        segments = draw(st.integers(1, 6))
+        n = draw(st.integers(0, 24))
+        shape = draw(st.sampled_from(((n,), (n, 1), (n, 3))))
+        values = draw(st.lists(
+            st.one_of(st.sampled_from(grid), st.floats(-1e3, 1e3)),
+            min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        ids = draw(st.lists(st.integers(0, segments - 1),
+                            min_size=n, max_size=n))
+        return (np.array(values, dtype=np.float64).reshape(shape),
+                np.array(ids, dtype=np.intp), segments)
+
+    @settings
+    @hyp.given(problems())
+    @np.errstate(invalid="ignore")  # inf - inf is NaN on both sides
+    def check(problem):
+        values, ids, segments = problem
+        summed = _add_at(values, ids, segments)
+        assert (segment_sum(Tensor(values), ids, segments).data.tobytes()
+                == summed.tobytes())
+        counts = np.maximum(np.bincount(ids, minlength=segments), 1.0)
+        mean = summed / counts.reshape((-1,) + (1,) * (values.ndim - 1))
+        assert (segment_mean(Tensor(values), ids, segments).data.tobytes()
+                == mean.tobytes())
+        a = Tensor(np.zeros((segments,) + values.shape[1:]),
+                   requires_grad=True)
+        with GradientTape() as tape:
+            # the upstream gradient of the gathered rows is ``values``
+            loss = tsum(mul(gather_rows(a, ids), Tensor(values)))
+        backward(tape, loss)
+        assert a.grad.tobytes() == summed.tobytes()
+
+    check()
+
+
 def test_segment_gradients_numeric():
     rng = np.random.default_rng(8)
     a = rng.normal(size=(6, 3))

@@ -2,7 +2,8 @@
 
 Each entry of ``fingerprints.json`` is a sha256: of a run's trained
 parameters in ``params()`` order, of ``repr`` of its ``evaluate`` output
-(or of the order probe's result dict), or of one CLI output file. The runs
+(or of the order probe's result dict), of the forecast logits a novel lta
+model gives on the val videos, or of one CLI output file. The runs
 are tiny and execute in a subprocess pinned to one BLAS thread, so the
 bytes depend only on the code and the numeric stack. The file records that
 stack (numpy version, BLAS build, thread count); on any other stack the
@@ -12,7 +13,8 @@ A change that moves bytes on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_fingerprints.py --write
 
-and names every changed entry in CHANGES.md.
+and names every changed entry in CHANGES.md; it prints the names of the
+entries it added, removed and changed.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +65,28 @@ def _model_params(model) -> list:
         p for name in model.tasks for p in model.branches[name].params()]
 
 
+def _forecast_sha(model, novel, videos) -> str:
+    """sha256 of the verb and noun logits ``evaluate`` forecasts from, per
+    val video it scores."""
+    from tgk.synth import lta_annotations
+    from tgk.tasks import align_video_intervals, lta_forward
+    from tgk.training import _stage_features, build_batch_graph
+
+    h = hashlib.sha256()
+    for video in videos:
+        anchor, verbs, _ = lta_annotations(video, model.world.lta_steps)
+        if len(verbs) == 0 or anchor[1] <= 0:
+            continue
+        stages = model.forward_backbone(
+            build_batch_graph([video], model.backbone_cfg.edge_rule))
+        feats = _stage_features(model, "lta", stages, [video], novel)
+        context, _ = align_video_intervals(feats[0], stages[0].graph, 0,
+                                           np.array([anchor]))
+        for logits in lta_forward(model.branches["lta"].heads["lta"], context):
+            h.update(logits.data.tobytes())
+    return h.hexdigest()
+
+
 def _stack() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
@@ -74,6 +99,7 @@ def compute() -> dict:
     """Every fingerprint, keyed by run; run this pinned to one thread."""
     from tgk.ablation import OrderProbeConfig, train_order_probe
     from tgk.cli import main
+    from tgk.hierarchy import BackboneConfig
     from tgk.layers import LAYER_KINDS
     from tgk.synth import SynthConfig, generate_dataset
     from tgk.training import (
@@ -98,6 +124,18 @@ def compute() -> dict:
         singles[task] = run_single(task, ds, cfg)
         record(f"single/{task}", singles[task],
                evaluate(singles[task], ds.val, cfg))
+    # The 4-stage pyramid under every other layer kind and pooling. The
+    # poolings run on 15-segment videos: with an even count every video of
+    # a batch starts at an even offset, and batch-ss keeps what video-ss
+    # keeps.
+    odd = generate_dataset(replace(ds.config, segments_per_video=15))
+    for name, data, bb in (
+            [(f"layer={k}", ds, BackboneConfig(layer_kind=k))
+             for k in sorted(LAYER_KINDS) if k != "tdgc"]
+            + [(f"pooling={p}", odd, BackboneConfig(pooling=p))
+               for p in ("max", "video-ss", "batch-ss")]):
+        model = run_single("mq", data, cfg, backbone_cfg=bb)
+        record(f"single/mq/{name}", model, evaluate(model, data.val, cfg))
     mtl = run_mtl(("ar", "lta", "mq", "oscc", "pnr"), ds, cfg)
     record("mtl/ar,lta,mq,oscc,pnr", mtl, evaluate(mtl, ds.val, cfg))
 
@@ -111,6 +149,9 @@ def compute() -> dict:
             model, novel = run_novel(task, ds, cfg, support, **kwargs)
             record(f"novel/{arm}/{task}", model,
                    evaluate(model, ds.val, cfg, novel=novel))
+            if task == "lta":
+                out[f"novel/{arm}/lta/forecast"] = _forecast_sha(
+                    model, novel, ds.val)
     # support models are frozen by the translation arm, after their own
     # fingerprints are taken
     model, tm = run_translation("mq", ds, cfg,
@@ -175,8 +216,19 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--print"]:
         print(json.dumps({"stack": _stack(), "fingerprints": compute()}))
     elif sys.argv[1:] == ["--write"]:
-        RECORD.write_text(json.dumps(run_pinned(), indent=2, sort_keys=True)
-                          + "\n")
+        old = (json.loads(RECORD.read_text())["fingerprints"]
+               if RECORD.exists() else {})
+        result = run_pinned()
+        RECORD.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
         print(f"wrote {RECORD}")
+        new = result["fingerprints"]
+        for label, names in (
+                ("added", sorted(new.keys() - old.keys())),
+                ("removed", sorted(old.keys() - new.keys())),
+                ("changed", sorted(k for k in new.keys() & old.keys()
+                                   if new[k] != old[k]))):
+            print(f"{label}: {len(names)}")
+            for name in names:
+                print(f"  {name}")
     else:
         raise SystemExit("usage: test_fingerprints.py --write | --print")

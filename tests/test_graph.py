@@ -139,6 +139,20 @@ def test_video_of_and_slices():
     assert g.num_videos == 2
 
 
+def test_video_of_equals_boundary_loop():
+    rng = np.random.default_rng(4)
+    for sizes in ([], [0], [3], [2, 0, 5], list(rng.integers(0, 6, 30))):
+        bounds = np.cumsum([0] + list(sizes))
+        n = int(bounds[-1])
+        g = TemporalGraph(np.zeros((n, 1)), np.zeros(n), np.empty((0, 2)),
+                          video_boundaries=bounds)
+        loop = np.zeros(n, dtype=np.intp)
+        for v in range(len(sizes)):
+            loop[bounds[v]:bounds[v + 1]] = v
+        assert g.video_of().dtype == loop.dtype
+        assert np.array_equal(g.video_of(), loop)
+
+
 def test_neighbors_of_sorted_unique():
     edges = np.array([[0, 2], [0, 1], [0, 2], [1, 0]])
     g = TemporalGraph(np.zeros((3, 1)), np.arange(3.0), edges)

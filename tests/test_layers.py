@@ -20,6 +20,7 @@ from tgk.layers import (
     SageParams,
     SgcnParams,
     TdgcParams,
+    _loop_degrees,
     gat_forward,
     gcn_forward,
     sage_forward,
@@ -144,6 +145,16 @@ def test_tdgc_ablation_flags_match_dense_loop():
             t.data += rng.normal(scale=0.3, size=t.shape)
         got = tdgc_forward(p, g, Tensor(g.features)).data
         assert np.allclose(got, tdgc_oracle(p, g, g.features), atol=1e-12)
+
+
+def test_loop_degrees_equal_add_at_loop():
+    rng = np.random.default_rng(6)
+    for n, window in ((1, 2.5), (12, 0.01), (12, 2.5), (30, 6.0)):
+        g = random_graph(rng, n=n, window=window, videos=1)
+        deg = np.ones(g.num_nodes)
+        if len(g.edges):
+            np.add.at(deg, g.edges[:, 0], 1.0)
+        assert _loop_degrees(g).tobytes() == deg.tobytes()
 
 
 def test_gcn_matches_dense_loop():

@@ -283,6 +283,25 @@ def test_detection_loss_records_do_not_grow_with_the_batch():
     assert loss_records(ds.train[:2]) == loss_records(ds.train[:6])
 
 
+def test_detection_targets_compile_once_per_video_and_stage(monkeypatch):
+    calls = []
+    real = training.mq_targets
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "mq_targets", counting)
+    ds = tiny_dataset()
+    run_single("mq", ds, small_cfg(epochs=3))
+    # 8 videos x 4 stages; recomputing per step would make 3 x 8 x 4
+    assert len(ds.train) == 8 and len(calls) == 8 * 4
+    assert sorted(set(calls)) == [1, 2, 3, 4]
+    # a second run compiles again: no state outlives a run
+    run_single("mq", ds, small_cfg(epochs=3))
+    assert len(calls) == 2 * 8 * 4
+
+
 def flat_video(world, rng) -> VideoSample:
     """One event without a state change: no keyframe, no forecast."""
     return VideoSample(
