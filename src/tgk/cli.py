@@ -34,12 +34,15 @@ from .ablation import (
     OrderProbeConfig, run_ablation_grid, run_order_separation,
     run_tdgc_ablations,
 )
-from .config import ExperimentConfig, load_config, save_config, validate_config
+from .config import (
+    POOLINGS, ExperimentConfig, load_config, save_config, validate_config,
+)
 from .egopack import (
     activation_consensus, activation_histogram, knn_match, load_bank,
     save_bank,
 )
 from .hierarchy import BackboneConfig
+from .layers import LAYER_KINDS
 from .persist import load_model, load_run, save_run
 from .synth import (
     SynthConfig, SynthDataset, generate_dataset, load_dataset, save_dataset,
@@ -331,11 +334,17 @@ def _cmd_train_novel(args) -> int:
 def _cmd_ablate(args) -> int:
     run_dir = Path(args.out)
     seeds = [int(s) for s in args.seeds.split(",")]
+    kinds, poolings = args.kinds.split(","), args.poolings.split(",")
+    for flag, values, known in (("--kinds", kinds, LAYER_KINDS),
+                                ("--poolings", poolings, POOLINGS)):
+        for value in values:
+            if value not in known:
+                raise SystemExit(f"{flag}: unknown entry {value!r}; choose "
+                                 f"from {', '.join(sorted(known))}")
     if args.mode == "order":
         probe = OrderProbeConfig(num_windows=args.windows, noise=args.noise,
                                  epochs=args.epochs,
                                  warmup_epochs=min(5, args.epochs - 1))
-        kinds = args.kinds.split(",")
         separation = run_order_separation(kinds, seeds, probe)
         ablations = run_tdgc_ablations(seeds, probe)
         rows = [(k, f"{v['mean']:.2f}",
@@ -360,8 +369,7 @@ def _cmd_ablate(args) -> int:
                                 warmup_epochs=min(3, args.epochs - 1),
                                 seed=seeds[0])
         records = run_ablation_grid(
-            data_cfg, train_cfg, layer_kinds=args.kinds.split(","),
-            poolings=args.poolings.split(","),
+            data_cfg, train_cfg, layer_kinds=kinds, poolings=poolings,
             thresholds=[float(t) for t in args.thresholds.split(",")],
             seeds=seeds)
         _write_table(run_dir, "ablation_grid",

@@ -78,9 +78,9 @@ DESIGN_MAP: tuple[MapEntry, ...] = (
              "tasks:neck_forward",
              "two-layer dimension-preserving projection per task"),
     MapEntry("interval-alignment",
-             "tasks:align_intervals",
-             "mean over nodes strictly inside an interval, nearest-node "
-             "fallback when empty"),
+             "tasks:interval_nodes",
+             "nodes strictly inside each interval from one (intervals x "
+             "nodes) comparison, nearest-node fallback when empty"),
     MapEntry("recognition-head",
              "tasks:classifier_forward",
              "two-layer MLP over aligned features"),

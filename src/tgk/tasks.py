@@ -35,7 +35,7 @@ __all__ = [
     "NeckParams", "neck_forward", "ClassifierParams", "classifier_forward",
     "ScorerParams", "scorer_forward", "LtaParams", "lta_forward",
     "lta_candidates", "MqParams", "mq_forward", "mq_decode", "mq_targets",
-    "align_intervals", "align_video_intervals",
+    "interval_nodes", "align_intervals", "align_video_intervals",
     "bce_with_logits", "focal_loss", "diou_loss",
 ]
 
@@ -65,32 +65,37 @@ def neck_forward(p: NeckParams, x: Tensor) -> Tensor:
     return add(matmul(relu(add(matmul(x, p.w1), p.b1)), p.w2), p.b2)
 
 
-def align_intervals(x: Tensor, positions_s: np.ndarray,
-                    intervals: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Average node features over each time interval.
+def interval_nodes(positions_s: np.ndarray, intervals: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes each interval covers, from one (intervals x nodes)
+    comparison.
 
     A node belongs to interval (start, end) when start < t < end, both
     strict. An interval capturing no node falls back to the single node
-    nearest its midpoint; the second return value flags those rows.
-    ``positions_s`` and ``x`` must come from one video so times compare.
+    nearest its midpoint, the first on ties; ``fallback`` flags those
+    intervals. Returns (nodes, ids, fallback), one (node, interval id)
+    pair per membership, interval-major with nodes ascending.
     """
-    intervals = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
-    m = intervals.shape[0]
-    member_nodes: list[np.ndarray] = []
-    member_ids: list[np.ndarray] = []
-    fallback = np.zeros(m, dtype=bool)
-    for i, (start, end) in enumerate(intervals):
-        inside = np.nonzero((positions_s > start) & (positions_s < end))[0]
-        if len(inside) == 0:
-            mid = 0.5 * (start + end)
-            inside = np.array([np.argmin(np.abs(positions_s - mid))], dtype=np.intp)
-            fallback[i] = True
-        member_nodes.append(inside)
-        member_ids.append(np.full(len(inside), i, dtype=np.intp))
-    nodes = np.concatenate(member_nodes)
-    ids = np.concatenate(member_ids)
-    pooled = segment_mean(gather_rows(x, nodes), ids, m)
-    return pooled, fallback
+    pos = np.asarray(positions_s, dtype=np.float64)
+    ivals = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+    inside = (pos > ivals[:, :1]) & (pos < ivals[:, 1:])
+    fallback = ~inside.any(axis=1)
+    empty = np.nonzero(fallback)[0]
+    mid = 0.5 * (ivals[empty, 0] + ivals[empty, 1])
+    inside[empty, np.argmin(np.abs(pos - mid[:, None]), axis=1)] = True
+    ids, nodes = np.nonzero(inside)
+    return nodes, ids, fallback
+
+
+def align_intervals(x: Tensor, positions_s: np.ndarray,
+                    intervals: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Average node features over each time interval's ``interval_nodes``;
+    the second return value flags the intervals that fell back to one
+    node. ``positions_s`` and ``x`` must come from one video so times
+    compare.
+    """
+    nodes, ids, fallback = interval_nodes(positions_s, intervals)
+    return segment_mean(gather_rows(x, nodes), ids, len(fallback)), fallback
 
 
 def align_video_intervals(x: Tensor, g: TemporalGraph, video: int,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .autodiff import (
     GradientTape, Tensor, add, backward, concat_rows, cross_entropy_rows,
-    gather_rows, mul,
+    gather_rows, mul, segment_mean,
 )
 from .egopack import (
     InteractionParams, PrototypeBank, build_prototypes, fuse_features,
@@ -51,8 +51,8 @@ from .synth import (
 from .tasks import (
     ClassifierParams, LtaParams, MqParams, NeckParams, ScorerParams,
     align_video_intervals, bce_with_logits, classifier_forward, diou_loss,
-    focal_loss, lta_candidates, lta_forward, mq_decode, mq_forward,
-    mq_targets, neck_forward, scorer_forward,
+    focal_loss, interval_nodes, lta_candidates, lta_forward, mq_decode,
+    mq_forward, mq_targets, neck_forward, scorer_forward,
 )
 from .translation import TranslationParams, translation_forward
 
@@ -250,82 +250,92 @@ def _freeze(params: list[Tensor]) -> None:
 # per-task losses on one batch
 # ---------------------------------------------------------------------------
 
-def _interval_class_loss(necked: Tensor, graph: TemporalGraph,
-                         videos: list[VideoSample], view: AnnotationView,
+_CLASS_HEADS = {"ar": ("verb", "noun"), "oscc": ("cls",)}
+
+
+def _first_min(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Per run of equal ``ids`` (ascending), the index into ``values`` of
+    the run's first smallest value."""
+    order = np.lexsort((values, ids))
+    return order[np.flatnonzero(np.diff(ids, prepend=-1))]
+
+
+def _covered_nodes(positions_s: np.ndarray, ivals: np.ndarray):
+    """``interval_nodes`` of the intervals that cover a node: (nodes, ids)."""
+    nodes, ids, fallback = interval_nodes(positions_s, ivals)
+    covered = ~fallback[ids]
+    return nodes[covered], ids[covered]
+
+
+def _batch_targets(task: str, g: TemporalGraph, videos: list[VideoSample],
+                   view: AnnotationView, world: WorldInfo,
+                   cache: VideoCache) -> list:
+    """Per batch video, its supervision for ``task`` at ``g``'s stage,
+    computed once per cache, with node indices local to the video:
+
+      - ar, oscc: ``interval_nodes``' (nodes, interval ids), then labels;
+      - pnr: the (nodes, 0/1 targets) of every interval that covers a
+        node, 1 at its first node nearest the keyframe;
+      - mq: ``mq_targets`` with offsets in seconds;
+      - lta: (anchors, logit rows, verbs, nouns) of the instances with a
+        future.
+
+    The loop that owns the cache holds every video it caches, so
+    ``id(video)`` names one video.
+    """
+    def compute(video, pos):
+        if task == "lta":
+            kept = [inst for inst in view.annotations(video, "lta_train")
+                    if len(inst[1])]
+            anchors = np.array([anchor for anchor, _, _ in kept]).reshape(-1, 2)
+            rows = [m * world.lta_steps + j
+                    for m, (_, verbs, _) in enumerate(kept)
+                    for j in range(len(verbs))]
+            verbs, nouns = (np.array([y for inst in kept for y in inst[col]],
+                                     dtype=np.intp) for col in (1, 2))
+            return anchors, np.array(rows, dtype=np.intp), verbs, nouns
+        ivals, *labels = view.annotations(video, task)
+        if task == "mq":
+            cls_t, off_t, pos_mask = mq_targets(pos, g.stage, ivals, labels[0],
+                                                world.mq_classes)
+            return cls_t, off_t * 2.0 ** (g.stage - 1), pos_mask
+        if task == "pnr":
+            nodes, ids = _covered_nodes(pos, ivals)
+            targets = np.zeros(len(nodes))
+            targets[_first_min(np.abs(pos[nodes] - labels[0][ids]), ids)] = 1.0
+            return nodes, targets
+        return (*interval_nodes(pos, ivals)[:2], *labels)
+
+    per_video = np.split(g.positions_s, g.video_boundaries[1:-1])
+    return [cache.get((task, id(video), g.stage, pos.tobytes()),
+                      lambda: compute(video, pos))
+            for video, pos in zip(videos, per_video)]
+
+
+def _interval_class_loss(necked: Tensor, graph: TemporalGraph, parts: list,
                          task: str, heads: dict) -> Tensor:
-    """CE over aligned intervals; covers recognition and state change."""
-    rows, verb_labels, noun_labels, flat_labels = [], [], [], []
-    for vi, video in enumerate(videos):
-        ann = view.annotations(video, task)
-        if task == "ar":
-            ivals, verbs, nouns = ann
-            verb_labels.append(verbs)
-            noun_labels.append(nouns)
-        else:
-            ivals, labels = ann
-            flat_labels.append(labels)
-        aligned, _ = align_video_intervals(necked, graph, vi, ivals)
-        rows.append(aligned)
-    pooled = concat_rows(rows)
-    if task == "ar":
-        verb_logits = classifier_forward(heads["verb"], pooled)
-        noun_logits = classifier_forward(heads["noun"], pooled)
-        return add(cross_entropy_rows(verb_logits, np.concatenate(verb_labels)),
-                   cross_entropy_rows(noun_logits, np.concatenate(noun_labels)))
-    logits = classifier_forward(heads["cls"], pooled)
-    return cross_entropy_rows(logits, np.concatenate(flat_labels))
+    """CE over aligned intervals; covers recognition and state change. One
+    gather and one segment mean pool every interval of the batch."""
+    counts = [len(part[2]) for part in parts]
+    nodes = np.concatenate([part[0] + lo for part, lo
+                            in zip(parts, graph.video_boundaries)])
+    ids = np.concatenate([part[1] + lo for part, lo
+                          in zip(parts, np.cumsum([0] + counts))])
+    pooled = segment_mean(gather_rows(necked, nodes), ids, sum(counts))
+    logits = [classifier_forward(heads[h], pooled) for h in _CLASS_HEADS[task]]
+    terms = [cross_entropy_rows(z, np.concatenate([part[2 + i] for part in parts]))
+             for i, z in enumerate(logits)]
+    return terms[0] if len(terms) == 1 else add(*terms)
 
 
-def _pnr_node_targets(graph: TemporalGraph, vi: int, ivals: np.ndarray,
-                      times: np.ndarray):
-    """Node indices and 0/1 keyframe targets inside annotated intervals."""
-    sl = graph.video_slice(vi)
-    pos = graph.positions_s[sl]
-    node_idx, targets = [], []
-    for (start, end), key_t in zip(ivals, times):
-        inside = np.nonzero((pos > start) & (pos < end))[0]
-        if len(inside) == 0:
-            continue
-        nearest = inside[np.argmin(np.abs(pos[inside] - key_t))]
-        for i in inside:
-            node_idx.append(sl.start + i)
-            targets.append(1.0 if i == nearest else 0.0)
-    return np.asarray(node_idx, dtype=np.intp), np.asarray(targets)
-
-
-def _pnr_loss(necked: Tensor, graph: TemporalGraph,
-              videos: list[VideoSample], view: AnnotationView,
+def _pnr_loss(necked: Tensor, graph: TemporalGraph, parts: list,
               heads: dict) -> Tensor:
-    idx_parts, tgt_parts = [], []
-    for vi, video in enumerate(videos):
-        ivals, times = view.annotations(video, "pnr")
-        if len(ivals) == 0:
-            continue
-        idx, tgt = _pnr_node_targets(graph, vi, ivals, times)
-        if len(idx):
-            idx_parts.append(idx)
-            tgt_parts.append(tgt)
-    if not idx_parts:
+    nodes = np.concatenate([n + lo for (n, _), lo
+                            in zip(parts, graph.video_boundaries)])
+    if not len(nodes):
         return Tensor(0.0)
-    logits = scorer_forward(heads["scorer"], gather_rows(necked, np.concatenate(idx_parts)))
-    return bce_with_logits(logits, np.concatenate(tgt_parts))
-
-
-def _video_mq_targets(video: VideoSample, g: TemporalGraph, vi: int,
-                      view: AnnotationView, world: WorldInfo,
-                      cache: VideoCache):
-    """``mq_targets`` of batch video ``vi`` at ``g``'s stage with offsets
-    in seconds, computed once per cache. The loop that owns the cache
-    holds every video it caches, so ``id(video)`` names one video."""
-    pos = g.positions_s[g.video_slice(vi)]
-
-    def compute():
-        ivals, cats = view.annotations(video, "mq")
-        cls_t, off_t, pos_mask = mq_targets(pos, g.stage, ivals, cats,
-                                            world.mq_classes)
-        return cls_t, off_t * 2.0 ** (g.stage - 1), pos_mask
-
-    return cache.get(("mq", id(video), g.stage, pos.tobytes()), compute)
+    logits = scorer_forward(heads["scorer"], gather_rows(necked, nodes))
+    return bce_with_logits(logits, np.concatenate([t for _, t in parts]))
 
 
 def _mq_loss(stage_features: list[Tensor], stages: list[StageOutput],
@@ -343,8 +353,7 @@ def _mq_loss(stage_features: list[Tensor], stages: list[StageOutput],
         stage_scores, stage_offsets = mq_forward(heads["mq"], necked, g.stage)
         scores.append(stage_scores)
         offsets.append(stage_offsets)
-        targets.extend(_video_mq_targets(video, g, vi, view, world, cache)
-                       for vi, video in enumerate(videos))
+        targets.extend(_batch_targets("mq", g, videos, view, world, cache))
     cls_t, off_t, pos_mask = (np.concatenate(parts) for parts in zip(*targets))
     positives = np.nonzero(pos_mask)[0]
     loss = focal_loss(concat_rows(scores), cls_t,
@@ -359,30 +368,16 @@ def _mq_loss(stage_features: list[Tensor], stages: list[StageOutput],
     return loss
 
 
-def _lta_loss(necked: Tensor, graph: TemporalGraph,
-              videos: list[VideoSample], view: AnnotationView,
+def _lta_loss(necked: Tensor, graph: TemporalGraph, parts: list,
               heads: dict) -> Tensor:
-    steps = heads["lta"].num_steps
     terms = []
-    for vi, video in enumerate(videos):
-        instances = view.annotations(video, "lta_train")
-        instances = [inst for inst in instances if len(inst[1])]
-        if not instances:
+    for vi, (anchors, rows, verbs, nouns) in enumerate(parts):
+        if not len(anchors):
             continue
-        anchors = np.array([inst[0] for inst in instances])
         contexts, _ = align_video_intervals(necked, graph, vi, anchors)
         verb_logits, noun_logits = lta_forward(heads["lta"], contexts)
-        rows, verbs, nouns = [], [], []
-        for m, (_, vs, ns) in enumerate(instances):
-            rows.extend(range(m * steps, m * steps + len(vs)))
-            verbs.extend(vs)
-            nouns.extend(ns)
-        rows = np.array(rows, dtype=np.intp)
-        terms.append(add(
-            cross_entropy_rows(gather_rows(verb_logits, rows),
-                               np.array(verbs, dtype=np.intp)),
-            cross_entropy_rows(gather_rows(noun_logits, rows),
-                               np.array(nouns, dtype=np.intp))))
+        terms.append(add(cross_entropy_rows(gather_rows(verb_logits, rows), verbs),
+                         cross_entropy_rows(gather_rows(noun_logits, rows), nouns)))
     if not terms:
         return Tensor(0.0)
     total = terms[0]
@@ -398,22 +393,24 @@ def task_loss(branch: TaskBranch, stage_features: list[Tensor],
     """Loss of one task on one batch, given its necked features per stage.
 
     Dense tasks consume only the full-resolution stage; the detection
-    task consumes every stage, with its targets from ``cache``.
+    task consumes every stage. Every task's targets come per (video,
+    stage) from ``cache``.
     """
+    cache = VideoCache() if cache is None else cache
+    task = branch.task
+    if task == "mq":
+        return _mq_loss(stage_features, stages, videos, view, branch.heads,
+                        world, cache)
     graph = stages[DENSE_STAGE].graph
+    parts = _batch_targets(task, graph, videos, view, world, cache)
     necked = stage_features[DENSE_STAGE]
-    if branch.task in ("ar", "oscc"):
-        return _interval_class_loss(necked, graph, videos, view,
-                                    branch.task, branch.heads)
-    if branch.task == "pnr":
-        return _pnr_loss(necked, graph, videos, view, branch.heads)
-    if branch.task == "mq":
-        return _mq_loss(stage_features, stages, videos, view,
-                        branch.heads, world,
-                        VideoCache() if cache is None else cache)
-    if branch.task == "lta":
-        return _lta_loss(necked, graph, videos, view, branch.heads)
-    raise ValueError(f"unknown task {branch.task!r}")
+    if task in _CLASS_HEADS:
+        return _interval_class_loss(necked, graph, parts, task, branch.heads)
+    if task == "pnr":
+        return _pnr_loss(necked, graph, parts, branch.heads)
+    if task == "lta":
+        return _lta_loss(necked, graph, parts, branch.heads)
+    raise ValueError(f"unknown task {task!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +446,10 @@ def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
     branch get their own Adam at their own learning rate, over the
     parameters that require grad, so a frozen backbone gets none.
     Annotations are read through a view of the model's own tasks: a
-    phase-two model holds only its novel task. Per-video edges and
-    detection targets are computed on a video's first batch and kept in a
-    cache the loop drops when it returns.
+    phase-two model holds only its novel task. Per-video edges and every
+    task's targets are computed on a video's first batch and kept in a
+    cache the loop drops when it returns. A task loss that is not finite
+    raises ``FloatingPointError`` before any weight moves.
     """
     rng = np.random.default_rng(cfg.seed)
     view = AnnotationView(model.tasks, model.world.lta_steps)
@@ -483,6 +481,10 @@ def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
                                             novel, translation)
                     term = task_loss(branch, feats, stages, batch, view,
                                      model.world, cache)
+                    if not np.isfinite(term.data).all():
+                        raise FloatingPointError(
+                            f"{task} loss is {float(term.data)} at epoch "
+                            f"{epoch}")
                     loss = term if loss is None else add(loss, term)
             backward(tape, loss, leaves=all_params)
             for _, opt in groups:
@@ -699,9 +701,6 @@ def run_translation(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
 # evaluation
 # ---------------------------------------------------------------------------
 
-_CLASS_HEADS = {"ar": ("verb", "noun"), "oscc": ("cls",)}
-
-
 def _predict_video(task: str, branch: TaskBranch, feats: list[Tensor],
                    stages: list[StageOutput], video: VideoSample, idx: int,
                    view: AnnotationView, cfg: TrainConfig):
@@ -717,13 +716,9 @@ def _predict_video(task: str, branch: TaskBranch, feats: list[Tensor],
     if task == "pnr":
         ivals, times = view.annotations(video, "pnr")
         scores = scorer_forward(branch.heads["scorer"], necked).data[:, 0]
-        pos = graph.positions_s
-        pairs = []
-        for (start, end), key_t in zip(ivals, times):
-            inside = np.nonzero((pos > start) & (pos < end))[0]
-            if len(inside):
-                pairs.append((pos[inside[np.argmax(scores[inside])]], key_t))
-        return pairs
+        nodes, ids = _covered_nodes(graph.positions_s, ivals)
+        picks = nodes[_first_min(-scores[nodes], ids)]
+        return list(zip(graph.positions_s[picks], times[np.unique(ids)]))
     if task == "mq":
         ivals, cats = view.annotations(video, "mq")
         cands = []  # (intervals, scores, classes) per stage

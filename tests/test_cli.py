@@ -519,6 +519,23 @@ def test_ablate_grid(tmp_path):
     assert (out / "tables" / "ablation_grid.csv").is_file()
 
 
+@pytest.mark.parametrize("mode,flag,value", [
+    ("order", "--kinds", "tdgc,foo"), ("grid", "--kinds", "foo"),
+    ("grid", "--poolings", "mean,avg"), ("order", "--poolings", "avg")])
+def test_ablate_rejects_unknown_kind_or_pooling(tmp_path, capsys, mode, flag,
+                                                value):
+    out = tmp_path / "abl"
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--mode", mode, "--out", str(out), "--seeds", "0",
+              "--windows", "40", "--epochs", "2", "--train-videos", "4",
+              "--val-videos", "2", "--segments", "16", flag, value])
+    message = str(exc.value.code)
+    assert message.startswith(f"{flag}: unknown entry ")
+    assert "\n" not in message and repr(value.split(",")[-1]) in message
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Byte fingerprints of every training arm, checked against a recorded file.
 
 Each entry of ``fingerprints.json`` is a sha256: of a run's trained
-parameters in ``params()`` order, of ``repr`` of its ``evaluate`` output
-(or of the order probe's result dict), of the forecast logits a novel lta
-model gives on the val videos, or of one CLI output file. The runs
-are tiny and execute in a subprocess pinned to one BLAS thread, so the
-bytes depend only on the code and the numeric stack. The file records that
-stack (numpy version, BLAS build, thread count); on any other stack the
-test skips and names the difference rather than compare loosely.
+parameters in ``params()`` order, of ``repr`` of its ``evaluate`` output,
+of the logits of the order probe's final scoring pass, of the forecast
+logits a novel lta model gives on the val videos, or of one CLI output
+file. The runs are tiny and execute in a subprocess pinned to one BLAS
+thread, so the bytes depend only on the code and the numeric stack. The
+file records that stack (numpy version, BLAS build, thread count); on any
+other stack the test skips and names the difference rather than compare
+loosely.
 
 A change that moves bytes on purpose regenerates the file with
 
@@ -97,11 +98,13 @@ def _stack() -> dict:
 
 def compute() -> dict:
     """Every fingerprint, keyed by run; run this pinned to one thread."""
+    from tgk import ablation
     from tgk.ablation import OrderProbeConfig, train_order_probe
     from tgk.cli import main
     from tgk.hierarchy import BackboneConfig
     from tgk.layers import LAYER_KINDS
     from tgk.synth import SynthConfig, generate_dataset
+    from tgk.tasks import classifier_forward
     from tgk.training import (
         TrainConfig, build_prototype_banks, evaluate, run_mtl, run_novel,
         run_single, run_translation,
@@ -159,14 +162,26 @@ def compute() -> dict:
     record("translation/mq", model, evaluate(model, ds.val, cfg,
                                              translation=tm))
 
+    # The probe's accuracies sit at chance for several layer kinds, so each
+    # entry hashes the logits of the probe's final scoring pass instead.
     probe = OrderProbeConfig(num_windows=1000, epochs=2, warmup_epochs=0)
     variants = [(kind, {}) for kind in sorted(LAYER_KINDS)] + [
         ("tdgc-no-sign", {"disable_sign": True}),
         ("tdgc-no-gate", {"disable_gate": True})]
-    for name, flags in variants:
-        kind = name if name in LAYER_KINDS else "tdgc"
-        result = train_order_probe(kind, 0, probe, **flags)
-        out[f"order_probe/{name}"] = _sha(repr(result).encode())
+    last = {}
+
+    def capturing(p, x):
+        last["logits"] = classifier_forward(p, x)
+        return last["logits"]
+
+    ablation.classifier_forward = capturing
+    try:
+        for name, flags in variants:
+            kind = name if name in LAYER_KINDS else "tdgc"
+            train_order_probe(kind, 0, probe, **flags)
+            out[f"order_probe/{name}"] = _sha(last["logits"].data.tobytes())
+    finally:
+        ablation.classifier_forward = classifier_forward
 
     with tempfile.TemporaryDirectory(prefix="tgk_fp_") as tmp:
         ws = Path(tmp)
@@ -210,6 +225,13 @@ def test_fingerprints_match_record():
     moved = [name for name, sha in recorded["fingerprints"].items()
              if got["fingerprints"][name] != sha]
     assert moved == []
+
+
+def test_order_probe_entries_tell_every_variant_apart():
+    recorded = json.loads(RECORD.read_text())["fingerprints"]
+    probes = [sha for name, sha in recorded.items()
+              if name.startswith("order_probe/")]
+    assert len(probes) == 8 and len(set(probes)) == len(probes)
 
 
 if __name__ == "__main__":

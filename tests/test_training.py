@@ -10,6 +10,7 @@ gradients cannot reach the backbone through an interaction branch.
 
 import copy
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -262,13 +263,15 @@ def test_every_task_loss_is_finite_and_differentiable():
         assert neck_norm > 0.0, task
 
 
-def test_detection_loss_records_do_not_grow_with_the_batch():
+@pytest.mark.parametrize("task", ["ar", "oscc", "pnr", "mq"])
+def test_detection_loss_records_do_not_grow_with_the_batch(task):
     ds = tiny_dataset()
     world = WorldInfo.from_dataset(ds)
-    cfg = BackboneConfig(d_in=world.dim, d_model=world.dim, num_stages=4)
-    model = MultiTaskModel.init(np.random.default_rng(2), ["mq"], world, cfg)
-    branch = model.branches["mq"]
-    view = AnnotationView(["mq"], world.lta_steps)
+    cfg = BackboneConfig(d_in=world.dim, d_model=world.dim,
+                         num_stages=stage_count_for([task]))
+    model = MultiTaskModel.init(np.random.default_rng(2), [task], world, cfg)
+    branch = model.branches[task]
+    view = AnnotationView([task], world.lta_steps)
 
     def loss_records(batch):
         stages = model.forward_backbone(
@@ -279,7 +282,8 @@ def test_detection_loss_records_do_not_grow_with_the_batch():
         assert loss.data > 0.0
         return len(tape.records)
 
-    # the head reads each stage whole: the tape holds per-stage records only
+    # the head reads each stage whole, and one gather and one segment mean
+    # pool every interval: the tape holds per-stage records only
     assert loss_records(ds.train[:2]) == loss_records(ds.train[:6])
 
 
@@ -300,6 +304,151 @@ def test_detection_targets_compile_once_per_video_and_stage(monkeypatch):
     # a second run compiles again: no state outlives a run
     run_single("mq", ds, small_cfg(epochs=3))
     assert len(calls) == 2 * 8 * 4
+
+    # the interval tasks read each video's annotations once per loop, not
+    # once per step
+    reads = []
+
+    def counting_read(name):
+        real_read = getattr(training, name)
+
+        def read(video):
+            reads.append(name)
+            return real_read(video)
+        return read
+
+    names = ("ar_annotations", "oscc_annotations", "pnr_annotations")
+    for name in names:
+        monkeypatch.setattr(training, name, counting_read(name))
+    run_mtl(["ar", "oscc", "pnr"], ds, small_cfg(epochs=3))
+    assert sorted(reads) == sorted(names * len(ds.train))
+
+
+# The parent implementation's three copies of the strict-interior rule,
+# kept verbatim as oracles for ``interval_nodes`` and its two pnr readers.
+
+def _loop_align_nodes(positions_s, intervals):
+    """``align_intervals``' per-interval loop, returning the members it
+    pooled over instead of pooling them."""
+    intervals = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+    m = intervals.shape[0]
+    member_nodes: list[np.ndarray] = []
+    member_ids: list[np.ndarray] = []
+    fallback = np.zeros(m, dtype=bool)
+    for i, (start, end) in enumerate(intervals):
+        inside = np.nonzero((positions_s > start) & (positions_s < end))[0]
+        if len(inside) == 0:
+            mid = 0.5 * (start + end)
+            inside = np.array([np.argmin(np.abs(positions_s - mid))], dtype=np.intp)
+            fallback[i] = True
+        member_nodes.append(inside)
+        member_ids.append(np.full(len(inside), i, dtype=np.intp))
+    nodes = np.concatenate(member_nodes)
+    ids = np.concatenate(member_ids)
+    return nodes, ids, fallback
+
+
+def _pnr_node_targets(graph, vi, ivals, times):
+    """Node indices and 0/1 keyframe targets inside annotated intervals."""
+    sl = graph.video_slice(vi)
+    pos = graph.positions_s[sl]
+    node_idx, targets = [], []
+    for (start, end), key_t in zip(ivals, times):
+        inside = np.nonzero((pos > start) & (pos < end))[0]
+        if len(inside) == 0:
+            continue
+        nearest = inside[np.argmin(np.abs(pos[inside] - key_t))]
+        for i in inside:
+            node_idx.append(sl.start + i)
+            targets.append(1.0 if i == nearest else 0.0)
+    return np.asarray(node_idx, dtype=np.intp), np.asarray(targets)
+
+
+def _loop_pnr_pairs(pos, scores, ivals, times):
+    """``_predict_video``'s pnr pick loop."""
+    pairs = []
+    for (start, end), key_t in zip(ivals, times):
+        inside = np.nonzero((pos > start) & (pos < end))[0]
+        if len(inside):
+            pairs.append((pos[inside[np.argmax(scores[inside])]], key_t))
+    return pairs
+
+
+def test_interval_rule_equals_the_loops_exactly():
+    """``interval_nodes``, the pnr targets and the pnr picks give the bytes
+    of the loops they replace, on tie-heavy inputs: bounds on node times,
+    keyframes and midpoints between nodes, repeated node times, tied
+    scores, and empty, zero-length, out-of-range or no intervals.
+    Derandomized and without a shrink phase, so a failure reports the same
+    input every run."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from tgk.graph import TemporalGraph, VideoCache
+    from tgk.hierarchy import StageOutput
+    from tgk.tasks import ScorerParams, interval_nodes, scorer_forward
+
+    settings = hyp.settings(max_examples=300, deadline=None,
+                            derandomize=True, database=None,
+                            phases=[p for p in hyp.Phase
+                                    if p is not hyp.Phase.shrink])
+    # nodes sit on half seconds; bounds and keyframes also fall on the
+    # quarter seconds between them and outside the nodes' range
+    node_t = st.sampled_from(np.arange(0, 8) * 0.5)
+    time_t = st.one_of(st.sampled_from(np.arange(-4, 20) * 0.25),
+                       st.floats(-1.0, 5.0))
+    score = st.one_of(st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0)),
+                      st.floats(-3.0, 3.0))
+
+    @st.composite
+    def problems(draw):
+        n = draw(st.integers(1, 10))
+        m = draw(st.integers(0, 6))
+        pos = np.array(draw(st.lists(node_t, min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            pos = np.sort(pos)
+        bounds = np.array(draw(st.lists(time_t, min_size=2 * m,
+                                        max_size=2 * m))).reshape(m, 2)
+        if draw(st.booleans()):
+            bounds = np.sort(bounds, axis=1)
+        times = np.array(draw(st.lists(time_t, min_size=m, max_size=m)))
+        scores = np.array(draw(st.lists(score, min_size=n, max_size=n)))
+        return pos, bounds, times, scores
+
+    @settings
+    @hyp.given(problems())
+    def check(problem):
+        pos, ivals, times, scores = problem
+        nodes, ids, fallback = interval_nodes(pos, ivals)
+        if len(ivals):
+            for got, want in zip((nodes, ids, fallback),
+                                 _loop_align_nodes(pos, ivals)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        else:
+            assert (nodes.tobytes(), ids.tobytes(), fallback.tobytes()) == (
+                b"", b"", b"")
+
+        g = TemporalGraph(np.zeros((len(pos), 1)), pos, np.empty((0, 2)))
+        # a view that serves these annotations for every video
+        view = SimpleNamespace(annotations=lambda video, task: (ivals, times))
+        [(idx, tgt)] = training._batch_targets("pnr", g, [object()], view,
+                                               None, VideoCache())
+        want_idx, want_tgt = _pnr_node_targets(g, 0, ivals, times)
+        assert idx.tobytes() == want_idx.tobytes()
+        assert tgt.tobytes() == want_tgt.tobytes()
+
+        head = ScorerParams(Tensor(np.ones((1, 1))), Tensor(np.zeros(1)))
+        branch = TaskBranch("pnr", None, {"scorer": head})
+        x = Tensor(scores[:, None])
+        pairs = training._predict_video(
+            "pnr", branch, [x], [StageOutput(g, x)], object(), 0, view,
+            small_cfg())
+        want = _loop_pnr_pairs(pos, scorer_forward(head, x).data[:, 0],
+                               ivals, times)
+        assert (np.array(pairs).tobytes() == np.array(want).tobytes()
+                and len(pairs) == len(want))
+
+    check()
 
 
 def flat_video(world, rng) -> VideoSample:
@@ -343,6 +492,21 @@ def test_single_task_training_reduces_loss():
     model = trained("oscc", epochs=60, lr=3e-3)
     after = corpus_loss(model, ds.train, "oscc")
     assert after < 0.5 * before
+
+
+def test_non_finite_loss_stops_training_before_weights_move():
+    ds = tiny_dataset()
+    videos = copy.deepcopy(ds.train[:4])  # one batch: the first step fails
+    videos[2].features[3] = np.nan
+    world = WorldInfo.from_dataset(ds)
+    model = MultiTaskModel.init(
+        np.random.default_rng(0), ["ar"], world,
+        training.backbone_layout(["ar"], world.dim))
+    before = [p.data.copy() for p in model.backbone.params()]
+    with pytest.raises(FloatingPointError, match="ar loss is nan at epoch 0"):
+        training._train_loop(model, videos, small_cfg())
+    assert all(np.array_equal(p.data, b)
+               for p, b in zip(model.backbone.params(), before))
 
 
 def test_single_task_eval_structure():
