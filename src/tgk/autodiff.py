@@ -8,7 +8,8 @@ topological order of the computation, so ``backward`` replays them in
 reverse to accumulate gradients into the leaves.
 
 Design constraints:
-  - float64 only; desk-scale problems, so no fusion or GPU paths;
+  - float64 only; desk-scale problems, so no GPU paths, and a primitive
+    fuses a chain of ops only when it keeps the chain's bytes;
   - gradients accumulate additively when a tensor feeds several ops;
   - scatter/segment reductions over an empty bucket produce zeros.
 """
@@ -21,7 +22,8 @@ __all__ = [
     "Tensor",
     "GradientTape",
     "backward",
-    "add", "sub", "neg", "mul", "div", "power", "matmul", "transpose",
+    "add", "sub", "neg", "mul", "div", "power", "matmul", "bmm",
+    "permute", "split_heads", "merge_heads",
     "exp", "log", "sqrt", "relu", "leaky_relu", "sigmoid",
     "softplus", "clip", "minimum", "maximum", "tsum", "tmean",
     "gather_rows", "take_cols", "take_per_row", "segment_sum",
@@ -243,9 +245,11 @@ def neg(a: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product; a constant factor gets no gradient computed."""
     a, b = _as_tensor(a), _as_tensor(b)
     return _emit(a.data * b.data, (a, b), lambda g: (
-        _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
+        _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+        _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -337,8 +341,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g @ b.data.T, a.data.T @ g))
 
 
-def transpose(a: Tensor) -> Tensor:
-    return _emit(a.data.T, (a,), lambda g: (g.T,))
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Stacked product ``a[i] @ b[i]`` over the leading axes; each slice's
+    bytes are those of 2-D ``matmul`` on it."""
+    if a.ndim < 3 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"bmm shape mismatch: {a.shape} @ {b.shape}")
+    return _emit(np.matmul(a.data, b.data), (a, b), lambda g: (
+        np.matmul(g, b.data.swapaxes(-1, -2)),
+        np.matmul(a.data.swapaxes(-1, -2), g)))
+
+
+def permute(a: Tensor, axes) -> Tensor:
+    """Axes reordered as ``a.data.transpose(axes)``, a view; ``(1, 0)``
+    transposes a matrix."""
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+    return _emit(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
+
+
+def split_heads(a: Tensor, heads: int) -> Tensor:
+    """(rows, heads * w) -> (heads, rows, w): slice h is the column block
+    ``a[:, h*w:(h+1)*w]``, laid out in Fortran order as ``take_cols`` lays
+    it out, so ``bmm`` over the slices gives ``matmul``'s bytes on them.
+    The gradient comes back C-ordered."""
+    n, width = a.shape
+    out = np.ascontiguousarray(a.data.T).reshape(heads, width // heads, n)
+
+    def back(g):
+        return (np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(n, width),)
+
+    return _emit(out.swapaxes(1, 2), (a,), back)
+
+
+def merge_heads(a: Tensor) -> Tensor:
+    """(heads, rows, w) -> (rows, heads * w), C-ordered, the inverse of
+    ``split_heads``; the gradient comes back in ``split_heads``' layout."""
+    heads, n, w = a.shape
+
+    def back(g):
+        return (np.ascontiguousarray(g.T).reshape(heads, w, n).swapaxes(1, 2),)
+
+    out = np.ascontiguousarray(a.data.transpose(1, 0, 2)).reshape(n, heads * w)
+    return _emit(out, (a,), back)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -491,26 +535,45 @@ def concat_rows(tensors) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# composed row-wise softmax family
+# row-wise softmax family
 # ---------------------------------------------------------------------------
 
-_MASK_OFF = -1e30  # large enough that exp underflows to exactly 0.0
-
-
 def masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Row-wise softmax restricted to positions where ``mask`` is true.
+    """Softmax over the last axis restricted to positions where ``mask`` is
+    true; ``mask`` broadcasts over leading axes of ``logits``.
 
-    Masked positions get weight exactly 0.0 (the additive constant pushes
-    them past float64 exp underflow), so they contribute nothing forward or
-    backward. Every row must keep at least one admitted position.
+    ``exp`` runs on admitted positions only (on the rest it would only
+    underflow, and slowly), and masked ones get weight exactly 0.0, so they
+    contribute nothing forward or backward. Every row must keep at least
+    one admitted position. The backward is that of ``e / sum(e)`` replayed
+    through the tape, the two paths into ``e`` added in the tape's order,
+    so gradients keep the composed chain's bytes; it works in one buffer,
+    since the large temporaries cost more than the arithmetic.
     """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=-1).all():
         raise ValueError("masked_softmax_rows: some row admits no position")
-    shifted = add(logits, Tensor(np.where(mask, 0.0, _MASK_OFF)))
-    rowmax = np.where(mask, shifted.data, -np.inf).max(axis=-1, keepdims=True)
-    e = exp(shifted - Tensor(rowmax))
-    return div(e, tsum(e, axis=-1, keepdims=True))
+    x = logits.data
+    admitted = np.broadcast_to(mask, np.broadcast_shapes(x.shape, mask.shape))
+    e = np.where(admitted, x, -np.inf)
+    e -= e.max(axis=-1, keepdims=True)
+    flat, at = e.reshape(-1), np.flatnonzero(admitted)
+    weights = np.exp(flat[at])
+    e.fill(0.0)
+    flat[at] = weights
+    s = e.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        grad = np.negative(g)
+        grad *= e
+        grad /= s * s
+        g_sum = grad.sum(axis=-1, keepdims=True)
+        np.divide(g, s, out=grad)
+        grad += g_sum
+        grad *= e
+        return (grad,)
+
+    return _emit(e / s, (logits,), back)
 
 
 def cross_entropy_rows(logits: Tensor, labels) -> Tensor:

@@ -117,7 +117,9 @@ DESIGN_MAP: tuple[MapEntry, ...] = (
              "frozen per-(verb, noun) mean of task-projected aligned rows"),
     MapEntry("prototype-knn-match",
              "egopack:knn_match",
-             "stable nearest prototypes per node in Euclidean distance"),
+             "exact nearest prototypes per node in Euclidean distance, ties "
+             "to the lower index: a GEMM screen within a proven error "
+             "margin, exact distances on the candidates"),
     MapEntry("prototype-interaction",
              "egopack:interaction_forward",
              "mixes node features with the mean of their activated "
@@ -130,7 +132,9 @@ DESIGN_MAP: tuple[MapEntry, ...] = (
              "row-stage window, inclusive boundary, forced diagonal"),
     MapEntry("pre-norm-task-translation",
              "translation:translation_forward",
-             "task-embedded tokens through masked pre-norm attention"),
+             "task-embedded tokens through masked pre-norm attention, all "
+             "heads in one attention per layer; frozen support tokens and "
+             "masks once per video from the loop's VideoCache"),
     MapEntry("soft-nms",
              "metrics:soft_nms",
              "Gaussian overlap decay instead of hard suppression, from "

@@ -35,7 +35,8 @@ class PrototypeBank:
     """Frozen prototypes for one support task.
 
     ``prototypes`` is (P, dim) with rows ordered by ``keys`` (sorted
-    (verb, noun) pairs); the array is marked read-only at construction.
+    (verb, noun) pairs) and every value finite; the array is marked
+    read-only at construction.
     """
 
     task: str
@@ -49,6 +50,9 @@ class PrototypeBank:
             raise ValueError("one key per prototype row required")
         if sorted(self.keys) != list(self.keys):
             raise ValueError("prototype keys must be sorted")
+        if not np.isfinite(self.prototypes).all():
+            raise ValueError(f"bank {self.task}: prototypes hold non-finite "
+                             "values")
 
     @property
     def size(self) -> int:
@@ -110,14 +114,33 @@ def load_bank(directory: str | Path, task: str) -> PrototypeBank:
 def knn_match(x: np.ndarray, bank: PrototypeBank, k: int) -> np.ndarray:
     """Indices of each row's k nearest prototypes by Euclidean distance.
 
-    Stable sort breaks distance ties toward the lower prototype index, so
-    matching is deterministic. k is capped at the bank size.
+    Distance ties go to the lower prototype index, so matching is
+    deterministic; k is capped at the bank size. A GEMM expansion
+    ``|x|^2 - 2 x.p + |p|^2`` screens the candidates: with E a bound on its
+    error against the exact expression's, every true neighbour sits within
+    2E of the row's k-th screened value, so only those candidates get the
+    exact ``((x - p) ** 2).sum()``, whose bytes the ordering compares.
     """
     x = np.asarray(x, dtype=np.float64)
+    protos = bank.prototypes
     k = min(k, bank.size)
-    d2 = ((x[:, None, :] - bank.prototypes[None, :, :]) ** 2).sum(axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+    if k == 0:
+        return np.zeros((x.shape[0], 0), dtype=np.intp)
+    xx = (x * x).sum(axis=1)
+    pp = (protos * protos).sum(axis=1)
+    approx = xx[:, None] - 2.0 * (x @ protos.T) + pp
+    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+    # approx and the exact expression each lie within (D + 2) u (|x| + |p|)^2
+    # of the true distance, u = eps / 2, so E = (D + 2) eps (|x| + |p|)^2;
+    # one more eps (|x| + |p|)^2 covers the rounding of E and the threshold.
+    err = (x.shape[1] + 3) * np.finfo(np.float64).eps * (
+        np.sqrt(xx) + np.sqrt(pp.max())) ** 2
+    rows, cols = np.nonzero(~(approx > (kth + 2.0 * err)[:, None]))
+    d2 = ((x[rows] - protos[cols]) ** 2).sum(axis=1)
+    order = np.lexsort((cols, d2, rows))
+    counts = np.bincount(rows, minlength=x.shape[0])
+    first = np.cumsum(counts) - counts
+    return cols[order][first[:, None] + np.arange(k)]
 
 
 @dataclass

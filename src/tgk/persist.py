@@ -34,21 +34,22 @@ def _write_arrays(path: Path, params: list) -> None:
 
 
 def _read_arrays(path: Path, params: list) -> None:
+    """Load ``path``'s arrays into ``params``; an archive that does not
+    read, a member whose CRC fails included, raises ``ValueError``."""
     try:
-        npz = np.load(path)
+        with np.load(path) as npz:
+            if len(npz.files) != len(params):
+                raise ValueError(f"{path}: holds {len(npz.files)} arrays, "
+                                 f"model wants {len(params)}")
+            for i, t in enumerate(params):
+                arr = npz[f"p{i:05d}"]
+                if arr.shape != t.data.shape:
+                    raise ValueError(f"{path}: param {i} shape mismatch "
+                                     f"{arr.shape} vs {t.data.shape}")
+                t.data = arr.astype(np.float64)
     except zipfile.BadZipFile as exc:
         raise ValueError(f"{path}: not a readable array archive: {exc}"
                          ) from None
-    with npz:
-        if len(npz.files) != len(params):
-            raise ValueError(
-                f"{path}: holds {len(npz.files)} arrays, model wants {len(params)}")
-        for i, t in enumerate(params):
-            arr = npz[f"p{i:05d}"]
-            if arr.shape != t.data.shape:
-                raise ValueError(f"{path}: param {i} shape mismatch "
-                                 f"{arr.shape} vs {t.data.shape}")
-            t.data = arr.astype(np.float64)
 
 
 def _model_params(model: MultiTaskModel) -> list:

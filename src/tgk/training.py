@@ -420,18 +420,19 @@ def task_loss(branch: TaskBranch, stage_features: list[Tensor],
 def _stage_features(model: MultiTaskModel, task: str,
                     stages: list[StageOutput], videos: list[VideoSample],
                     novel: NovelModel | None = None,
-                    translation: TranslationModel | None = None
-                    ) -> list[Tensor]:
+                    translation: TranslationModel | None = None,
+                    cache: VideoCache | None = None) -> list[Tensor]:
     """Per stage the task reads (only mq reads past the dense stage), the
     features its head reads: the egopack fusion of a novel model,
-    translated tokens at the dense stage of a translation model, otherwise
-    the task's own neck."""
+    translated tokens at the dense stage of a translation model (support
+    tokens and masks kept in ``cache``), otherwise the task's own neck."""
     stages = stages[:stage_count_for([task])]
     if novel is not None:
         return novel.fused_stage_features(stages)
     neck = model.branches[task].neck
     if translation is not None:
-        return [translation.translated_dense(videos, stages)] + [
+        cache = VideoCache() if cache is None else cache
+        return [translation.translated_dense(videos, stages, cache)] + [
             neck_forward(neck, s.features) for s in stages[1:]]
     return [neck_forward(neck, s.features) for s in stages]
 
@@ -478,7 +479,7 @@ def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
                 loss = None
                 for task, branch in model.branches.items():
                     feats = _stage_features(model, task, stages, batch,
-                                            novel, translation)
+                                            novel, translation, cache)
                     term = task_loss(branch, feats, stages, batch, view,
                                      model.world, cache)
                     if not np.isfinite(term.data).all():
@@ -649,9 +650,11 @@ class TranslationModel:
     encoder: TranslationParams
 
     def translated_dense(self, batch: list[VideoSample],
-                         stages: list[StageOutput]) -> Tensor:
+                         stages: list[StageOutput], cache: VideoCache
+                         ) -> Tensor:
         """Per video, run all tasks' tokens through the masked encoder and
-        keep the novel task's rows; support tokens are frozen features."""
+        keep the novel task's rows. Support tokens are frozen features,
+        computed once per (support task, video) in ``cache``."""
         graph = stages[DENSE_STAGE].graph
         novel_neck = self.base.branches[self.novel].neck
         necked = neck_forward(novel_neck, stages[DENSE_STAGE].features)
@@ -661,13 +664,21 @@ class TranslationModel:
             rows = gather_rows(necked, np.arange(sl.start, sl.stop))
             tokens = {self.novel: (rows, graph.positions_s[sl], 1)}
             for t, m in self.support_models.items():
-                sg = build_batch_graph([video], m.backbone_cfg.edge_rule)
-                s_stages = m.forward_backbone(sg)
-                sup = neck_forward(m.branches[t].neck,
-                                   s_stages[DENSE_STAGE].features)
-                tokens[t] = (sup.detach(), sg.positions_s, 1)
-            out_rows.append(translation_forward(self.encoder, tokens, self.novel))
+                tokens[t] = cache.get(("tokens", t, id(video)),
+                                      lambda: self._support_tokens(t, m, video))
+            out_rows.append(translation_forward(self.encoder, tokens,
+                                                self.novel, cache))
         return concat_rows(out_rows)
+
+    @staticmethod
+    def _support_tokens(task: str, m: MultiTaskModel, video: VideoSample
+                        ) -> tuple[Tensor, np.ndarray, int]:
+        """One video's detached dense-stage neck tokens from a frozen
+        support model."""
+        sg = build_batch_graph([video], m.backbone_cfg.edge_rule)
+        s_stages = m.forward_backbone(sg)
+        sup = neck_forward(m.branches[task].neck, s_stages[DENSE_STAGE].features)
+        return sup.detach(), sg.positions_s, 1
 
 
 def run_translation(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
@@ -820,7 +831,7 @@ def evaluate(model: MultiTaskModel, videos: list[VideoSample],
             [video], model.backbone_cfg.edge_rule, cache), cache)
         for task in tasks:
             feats = _stage_features(model, task, stages, [video], novel,
-                                    translation)
+                                    translation, cache)
             records[task].append(_predict_video(
                 task, model.branches[task], feats, stages, video, idx,
                 view, cfg))

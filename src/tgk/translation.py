@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, concat_rows, div, gather_rows, masked_softmax_rows, matmul,
-    mul, relu, sqrt, sub, take_cols, tmean, transpose,
+    Tensor, add, bmm, concat_rows, div, gather_rows, masked_softmax_rows,
+    matmul, merge_heads, mul, permute, relu, split_heads, sqrt, sub, tmean,
 )
+from .graph import VideoCache
 from .optim import linear_init, uniform_fan_in
 
 __all__ = ["build_mask", "EncoderLayerParams", "TranslationParams",
@@ -98,21 +99,14 @@ class EncoderLayerParams:
 
 
 def _attention(p: EncoderLayerParams, x: Tensor, mask: np.ndarray) -> Tensor:
-    dim = x.shape[1]
-    dh = dim // p.num_heads
-    q = add(matmul(x, p.wq), p.bq)
-    k = add(matmul(x, p.wk), p.bk)
-    v = add(matmul(x, p.wv), p.bv)
-    scale = Tensor(1.0 / np.sqrt(dh))
-    head_outs = []
-    for h in range(p.num_heads):
-        cols = np.arange(h * dh, (h + 1) * dh)
-        qh, kh, vh = take_cols(q, cols), take_cols(k, cols), take_cols(v, cols)
-        scores = mul(matmul(qh, transpose(kh)), scale)
-        attn = masked_softmax_rows(scores, mask)
-        head_outs.append(transpose(matmul(attn, vh)))
-    merged = transpose(concat_rows(head_outs))  # concat along columns
-    return add(matmul(merged, p.wo), p.bo)
+    """All heads at once: (heads, tokens, dh) stacks through two ``bmm`` and
+    one masked softmax, the (tokens, tokens) mask broadcast over heads."""
+    q, k, v = (split_heads(add(matmul(x, w), b), p.num_heads)
+               for w, b in ((p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv)))
+    scale = Tensor(1.0 / np.sqrt(q.shape[2]))
+    scores = mul(bmm(q, permute(k, (0, 2, 1))), scale)
+    out = bmm(masked_softmax_rows(scores, mask), v)
+    return add(matmul(merge_heads(out), p.wo), p.bo)
 
 
 def _encoder_layer(p: EncoderLayerParams, x: Tensor, mask: np.ndarray) -> Tensor:
@@ -158,13 +152,15 @@ def encoder_forward(p: TranslationParams, x: Tensor, mask: np.ndarray) -> Tensor
 
 def translation_forward(p: TranslationParams,
                         tokens: dict[str, tuple[Tensor, np.ndarray, int]],
-                        primary: str) -> Tensor:
+                        primary: str, cache: VideoCache | None = None
+                        ) -> Tensor:
     """Encode all tasks' tokens together, return the primary task's rows.
 
     ``tokens`` maps task name to (features, positions_s, stage). Tasks are
     concatenated in sorted-name order with their learned embedding added,
-    the temporal mask is built from positions and stages, and the encoded
-    rows of ``primary`` come back in their original order.
+    the temporal mask is built from positions and stages, once per
+    ``cache`` for each token layout, and the encoded rows of ``primary``
+    come back in their original order.
     """
     if primary not in tokens:
         raise KeyError(f"primary task {primary!r} has no tokens")
@@ -181,6 +177,9 @@ def translation_forward(p: TranslationParams,
             primary_rows = np.arange(offset, offset + feats.shape[0])
         offset += feats.shape[0]
     x = concat_rows(parts)
-    mask = build_mask(np.concatenate(pos_parts), np.concatenate(stage_parts))
+    positions, stages = np.concatenate(pos_parts), np.concatenate(stage_parts)
+    cache = VideoCache() if cache is None else cache
+    mask = cache.get(("mask", positions.tobytes(), stages.tobytes()),
+                     lambda: build_mask(positions, stages))
     encoded = encoder_forward(p, x, mask)
     return gather_rows(encoded, primary_rows)

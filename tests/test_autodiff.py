@@ -14,6 +14,7 @@ from tgk.autodiff import (
     Tensor,
     add,
     backward,
+    bmm,
     clip,
     concat_rows,
     cross_entropy_rows,
@@ -25,9 +26,11 @@ from tgk.autodiff import (
     masked_softmax_rows,
     matmul,
     maximum,
+    merge_heads,
     minimum,
     mul,
     neg,
+    permute,
     power,
     relu,
     segment_max,
@@ -35,15 +38,16 @@ from tgk.autodiff import (
     segment_sum,
     sigmoid,
     softplus,
+    split_heads,
     sqrt,
     sub,
     take_cols,
     take_per_row,
     tmean,
-    transpose,
     tsum,
 )
 from tgk.autodiff import sigmoid_values
+from tgk.optim import finite_diff_check
 
 
 def weighted_loss(out, weights):
@@ -165,7 +169,7 @@ def test_matmul_and_transpose_gradients():
         a = rng.normal(size=(4, 3))
         b = rng.normal(size=(3, 5))
         check_grads(matmul, [a, b], rng)
-        check_grads(lambda t: transpose(t), [a], rng)
+        check_grads(lambda t: permute(t, (1, 0)), [a], rng)
 
 
 def test_reduction_gradients():
@@ -362,6 +366,132 @@ def test_masked_softmax_rejects_fully_masked_row():
     mask = np.array([[True, False], [False, False]])
     with pytest.raises(ValueError):
         masked_softmax_rows(Tensor(np.zeros((2, 2))), mask)
+
+
+_MASK_OFF = -1e30  # large enough that exp underflows to exactly 0.0
+
+
+def composed_masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
+    """The composed chain the fused ``masked_softmax_rows`` replaced, kept
+    verbatim as its byte oracle."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any(axis=-1).all():
+        raise ValueError("masked_softmax_rows: some row admits no position")
+    shifted = add(logits, Tensor(np.where(mask, 0.0, _MASK_OFF)))
+    rowmax = np.where(mask, shifted.data, -np.inf).max(axis=-1, keepdims=True)
+    e = exp(shifted - Tensor(rowmax))
+    return div(e, tsum(e, axis=-1, keepdims=True))
+
+
+def softmax_bytes(softmax, logits, mask, weights):
+    """Forward bytes and the logits' gradient bytes of a weighted sum."""
+    x = Tensor(logits, requires_grad=True)
+    with GradientTape() as tape:
+        out = softmax(x, mask)
+        loss = tsum(mul(out, Tensor(weights)))
+    backward(tape, loss)
+    return out.data.tobytes(), x.grad.tobytes()
+
+
+def test_fused_masked_softmax_equals_composed_bytes():
+    rng = np.random.default_rng(15)
+    cases = []
+    for shape, mask_shape in (((5, 7), (5, 7)), ((4, 9, 9), (9, 9)),
+                              ((3, 16, 16), (3, 16, 16))):
+        for scale, offset in ((1.0, 0.0), (40.0, 0.0), (1e3, 1e4)):
+            logits = rng.normal(size=shape) * scale + offset
+            mask = rng.random(mask_shape) < 0.3
+            mask[..., 0] = True
+            cases.append((logits, mask))
+    # rows that admit exactly one position, the diagonal only
+    cases.append((rng.normal(size=(6, 6)) * 50.0, np.eye(6, dtype=bool)))
+    cases.append((rng.normal(size=(2, 6, 6)), np.eye(6, dtype=bool)))
+    for logits, mask in cases:
+        weights = rng.normal(size=logits.shape)
+        assert softmax_bytes(masked_softmax_rows, logits, mask, weights) == \
+            softmax_bytes(composed_masked_softmax_rows, logits, mask, weights)
+
+
+def test_masked_softmax_stacked_rows_gradient_numeric():
+    rng = np.random.default_rng(16)
+    mask = rng.random((5, 5)) < 0.5
+    np.fill_diagonal(mask, True)
+    check_grads(lambda t: masked_softmax_rows(t, mask),
+                [rng.normal(size=(3, 5, 5))], rng)
+
+
+# ---------------------------------------------------------------------------
+# stacked (all-heads) attention primitives
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tokens,dim,heads", [(64, 12, 4), (128, 32, 4)])
+def test_bmm_over_heads_equals_per_head_matmul_bytes(tokens, dim, heads):
+    """At the encoder's shapes, every slice of the stacked products, and of
+    their gradients, holds the bytes of the per-head 2-D ``matmul`` chain
+    over ``take_cols`` blocks."""
+    rng = np.random.default_rng(17)
+    q0, k0, v0 = (rng.normal(size=(tokens, dim)) for _ in range(3))
+    w0 = rng.normal(size=(tokens, dim))
+    attn = rng.random((heads, tokens, tokens))
+    dh = dim // heads
+
+    def grads(build):
+        leaves = [Tensor(a, requires_grad=True) for a in (q0, k0, v0)]
+        with GradientTape() as tape:
+            scores, out = build(*leaves)
+            loss = add(tsum(mul(out, Tensor(w0))), tsum(scores))
+        backward(tape, loss)
+        return scores.data, out.data, [t.grad for t in leaves]
+
+    def stacked(q, k, v):
+        scores = bmm(split_heads(q, heads), permute(split_heads(k, heads),
+                                                    (0, 2, 1)))
+        return scores, merge_heads(bmm(Tensor(attn), split_heads(v, heads)))
+
+    def per_head(q, k, v):
+        scores, outs = [], []
+        for h in range(heads):
+            cols = np.arange(h * dh, (h + 1) * dh)
+            scores.append(matmul(take_cols(q, cols),
+                                 permute(take_cols(k, cols), (1, 0))))
+            outs.append(permute(matmul(Tensor(attn[h]), take_cols(v, cols)),
+                                (1, 0)))
+        return concat_rows(scores), permute(concat_rows(outs), (1, 0))
+
+    s_new, o_new, g_new = grads(stacked)
+    s_old, o_old, g_old = grads(per_head)
+    for h in range(heads):
+        assert s_new[h].tobytes() == s_old[h * tokens:(h + 1) * tokens].tobytes()
+    assert o_new.tobytes() == o_old.tobytes()
+    for a, b in zip(g_new, g_old):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_bmm_gradient_finite_difference():
+    rng = np.random.default_rng(18)
+    a = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 5, 2)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4, 2)))
+    finite_diff_check(lambda: tsum(mul(bmm(a, b), w)), [a, b])
+
+
+def test_bmm_rejects_mismatched_stacks():
+    with pytest.raises(ValueError):
+        bmm(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+    with pytest.raises(ValueError):
+        bmm(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 5))))
+
+
+def test_head_split_merge_and_permute_gradients_numeric():
+    rng = np.random.default_rng(19)
+    check_grads(lambda t: split_heads(t, 3), [rng.normal(size=(4, 6))], rng)
+    check_grads(merge_heads, [rng.normal(size=(3, 4, 2))], rng)
+    check_grads(lambda t: permute(t, (2, 0, 1)), [rng.normal(size=(2, 3, 4))],
+                rng)
+    x = rng.normal(size=(5, 6))
+    assert np.array_equal(merge_heads(split_heads(Tensor(x), 2)).data, x)
+    assert np.array_equal(split_heads(Tensor(x), 2).data[1], x[:, 3:])
 
 
 def test_cross_entropy_matches_logsumexp_oracle():

@@ -8,7 +8,9 @@ runs with the same arguments must leave byte-identical metrics files.
 """
 
 import json
+import struct
 import tempfile
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -340,6 +342,23 @@ def test_train_novel_rejects_banks_of_another_width(tmp_path):
         run, f"{protos}: bank ar has dim 16, not 12")
 
 
+def test_train_novel_rejects_bank_with_non_finite_rows(tmp_path):
+    ws = workspace()
+    protos = tmp_path / "protos"
+    (protos / "prototypes").mkdir(parents=True)
+    for path in (proto_run() / "prototypes").iterdir():
+        (protos / "prototypes" / path.name).write_bytes(path.read_bytes())
+    blob = bytearray((protos / "prototypes" / "oscc.bin").read_bytes())
+    blob[4:8] = np.array([np.nan], dtype="<f4").tobytes()
+    (protos / "prototypes" / "oscc.bin").write_bytes(bytes(blob))
+    run = tmp_path / "run"
+    assert_exits_in_one_line(
+        ["train-novel", "--data", str(ws / "data"), "--task", "pnr",
+         "--method", "egopack", "--support-run", str(ws / "run_mtl"),
+         "--banks", str(protos), "--run", str(run)] + TRAIN_FLAGS,
+        run, f"{protos}: bank oscc: prototypes hold non-finite values")
+
+
 def test_train_novel_rejects_non_positive_video_count(tmp_path):
     ws = workspace()
     run = tmp_path / "run"
@@ -445,6 +464,30 @@ def test_truncated_model_exits_with_one_line(tmp_path):
         assert exc.value.code.startswith(f"{run}: {run / 'model.npz'}: ")
         assert "\n" not in exc.value.code
     assert not novel.exists()
+
+
+def test_eval_exits_on_corrupted_model_member(tmp_path):
+    """A flipped byte inside a member of ``model.npz`` fails that member's
+    CRC when it is read; ``eval`` names the archive in one line."""
+    ws = workspace()
+    run = tmp_path / "run"
+    run.mkdir()
+    src = ws / "run_single_oscc"
+    (run / "config.json").write_bytes((src / "config.json").read_bytes())
+    blob = bytearray((src / "model.npz").read_bytes())
+    with zipfile.ZipFile(src / "model.npz") as zf:
+        info = zf.getinfo("p00000.npy")
+    name_len, extra_len = struct.unpack(
+        "<HH", blob[info.header_offset + 26:info.header_offset + 30])
+    end = info.header_offset + 30 + name_len + extra_len + info.compress_size
+    blob[end - 1] ^= 0xFF  # last byte of the first array's data
+    (run / "model.npz").write_bytes(bytes(blob))
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--run", str(run), "--data", str(ws / "data")])
+    assert exc.value.code.startswith(f"{run}: {run / 'model.npz'}: ")
+    assert "CRC" in exc.value.code
+    assert "\n" not in exc.value.code
+    assert not (run / "metrics.json").exists()
 
 
 def test_flag_defaults_are_the_config_defaults(tmp_path):

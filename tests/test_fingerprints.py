@@ -3,12 +3,12 @@
 Each entry of ``fingerprints.json`` is a sha256: of a run's trained
 parameters in ``params()`` order, of ``repr`` of its ``evaluate`` output,
 of the logits of the order probe's final scoring pass, of the forecast
-logits a novel lta model gives on the val videos, or of one CLI output
-file. The runs are tiny and execute in a subprocess pinned to one BLAS
-thread, so the bytes depend only on the code and the numeric stack. The
-file records that stack (numpy version, BLAS build, thread count); on any
-other stack the test skips and names the difference rather than compare
-loosely.
+logits a novel lta model gives on the val videos, of the encoded rows the
+translation arm's ``evaluate`` reads, or of one CLI output file. The runs
+are tiny and execute in a subprocess pinned to one BLAS thread, so the
+bytes depend only on the code and the numeric stack. The file records that
+stack (numpy version, BLAS build, thread count); on any other stack the
+test skips and names the difference rather than compare loosely.
 
 A change that moves bytes on purpose regenerates the file with
 
@@ -98,7 +98,7 @@ def _stack() -> dict:
 
 def compute() -> dict:
     """Every fingerprint, keyed by run; run this pinned to one thread."""
-    from tgk import ablation
+    from tgk import ablation, training
     from tgk.ablation import OrderProbeConfig, train_order_probe
     from tgk.cli import main
     from tgk.hierarchy import BackboneConfig
@@ -107,7 +107,7 @@ def compute() -> dict:
     from tgk.tasks import classifier_forward
     from tgk.training import (
         TrainConfig, build_prototype_banks, evaluate, run_mtl, run_novel,
-        run_single, run_translation,
+        run_single, run_translation, translation_forward,
     )
 
     out = {}
@@ -159,8 +159,22 @@ def compute() -> dict:
     # fingerprints are taken
     model, tm = run_translation("mq", ds, cfg,
                                 {t: singles[t] for t in SUPPORT})
-    record("translation/mq", model, evaluate(model, ds.val, cfg,
-                                             translation=tm))
+    # The evaluate entry hashes a metrics dict, which can round a change in
+    # the encoder away; the dense entry hashes every encoded row it reads.
+    dense = hashlib.sha256()
+
+    def translating(*args, **kwargs):
+        rows = translation_forward(*args, **kwargs)
+        dense.update(rows.data.tobytes())
+        return rows
+
+    training.translation_forward = translating
+    try:
+        metrics = evaluate(model, ds.val, cfg, translation=tm)
+    finally:
+        training.translation_forward = translation_forward
+    record("translation/mq", model, metrics)
+    out["translation/mq/dense"] = dense.hexdigest()
 
     # The probe's accuracies sit at chance for several layer kinds, so each
     # entry hashes the logits of the probe's final scoring pass instead.

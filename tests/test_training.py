@@ -838,6 +838,32 @@ def test_translation_arm_trains_without_touching_supports():
     assert 0.0 <= out["oscc"]["top1"] <= 100.0
 
 
+def test_translation_support_tokens_once_per_video_per_loop(monkeypatch):
+    """The frozen support models run the backbone once per (support task,
+    video) in the train loop and once more in ``evaluate``; the novel model
+    once per step and once per val video."""
+    ds = tiny_dataset()
+    supports = {t: copy.deepcopy(trained(t)) for t in ("ar", "pnr")}
+    cfg = small_cfg(epochs=3)
+    calls = []
+    real = training.backbone_forward
+
+    def counting(params, *args, **kwargs):
+        owner = [t for t, m in supports.items() if m.backbone is params]
+        calls.append(owner[0] if owner else "novel")
+        return real(params, *args, **kwargs)
+
+    monkeypatch.setattr(training, "backbone_forward", counting)
+    model, tm = run_translation("oscc", ds, cfg, supports)
+    steps = cfg.epochs * -(-len(ds.train) // cfg.batch_videos)
+    assert calls.count("novel") == steps
+    for task in supports:
+        assert calls.count(task) == len(ds.train)
+    calls.clear()
+    evaluate(model, ds.val, cfg, tasks=["oscc"], translation=tm)
+    assert len(calls) == len(ds.val) * (1 + len(supports))
+
+
 def test_novel_eval_uses_fused_features():
     ds = tiny_dataset()
     model, novel = novel_run()

@@ -4,7 +4,9 @@ non-influence of masked tokens, token routing, and gradients."""
 import numpy as np
 import pytest
 
+from tgk import translation
 from tgk.autodiff import GradientTape, Tensor, backward, tsum
+from tgk.graph import VideoCache
 from tgk.optim import finite_diff_check
 from tgk.translation import (
     EncoderLayerParams,
@@ -180,6 +182,45 @@ def test_cross_task_attention_actually_mixes():
     }
     out_far = translation_forward(p, far, primary="b").data
     assert np.max(np.abs(out_near - out_far)) > 1e-6
+
+
+def test_translation_forward_builds_one_mask_per_token_layout(monkeypatch):
+    rng = np.random.default_rng(11)
+    p = TranslationParams.init(rng, 4, ["a", "b"], num_layers=1, num_heads=2)
+    built = []
+    real = translation.build_mask
+
+    def counting(positions, stages):
+        built.append(positions.tobytes())
+        return real(positions, stages)
+
+    monkeypatch.setattr(translation, "build_mask", counting)
+    cache = VideoCache()
+    for shift in (0.0, 0.0, 3.0, 0.0):
+        tokens = {
+            "a": (Tensor(rng.normal(size=(2, 4))), np.array([0.0, 1.0]) + shift, 1),
+            "b": (Tensor(rng.normal(size=(1, 4))), np.array([0.5]), 1),
+        }
+        translation_forward(p, tokens, primary="b", cache=cache)
+    assert len(built) == 2
+
+
+def test_tape_records_do_not_grow_with_heads():
+    """All heads share one attention: a translation step's tape holds as
+    many records at six heads as at one."""
+    counts = {}
+    for heads in (1, 2, 3, 6):
+        rng = np.random.default_rng(12)
+        p = TranslationParams.init(rng, 6, ["a", "b"], num_layers=2,
+                                   num_heads=heads)
+        tokens = {
+            "a": (Tensor(rng.normal(size=(3, 6))), np.array([0.0, 1.0, 2.0]), 1),
+            "b": (Tensor(rng.normal(size=(2, 6))), np.array([0.5, 1.5]), 1),
+        }
+        with GradientTape() as tape:
+            tsum(translation_forward(p, tokens, primary="a"))
+        counts[heads] = len(tape.records)
+    assert len(set(counts.values())) == 1, counts
 
 
 # ---------------------------------------------------------------------------
