@@ -21,7 +21,7 @@ from .graph import EdgeRule, TemporalGraph, VideoCache, build_graph
 from .hierarchy import BackboneConfig, BackboneParams, backbone_forward
 from .optim import Adam, lr_at
 from .synth import SynthConfig, SynthDataset, generate_dataset, generate_order_windows
-from .tasks import ClassifierParams, classifier_forward
+from .tasks import MlpParams, mlp_forward
 from .training import (
     TrainConfig, build_prototype_banks, evaluate, run_mtl, run_novel,
     run_single,
@@ -85,7 +85,7 @@ def train_order_probe(layer_kind: str, seed: int,
                          threshold_s=probe.threshold_s,
                          disable_sign=disable_sign, disable_gate=disable_gate)
     params = BackboneParams.init(rng, cfg)
-    readout = ClassifierParams.init(rng, probe.dim, 2)
+    readout = MlpParams.init(rng, probe.dim, probe.dim, 2)
     trainable = params.params() + readout.params()
     opt = Adam(trainable, probe.lr)
     cache = VideoCache()
@@ -94,7 +94,7 @@ def train_order_probe(layer_kind: str, seed: int,
         g = _window_batch_graph(batch_feats, positions, cfg.edge_rule, cache)
         out = backbone_forward(params, cfg, g, cache)[0]
         pooled = segment_mean(out.features, g.video_of(), batch_feats.shape[0])
-        return classifier_forward(readout, pooled)
+        return mlp_forward(readout, pooled)
 
     for epoch in range(probe.epochs):
         opt.set_lr(lr_at(epoch, probe.lr, probe.warmup_epochs, probe.epochs))
@@ -116,16 +116,20 @@ def train_order_probe(layer_kind: str, seed: int,
             "val_acc": accuracy(val_f, val_y)}
 
 
+def _probe_across_seeds(kind: str, seeds, probe: OrderProbeConfig,
+                        **flags) -> dict:
+    """Probe validation accuracy per seed, plus the seed mean."""
+    per_seed = {s: train_order_probe(kind, s, probe, **flags)["val_acc"]
+                for s in seeds}
+    return {"per_seed": per_seed,
+            "mean": float(np.mean(list(per_seed.values())))}
+
+
 def run_order_separation(layer_kinds, seeds,
                          probe: OrderProbeConfig = OrderProbeConfig()) -> dict:
     """Probe accuracy per layer kind per seed, plus seed means."""
-    out: dict = {}
-    for kind in layer_kinds:
-        per_seed = {s: train_order_probe(kind, s, probe)["val_acc"]
-                    for s in seeds}
-        out[kind] = {"per_seed": per_seed,
-                     "mean": float(np.mean(list(per_seed.values())))}
-    return out
+    return {kind: _probe_across_seeds(kind, seeds, probe)
+            for kind in layer_kinds}
 
 
 def run_tdgc_ablations(seeds, probe: OrderProbeConfig = OrderProbeConfig()
@@ -133,41 +137,38 @@ def run_tdgc_ablations(seeds, probe: OrderProbeConfig = OrderProbeConfig()
     """Ordering-probe accuracy with each temporal modulation removed."""
     variants = {"full": {}, "no_sign": {"disable_sign": True},
                 "no_gate": {"disable_gate": True}}
-    out = {}
-    for name, flags in variants.items():
-        per_seed = {s: train_order_probe("tdgc", s, probe, **flags)["val_acc"]
-                    for s in seeds}
-        out[name] = {"per_seed": per_seed,
-                     "mean": float(np.mean(list(per_seed.values())))}
-    return out
+    return {name: _probe_across_seeds("tdgc", seeds, probe, **flags)
+            for name, flags in variants.items()}
 
 
 def run_transfer_matchup(novel_task: str, ds: SynthDataset,
                          cfg: TrainConfig, support_tasks=("ar", "oscc", "pnr"),
-                         novel_train_videos: int | None = None) -> dict:
+                         novel_train_videos: int | None = None) -> tuple:
     """One seed of the transfer experiment: egopack vs its baselines.
 
     The support phase sees the full training split; the novel phase is
     restricted to its first ``novel_train_videos`` videos (data-poor novel
-    task). Returns each arm's novel-task validation metrics.
+    task; None keeps them all). Returns ``(arms, support, banks, egopack_model,
+    egopack_state)``: each arm's novel-task validation metrics, then the
+    support model, its prototype banks and the egopack arm's trained model
+    and ``NovelModel``, for checks on the transfer assets.
     """
     support = run_mtl(support_tasks, ds, cfg)
     banks = build_prototype_banks(support, ds, support_tasks)
 
-    novel_ds = ds
-    if novel_train_videos is not None:
-        novel_ds = SynthDataset(ds.config, ds.train[:novel_train_videos], ds.val)
+    novel_ds = SynthDataset(ds.config, ds.train[:novel_train_videos], ds.val)
 
     single = run_single(novel_task, novel_ds, cfg)
     ft_model, ft_state = run_novel(novel_task, novel_ds, cfg, support,
                                    banks=None, interaction=False)
     ego_model, ego_state = run_novel(novel_task, novel_ds, cfg, support,
                                      banks=banks, interaction=True)
-    return {
+    arms = {
         "single": evaluate(single, ds.val, cfg)[novel_task],
         "mtl_ft": evaluate(ft_model, ds.val, cfg, novel=ft_state)[novel_task],
         "egopack": evaluate(ego_model, ds.val, cfg, novel=ego_state)[novel_task],
     }
+    return arms, support, banks, ego_model, ego_state
 
 
 def run_ablation_grid(data_cfg: SynthConfig, train_cfg: TrainConfig,

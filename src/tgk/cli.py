@@ -160,13 +160,14 @@ def _experiment_config(args, data_cfg: SynthConfig, tasks, arm: str,
     return cfg
 
 
-def _load_support(support_run: str) -> MultiTaskModel:
-    """The model of ``--support-run``; a run that does not load exits with
-    one line naming it."""
+def _loaded(path, load, *args):
+    """``load(*args)``, reading the input at ``path`` (a corpus, run or
+    bank directory); one that does not load (``OSError`` or
+    ``ValueError``) exits with one line naming ``path``."""
     try:
-        return load_model(support_run)
+        return load(*args)
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"{support_run}: {exc}") from None
+        raise SystemExit(f"{path}: {exc}") from None
 
 
 def _load_banks(banks_run: str, support: MultiTaskModel) -> dict:
@@ -175,10 +176,8 @@ def _load_banks(banks_run: str, support: MultiTaskModel) -> dict:
     line naming it."""
     banks = {}
     for task in support.tasks:
-        try:
-            banks[task] = load_bank(Path(banks_run) / "prototypes", task)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"{banks_run}: {exc}") from None
+        banks[task] = _loaded(banks_run, load_bank,
+                              Path(banks_run) / "prototypes", task)
         if banks[task].dim != support.world.dim:
             raise SystemExit(f"{banks_run}: bank {task} has dim "
                              f"{banks[task].dim}, not {support.world.dim}")
@@ -217,7 +216,7 @@ def _cmd_train_mtl(args) -> int:
 def _train_fresh(args, tasks: list[str], arm: str, labels: dict) -> int:
     """Train, save and evaluate a fresh model on ``tasks``; ``labels``
     name them in metrics.json."""
-    ds = load_dataset(args.data)
+    ds = _loaded(args.data, load_dataset, args.data)
     cfg = _experiment_config(args, ds.config, tasks, arm)
     run_dir = Path(args.run)
     save_config(run_dir, cfg)
@@ -230,8 +229,8 @@ def _train_fresh(args, tasks: list[str], arm: str, labels: dict) -> int:
 
 
 def _cmd_build_prototypes(args) -> int:
-    ds = load_dataset(args.data)
-    model = _load_support(args.support_run)
+    ds = _loaded(args.data, load_dataset, args.data)
+    model = _loaded(args.support_run, load_model, args.support_run)
     support_tasks = sorted(args.tasks.split(",")) if args.tasks else model.tasks
     missing = sorted(set(support_tasks) - set(model.tasks))
     if missing:
@@ -276,7 +275,7 @@ def _cmd_train_novel(args) -> int:
     if args.novel_videos is not None and args.novel_videos < 1:
         raise SystemExit(
             f"--novel-videos: must be at least 1, got {args.novel_videos}")
-    ds = load_dataset(args.data)
+    ds = _loaded(args.data, load_dataset, args.data)
     if args.method == "single":
         cfg = _experiment_config(args, ds.config, [args.task], "single")
     elif args.method == "translation":
@@ -287,7 +286,7 @@ def _cmd_train_novel(args) -> int:
             raise SystemExit(f"--support-run is required for {args.method}")
         if args.method == "egopack" and not args.banks:
             raise SystemExit("--banks is required for egopack")
-        support = _load_support(args.support_run)
+        support = _loaded(args.support_run, load_model, args.support_run)
         if support.world != WorldInfo.from_dataset(ds):
             raise SystemExit(f"data: the support run {args.support_run} was "
                              f"trained on another label space, {support.world}")
@@ -300,30 +299,25 @@ def _cmd_train_novel(args) -> int:
     run_dir = Path(args.run)
     save_config(run_dir, cfg)
 
-    novel_ds = ds
-    if args.novel_videos is not None:
-        novel_ds = SynthDataset(ds.config, ds.train[:args.novel_videos], ds.val)
+    novel_ds = SynthDataset(ds.config, ds.train[:args.novel_videos], ds.val)
 
+    novel = tm = None
     if args.method == "single":
         model = run_single(args.task, novel_ds, cfg.train,
                            backbone_cfg=cfg.backbone)
-        save_run(run_dir, model)
-        metrics = evaluate(model, ds.val, cfg.train)
     elif args.method == "translation":
         support_models = {
             t: run_single(t, ds, cfg.train, backbone_cfg=cfg.backbone)
             for t in cfg.support_tasks}
         model, tm = run_translation(args.task, novel_ds, cfg.train,
                                     support_models, backbone_cfg=cfg.backbone)
-        save_run(run_dir, model, translation=tm)
-        metrics = evaluate(model, ds.val, cfg.train, translation=tm)
     else:
         model, novel = run_novel(
             args.task, novel_ds, cfg.train, support, banks=banks,
             interaction=args.method == "egopack",
             freeze_backbone=(args.method == "mtl-ht"))
-        save_run(run_dir, model, novel=novel)
-        metrics = evaluate(model, ds.val, cfg.train, novel=novel)
+    save_run(run_dir, model, novel=novel, translation=tm)
+    metrics = evaluate(model, ds.val, cfg.train, novel=novel, translation=tm)
 
     _write_metrics(run_dir, {"arm": args.method, "task": args.task,
                              "metrics": metrics})
@@ -347,16 +341,14 @@ def _cmd_ablate(args) -> int:
                                  warmup_epochs=min(5, args.epochs - 1))
         separation = run_order_separation(kinds, seeds, probe)
         ablations = run_tdgc_ablations(seeds, probe)
-        rows = [(k, f"{v['mean']:.2f}",
-                 " ".join(f"{a:.2f}" for a in v["per_seed"].values()))
-                for k, v in separation.items()]
-        _write_table(run_dir, "order_separation",
-                     ["layer_kind", "mean_val_acc", "per_seed"], rows)
-        rows = [(k, f"{v['mean']:.2f}",
-                 " ".join(f"{a:.2f}" for a in v["per_seed"].values()))
-                for k, v in ablations.items()]
-        _write_table(run_dir, "tdgc_ablations",
-                     ["variant", "mean_val_acc", "per_seed"], rows)
+        for name, key, result in (
+                ("order_separation", "layer_kind", separation),
+                ("tdgc_ablations", "variant", ablations)):
+            rows = [(k, f"{v['mean']:.2f}",
+                     " ".join(f"{a:.2f}" for a in v["per_seed"].values()))
+                    for k, v in result.items()]
+            _write_table(run_dir, name, [key, "mean_val_acc", "per_seed"],
+                         rows)
         _write_metrics(run_dir, {"arm": "ablate-order",
                                  "separation": separation,
                                  "ablations": ablations})
@@ -382,13 +374,10 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ds = load_dataset(args.data)
+    ds = _loaded(args.data, load_dataset, args.data)
     run_dir = Path(args.run)
-    try:
-        cfg = load_config(run_dir)
-        model, novel, tm = load_run(run_dir, cfg)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"{run_dir}: {exc}") from None
+    cfg = _loaded(run_dir, load_config, run_dir)
+    model, novel, tm = _loaded(run_dir, load_run, run_dir, cfg)
     metrics = evaluate(model, ds.split(args.split), cfg.train, novel=novel,
                        translation=tm)
     out_dir = Path(args.out) if args.out else run_dir

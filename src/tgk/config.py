@@ -102,18 +102,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
             if getattr(cfg.backbone, name) != getattr(BackboneConfig(), name):
                 raise ValueError(f"backbone.{name}: applies only to "
                                  f"layer_kind tdgc")
-    for t in cfg.tasks:
-        if t not in TASK_NAMES:
-            raise ValueError(f"tasks: unknown task {t!r}; "
-                             f"choose from {TASK_NAMES}")
+    for name in ("tasks", "support_tasks"):
+        for t in getattr(cfg, name):
+            if t not in TASK_NAMES:
+                raise ValueError(f"{name}: unknown task {t!r}; "
+                                 f"choose from {TASK_NAMES}")
     if not cfg.tasks:
         raise ValueError("tasks: at least one task required")
     if cfg.arm not in ARMS:
         raise ValueError(f"arm: unknown arm {cfg.arm!r}; choose from {ARMS}")
-    for t in cfg.support_tasks:
-        if t not in TASK_NAMES:
-            raise ValueError(f"support_tasks: unknown task {t!r}; "
-                             f"choose from {TASK_NAMES}")
     if cfg.support_tasks and cfg.arm not in SUPPORT_ARMS:
         raise ValueError(f"support_tasks: arm {cfg.arm!r} reads none")
     for width in ("d_in", "d_model"):

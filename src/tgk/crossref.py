@@ -75,15 +75,15 @@ DESIGN_MAP: tuple[MapEntry, ...] = (
              "stacked stages: layers, pool, halve, double the window; "
              "coarser stages' edges per video from the VideoCache"),
     MapEntry("task-neck",
-             "tasks:neck_forward",
-             "two-layer dimension-preserving projection per task"),
+             "tasks:MlpParams",
+             "the two-layer MLP, (dim, dim, dim), one per task"),
     MapEntry("interval-alignment",
              "tasks:interval_nodes",
              "nodes strictly inside each interval from one (intervals x "
              "nodes) comparison, nearest-node fallback when empty"),
     MapEntry("recognition-head",
-             "tasks:classifier_forward",
-             "two-layer MLP over aligned features"),
+             "tasks:MlpParams",
+             "the two-layer MLP, (dim, dim, classes), over aligned features"),
     MapEntry("keyframe-scorer",
              "tasks:scorer_forward",
              "linear per-node score trained against the node nearest the "

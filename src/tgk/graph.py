@@ -98,10 +98,6 @@ class TemporalGraph:
     def video_slice(self, v: int) -> slice:
         return slice(int(self.video_boundaries[v]), int(self.video_boundaries[v + 1]))
 
-    def neighbors_of(self, i: int) -> np.ndarray:
-        """Destination nodes of edges leaving ``i`` (sorted, unique)."""
-        return np.unique(self.edges[self.edges[:, 0] == i, 1])
-
 
 def _edges_for_positions(positions_s: np.ndarray, boundaries: np.ndarray,
                          window_s: float) -> np.ndarray:
@@ -226,7 +222,8 @@ def save_features(path: str | Path, features: np.ndarray,
 
 
 def load_features(path: str | Path) -> tuple[np.ndarray, np.ndarray, str]:
-    """Read features saved by ``save_features``; validates byte length."""
+    """Read features saved by ``save_features``; validates byte length
+    and that every feature and midpoint is finite."""
     path = Path(path)
     sidecar = json.loads(path.with_suffix(".json").read_text())
     n, d = sidecar["num_segments"], sidecar["dim"]
@@ -238,4 +235,7 @@ def load_features(path: str | Path) -> tuple[np.ndarray, np.ndarray, str]:
     positions = np.asarray(sidecar["segment_midpoints_s"], dtype=np.float64)
     if positions.shape != (n,):
         raise ValueError(f"{path}: sidecar midpoints do not match num_segments")
+    for name, values in (("features", feats), ("midpoints", positions)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: {name} hold non-finite values")
     return feats, positions, sidecar["video_id"]

@@ -104,11 +104,8 @@ def pool_closed_neighborhood(x: Tensor, g: TemporalGraph, how: str) -> Tensor:
     nodes keep their own features under both mean and max.
     """
     loops = np.arange(g.num_nodes, dtype=np.intp)
-    if len(g.edges):
-        src = np.concatenate([g.edges[:, 0], loops])
-        dst = np.concatenate([g.edges[:, 1], loops])
-    else:
-        src = dst = loops
+    src = np.concatenate([g.edges[:, 0], loops])
+    dst = np.concatenate([g.edges[:, 1], loops])
     msg = gather_rows(x, dst)
     if how == "mean":
         return segment_mean(msg, src, g.num_nodes)

@@ -17,13 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .egopack import InteractionParams, load_bank, save_bank
-from .tasks import NeckParams
+from .egopack import load_bank, save_bank
+from .tasks import MlpParams
 from .training import (
-    MultiTaskModel, NovelModel, TranslationModel, WorldInfo, _freeze,
-    backbone_layout,
+    MultiTaskModel, NovelModel, TranslationModel, WorldInfo, _egopack_arm,
+    _translation_arm, backbone_layout,
 )
-from .translation import TranslationParams
 
 __all__ = ["save_run", "load_run", "load_model"]
 
@@ -52,14 +51,7 @@ def _read_arrays(path: Path, params: list) -> None:
                          ) from None
 
 
-def _model_params(model: MultiTaskModel) -> list:
-    out = model.backbone.params()
-    for name in model.tasks:
-        out.extend(model.branches[name].params())
-    return out
-
-
-def _neck_params(necks: dict[str, NeckParams]) -> list:
+def _neck_params(necks: dict[str, MlpParams]) -> list:
     return [t for name in sorted(necks) for t in necks[name].params()]
 
 
@@ -70,7 +62,7 @@ def save_run(run_dir: str | Path, model: MultiTaskModel,
     encoder weights), plus the frozen support necks and banks of a novel
     model, or each token model of a translation model."""
     run_dir = Path(run_dir)
-    _write_arrays(run_dir / "model.npz", _model_params(model))
+    _write_arrays(run_dir / "model.npz", model.params())
     if novel is not None:
         _write_arrays(run_dir / "support_necks.npz",
                       _neck_params(novel.support_necks))
@@ -78,15 +70,16 @@ def save_run(run_dir: str | Path, model: MultiTaskModel,
             save_bank(run_dir / "prototypes", bank)
     if translation is not None:
         for t, m in translation.support_models.items():
-            _write_arrays(run_dir / "support" / t / "model.npz",
-                          _model_params(m))
+            _write_arrays(run_dir / "support" / t / "model.npz", m.params())
 
 
 def load_run(run_dir: str | Path, cfg: ExperimentConfig
              ) -> tuple[MultiTaskModel, NovelModel | None,
                         TranslationModel | None]:
     """Rebuild the model of the run ``cfg`` describes and load its arrays;
-    the novel or translation model is None unless ``cfg.arm`` has one."""
+    the novel or translation model is None unless ``cfg.arm`` has one. A
+    transfer arm is laid out by the helper training builds it with, so
+    ``model.npz`` reads back in the order it was written."""
     run_dir = Path(run_dir)
     d = cfg.data
     world = WorldInfo(dim=d.dim, num_verbs=d.num_verbs,
@@ -96,36 +89,22 @@ def load_run(run_dir: str | Path, cfg: ExperimentConfig
     novel = translation = None
     task = cfg.tasks[0]
     if cfg.arm == "egopack":
-        interactions = {t: InteractionParams.init(
-            rng, world.dim, cfg.train.interaction_layers)
-            for t in cfg.support_tasks}
-        model.branches[task].extra = [
-            p for ip in interactions.values() for p in ip.params()]
-        support_necks = {t: NeckParams.init(rng, world.dim)
-                         for t in cfg.support_tasks}
-        necks = _neck_params(support_necks)
-        _read_arrays(run_dir / "support_necks.npz", necks)
-        _freeze(necks)
         banks = {t: load_bank(run_dir / "prototypes", t)
                  for t in cfg.support_tasks}
-        novel = NovelModel(model, task, support_necks, interactions, banks,
-                           cfg.train)
+        # neck-shaped placeholders, overwritten from support_necks.npz
+        shells = {t: MlpParams.init(rng, d.dim, d.dim, d.dim) for t in banks}
+        novel = _egopack_arm(model, task, shells, banks, cfg.train, rng)
+        _read_arrays(run_dir / "support_necks.npz",
+                     _neck_params(novel.support_necks))
     elif cfg.arm == "translation":
         support = {}
         for t in cfg.support_tasks:
-            m = MultiTaskModel.init(
+            support[t] = MultiTaskModel.init(
                 rng, [t], world, backbone_layout([t], world.dim, cfg.backbone))
             _read_arrays(run_dir / "support" / t / "model.npz",
-                         _model_params(m))
-            _freeze(_model_params(m))
-            support[t] = m
-        encoder = TranslationParams.init(rng, world.dim,
-                                         sorted(support) + [task])
-        # the encoder trains as the novel branch's extra weights, so
-        # model.npz holds its arrays
-        model.branches[task].extra = encoder.params()
-        translation = TranslationModel(model, task, support, encoder)
-    _read_arrays(run_dir / "model.npz", _model_params(model))
+                         support[t].params())
+        translation = _translation_arm(model, task, support, rng)
+    _read_arrays(run_dir / "model.npz", model.params())
     return model, novel, translation
 
 

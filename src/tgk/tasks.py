@@ -32,9 +32,8 @@ from .layers import TdgcParams, tdgc_forward
 from .optim import linear_init
 
 __all__ = [
-    "NeckParams", "neck_forward", "ClassifierParams", "classifier_forward",
-    "ScorerParams", "scorer_forward", "LtaParams", "lta_forward",
-    "lta_candidates", "MqParams", "mq_forward", "mq_decode", "mq_targets",
+    "MlpParams", "mlp_forward", "neck_forward", "ScorerParams",
+    "scorer_forward", "LtaParams", "lta_forward", "lta_candidates", "MqParams", "mq_forward", "mq_decode", "mq_targets",
     "interval_nodes", "align_intervals", "align_video_intervals",
     "bce_with_logits", "focal_loss", "diou_loss",
 ]
@@ -45,8 +44,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 @dataclass
-class NeckParams:
-    """Two-layer per-task projection, dimension preserving."""
+class MlpParams:
+    """Two-layer perceptron, ``d_in -> d_hidden -> d_out`` with a ReLU
+    between: every task neck, classifier head and encoder feed-forward."""
 
     w1: Tensor
     b1: Tensor
@@ -54,15 +54,20 @@ class NeckParams:
     b2: Tensor
 
     @classmethod
-    def init(cls, rng, dim: int) -> "NeckParams":
-        return cls(*linear_init(rng, dim, dim), *linear_init(rng, dim, dim))
+    def init(cls, rng, d_in: int, d_hidden: int, d_out: int) -> "MlpParams":
+        return cls(*linear_init(rng, d_in, d_hidden),
+                   *linear_init(rng, d_hidden, d_out))
 
     def params(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2]
 
 
-def neck_forward(p: NeckParams, x: Tensor) -> Tensor:
+def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
     return add(matmul(relu(add(matmul(x, p.w1), p.b1)), p.w2), p.b2)
+
+
+# the per-task neck, named apart from the heads so its calls count apart
+neck_forward = mlp_forward
 
 
 def interval_nodes(positions_s: np.ndarray, intervals: np.ndarray
@@ -111,27 +116,6 @@ def align_video_intervals(x: Tensor, g: TemporalGraph, video: int,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ClassifierParams:
-    """Two-layer MLP classifier."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    @classmethod
-    def init(cls, rng, dim: int, num_classes: int) -> "ClassifierParams":
-        return cls(*linear_init(rng, dim, dim), *linear_init(rng, dim, num_classes))
-
-    def params(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-
-def classifier_forward(p: ClassifierParams, x: Tensor) -> Tensor:
-    return add(matmul(relu(add(matmul(x, p.w1), p.b1)), p.w2), p.b2)
-
-
-@dataclass
 class ScorerParams:
     """Linear per-node scorer producing one logit."""
 
@@ -162,8 +146,8 @@ class LtaParams:
 
     refine1: TdgcParams
     refine2: TdgcParams
-    verb_cls: ClassifierParams
-    noun_cls: ClassifierParams
+    verb_cls: MlpParams
+    noun_cls: MlpParams
     num_steps: int
 
     @classmethod
@@ -172,8 +156,8 @@ class LtaParams:
         return cls(
             refine1=TdgcParams.init(rng, dim, dim),
             refine2=TdgcParams.init(rng, dim, dim),
-            verb_cls=ClassifierParams.init(rng, dim, num_verbs),
-            noun_cls=ClassifierParams.init(rng, dim, num_nouns),
+            verb_cls=MlpParams.init(rng, dim, dim, num_verbs),
+            noun_cls=MlpParams.init(rng, dim, dim, num_nouns),
             num_steps=num_steps,
         )
 
@@ -203,7 +187,7 @@ def lta_forward(p: LtaParams, context: Tensor) -> tuple[Tensor, Tensor]:
     x = gather_rows(context, np.repeat(np.arange(m), p.num_steps))
     x = relu(tdgc_forward(p.refine1, g, x))
     x = tdgc_forward(p.refine2, g, x)
-    return classifier_forward(p.verb_cls, x), classifier_forward(p.noun_cls, x)
+    return mlp_forward(p.verb_cls, x), mlp_forward(p.noun_cls, x)
 
 
 def lta_candidates(verb_logits: np.ndarray, noun_logits: np.ndarray,

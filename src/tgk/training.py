@@ -49,10 +49,10 @@ from .synth import (
     mq_annotations, oscc_annotations, pnr_annotations,
 )
 from .tasks import (
-    ClassifierParams, LtaParams, MqParams, NeckParams, ScorerParams,
-    align_video_intervals, bce_with_logits, classifier_forward, diou_loss,
-    focal_loss, interval_nodes, lta_candidates, lta_forward, mq_decode,
-    mq_forward, mq_targets, neck_forward, scorer_forward,
+    LtaParams, MlpParams, MqParams, ScorerParams, align_video_intervals,
+    bce_with_logits, diou_loss, focal_loss, interval_nodes, lta_candidates,
+    lta_forward, mlp_forward, mq_decode, mq_forward, mq_targets,
+    neck_forward, scorer_forward,
 )
 from .translation import TranslationParams, translation_forward
 
@@ -164,7 +164,7 @@ class TaskBranch:
     """
 
     task: str
-    neck: NeckParams
+    neck: MlpParams
     heads: dict
     extra: list[Tensor] = field(default_factory=list)
 
@@ -172,12 +172,12 @@ class TaskBranch:
     def init(cls, rng: np.random.Generator, task: str, world: WorldInfo
              ) -> "TaskBranch":
         dim = world.dim
-        neck = NeckParams.init(rng, dim)
+        neck = MlpParams.init(rng, dim, dim, dim)
         if task == "ar":
-            heads = {"verb": ClassifierParams.init(rng, dim, world.num_verbs),
-                     "noun": ClassifierParams.init(rng, dim, world.num_nouns)}
+            heads = {"verb": MlpParams.init(rng, dim, dim, world.num_verbs),
+                     "noun": MlpParams.init(rng, dim, dim, world.num_nouns)}
         elif task == "oscc":
-            heads = {"cls": ClassifierParams.init(rng, dim, 2)}
+            heads = {"cls": MlpParams.init(rng, dim, dim, 2)}
         elif task == "pnr":
             heads = {"scorer": ScorerParams.init(rng, dim)}
         elif task == "mq":
@@ -234,6 +234,12 @@ class MultiTaskModel:
     def tasks(self) -> list[str]:
         return sorted(self.branches)
 
+    def params(self) -> list[Tensor]:
+        """Every weight in the order ``model.npz`` stores it: the backbone,
+        then each branch by task name."""
+        return self.backbone.params() + [
+            p for t in self.tasks for p in self.branches[t].params()]
+
     def forward_backbone(self, graph: TemporalGraph,
                          cache: VideoCache | None = None
                          ) -> list[StageOutput]:
@@ -241,9 +247,11 @@ class MultiTaskModel:
                                 cache)
 
 
-def _freeze(params: list[Tensor]) -> None:
-    for t in params:
-        t.requires_grad = False
+def _freeze(*owners) -> None:
+    """Stop gradients into every weight in each owner's ``params()``."""
+    for owner in owners:
+        for t in owner.params():
+            t.requires_grad = False
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +330,7 @@ def _interval_class_loss(necked: Tensor, graph: TemporalGraph, parts: list,
     ids = np.concatenate([part[1] + lo for part, lo
                           in zip(parts, np.cumsum([0] + counts))])
     pooled = segment_mean(gather_rows(necked, nodes), ids, sum(counts))
-    logits = [classifier_forward(heads[h], pooled) for h in _CLASS_HEADS[task]]
+    logits = [mlp_forward(heads[h], pooled) for h in _CLASS_HEADS[task]]
     terms = [cross_entropy_rows(z, np.concatenate([part[2 + i] for part in parts]))
              for i, z in enumerate(logits)]
     return terms[0] if len(terms) == 1 else add(*terms)
@@ -419,33 +427,27 @@ def task_loss(branch: TaskBranch, stage_features: list[Tensor],
 
 def _stage_features(model: MultiTaskModel, task: str,
                     stages: list[StageOutput], videos: list[VideoSample],
-                    novel: NovelModel | None = None,
-                    translation: TranslationModel | None = None,
-                    cache: VideoCache | None = None) -> list[Tensor]:
+                    arm: NovelModel | TranslationModel | None,
+                    cache: VideoCache) -> list[Tensor]:
     """Per stage the task reads (only mq reads past the dense stage), the
-    features its head reads: the egopack fusion of a novel model,
-    translated tokens at the dense stage of a translation model (support
-    tokens and masks kept in ``cache``), otherwise the task's own neck."""
+    features its head reads: the transfer ``arm``'s ``stage_features``
+    (per-video work kept in ``cache``), otherwise the task's own neck."""
     stages = stages[:stage_count_for([task])]
-    if novel is not None:
-        return novel.fused_stage_features(stages)
-    neck = model.branches[task].neck
-    if translation is not None:
-        cache = VideoCache() if cache is None else cache
-        return [translation.translated_dense(videos, stages, cache)] + [
-            neck_forward(neck, s.features) for s in stages[1:]]
-    return [neck_forward(neck, s.features) for s in stages]
+    if arm is not None:
+        return arm.stage_features(stages, videos, cache)
+    return [neck_forward(model.branches[task].neck, s.features)
+            for s in stages]
 
 
 def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
-                cfg: TrainConfig, novel: NovelModel | None = None,
-                translation: TranslationModel | None = None) -> None:
+                cfg: TrainConfig,
+                arm: NovelModel | TranslationModel | None = None) -> None:
     """Shared optimization loop of every arm.
 
     Each batch runs the backbone once and sums the task losses, each read
-    from the features ``_stage_features`` picks. The backbone and every
-    branch get their own Adam at their own learning rate, over the
-    parameters that require grad, so a frozen backbone gets none.
+    from the features ``_stage_features`` picks for ``arm``. The backbone
+    and every branch get their own Adam at their own learning rate, over
+    the parameters that require grad, so a frozen backbone gets none.
     Annotations are read through a view of the model's own tasks: a
     phase-two model holds only its novel task. Per-video edges and every
     task's targets are computed on a video's first batch and kept in a
@@ -479,7 +481,7 @@ def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
                 loss = None
                 for task, branch in model.branches.items():
                     feats = _stage_features(model, task, stages, batch,
-                                            novel, translation, cache)
+                                            arm, cache)
                     term = task_loss(branch, feats, stages, batch, view,
                                      model.world, cache)
                     if not np.isfinite(term.data).all():
@@ -553,14 +555,17 @@ class NovelModel:
 
     base: MultiTaskModel
     novel: str
-    support_necks: dict[str, NeckParams]
+    support_necks: dict[str, MlpParams]
     interactions: dict[str, InteractionParams]
     banks: dict[str, PrototypeBank]
     cfg: TrainConfig
 
-    def fused_stage_features(self, stages: list[StageOutput]
-                             ) -> list[Tensor]:
-        """Per stage: mean of the novel branch and interaction branches.
+    def stage_features(self, stages: list[StageOutput],
+                       videos: list[VideoSample], cache: VideoCache
+                       ) -> list[Tensor]:
+        """Per stage: mean of the novel branch and interaction branches;
+        the banks are the only per-run state, so ``videos`` and ``cache``
+        go unread.
 
         Support branches start from detached backbone features, so the
         novel loss cannot reach the backbone through them.
@@ -613,27 +618,35 @@ def run_novel(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
     model = MultiTaskModel.init(rng, [novel_task], world, backbone_cfg)
     model.backbone = backbone
     if freeze_backbone:
-        _freeze(model.backbone.params())
+        _freeze(model.backbone)
     if not interaction:
         _train_loop(model, ds.train, cfg)
         return model, None
 
-    support_necks = {}
-    interactions = {}
-    for t in sorted(banks):
-        neck_copy = copy.deepcopy(support_model.branches[t].neck)
-        _freeze(neck_copy.params())
-        support_necks[t] = neck_copy
-        interactions[t] = InteractionParams.init(
-            rng, world.dim, cfg.interaction_layers)
-    novel = NovelModel(model, novel_task, support_necks, interactions,
-                       banks, cfg)
-
-    # interaction weights train in the novel branch's optimizer group
-    model.branches[novel_task].extra = [
-        p for ip in interactions.values() for p in ip.params()]
-    _train_loop(model, ds.train, cfg, novel=novel)
+    novel = _egopack_arm(
+        model, novel_task,
+        {t: support_model.branches[t].neck for t in banks}, banks, cfg, rng)
+    _train_loop(model, ds.train, cfg, novel)
     return model, novel
+
+
+def _egopack_arm(model: MultiTaskModel, task: str,
+                 support_necks: dict[str, MlpParams],
+                 banks: dict[str, PrototypeBank], cfg: TrainConfig,
+                 rng: np.random.Generator) -> NovelModel:
+    """The egopack arm around ``model``'s ``task`` branch, laid out per
+    support task in sorted order: a frozen copy of its neck and a fresh
+    interaction stack. The stacks train in the branch's optimizer group as
+    its ``extra`` weights, so ``model.npz`` holds them in that order."""
+    tasks = sorted(banks)
+    necks = {t: copy.deepcopy(support_necks[t]) for t in tasks}
+    _freeze(*necks.values())
+    interactions = {t: InteractionParams.init(rng, model.world.dim,
+                                              cfg.interaction_layers)
+                    for t in tasks}
+    model.branches[task].extra = [
+        p for t in tasks for p in interactions[t].params()]
+    return NovelModel(model, task, necks, interactions, banks, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -649,17 +662,18 @@ class TranslationModel:
     support_models: dict[str, MultiTaskModel]
     encoder: TranslationParams
 
-    def translated_dense(self, batch: list[VideoSample],
-                         stages: list[StageOutput], cache: VideoCache
-                         ) -> Tensor:
-        """Per video, run all tasks' tokens through the masked encoder and
-        keep the novel task's rows. Support tokens are frozen features,
-        computed once per (support task, video) in ``cache``."""
+    def stage_features(self, stages: list[StageOutput],
+                       videos: list[VideoSample], cache: VideoCache
+                       ) -> list[Tensor]:
+        """At the dense stage, per video, all tasks' tokens through the
+        masked encoder, keeping the novel task's rows; coarser stages read
+        the novel neck. Support tokens are frozen features, computed once
+        per (support task, video) in ``cache``."""
         graph = stages[DENSE_STAGE].graph
-        novel_neck = self.base.branches[self.novel].neck
-        necked = neck_forward(novel_neck, stages[DENSE_STAGE].features)
+        neck = self.base.branches[self.novel].neck
+        necked = neck_forward(neck, stages[DENSE_STAGE].features)
         out_rows = []
-        for vi, video in enumerate(batch):
+        for vi, video in enumerate(videos):
             sl = graph.video_slice(vi)
             rows = gather_rows(necked, np.arange(sl.start, sl.stop))
             tokens = {self.novel: (rows, graph.positions_s[sl], 1)}
@@ -668,7 +682,8 @@ class TranslationModel:
                                       lambda: self._support_tokens(t, m, video))
             out_rows.append(translation_forward(self.encoder, tokens,
                                                 self.novel, cache))
-        return concat_rows(out_rows)
+        return [concat_rows(out_rows)] + [neck_forward(neck, s.features)
+                                          for s in stages[1:]]
 
     @staticmethod
     def _support_tokens(task: str, m: MultiTaskModel, video: VideoSample
@@ -695,17 +710,23 @@ def run_translation(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
     model = MultiTaskModel.init(
         rng, [novel_task], world,
         backbone_layout([novel_task], world.dim, backbone_cfg))
-    for m in support_models.values():
-        _freeze(m.backbone.params())
-        for b in m.branches.values():
-            _freeze(b.params())
-    encoder = TranslationParams.init(
-        rng, world.dim, sorted(support_models) + [novel_task])
-    tm = TranslationModel(model, novel_task, support_models, encoder)
-
-    model.branches[novel_task].extra = encoder.params()
-    _train_loop(model, ds.train, cfg, translation=tm)
+    tm = _translation_arm(model, novel_task, support_models, rng)
+    _train_loop(model, ds.train, cfg, tm)
     return model, tm
+
+
+def _translation_arm(model: MultiTaskModel, task: str,
+                     support_models: dict[str, MultiTaskModel],
+                     rng: np.random.Generator) -> TranslationModel:
+    """The translation arm around ``model``'s ``task`` branch: the support
+    models, in sorted order, frozen as token providers, and an encoder
+    over their tokens and the task's. The encoder trains in the branch's
+    optimizer group as its ``extra`` weights, so ``model.npz`` holds it."""
+    support = {t: support_models[t] for t in sorted(support_models)}
+    _freeze(*support.values())
+    encoder = TranslationParams.init(rng, model.world.dim, [*support, task])
+    model.branches[task].extra = encoder.params()
+    return TranslationModel(model, task, support, encoder)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +743,7 @@ def _predict_video(task: str, branch: TaskBranch, feats: list[Tensor],
     if task in ("ar", "oscc"):
         ivals, *labels = view.annotations(video, task)
         aligned, _ = align_video_intervals(necked, graph, 0, ivals)
-        return {h: (classifier_forward(branch.heads[h], aligned).data.argmax(axis=1),
+        return {h: (mlp_forward(branch.heads[h], aligned).data.argmax(axis=1),
                     y) for h, y in zip(_CLASS_HEADS[task], labels)}
     if task == "pnr":
         ivals, times = view.annotations(video, "pnr")
@@ -820,8 +841,13 @@ def evaluate(model: MultiTaskModel, videos: list[VideoSample],
     """Validation metrics per task; deterministic given cfg.seed.
 
     Each video gets one graph and one backbone pass, which every task
-    reads; a metric no video can score is None.
+    reads; a metric no video can score is None. A model has at most one
+    transfer arm, so ``novel`` and ``translation`` together raise
+    ``ValueError``.
     """
+    if novel is not None and translation is not None:
+        raise ValueError("evaluate: pass novel= or translation=, not both")
+    arm = novel if novel is not None else translation
     tasks = sorted(tasks or model.tasks)
     view = AnnotationView(tasks, model.world.lta_steps)
     cache = VideoCache()
@@ -830,8 +856,8 @@ def evaluate(model: MultiTaskModel, videos: list[VideoSample],
         stages = model.forward_backbone(build_batch_graph(
             [video], model.backbone_cfg.edge_rule, cache), cache)
         for task in tasks:
-            feats = _stage_features(model, task, stages, [video], novel,
-                                    translation, cache)
+            feats = _stage_features(model, task, stages, [video], arm,
+                                    cache)
             records[task].append(_predict_video(
                 task, model.branches[task], feats, stages, video, idx,
                 view, cfg))

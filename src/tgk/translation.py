@@ -18,10 +18,11 @@ import numpy as np
 
 from .autodiff import (
     Tensor, add, bmm, concat_rows, div, gather_rows, masked_softmax_rows,
-    matmul, merge_heads, mul, permute, relu, split_heads, sqrt, sub, tmean,
+    matmul, merge_heads, mul, permute, split_heads, sqrt, sub, tmean,
 )
 from .graph import VideoCache
 from .optim import linear_init, uniform_fan_in
+from .tasks import MlpParams, mlp_forward
 
 __all__ = ["build_mask", "EncoderLayerParams", "TranslationParams",
            "encoder_forward", "translation_forward"]
@@ -69,11 +70,8 @@ class EncoderLayerParams:
     bo: Tensor
     ln2_g: Tensor
     ln2_b: Tensor
-    ff1_w: Tensor
-    ff1_b: Tensor
-    ff2_w: Tensor
-    ff2_b: Tensor
     num_heads: int
+    ff: MlpParams
 
     @classmethod
     def init(cls, rng, dim: int, num_heads: int) -> "EncoderLayerParams":
@@ -83,19 +81,18 @@ class EncoderLayerParams:
         wk, bk = linear_init(rng, dim, dim)
         wv, bv = linear_init(rng, dim, dim)
         wo, bo = linear_init(rng, dim, dim)
-        ff1_w, ff1_b = linear_init(rng, dim, 4 * dim)
-        ff2_w, ff2_b = linear_init(rng, 4 * dim, dim)
+        ff = MlpParams.init(rng, dim, 4 * dim, dim)
         ones = Tensor(np.ones(dim), requires_grad=True)
         zeros = Tensor(np.zeros(dim), requires_grad=True)
         ones2 = Tensor(np.ones(dim), requires_grad=True)
         zeros2 = Tensor(np.zeros(dim), requires_grad=True)
         return cls(ones, zeros, wq, bq, wk, bk, wv, bv, wo, bo,
-                   ones2, zeros2, ff1_w, ff1_b, ff2_w, ff2_b, num_heads)
+                   ones2, zeros2, num_heads, ff)
 
     def params(self) -> list[Tensor]:
         return [self.ln1_g, self.ln1_b, self.wq, self.bq, self.wk, self.bk,
                 self.wv, self.bv, self.wo, self.bo, self.ln2_g, self.ln2_b,
-                self.ff1_w, self.ff1_b, self.ff2_w, self.ff2_b]
+                *self.ff.params()]
 
 
 def _attention(p: EncoderLayerParams, x: Tensor, mask: np.ndarray) -> Tensor:
@@ -111,8 +108,7 @@ def _attention(p: EncoderLayerParams, x: Tensor, mask: np.ndarray) -> Tensor:
 
 def _encoder_layer(p: EncoderLayerParams, x: Tensor, mask: np.ndarray) -> Tensor:
     x = add(x, _attention(p, _layer_norm(x, p.ln1_g, p.ln1_b), mask))
-    h = _layer_norm(x, p.ln2_g, p.ln2_b)
-    h = add(matmul(relu(add(matmul(h, p.ff1_w), p.ff1_b)), p.ff2_w), p.ff2_b)
+    h = mlp_forward(p.ff, _layer_norm(x, p.ln2_g, p.ln2_b))
     return add(x, h)
 
 

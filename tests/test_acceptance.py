@@ -25,12 +25,12 @@ import numpy as np
 
 from tgk.ablation import (
     OrderProbeConfig, run_ablation_grid, run_order_separation,
-    run_tdgc_ablations,
+    run_tdgc_ablations, run_transfer_matchup,
 )
 from tgk.autodiff import GradientTape, Tensor, add, backward, mul, tsum
 from tgk.cli import main as cli_main
 from tgk.egopack import InteractionParams, PrototypeBank, interaction_forward
-from tgk.graph import EdgeRule, build_graph
+from tgk.graph import EdgeRule, VideoCache, build_graph
 from tgk.hierarchy import BackboneConfig, BackboneParams, backbone_forward
 from tgk.layers import LAYER_KINDS, TdgcParams, sinusoidal_pe, tdgc_forward
 from tgk.metrics import (
@@ -38,16 +38,12 @@ from tgk.metrics import (
     top1_accuracy,
 )
 from tgk.optim import finite_diff_check
-from tgk.synth import SynthConfig, SynthDataset, generate_dataset
+from tgk.synth import SynthConfig, generate_dataset
 from tgk.tasks import (
-    ClassifierParams, LtaParams, MqParams, NeckParams, ScorerParams,
-    classifier_forward, lta_forward, mq_decode, mq_forward, mq_targets,
-    neck_forward, scorer_forward,
+    LtaParams, MlpParams, MqParams, ScorerParams, lta_forward, mlp_forward,
+    mq_decode, mq_forward, mq_targets, neck_forward, scorer_forward,
 )
-from tgk.training import (
-    TrainConfig, build_batch_graph, build_prototype_banks, evaluate,
-    run_mtl, run_novel, run_single,
-)
+from tgk.training import TrainConfig, build_batch_graph, build_prototype_banks
 from tgk.translation import TranslationParams, build_mask, translation_forward
 
 _CACHE = {}
@@ -119,16 +115,16 @@ def test_check_01_gradient_correctness():
 
     def neck(rng):
         x = Tensor(rng.normal(size=(7, d)))
-        p = NeckParams.init(rng, d)
+        p = MlpParams.init(rng, d, d, d)
         w = rng.normal(size=(7, d))
         return p.params(), lambda: _weighted(neck_forward(p, x), w)
     probe("neck", neck)
 
     def classifier(rng):
         x = Tensor(rng.normal(size=(7, d)))
-        p = ClassifierParams.init(rng, d, 4)
+        p = MlpParams.init(rng, d, d, 4)
         w = rng.normal(size=(7, 4))
-        return p.params(), lambda: _weighted(classifier_forward(p, x), w)
+        return p.params(), lambda: _weighted(mlp_forward(p, x), w)
     probe("classifier", classifier)
 
     def scorer(rng):
@@ -480,7 +476,8 @@ def _blocking_factor_holds(model, novel_state, video) -> bool:
         with GradientTape() as tape:
             stages = model.forward_backbone(graph)
             if fused_path:
-                feats = novel_state.fused_stage_features(stages)
+                feats = novel_state.stage_features(stages, [video],
+                                                   VideoCache())
             else:
                 feats = [neck_forward(neck, s.features) for s in stages]
             if weights is None:
@@ -499,39 +496,30 @@ def _blocking_factor_holds(model, novel_state, video) -> bool:
         np.allclose(g_on[p], factor * g_off[p], atol=1e-12) for p in leaves)
 
 
-def _transfer_matchup(novel_task, seed):
-    ds = generate_dataset(SynthConfig(num_train_videos=40, num_val_videos=16,
-                                      segments_per_video=32, noise=0.25,
-                                      seed=seed))
-    cfg = TrainConfig(epochs=100, warmup_epochs=10, base_lr=1e-3, seed=seed)
-    support = run_mtl(("ar", "oscc", "pnr"), ds, cfg)
-    banks = build_prototype_banks(support, ds, ("ar", "oscc", "pnr"))
-    bank_bytes = {t: b.prototypes.tobytes() for t, b in banks.items()}
-    novel_ds = SynthDataset(ds.config, ds.train[:8], ds.val)
-
-    single = run_single(novel_task, novel_ds, cfg)
-    ft_model, ft_state = run_novel(novel_task, novel_ds, cfg, support,
-                                   banks=None, interaction=False)
-    ego_model, ego_state = run_novel(novel_task, novel_ds, cfg, support,
-                                     banks=banks, interaction=True)
-
-    frozen = all(banks[t].prototypes.tobytes() == bank_bytes[t] for t in banks)
-    blocked = _blocking_factor_holds(ego_model, ego_state, ds.val[0])
-    return {
-        "single": evaluate(single, ds.val, cfg)[novel_task],
-        "mtl_ft": evaluate(ft_model, ds.val, cfg, novel=ft_state)[novel_task],
-        "egopack": evaluate(ego_model, ds.val, cfg, novel=ego_state)[novel_task],
-    }, frozen, blocked
-
-
 def test_check_07_transfer_trend():
+    """Runs the library's transfer recipe per (task, seed). The banks count
+    as frozen when rebuilding them from the support model, after every arm
+    trained and evaluated, gives the same keys and bytes."""
+    support_tasks = ("ar", "oscc", "pnr")
     lines = []
     ok = True
     for task, key, higher in (("mq", "map_avg", True),
                               ("lta", "mean_ed", False)):
         wins = 0
         for seed in (0, 1, 2):
-            arms, frozen, blocked = _transfer_matchup(task, seed)
+            ds = generate_dataset(SynthConfig(
+                num_train_videos=40, num_val_videos=16, segments_per_video=32,
+                noise=0.25, seed=seed))
+            cfg = TrainConfig(epochs=100, warmup_epochs=10, base_lr=1e-3,
+                              seed=seed)
+            arms, support, banks, ego_model, ego_state = run_transfer_matchup(
+                task, ds, cfg, support_tasks, novel_train_videos=8)
+            rebuilt = build_prototype_banks(support, ds, support_tasks)
+            frozen = sorted(banks) == sorted(rebuilt) and all(
+                banks[t].keys == rebuilt[t].keys
+                and banks[t].prototypes.tobytes()
+                == rebuilt[t].prototypes.tobytes() for t in banks)
+            blocked = _blocking_factor_holds(ego_model, ego_state, ds.val[0])
             vals = {a: arms[a][key] for a in arms}
             if higher:
                 win = (vals["egopack"] >= vals["single"]

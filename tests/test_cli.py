@@ -8,6 +8,7 @@ runs with the same arguments must leave byte-identical metrics files.
 """
 
 import json
+import shutil
 import struct
 import tempfile
 import zipfile
@@ -19,9 +20,13 @@ import pytest
 
 from tgk.cli import main
 from tgk.config import load_config
+from tgk.egopack import load_bank, save_bank
 from tgk.persist import load_run
 from tgk.synth import SynthConfig, generate_dataset, load_dataset
-from tgk.training import MultiTaskModel, TrainConfig
+from tgk.training import (
+    MultiTaskModel, TrainConfig, build_prototype_banks, evaluate, run_mtl,
+    run_novel, run_single,
+)
 
 _CACHE = {}
 
@@ -202,13 +207,22 @@ def test_build_prototypes_runs_backbone_once_per_video(tmp_path, monkeypatch):
     assert len(calls) == len(ds.train) + len(ds.val)
 
 
+def ego_run() -> Path:
+    """An egopack pnr run on the shared support run and banks, built once."""
+    ws = workspace()
+    if "ego" not in _CACHE:
+        run = ws / "run_ego"
+        assert main(["train-novel", "--data", str(ws / "data"), "--task",
+                     "pnr", "--method", "egopack", "--support-run",
+                     str(ws / "run_mtl"), "--banks", str(proto_run()),
+                     "--run", str(run)] + TRAIN_FLAGS) == 0
+        _CACHE["ego"] = run
+    return _CACHE["ego"]
+
+
 def test_train_novel_egopack_round_trip(tmp_path):
     ws = workspace()
-    run = tmp_path / "run_ego"
-    assert main(["train-novel", "--data", str(ws / "data"), "--task", "pnr",
-                 "--method", "egopack", "--support-run", str(ws / "run_mtl"),
-                 "--banks", str(proto_run()), "--run", str(run)]
-                + TRAIN_FLAGS) == 0
+    run = ego_run()
     payload = metrics_of(run)
     assert payload["arm"] == "egopack"
     assert payload["task"] == "pnr"
@@ -217,6 +231,58 @@ def test_train_novel_egopack_round_trip(tmp_path):
     assert main(["eval", "--run", str(run), "--data", str(ws / "data"),
                  "--split", "val", "--out", str(out)]) == 0
     assert metrics_of(out)["metrics"] == payload["metrics"]
+
+
+def test_egopack_run_loads_whatever_order_config_lists_supports(tmp_path):
+    # the interaction stacks are laid out in sorted support-task order by
+    # the one helper training and loading share, so the order config.json
+    # lists them in cannot swap one task's weights into another's stack
+    ws = workspace()
+    run = ego_run()
+    flipped = tmp_path / "flipped"
+    shutil.copytree(run, flipped)
+    raw = json.loads((flipped / "config.json").read_text())
+    assert raw["support_tasks"] == ["ar", "oscc"]
+    raw["support_tasks"].reverse()
+    (flipped / "config.json").write_text(json.dumps(raw))
+    _, want, _ = load_run(run, load_config(run))
+    _, got, _ = load_run(flipped, load_config(flipped))
+    assert sorted(got.interactions) == ["ar", "oscc"]
+    for t in ("ar", "oscc"):
+        assert [p.data.tobytes() for p in got.interactions[t].params()] == \
+            [p.data.tobytes() for p in want.interactions[t].params()]
+    outs = []
+    for name, src in (("e1", run), ("e2", flipped)):
+        assert main(["eval", "--run", str(src), "--data", str(ws / "data"),
+                     "--out", str(tmp_path / name)]) == 0
+        outs.append(metrics_of(tmp_path / name)["metrics"])
+    assert outs[0] == outs[1] == metrics_of(run)["metrics"]
+
+
+def test_cli_metrics_equal_the_api_run(tmp_path):
+    """``metrics.json`` of a CLI run holds exactly what ``evaluate`` returns
+    for the same run done through the API on the saved corpus."""
+    ws = workspace()
+    ds = load_dataset(ws / "data")
+    cfg = TrainConfig(epochs=2, warmup_epochs=1, base_lr=1e-3,
+                      batch_videos=4, seed=0)  # TRAIN_FLAGS
+
+    def same(run: Path, metrics: dict) -> None:
+        assert metrics_of(run)["metrics"] == json.loads(json.dumps(metrics))
+
+    run = tmp_path / "single_mq"
+    assert main(["train-single", "--data", str(ws / "data"), "--task", "mq",
+                 "--run", str(run)] + TRAIN_FLAGS) == 0
+    same(run, evaluate(run_single("mq", ds, cfg), ds.val, cfg))
+    support = run_mtl(["ar", "oscc"], ds, cfg)
+    same(ws / "run_mtl", evaluate(support, ds.val, cfg))
+    # run directories store banks as float32, so the API run reads its
+    # banks back through the same files
+    for bank in build_prototype_banks(support, ds).values():
+        save_bank(tmp_path / "prototypes", bank)
+    banks = {t: load_bank(tmp_path / "prototypes", t) for t in support.tasks}
+    model, novel = run_novel("pnr", ds, cfg, support, banks=banks)
+    same(ego_run(), evaluate(model, ds.val, cfg, novel=novel))
 
 
 def test_train_novel_baseline_methods(tmp_path):
@@ -399,6 +465,42 @@ def test_invalid_config_exits_with_one_line(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--run", str(proto_run()), "--data", str(ws / "data")])
     assert "config.json" in exc.value.code
+
+
+def data_argv(command: str, data: Path, run: Path) -> list[str]:
+    """A valid ``command`` line reading ``data`` and writing ``run``."""
+    ws = workspace()
+    return {
+        "train-single": ["train-single", "--data", str(data), "--task",
+                         "oscc", "--run", str(run)] + TRAIN_FLAGS,
+        "train-mtl": ["train-mtl", "--data", str(data), "--tasks", "ar,oscc",
+                      "--run", str(run)] + TRAIN_FLAGS,
+        "build-prototypes": ["build-prototypes", "--data", str(data),
+                             "--support-run", str(ws / "run_mtl"),
+                             "--run", str(run)],
+        "train-novel": ["train-novel", "--data", str(data), "--task", "pnr",
+                        "--method", "mtl-ft", "--support-run",
+                        str(ws / "run_mtl"), "--run", str(run)] + TRAIN_FLAGS,
+        "eval": ["eval", "--run", str(ws / "run_single_oscc"), "--data",
+                 str(data), "--out", str(run)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["train-single", "train-mtl",
+                                     "build-prototypes", "train-novel",
+                                     "eval"])
+@pytest.mark.parametrize("fault", ["missing", "non-finite"])
+def test_commands_exit_in_one_line_on_unreadable_data(tmp_path, command,
+                                                      fault):
+    data = tmp_path / "data"
+    if fault == "non-finite":
+        shutil.copytree(workspace() / "data", data)
+        blob = sorted((data / "val" / "features").glob("*.bin"))[0]
+        raw = bytearray(blob.read_bytes())
+        raw[:4] = struct.pack("<f", float("nan"))
+        blob.write_bytes(bytes(raw))
+    run = tmp_path / "run"
+    assert_exits_in_one_line(data_argv(command, data, run), run, f"{data}: ")
 
 
 def test_build_prototypes_exits_on_unreadable_support_run(tmp_path):

@@ -71,6 +71,7 @@ def _forecast_sha(model, novel, videos) -> str:
     val video it scores."""
     from tgk.synth import lta_annotations
     from tgk.tasks import align_video_intervals, lta_forward
+    from tgk.graph import VideoCache
     from tgk.training import _stage_features, build_batch_graph
 
     h = hashlib.sha256()
@@ -80,7 +81,8 @@ def _forecast_sha(model, novel, videos) -> str:
             continue
         stages = model.forward_backbone(
             build_batch_graph([video], model.backbone_cfg.edge_rule))
-        feats = _stage_features(model, "lta", stages, [video], novel)
+        feats = _stage_features(model, "lta", stages, [video], novel,
+                                VideoCache())
         context, _ = align_video_intervals(feats[0], stages[0].graph, 0,
                                            np.array([anchor]))
         for logits in lta_forward(model.branches["lta"].heads["lta"], context):
@@ -104,7 +106,7 @@ def compute() -> dict:
     from tgk.hierarchy import BackboneConfig
     from tgk.layers import LAYER_KINDS
     from tgk.synth import SynthConfig, generate_dataset
-    from tgk.tasks import classifier_forward
+    from tgk.tasks import mlp_forward
     from tgk.training import (
         TrainConfig, build_prototype_banks, evaluate, run_mtl, run_novel,
         run_single, run_translation, translation_forward,
@@ -185,17 +187,17 @@ def compute() -> dict:
     last = {}
 
     def capturing(p, x):
-        last["logits"] = classifier_forward(p, x)
+        last["logits"] = mlp_forward(p, x)
         return last["logits"]
 
-    ablation.classifier_forward = capturing
+    ablation.mlp_forward = capturing
     try:
         for name, flags in variants:
             kind = name if name in LAYER_KINDS else "tdgc"
             train_order_probe(kind, 0, probe, **flags)
             out[f"order_probe/{name}"] = _sha(last["logits"].data.tobytes())
     finally:
-        ablation.classifier_forward = classifier_forward
+        ablation.mlp_forward = mlp_forward
 
     with tempfile.TemporaryDirectory(prefix="tgk_fp_") as tmp:
         ws = Path(tmp)

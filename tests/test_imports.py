@@ -1,7 +1,10 @@
-"""Every module-level import in ``src/tgk`` is used by its module.
+"""Every module-level import in ``src/tgk`` is used by its module, and
+every top-level ``def`` or ``class`` is used by the package.
 
-A name counts as used when the module reads it anywhere (code or an
-evaluated annotation) or re-exports it through ``__all__``.
+An import counts as used when the module reads it anywhere (code or an
+evaluated annotation) or re-exports it through ``__all__``. A definition
+counts as used when its module exports it through ``__all__`` or some
+code of the package other than the definition itself names it.
 """
 
 import ast
@@ -23,14 +26,32 @@ def imported_names(tree: ast.Module) -> list[str]:
     return names
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def exported_names(tree: ast.Module) -> set[str]:
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
-            used |= {e.value for e in node.value.elts}
-    return used
+            return {e.value for e in node.value.elts}
+    return set()
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return used | exported_names(tree)
+
+
+def named_in(nodes) -> set[str]:
+    """Every name the nodes read, reach as an attribute or import."""
+    out = set()
+    for root in nodes:
+        for n in ast.walk(root):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.alias):
+                out.add(n.name)
+    return out
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -38,3 +59,18 @@ def test_every_module_level_import_is_used(path):
     tree = ast.parse(path.read_text())
     used = used_names(tree)
     assert [name for name in imported_names(tree) if name not in used] == []
+
+
+def test_every_top_level_definition_is_used():
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    unused = []
+    for stem, tree in trees.items():
+        exported = exported_names(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            rest = [n for n in tree.body if n is not node] + [
+                t for other, t in trees.items() if other != stem]
+            if node.name not in exported and node.name not in named_in(rest):
+                unused.append(f"{stem}.{node.name}")
+    assert unused == []

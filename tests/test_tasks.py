@@ -11,19 +11,18 @@ from tgk.autodiff import GradientTape, Tensor, backward, tsum
 from tgk.graph import EdgeRule, TemporalGraph, build_graph
 from tgk.optim import finite_diff_check
 from tgk.tasks import (
-    ClassifierParams,
     LtaParams,
+    MlpParams,
     MqParams,
-    NeckParams,
     ScorerParams,
     align_intervals,
     align_video_intervals,
     bce_with_logits,
-    classifier_forward,
     diou_loss,
     focal_loss,
     lta_candidates,
     lta_forward,
+    mlp_forward,
     mq_decode,
     mq_forward,
     mq_targets,
@@ -39,7 +38,7 @@ from tgk.tasks import (
 
 def test_neck_matches_numpy_mlp():
     rng = np.random.default_rng(0)
-    p = NeckParams.init(rng, 6)
+    p = MlpParams.init(rng, 6, 6, 6)
     x = rng.normal(size=(9, 6))
     got = neck_forward(p, Tensor(x)).data
     hidden = np.maximum(x @ p.w1.data + p.b1.data, 0.0)
@@ -49,8 +48,8 @@ def test_neck_matches_numpy_mlp():
 def test_classifier_and_scorer_shapes_and_oracle():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(7, 5))
-    cls = ClassifierParams.init(rng, 5, 11)
-    out = classifier_forward(cls, Tensor(x)).data
+    cls = MlpParams.init(rng, 5, 5, 11)
+    out = mlp_forward(cls, Tensor(x)).data
     hidden = np.maximum(x @ cls.w1.data + cls.b1.data, 0.0)
     assert out.shape == (7, 11)
     assert np.allclose(out, hidden @ cls.w2.data + cls.b2.data, atol=1e-12)

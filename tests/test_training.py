@@ -18,7 +18,7 @@ import pytest
 from tgk import metrics, training
 from tgk.autodiff import GradientTape, Tensor, add, backward, mul, tsum
 from tgk.cli import _write_metrics
-from tgk.graph import EdgeRule, build_graph
+from tgk.graph import EdgeRule, VideoCache, build_graph
 from tgk.hierarchy import BackboneConfig
 from tgk.synth import (
     Event,
@@ -30,7 +30,7 @@ from tgk.synth import (
     lta_train_instances,
     pnr_annotations,
 )
-from tgk.tasks import classifier_forward, neck_forward
+from tgk.tasks import mlp_forward, neck_forward
 from tgk.training import (
     AnnotationView,
     MultiTaskModel,
@@ -210,10 +210,10 @@ def test_branch_head_layout_per_task():
     probe = Tensor(rng.normal(size=(3, world.dim)))
     branch = TaskBranch.init(rng, "ar", world)
     assert sorted(branch.heads) == ["noun", "verb"]
-    assert classifier_forward(branch.heads["verb"], probe).shape == (3, 4)
-    assert classifier_forward(branch.heads["noun"], probe).shape == (3, 3)
+    assert mlp_forward(branch.heads["verb"], probe).shape == (3, 4)
+    assert mlp_forward(branch.heads["noun"], probe).shape == (3, 3)
     branch = TaskBranch.init(rng, "oscc", world)
-    assert classifier_forward(branch.heads["cls"], probe).shape == (3, 2)
+    assert mlp_forward(branch.heads["cls"], probe).shape == (3, 2)
     assert sorted(TaskBranch.init(rng, "pnr", world).heads) == ["scorer"]
     assert sorted(TaskBranch.init(rng, "mq", world).heads) == ["mq"]
     assert sorted(TaskBranch.init(rng, "lta", world).heads) == ["lta"]
@@ -383,7 +383,7 @@ def test_interval_rule_equals_the_loops_exactly():
     input every run."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from tgk.graph import TemporalGraph, VideoCache
+    from tgk.graph import TemporalGraph
     from tgk.hierarchy import StageOutput
     from tgk.tasks import ScorerParams, interval_nodes, scorer_forward
 
@@ -754,7 +754,7 @@ def test_novel_gradients_bypass_support_branches():
         with GradientTape() as tape:
             stages = model.forward_backbone(graph)
             if fused_path:
-                feats = novel.fused_stage_features(stages)
+                feats = novel.stage_features(stages, [video], VideoCache())
             else:
                 feats = [neck_forward(neck, s.features) for s in stages]
             if weights is None:
@@ -781,7 +781,7 @@ def test_novel_interaction_weights_receive_gradient():
     inter = [p for ip in novel.interactions.values() for p in ip.params()]
     with GradientTape() as tape:
         stages = model.forward_backbone(graph)
-        fused = novel.fused_stage_features(stages)
+        fused = novel.stage_features(stages, [video], VideoCache())
         loss = tsum(mul(fused[0], fused[0]))
     grads = backward(tape, loss, leaves=inter)
     assert any(np.abs(grads[p]).sum() > 0 for p in inter)
@@ -871,3 +871,13 @@ def test_novel_eval_uses_fused_features():
     plain = evaluate(model, ds.val, small_cfg())
     assert set(with_fusion) == set(plain) == {"oscc"}
     assert 0.0 <= with_fusion["oscc"]["top1"] <= 100.0
+
+
+def test_evaluate_takes_one_transfer_arm():
+    # a model has one transfer arm; the guard fires before either is read,
+    # so any object stands in for the translation model
+    ds = tiny_dataset()
+    model, novel = novel_run()
+    with pytest.raises(ValueError, match="not both"):
+        evaluate(model, ds.val, small_cfg(), novel=novel,
+                 translation=SimpleNamespace())
