@@ -19,12 +19,11 @@ from .autodiff import (
 )
 from .graph import EdgeRule, TemporalGraph, VideoCache, build_graph
 from .hierarchy import BackboneConfig, BackboneParams, backbone_forward
-from .optim import Adam, lr_at
 from .synth import SynthConfig, SynthDataset, generate_dataset, generate_order_windows
 from .tasks import MlpParams, mlp_forward
 from .training import (
-    TrainConfig, build_prototype_banks, evaluate, run_mtl, run_novel,
-    run_single,
+    TrainConfig, _adam_batches, _require_finite, build_prototype_banks,
+    evaluate, run_mtl, run_novel, run_single,
 )
 
 __all__ = [
@@ -69,8 +68,8 @@ def train_order_probe(layer_kind: str, seed: int,
     """Train one layer family on the ordering probe; returns accuracies.
 
     The model is one backbone stage (two layers) followed by per-window
-    mean pooling and a small classifier. Data, split, and init all derive
-    from ``seed``.
+    mean pooling and a small classifier, trained by ``_train_loop``'s
+    core. Data, split, and init all derive from ``seed``.
     """
     rng = np.random.default_rng(seed)
     feats, positions, labels = generate_order_windows(
@@ -86,8 +85,6 @@ def train_order_probe(layer_kind: str, seed: int,
                          disable_sign=disable_sign, disable_gate=disable_gate)
     params = BackboneParams.init(rng, cfg)
     readout = MlpParams.init(rng, probe.dim, probe.dim, 2)
-    trainable = params.params() + readout.params()
-    opt = Adam(trainable, probe.lr)
     cache = VideoCache()
 
     def window_logits(batch_feats: np.ndarray) -> Tensor:
@@ -96,17 +93,14 @@ def train_order_probe(layer_kind: str, seed: int,
         pooled = segment_mean(out.features, g.video_of(), batch_feats.shape[0])
         return mlp_forward(readout, pooled)
 
-    for epoch in range(probe.epochs):
-        opt.set_lr(lr_at(epoch, probe.lr, probe.warmup_epochs, probe.epochs))
-        order = rng.permutation(n_train)
-        for lo in range(0, n_train, probe.batch_windows):
-            sel = order[lo:lo + probe.batch_windows]
-            with GradientTape() as tape:
-                loss = cross_entropy_rows(window_logits(train_f[sel]),
-                                          train_y[sel])
-            backward(tape, loss, leaves=trainable)
-            opt.step()
-            opt.zero_grad()
+    for epoch, sel, leaves in _adam_batches(
+            [(params.params() + readout.params(), probe.lr)], n_train, rng,
+            probe.batch_windows, probe.epochs, probe.warmup_epochs):
+        with GradientTape() as tape:
+            loss = _require_finite(cross_entropy_rows(
+                window_logits(train_f[sel]), train_y[sel]), "order probe",
+                epoch)
+        backward(tape, loss, leaves=leaves)
 
     def accuracy(f, y):
         preds = window_logits(f).data.argmax(axis=1)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,17 +82,23 @@ def _write_table(run_dir: Path, name: str, header: list[str],
         writer.writerows(rows)
 
 
+def _from_flags(cls, args, **given):
+    """``cls`` built by field name from the parsed flags and ``given``."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)} | given)
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    # backbone flags default to None (unset): fresh models then take the
+    # TrainConfig flags store into its fields and default to its defaults.
+    # Backbone flags default to None (unset): fresh models then take the
     # BackboneConfig defaults and warm-started ones the support run's values
     p.add_argument("--layer-kind", default=None, help="default: tdgc")
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--warmup", type=int, default=5)
-    p.add_argument("--base-lr", type=float, default=1e-4)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--warmup", dest="warmup_epochs", type=int)
+    p.add_argument("--base-lr", type=float)
     p.add_argument("--task-lr", action="append", default=[],
                    metavar="TASK=LR", help="per-task lr override, repeatable")
-    p.add_argument("--batch-videos", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch-videos", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--pooling", default=None, help="default: mean")
     p.add_argument("--threshold", dest="threshold_s", type=float,
                    default=None, help="default: 2.0")
@@ -100,11 +106,12 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="default: 2")
     p.add_argument("--disable-sign", action="store_true", default=None)
     p.add_argument("--disable-gate", action="store_true", default=None)
-    p.add_argument("--knn-k", type=int, default=8)
-    p.add_argument("--interaction-layers", type=int, default=2)
-    p.add_argument("--no-rematch", action="store_true")
-    p.add_argument("--mq-min-score", type=float, default=0.05)
-    p.add_argument("--candidates", type=int, default=5)
+    p.add_argument("--knn-k", type=int)
+    p.add_argument("--interaction-layers", type=int)
+    p.add_argument("--no-rematch", dest="rematch", action="store_false")
+    p.add_argument("--mq-min-score", type=float)
+    p.add_argument("--candidates", dest="num_candidates", type=int)
+    p.set_defaults(**{**asdict(TrainConfig()), "task_lr": []})
 
 
 def _train_config(args) -> TrainConfig:
@@ -112,13 +119,7 @@ def _train_config(args) -> TrainConfig:
     for item in args.task_lr:
         name, _, value = item.partition("=")
         task_lr[name] = float(value)
-    return TrainConfig(
-        epochs=args.epochs, warmup_epochs=args.warmup, base_lr=args.base_lr,
-        task_lr=task_lr, batch_videos=args.batch_videos, seed=args.seed,
-        knn_k=args.knn_k, interaction_layers=args.interaction_layers,
-        rematch=not args.no_rematch, mq_min_score=args.mq_min_score,
-        num_candidates=args.candidates,
-    )
+    return _from_flags(TrainConfig, args, task_lr=task_lr)
 
 
 def _backbone_flags(args) -> dict:
@@ -189,16 +190,7 @@ def _load_banks(banks_run: str, support: MultiTaskModel) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_data(args) -> int:
-    cfg = SynthConfig(
-        num_train_videos=args.train_videos, num_val_videos=args.val_videos,
-        segments_per_video=args.segments, dim=args.dim,
-        num_verbs=args.verbs, num_nouns=args.nouns, noise=args.noise,
-        segment_s=args.segment_seconds, event_len_lo=args.event_len_lo,
-        event_len_hi=args.event_len_hi, lta_steps=args.lta_steps,
-        two_phase=not args.flat, verb_follow=args.verb_follow,
-        noun_repeat=args.noun_repeat, seed=args.seed,
-    )
-    ds = generate_dataset(cfg)
+    ds = generate_dataset(_from_flags(SynthConfig, args))
     save_dataset(args.out, ds)
     print(f"wrote {len(ds.train)} train / {len(ds.val)} val videos to {args.out}")
     return 0
@@ -393,7 +385,8 @@ def _cmd_report(args) -> int:
     rows = []
     for run in args.runs:
         run_dir = Path(run)
-        payload = json.loads((run_dir / "metrics.json").read_text())
+        payload = _loaded(run_dir, lambda: json.loads(
+            (run_dir / "metrics.json").read_text()))
         merged[run_dir.name] = payload
         metrics = payload.get("metrics", {})
         for task in sorted(metrics):
@@ -416,26 +409,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic corpus")
+    # SynthConfig flags store into its fields and default to its defaults
     p.add_argument("--out", required=True)
-    p.add_argument("--train-videos", type=int, default=200)
-    p.add_argument("--val-videos", type=int, default=50)
-    p.add_argument("--segments", type=int, default=64)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--verbs", type=int, default=8)
-    p.add_argument("--nouns", type=int, default=6)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--segment-seconds", type=float, default=1.0)
-    p.add_argument("--event-len-lo", type=int, default=2)
-    p.add_argument("--event-len-hi", type=int, default=6)
-    p.add_argument("--lta-steps", type=int, default=8)
-    p.add_argument("--flat", action="store_true",
+    p.add_argument("--train-videos", dest="num_train_videos", type=int)
+    p.add_argument("--val-videos", dest="num_val_videos", type=int)
+    p.add_argument("--segments", dest="segments_per_video", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--verbs", dest="num_verbs", type=int)
+    p.add_argument("--nouns", dest="num_nouns", type=int)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--segment-seconds", dest="segment_s", type=float)
+    p.add_argument("--event-len-lo", type=int)
+    p.add_argument("--event-len-hi", type=int)
+    p.add_argument("--lta-steps", type=int)
+    p.add_argument("--flat", dest="two_phase", action="store_false",
                    help="single-phase emission inside events")
-    p.add_argument("--verb-follow", type=float, default=0.7,
+    p.add_argument("--verb-follow", type=float,
                    help="chance the next verb is the cyclic successor")
-    p.add_argument("--noun-repeat", type=float, default=0.5,
+    p.add_argument("--noun-repeat", type=float,
                    help="chance the next event keeps its noun")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gen_data)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(func=_cmd_gen_data, **asdict(SynthConfig()))
 
     p = sub.add_parser("train-single", help="train one task from scratch")
     p.add_argument("--data", required=True)

@@ -4,8 +4,9 @@ Docs that point at code rot silently; this module keeps the pointers
 honest. ``DESIGN_MAP`` names every load-bearing concept in the package and
 the callable (or class) that implements it, ``check_design_map`` verifies
 each entry resolves to a real attribute of the named module, and the
-``architecture.md`` table is required to list exactly the same concept ids
-(``doc_parity``), so prose and code cannot drift apart unnoticed.
+``architecture.md`` table is required to list exactly the same concept ids,
+each with its implementation (``doc_parity``), so prose and code cannot
+drift apart unnoticed.
 
 Run as a script it prints one line per problem and exits nonzero if any
 entry dangles, which makes it usable as a CI step:
@@ -162,8 +163,10 @@ DESIGN_MAP: tuple[MapEntry, ...] = (
              "PermissionError on any annotation read outside the phase's "
              "allowed tasks"),
     MapEntry("per-group-optimizers",
-             "training:_train_loop",
-             "one Adam per parameter group with per-task learning rates"),
+             "training:_adam_batches",
+             "one Adam per parameter group with per-task learning rates, in "
+             "the optimisation core the train loop and the order probe "
+             "share"),
     MapEntry("warmup-cosine-schedule",
              "optim:lr_at",
              "linear warmup then cosine decay to zero"),
@@ -197,22 +200,29 @@ def check_design_map(entries=DESIGN_MAP) -> list[str]:
     return problems
 
 
-_DOC_ROW = re.compile(r"^\|\s*`([a-z0-9-]+)`\s*\|")
+_DOC_ROW = re.compile(
+    r"^\|\s*`([a-z0-9-]+)`\s*\|(?:\s*`?([^`|]*?)`?\s*\|)?")
 
 
 def doc_parity(doc_path: str | Path, entries=DESIGN_MAP) -> list[str]:
     """Compare the architecture doc's concept table against the map.
 
     The doc must carry one table row per concept (`concept-id` in the first
-    column); extra or missing rows are reported.
+    column, its target as `tgk.<module>.<attr>` in the second); extra or
+    missing rows, and rows naming another implementation, are reported.
     """
     text = Path(doc_path).read_text()
-    doc_ids = {m.group(1) for line in text.splitlines()
-               if (m := _DOC_ROW.match(line.strip()))}
-    code_ids = {e.concept for e in entries}
-    problems = [f"doc missing concept: {c}" for c in sorted(code_ids - doc_ids)]
+    doc_rows = {m.group(1): m.group(2) for line in text.splitlines()
+                if (m := _DOC_ROW.match(line.strip()))}
+    code_rows = {e.concept: f"{__package__}.{e.target.replace(':', '.')}"
+                 for e in entries}
+    problems = [f"doc missing concept: {c}"
+                for c in sorted(code_rows.keys() - doc_rows.keys())]
     problems += [f"doc lists unknown concept: {c}"
-                 for c in sorted(doc_ids - code_ids)]
+                 for c in sorted(doc_rows.keys() - code_rows.keys())]
+    problems += [f"doc names {doc_rows[c]} for {c}, the map {code_rows[c]}"
+                 for c in sorted(code_rows.keys() & doc_rows.keys())
+                 if doc_rows[c] != code_rows[c]]
     return problems
 
 

@@ -92,8 +92,6 @@ def tdgc_forward(p: TdgcParams, g: TemporalGraph, x: Tensor) -> Tensor:
     Nodes without neighbors reduce exactly to the root projection.
     """
     root = add(matmul(x, p.w_root), p.b_root)
-    if len(g.edges) == 0:
-        return root
     src, dst = g.edges[:, 0], g.edges[:, 1]
     h = relu(add(matmul(x, p.w_nbr), p.b_nbr))
     msg = gather_rows(h, dst)
@@ -134,11 +132,10 @@ def gcn_forward(p: GcnParams, g: TemporalGraph, x: Tensor) -> Tensor:
     h = matmul(x, p.w)
     deg = _loop_degrees(g)
     out = mul(h, Tensor((1.0 / deg).reshape(-1, 1)))  # self-loop term
-    if len(g.edges):
-        src, dst = g.edges[:, 0], g.edges[:, 1]
-        norm = 1.0 / np.sqrt(deg[src] * deg[dst])
-        msg = mul(gather_rows(h, dst), Tensor(norm.reshape(-1, 1)))
-        out = add(out, segment_sum(msg, src, g.num_nodes))
+    src, dst = g.edges[:, 0], g.edges[:, 1]
+    norm = 1.0 / np.sqrt(deg[src] * deg[dst])
+    msg = mul(gather_rows(h, dst), Tensor(norm.reshape(-1, 1)))
+    out = add(out, segment_sum(msg, src, g.num_nodes))
     return add(out, p.b)
 
 
@@ -169,11 +166,8 @@ class GatParams:
 def gat_forward(p: GatParams, g: TemporalGraph, x: Tensor) -> Tensor:
     n = g.num_nodes
     loops = np.arange(n, dtype=np.intp)
-    if len(g.edges):
-        src = np.concatenate([g.edges[:, 0], loops])
-        dst = np.concatenate([g.edges[:, 1], loops])
-    else:
-        src = dst = loops
+    src = np.concatenate([g.edges[:, 0], loops])
+    dst = np.concatenate([g.edges[:, 1], loops])
     h = matmul(x, p.w)
     score_src = matmul(h, p.a_src)  # (N, 1)
     score_dst = matmul(h, p.a_dst)
@@ -208,11 +202,9 @@ class SageParams:
 
 def sage_forward(p: SageParams, g: TemporalGraph, x: Tensor) -> Tensor:
     out = add(matmul(x, p.w_root), p.b)
-    if len(g.edges):
-        src, dst = g.edges[:, 0], g.edges[:, 1]
-        msg = gather_rows(matmul(x, p.w_nbr), dst)
-        out = add(out, segment_mean(msg, src, g.num_nodes))
-    return out
+    src, dst = g.edges[:, 0], g.edges[:, 1]
+    msg = gather_rows(matmul(x, p.w_nbr), dst)
+    return add(out, segment_mean(msg, src, g.num_nodes))
 
 
 @dataclass
@@ -239,13 +231,12 @@ def sgcn_forward(p: SgcnParams, g: TemporalGraph, x: Tensor) -> Tensor:
     h_future = matmul(x, p.w_future)
     deg = _loop_degrees(g)
     out = mul(h_past, Tensor((1.0 / deg).reshape(-1, 1)))  # self-loop, dt = 0
-    if len(g.edges):
-        src, dst = g.edges[:, 0], g.edges[:, 1]
-        norm = (1.0 / np.sqrt(deg[src] * deg[dst])).reshape(-1, 1)
-        is_past = (g.positions_s[dst] <= g.positions_s[src]).reshape(-1, 1)
-        msg = add(mul(gather_rows(h_past, dst), Tensor(is_past * norm)),
-                  mul(gather_rows(h_future, dst), Tensor(~is_past * norm)))
-        out = add(out, segment_sum(msg, src, g.num_nodes))
+    src, dst = g.edges[:, 0], g.edges[:, 1]
+    norm = (1.0 / np.sqrt(deg[src] * deg[dst])).reshape(-1, 1)
+    is_past = (g.positions_s[dst] <= g.positions_s[src]).reshape(-1, 1)
+    msg = add(mul(gather_rows(h_past, dst), Tensor(is_past * norm)),
+              mul(gather_rows(h_future, dst), Tensor(~is_past * norm)))
+    out = add(out, segment_sum(msg, src, g.num_nodes))
     return add(out, p.b)
 
 

@@ -30,7 +30,7 @@ it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -358,21 +358,48 @@ def save_dataset(directory: str | Path, ds: SynthDataset) -> None:
                 json.dumps(records, indent=2, sort_keys=True))
 
 
+def _read_config(path: Path) -> SynthConfig:
+    """The corpus config at ``path``; a missing or unknown key raises
+    ValueError naming the file and the key."""
+    raw = json.loads(path.read_text())
+    names = {f.name for f in fields(SynthConfig)}
+    for kind, keys in (("missing", names - set(raw)),
+                       ("unknown", set(raw) - names)):
+        if keys:
+            raise ValueError(f"{path}: {kind} key {sorted(keys)[0]}")
+    return SynthConfig(**raw)
+
+
+def _read_annotations(path: Path, video_ids) -> dict:
+    """The annotation file at ``path``; one that lacks a video of
+    ``video_ids`` raises ValueError naming the file and the video."""
+    records = json.loads(path.read_text())
+    for video_id in sorted(video_ids):
+        if video_id not in records:
+            raise ValueError(f"{path}: no annotations for video {video_id}")
+    return records
+
+
 def load_dataset(directory: str | Path) -> SynthDataset:
-    """Rebuild a saved corpus, reconstructing events from annotations."""
+    """Rebuild a saved corpus, reconstructing events from annotations.
+
+    A config key that is missing or unknown, or an annotation file that
+    lacks a video ``ar.json`` lists, raises ValueError naming the file.
+    """
     directory = Path(directory)
-    cfg = SynthConfig(**json.loads((directory / "config.json").read_text()))
+    cfg = _read_config(directory / "config.json")
     splits: dict[str, list[VideoSample]] = {}
     for split in ("train", "val"):
-        ar = json.loads((directory / split / "annotations" / "ar.json").read_text())
-        oscc = json.loads((directory / split / "annotations" / "oscc.json").read_text())
-        pnr = json.loads((directory / split / "annotations" / "pnr.json").read_text())
+        ann_dir = directory / split / "annotations"
+        ar = json.loads((ann_dir / "ar.json").read_text())
+        oscc, pnr = (_read_annotations(ann_dir / f"{task}.json", ar)
+                     for task in ("oscc", "pnr"))
         videos = []
         for video_id in sorted(ar):
             feats, positions, vid = load_features(
                 directory / split / "features" / video_id)
             pnr_by_start = {r["start_s"]: r["labels"]["keyframe_s"]
-                            for r in pnr.get(video_id, [])}
+                            for r in pnr[video_id]}
             events = []
             for rec_ar, rec_oscc in zip(ar[video_id], oscc[video_id]):
                 changing = bool(rec_oscc["labels"]["state_change"])

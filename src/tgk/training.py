@@ -439,60 +439,72 @@ def _stage_features(model: MultiTaskModel, task: str,
             for s in stages]
 
 
+def _require_finite(loss: Tensor, name: str, epoch: int) -> Tensor:
+    """``loss``, or ``FloatingPointError`` naming ``name`` and ``epoch``."""
+    if not np.isfinite(loss.data).all():
+        raise FloatingPointError(
+            f"{name} loss is {float(loss.data)} at epoch {epoch}")
+    return loss
+
+
+def _adam_batches(owners, n: int, rng: np.random.Generator, batch: int,
+                  epochs: int, warmup_epochs: int):
+    """Optimisation core of every trainer: one Adam per ``(params, base
+    lr)`` owner over its parameters that require grad, so a frozen owner
+    gets none. Each epoch sets every group's ``lr_at`` rate, shuffles the
+    ``n`` items with ``rng`` and yields ``(epoch, batch indices, leaves)``
+    per batch; the caller runs ``backward`` into the leaves, and once its
+    loop body returns every group steps. A raise in the body leaves the
+    generator unresumed, so no weight moves.
+    """
+    groups: list[tuple[float, Adam]] = []
+    for params, lr in owners:
+        ps = [p for p in params if p.requires_grad]
+        if ps:
+            groups.append((lr, Adam(ps, lr)))
+    leaves = [p for _, opt in groups for p in opt.params]
+    for epoch in range(epochs):
+        for base, opt in groups:
+            opt.set_lr(lr_at(epoch, base, warmup_epochs, epochs))
+        order = rng.permutation(n)
+        for lo in range(0, n, batch):
+            yield epoch, order[lo:lo + batch], leaves
+            for _, opt in groups:
+                opt.step()
+                opt.zero_grad()
+
+
 def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
                 cfg: TrainConfig,
                 arm: NovelModel | TranslationModel | None = None) -> None:
-    """Shared optimization loop of every arm.
-
-    Each batch runs the backbone once and sums the task losses, each read
-    from the features ``_stage_features`` picks for ``arm``. The backbone
-    and every branch get their own Adam at their own learning rate, over
-    the parameters that require grad, so a frozen backbone gets none.
-    Annotations are read through a view of the model's own tasks: a
-    phase-two model holds only its novel task. Per-video edges and every
-    task's targets are computed on a video's first batch and kept in a
-    cache the loop drops when it returns. A task loss that is not finite
+    """Training loop of every arm: each batch runs the backbone once and
+    sums the task losses, each read from the features ``_stage_features``
+    picks for ``arm``, and the backbone and every branch are their own
+    ``_adam_batches`` owner at their own learning rate. Annotations are
+    read through a view of the model's own tasks. Per-video edges and
+    targets are cached for the loop's length. A non-finite task loss
     raises ``FloatingPointError`` before any weight moves.
     """
-    rng = np.random.default_rng(cfg.seed)
     view = AnnotationView(model.tasks, model.world.lta_steps)
     cache = VideoCache()
     owners = [(model.backbone.params(), cfg.base_lr)] + [
         (branch.params(), cfg.lr_for(name))
         for name, branch in model.branches.items()]
-    groups: list[tuple[float, Adam]] = []
-    all_params: list[Tensor] = []
-    for params, lr in owners:
-        ps = [p for p in params if p.requires_grad]
-        if ps:
-            groups.append((lr, Adam(ps, lr)))
-            all_params.extend(ps)
-
-    for epoch in range(cfg.epochs):
-        for base, opt in groups:
-            opt.set_lr(lr_at(epoch, base, cfg.warmup_epochs, cfg.epochs))
-        order = rng.permutation(len(videos))
-        for lo in range(0, len(order), cfg.batch_videos):
-            batch = [videos[i] for i in order[lo:lo + cfg.batch_videos]]
-            graph = build_batch_graph(batch, model.backbone_cfg.edge_rule,
-                                      cache)
-            with GradientTape() as tape:
-                stages = model.forward_backbone(graph, cache)
-                loss = None
-                for task, branch in model.branches.items():
-                    feats = _stage_features(model, task, stages, batch,
-                                            arm, cache)
-                    term = task_loss(branch, feats, stages, batch, view,
-                                     model.world, cache)
-                    if not np.isfinite(term.data).all():
-                        raise FloatingPointError(
-                            f"{task} loss is {float(term.data)} at epoch "
-                            f"{epoch}")
-                    loss = term if loss is None else add(loss, term)
-            backward(tape, loss, leaves=all_params)
-            for _, opt in groups:
-                opt.step()
-                opt.zero_grad()
+    for epoch, sel, leaves in _adam_batches(
+            owners, len(videos), np.random.default_rng(cfg.seed),
+            cfg.batch_videos, cfg.epochs, cfg.warmup_epochs):
+        batch = [videos[i] for i in sel]
+        graph = build_batch_graph(batch, model.backbone_cfg.edge_rule, cache)
+        with GradientTape() as tape:
+            stages = model.forward_backbone(graph, cache)
+            loss = None
+            for task, branch in model.branches.items():
+                feats = _stage_features(model, task, stages, batch, arm, cache)
+                term = _require_finite(
+                    task_loss(branch, feats, stages, batch, view, model.world,
+                              cache), task, epoch)
+                loss = term if loss is None else add(loss, term)
+        backward(tape, loss, leaves=leaves)
 
 
 def run_single(task: str, ds: SynthDataset, cfg: TrainConfig,

@@ -503,6 +503,36 @@ def test_commands_exit_in_one_line_on_unreadable_data(tmp_path, command,
     assert_exits_in_one_line(data_argv(command, data, run), run, f"{data}: ")
 
 
+@pytest.mark.parametrize("command", ["train-single", "train-mtl",
+                                     "build-prototypes", "train-novel",
+                                     "eval"])
+def test_commands_exit_in_one_line_on_unknown_data_config_key(tmp_path,
+                                                              command):
+    data = tmp_path / "data"
+    shutil.copytree(workspace() / "data", data)
+    raw = json.loads((data / "config.json").read_text())
+    (data / "config.json").write_text(json.dumps({**raw, "bogus": 1}))
+    run = tmp_path / "run"
+    assert_exits_in_one_line(data_argv(command, data, run), run,
+                             f"{data}: {data / 'config.json'}: "
+                             f"unknown key bogus")
+
+
+@pytest.mark.parametrize("command", ["train-single", "train-mtl",
+                                     "build-prototypes", "train-novel",
+                                     "eval"])
+def test_commands_exit_in_one_line_on_unannotated_video(tmp_path, command):
+    data = tmp_path / "data"
+    shutil.copytree(workspace() / "data", data)
+    path = data / "train" / "annotations" / "oscc.json"
+    records = json.loads(path.read_text())
+    del records[sorted(records)[0]]
+    path.write_text(json.dumps(records))
+    run = tmp_path / "run"
+    assert_exits_in_one_line(data_argv(command, data, run), run,
+                             f"{data}: {path}: no annotations for video ")
+
+
 def test_build_prototypes_exits_on_unreadable_support_run(tmp_path):
     ws = workspace()
     old = run_without_arm(tmp_path / "old")
@@ -630,6 +660,18 @@ def test_report_leaves_missing_metrics_empty(tmp_path):
     assert rows[1:] == ["run_flat,pnr,loc_err_s,"]
     assert metrics_of(out)["runs"]["run_flat"]["metrics"]["pnr"] == {
         "loc_err_s": None}
+
+
+def test_report_exits_in_one_line_without_readable_metrics(tmp_path):
+    ws = workspace()
+    run = tmp_path / "run_bare"
+    run.mkdir()
+    out = tmp_path / "report"
+    argv = ["report", "--runs", str(ws / "run_mtl"), str(run),
+            "--out", str(out)]
+    assert_exits_in_one_line(argv, out, f"{run}: ")
+    (run / "metrics.json").write_text("{truncated")
+    assert_exits_in_one_line(argv, out, f"{run}: ")
 
 
 def test_ablate_order_probe(tmp_path):

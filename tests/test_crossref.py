@@ -58,6 +58,18 @@ def test_doc_parity_detects_drift(tmp_path):
     assert any("unknown" in p and "stowaway-concept" in p for p in problems)
 
 
+def test_doc_parity_detects_a_row_naming_another_implementation(tmp_path):
+    doc = tmp_path / "arch.md"
+    text = DOC.read_text()
+    row = "| `warmup-cosine-schedule` | `tgk.optim.lr_at` |"
+    assert row in text
+    doc.write_text(text.replace(row, "| `warmup-cosine-schedule` | "
+                                     "`tgk.optim.Adam` |"))
+    assert doc_parity(doc) == [
+        "doc names tgk.optim.Adam for warmup-cosine-schedule, the map "
+        "tgk.optim.lr_at"]
+
+
 def test_cli_entry_point_reports_status(capsys):
     assert main([]) == 0
     assert "design map ok" in capsys.readouterr().out

@@ -41,6 +41,17 @@ def random_graph(rng, n=12, d=4, window=2.5, videos=2):
     return build_graph(feats, positions, bounds, rule=EdgeRule(threshold_s=window))
 
 
+def oracle_graphs(rng, count):
+    """``count`` random graphs, then one with its nodes spaced wider than
+    the window, so every layer also runs on a graph with no edges."""
+    for _ in range(count):
+        yield random_graph(rng)
+    g = build_graph(rng.normal(size=(5, 4)), np.arange(0.0, 50.0, 10.0),
+                    rule=EdgeRule(threshold_s=2.5))
+    assert len(g.edges) == 0
+    yield g
+
+
 def leaky(x, slope=0.2):
     return np.where(x > 0, x, slope * x)
 
@@ -159,8 +170,7 @@ def test_loop_degrees_equal_add_at_loop():
 
 def test_gcn_matches_dense_loop():
     rng = np.random.default_rng(2)
-    for _ in range(5):
-        g = random_graph(rng)
+    for g in oracle_graphs(rng, 5):
         p = GcnParams.init(rng, 4, 6)
         got = gcn_forward(p, g, Tensor(g.features)).data
         assert np.allclose(got, gcn_oracle(p, g, g.features), atol=1e-12)
@@ -168,8 +178,7 @@ def test_gcn_matches_dense_loop():
 
 def test_gat_matches_dense_loop():
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        g = random_graph(rng)
+    for g in oracle_graphs(rng, 5):
         p = GatParams.init(rng, 4, 6)
         got = gat_forward(p, g, Tensor(g.features)).data
         assert np.allclose(got, gat_oracle(p, g, g.features), atol=1e-10)
@@ -177,8 +186,7 @@ def test_gat_matches_dense_loop():
 
 def test_sage_matches_dense_loop():
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        g = random_graph(rng)
+    for g in oracle_graphs(rng, 5):
         p = SageParams.init(rng, 4, 6)
         got = sage_forward(p, g, Tensor(g.features)).data
         assert np.allclose(got, sage_oracle(p, g, g.features), atol=1e-12)
@@ -186,8 +194,7 @@ def test_sage_matches_dense_loop():
 
 def test_sgcn_matches_dense_loop():
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        g = random_graph(rng)
+    for g in oracle_graphs(rng, 5):
         p = SgcnParams.init(rng, 4, 6)
         got = sgcn_forward(p, g, Tensor(g.features)).data
         assert np.allclose(got, sgcn_oracle(p, g, g.features), atol=1e-12)

@@ -332,6 +332,27 @@ def test_saved_annotation_files_cover_all_tasks(tmp_path):
     assert rec["labels"]["nouns"] == nouns.tolist()
 
 
+def test_load_rejects_malformed_corpus_naming_the_file(tmp_path):
+    save_dataset(tmp_path, generate_dataset(SMALL))
+    config = tmp_path / "config.json"
+    whole = json.loads(config.read_text())
+    for raw, message in (({**whole, "bogus": 1}, "unknown key bogus"),
+                         ({k: v for k, v in whole.items() if k != "seed"},
+                          "missing key seed")):
+        config.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"{config}: {message}"):
+            load_dataset(tmp_path)
+    config.write_text(json.dumps(whole))
+    path = tmp_path / "val" / "annotations" / "pnr.json"
+    records = json.loads(path.read_text())
+    dropped = sorted(records)[-1]
+    del records[dropped]
+    path.write_text(json.dumps(records))
+    with pytest.raises(ValueError,
+                       match=f"{path}: no annotations for video {dropped}"):
+        load_dataset(tmp_path)
+
+
 def test_save_is_byte_deterministic(tmp_path):
     ds = generate_dataset(SMALL)
     save_dataset(tmp_path / "a", ds)

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tgk import metrics, training
+from tgk import ablation, metrics, optim, training
 from tgk.autodiff import GradientTape, Tensor, add, backward, mul, tsum
 from tgk.cli import _write_metrics
 from tgk.graph import EdgeRule, VideoCache, build_graph
@@ -507,6 +507,31 @@ def test_non_finite_loss_stops_training_before_weights_move():
         training._train_loop(model, videos, small_cfg())
     assert all(np.array_equal(p.data, b)
                for p, b in zip(model.backbone.params(), before))
+
+
+def test_non_finite_probe_loss_stops_before_any_adam_step(monkeypatch):
+    real_windows = ablation.generate_order_windows
+
+    def one_nan_row(*args, **kwargs):
+        feats, positions, labels = real_windows(*args, **kwargs)
+        feats[0, 0] = np.nan  # the first window's first segment row
+        return feats, positions, labels
+
+    steps = []
+    real_step = optim.Adam.step
+
+    def counted_step(self):
+        steps.append(self)
+        real_step(self)
+
+    monkeypatch.setattr(ablation, "generate_order_windows", one_nan_row)
+    monkeypatch.setattr(optim.Adam, "step", counted_step)
+    probe = ablation.OrderProbeConfig(num_windows=40, epochs=2,
+                                      warmup_epochs=1, batch_windows=64)
+    with pytest.raises(FloatingPointError,
+                       match="order probe loss is nan at epoch 0"):
+        ablation.train_order_probe("tdgc", 0, probe)
+    assert steps == []
 
 
 def test_single_task_eval_structure():
