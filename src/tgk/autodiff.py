@@ -26,8 +26,9 @@ __all__ = [
     "permute", "split_heads", "merge_heads",
     "exp", "log", "sqrt", "relu", "leaky_relu", "sigmoid",
     "softplus", "clip", "minimum", "maximum", "tsum", "tmean",
-    "gather_rows", "take_cols", "take_per_row", "segment_sum",
-    "segment_mean", "segment_max", "concat_rows",
+    "ScatterPlan", "gather_rows", "take_cols", "take_per_row",
+    "segment_sum", "segment_mean", "segment_max", "tdgc_aggregate",
+    "concat_rows",
     "masked_softmax_rows", "cross_entropy_rows",
 ]
 
@@ -412,47 +413,80 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # indexed primitives for graph aggregation
 # ---------------------------------------------------------------------------
 
-def _scatter_rows(values: np.ndarray, ids: np.ndarray,
-                  num_segments: int) -> np.ndarray:
-    """Rows of ``values`` summed per id into ``num_segments`` rows.
+class ScatterPlan:
+    """Where each segment's rows sit in a value array, compiled once and
+    read by every scatter over the same ids.
 
-    The bytes are those of ``np.add.at`` into zeros, without its
-    per-element dispatch: one stable argsort lines each segment's rows up
-    in input order, a padded table holds them, and the table's columns are
-    added left to right onto +0.0, skipping the empty slots.
+    ``ids[r]`` is the segment of value row ``r``. Row ``s`` of ``table``
+    lists segment ``s``'s value rows in ascending order, in the slots
+    where ``filled`` holds; a plan derived by dropping rows may leave
+    holes. ``counts[s]`` is the segment's size. ``scatter`` adds each
+    segment's rows left to right onto +0.0, skipping empty slots: the
+    bytes of ``np.add.at`` into zeros, without its per-element dispatch.
     """
-    order = np.argsort(ids, kind="stable")
-    counts = np.bincount(ids, minlength=num_segments)
-    sorted_ids = ids[order]
-    rank = np.arange(len(ids)) - (np.cumsum(counts) - counts)[sorted_ids]
-    width = int(counts.max(initial=0))
-    table = np.zeros((num_segments, width), dtype=np.intp)
-    table[sorted_ids, rank] = order
-    filled = (np.arange(width) < counts[:, None]).reshape(
-        table.shape + (1,) * (values.ndim - 1))
-    out = np.zeros((num_segments,) + values.shape[1:])
-    for col in range(width):
-        np.add(out, values[table[:, col]], out=out, where=filled[:, col])
-    return out
+
+    __slots__ = ("ids", "table", "filled", "counts")
+
+    def __init__(self, ids: np.ndarray, table: np.ndarray,
+                 filled: np.ndarray, counts: np.ndarray):
+        self.ids = ids
+        self.table = table
+        self.filled = filled
+        self.counts = counts
+
+    @classmethod
+    def of(cls, ids, num_segments: int) -> "ScatterPlan":
+        """The plan of raw segment ids: one stable argsort lines each
+        segment's rows up in input order."""
+        ids = np.asarray(ids, dtype=np.intp)
+        order = np.argsort(ids, kind="stable")
+        counts = np.bincount(ids, minlength=num_segments)
+        ends = np.cumsum(counts)
+        slots = (ends - counts)[:, None] + np.arange(counts.max(initial=0))
+        filled = slots < ends[:, None]
+        table = order[np.minimum(slots, len(order) - 1)] * filled
+        return cls(ids, table, filled, counts)
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """Rows of ``values`` summed per segment; empty segments are +0.0."""
+        out = np.zeros((len(self.counts),) + values.shape[1:])
+        if not len(values):
+            return out
+        filled = self.filled.reshape(self.filled.shape
+                                     + (1,) * (values.ndim - 1))
+        for col in range(self.table.shape[1]):
+            np.add(out, values.take(self.table[:, col], axis=0), out=out,
+                   where=filled[:, col])
+        return out
+
+
+def _plan(seg, num_segments) -> ScatterPlan:
+    return seg if isinstance(seg, ScatterPlan) else ScatterPlan.of(
+        seg, num_segments)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select rows ``a[idx]``; backward scatter-adds into the source."""
-    idx = np.asarray(idx, dtype=np.intp)
+    """Select rows ``a[idx]``; backward scatter-adds into the source.
 
-    def back(g):
-        return (_scatter_rows(g, idx, a.shape[0]),)
-
-    return _emit(a.data[idx], (a,), back)
+    ``idx`` is an index array, or a ``ScatterPlan`` over ``a``'s rows whose
+    ids are the index and whose table routes the backward; for an index
+    array the backward builds that plan when it runs.
+    """
+    if not isinstance(idx, ScatterPlan):
+        idx = np.asarray(idx, dtype=np.intp)
+    ids = idx.ids if isinstance(idx, ScatterPlan) else idx
+    return _emit(a.data[ids], (a,),
+                 lambda g: (_plan(idx, a.shape[0]).scatter(g),))
 
 
 def take_cols(a: Tensor, cols) -> Tensor:
-    """Select columns ``a[:, cols]`` of a 2-D tensor."""
+    """Select columns ``a[:, cols]`` of a 2-D tensor; backward scatter-adds
+    the gradient's columns through the segment kernel over its transpose."""
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
 
     def back(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out.T, cols, g.T)
+        out = np.empty_like(a.data)
+        out.T[...] = ScatterPlan.of(cols, a.shape[1]).scatter(g.T)
         return (out,)
 
     return _emit(a.data[:, cols], (a,), back)
@@ -471,26 +505,21 @@ def take_per_row(a: Tensor, cols) -> Tensor:
     return _emit(a.data[rows, cols], (a,), back)
 
 
-def segment_sum(a: Tensor, seg, num_segments: int) -> Tensor:
-    """Sum rows sharing a segment id; empty segments yield zero rows."""
-    seg = np.asarray(seg, dtype=np.intp)
-    out = _scatter_rows(a.data, seg, num_segments)
-    return _emit(out, (a,), lambda g: (g[seg],))
+def segment_sum(a: Tensor, seg, num_segments: int | None = None) -> Tensor:
+    """Sum rows sharing a segment id; empty segments yield zero rows.
+    ``seg`` is a ``ScatterPlan`` or raw ids with ``num_segments``."""
+    plan = _plan(seg, num_segments)
+    return _emit(plan.scatter(a.data), (a,), lambda g: (g[plan.ids],))
 
 
-def segment_mean(a: Tensor, seg, num_segments: int) -> Tensor:
-    """Mean of rows per segment id; empty segments yield zero rows."""
-    seg = np.asarray(seg, dtype=np.intp)
-    counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
-    safe = np.maximum(counts, 1.0)
-    out = _scatter_rows(a.data, seg, num_segments)
-    out /= safe.reshape((-1,) + (1,) * (a.ndim - 1))
-
-    def back(g):
-        scale = safe.reshape((-1,) + (1,) * (a.ndim - 1))
-        return ((g / scale)[seg],)
-
-    return _emit(out, (a,), back)
+def segment_mean(a: Tensor, seg, num_segments: int | None = None) -> Tensor:
+    """Mean of rows per segment id; empty segments yield zero rows.
+    ``seg`` is a ``ScatterPlan`` or raw ids with ``num_segments``."""
+    plan = _plan(seg, num_segments)
+    scale = np.maximum(plan.counts, 1.0).reshape((-1,) + (1,) * (a.ndim - 1))
+    out = plan.scatter(a.data)
+    out /= scale
+    return _emit(out, (a,), lambda g: ((g / scale)[plan.ids],))
 
 
 def segment_max(a: Tensor, seg, num_segments: int) -> Tensor:
@@ -520,6 +549,62 @@ def segment_max(a: Tensor, seg, num_segments: int) -> Tensor:
         return (grad.reshape(a.shape),)
 
     return _emit(out.reshape((num_segments,) + a.shape[1:]), (a,), back)
+
+
+def tdgc_aggregate(h: Tensor, dt: np.ndarray, src: ScatterPlan,
+                   dst: ScatterPlan, gate: tuple[Tensor, Tensor] | None,
+                   signed: bool) -> Tensor:
+    """TDGC's neighbour aggregate as one record: for each edge e, the row
+    ``h[dst_e]``, times the gate ``relu(|dt_e| gate_w + gate_b)`` unless
+    ``gate`` is None, times ``sign(dt_e)`` if ``signed``, averaged over
+    the edges of each ``src`` segment.
+
+    The forward replays the composed chain (``gather_rows``, ``matmul``,
+    ``add``, ``relu``, ``mul``, ``mul``, ``segment_mean``) expression by
+    expression, and the backward replays those records' backward closures
+    in the tape's reverse order, so the output and every gradient keep
+    the chain's bytes. The chain's gradient into the constant |dt| column
+    is never computed. Only a forward the tape records keeps the gathered
+    rows, the gate and the ReLU's mask; any other scales the rows in
+    place, so it holds one (edges, dim) array, as the chain did.
+    """
+    inputs = (h,) if gate is None else (h, *gate)
+    recording = _active_tape() is not None and any(
+        t.requires_grad for t in inputs)
+    rows = h.data[dst.ids]
+    if gate is not None:
+        gate_w, gate_b = gate
+        abs_dt = np.abs(dt).reshape(-1, 1)
+        weights = abs_dt @ gate_w.data + gate_b.data
+        live = weights > 0.0
+        np.maximum(weights, 0.0, out=weights)
+        if recording:
+            msg, rows = rows, rows * weights
+        else:
+            rows *= weights
+            del weights, live
+    if signed:
+        sign = np.sign(dt).reshape(-1, 1)
+        rows *= sign
+    scale = np.maximum(src.counts, 1.0).reshape(-1, 1)
+    out = src.scatter(rows)
+    out /= scale
+
+    def back(g):
+        g_msg = (g / scale)[src.ids]
+        if signed:
+            g_msg = g_msg * sign
+        if gate is None:
+            return (dst.scatter(g_msg),)
+        g_w = g_b = None
+        if gate_w.requires_grad or gate_b.requires_grad:
+            g_pre = g_msg * msg * live
+            g_w = abs_dt.T @ g_pre
+            g_b = _unbroadcast(g_pre, gate_b.shape)
+        g_h = dst.scatter(g_msg * weights) if h.requires_grad else None
+        return g_h, g_w, g_b
+
+    return _emit(out, inputs, back)
 
 
 def concat_rows(tensors) -> Tensor:

@@ -44,6 +44,14 @@ DESIGN_MAP: tuple[MapEntry, ...] = (
              "graph:build_graph",
              "edges between same-video nodes closer than the stage window, "
              "built once per video and window by the loop's VideoCache"),
+    MapEntry("scatter-plan",
+             "autodiff:ScatterPlan",
+             "each segment's rows in a padded table, added left to right "
+             "onto +0.0: the bytes of np.add.at, compiled once per ids"),
+    MapEntry("topology-plans",
+             "graph:Topology",
+             "a graph's src, dst and closed-neighbourhood plans, compiled "
+             "once per video or batch topology the loop's VideoCache keeps"),
     MapEntry("stage-window-doubling",
              "graph:threshold_exponent",
              "stage l connects within threshold * 2**(l-1) seconds"),
@@ -52,9 +60,8 @@ DESIGN_MAP: tuple[MapEntry, ...] = (
              "every stage keeps the even-index survivors per video"),
     MapEntry("neighborhood-pooling",
              "hierarchy:pool_closed_neighborhood",
-             "mean/max over each survivor's closed neighborhood, "
-             "differentiable through segment ops; mean sums through the "
-             "sorted-segment kernel"),
+             "mean/max over each survivor's closed neighborhood only, "
+             "differentiable through segment ops over the survivors' plans"),
     MapEntry("signed-neighbor-direction",
              "layers:tdgc_forward",
              "past and future neighbor messages enter with opposite signs"),
@@ -65,6 +72,10 @@ DESIGN_MAP: tuple[MapEntry, ...] = (
              "layers:tdgc_forward",
              "mean of rectified projected neighbors, sign- and gate-"
              "modulated"),
+    MapEntry("fused-tdgc-aggregate",
+             "autodiff:tdgc_aggregate",
+             "gather, gate, sign and segment mean as one record whose "
+             "backward replays the composed chain's bytes"),
     MapEntry("root-projection",
              "layers:tdgc_forward",
              "the node's own affine path, kept outside the aggregation"),

@@ -7,9 +7,12 @@ seconds at every stage of the coarsening pyramid and are never rescaled;
 what widens with depth is the connection window.
 
 Edges never cross videos, so a batch's edges are its videos' local edges
-shifted by their start offsets. ``VideoCache`` keeps each video's local
-edges per (positions, window) for the length of one training or
-evaluation loop, which then computes them once per video and stage.
+shifted by their start offsets. ``VideoCache`` keeps each video's
+``Topology`` (its local edges and their scatter plans) per (positions,
+window) for the length of one training or evaluation loop, which then
+wires each video once per stage; a batch's topology, built over its
+videos' shifted edges, is kept while the next batch has the same videos'
+topologies in order.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import ScatterPlan
+
 __all__ = [
-    "EdgeRule", "TemporalGraph", "VideoCache", "build_graph",
+    "EdgeRule", "TemporalGraph", "Topology", "VideoCache", "build_graph",
     "rebuild_edges", "stage_window", "subsample_plan", "threshold_exponent",
     "save_features", "load_features",
 ]
@@ -61,6 +66,9 @@ class TemporalGraph:
                        built symmetric (both directions present)
     stage:             pyramid stage, 1 = full resolution
     video_boundaries:  start offsets per video plus final N, length V+1
+    topology:          ``edges`` compiled for aggregation; rebuilt from
+                       ``edges`` unless it holds that very array over
+                       these nodes
     """
 
     features: np.ndarray
@@ -68,11 +76,15 @@ class TemporalGraph:
     edges: np.ndarray
     stage: int = 1
     video_boundaries: np.ndarray = field(default=None)  # type: ignore[assignment]
+    topology: "Topology" = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.positions_s = np.asarray(self.positions_s, dtype=np.float64)
-        self.edges = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+        if (self.topology is None or self.topology.edges is not self.edges
+                or self.topology.num_nodes != self.num_nodes):
+            self.edges = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+            self.topology = Topology(self.edges, self.num_nodes)
         if self.video_boundaries is None:
             self.video_boundaries = np.array([0, self.num_nodes], dtype=np.intp)
         else:
@@ -97,6 +109,65 @@ class TemporalGraph:
 
     def video_slice(self, v: int) -> slice:
         return slice(int(self.video_boundaries[v]), int(self.video_boundaries[v + 1]))
+
+
+class Topology:
+    """A graph's edges compiled for aggregation: per kind, the
+    ``ScatterPlan`` that groups the graph's messages by node.
+
+    - ``src`` and ``dst`` group the edge list by receiver and by sender;
+    - ``closed_src`` and ``closed_dst`` do the same for the closed
+      neighbourhood: the edges, then one self-loop per node.
+
+    A plan is compiled on first use and kept with the topology.
+    """
+
+    def __init__(self, edges: np.ndarray, num_nodes: int):
+        self.edges = edges
+        self.num_nodes = num_nodes
+        self._plans: dict[str, ScatterPlan] = {}
+        self._survivors = None
+
+    def plan(self, kind: str) -> ScatterPlan:
+        plan = self._plans.get(kind)
+        if plan is None:
+            plan = self._plans[kind] = ScatterPlan.of(self._ids(kind),
+                                                      self.num_nodes)
+        return plan
+
+    def _ids(self, kind: str) -> np.ndarray:
+        column = self.edges[:, 0 if kind.endswith("src") else 1]
+        if kind.startswith("closed"):
+            return np.concatenate(
+                [column, np.arange(self.num_nodes, dtype=np.intp)])
+        return column
+
+    def survivors(self, keep_idx: np.ndarray
+                  ) -> tuple[ScatterPlan, ScatterPlan]:
+        """Plans over the closed neighbourhoods of the distinct nodes
+        ``keep_idx`` only: ``reads`` gathers the rows they read, in message
+        order, and its backward adds into each node in message order;
+        ``groups`` reduces those rows per survivor, in ``keep_idx`` order.
+        Dropping the other messages drops only +0.0 gradient terms. The
+        last survivors' plans are kept for a repeat call."""
+        if self._survivors is not None and np.array_equal(
+                self._survivors[0], keep_idx):
+            return self._survivors[1]
+        src, dst = self.plan("closed_src"), self.plan("closed_dst")
+        kept = np.zeros(self.num_nodes, dtype=bool)
+        kept[keep_idx] = True
+        sel = kept[src.ids]
+        at = np.cumsum(sel) - 1
+        filled = dst.filled & sel[dst.table]
+        reads = ScatterPlan(dst.ids[sel], at[dst.table] * filled, filled,
+                            filled.sum(axis=1))
+        rank = np.zeros(self.num_nodes, dtype=np.intp)
+        rank[keep_idx] = np.arange(len(keep_idx))
+        own = src.filled[keep_idx]
+        groups = ScatterPlan(rank[src.ids[sel]], at[src.table[keep_idx]] * own,
+                             own, src.counts[keep_idx])
+        self._survivors = keep_idx, (reads, groups)
+        return reads, groups
 
 
 def _edges_for_positions(positions_s: np.ndarray, boundaries: np.ndarray,
@@ -163,19 +234,34 @@ class VideoCache:
     def graph(self, features: np.ndarray, positions_s: np.ndarray,
               bounds: np.ndarray, stage: int, rule: EdgeRule,
               wire) -> TemporalGraph:
-        """A batch's graph at ``stage``. Each video's edges are those of
+        """A batch's graph at ``stage``. Each video's topology is that of
         ``wire(video)``, the video's own graph wired under ``rule``, made
-        on a miss and shifted by the video's start offset."""
+        on a miss. A one-video batch is that topology; a larger one is a
+        topology over its videos' edges shifted by their start offsets,
+        reused, plans and all, by the next batch at this window whose
+        videos have the same topologies in order."""
         window = stage_window(rule, stage)
         unwired = np.empty((0, 2), dtype=np.intp)
-        parts = [unwired]
+        videos = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             pos = positions_s[lo:hi]
-            local = self.get(("edges", window, pos.tobytes()), lambda: wire(
-                TemporalGraph(features[lo:hi], pos, unwired, stage)).edges)
-            parts.append(local + lo)
-        return TemporalGraph(features, positions_s, np.concatenate(parts),
-                             stage, bounds)
+            videos.append(self.get(("topology", window, pos.tobytes()),
+                                   lambda: wire(TemporalGraph(
+                                       features[lo:hi], pos, unwired,
+                                       stage)).topology))
+        key = tuple(map(id, videos))
+        last = self._memo.get(("batch", window))
+        if len(videos) == 1:
+            topology = videos[0]
+        elif last is not None and last[0] == key:
+            topology = last[1]
+        else:
+            topology = Topology(np.concatenate([unwired] + [
+                video.edges + lo for video, lo in zip(videos, bounds)]),
+                int(bounds[-1]))
+            self._memo[("batch", window)] = key, topology
+        return TemporalGraph(features, positions_s, topology.edges, stage,
+                             bounds, topology)
 
 
 def subsample_plan(g: TemporalGraph, pooling: str) -> tuple[np.ndarray, np.ndarray]:

@@ -97,21 +97,22 @@ class StageOutput:
     features: Tensor
 
 
-def pool_closed_neighborhood(x: Tensor, g: TemporalGraph, how: str) -> Tensor:
-    """Pool each node's features over itself and its neighbors.
+def pool_closed_neighborhood(x: Tensor, g: TemporalGraph, how: str,
+                             keep_idx: np.ndarray) -> Tensor:
+    """Pool the survivors ``keep_idx`` (distinct nodes), each over itself
+    and its neighbors; one row per survivor, in ``keep_idx`` order.
 
-    Self-loops are appended before the segment reduction, so isolated
-    nodes keep their own features under both mean and max.
+    Only the survivors' closed neighbourhoods are read, through the plans
+    of ``g.topology.survivors``. The self-loop keeps an isolated node's own
+    features under both mean and max.
     """
-    loops = np.arange(g.num_nodes, dtype=np.intp)
-    src = np.concatenate([g.edges[:, 0], loops])
-    dst = np.concatenate([g.edges[:, 1], loops])
-    msg = gather_rows(x, dst)
+    if how not in ("mean", "max"):
+        raise ValueError(f"unknown pooling {how!r}")
+    reads, groups = g.topology.survivors(keep_idx)
+    msg = gather_rows(x, reads)
     if how == "mean":
-        return segment_mean(msg, src, g.num_nodes)
-    if how == "max":
-        return segment_max(msg, src, g.num_nodes)
-    raise ValueError(f"unknown pooling {how!r}")
+        return segment_mean(msg, groups)
+    return segment_max(msg, groups.ids, len(keep_idx))
 
 
 def _run_block(block: list, kind: LayerKind, g: TemporalGraph, x: Tensor) -> Tensor:
@@ -143,10 +144,9 @@ def backbone_forward(params: BackboneParams, cfg: BackboneConfig,
         if stage_idx > 0:
             keep_idx, new_bounds = subsample_plan(g, cfg.pooling)
             if cfg.pooling in ("mean", "max"):
-                pooled = pool_closed_neighborhood(x, g, cfg.pooling)
+                x = pool_closed_neighborhood(x, g, cfg.pooling, keep_idx)
             else:
-                pooled = x
-            x = gather_rows(pooled, keep_idx)
+                x = gather_rows(x, keep_idx)
             g = cache.graph(x.data, g.positions_s[keep_idx], new_bounds,
                             g.stage + 1, cfg.edge_rule,
                             lambda video: rebuild_edges(video, cfg.edge_rule))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import (
     Tensor, add, div, exp, gather_rows, leaky_relu, matmul, mul, relu,
-    segment_mean, segment_sum, sub,
+    segment_mean, segment_sum, sub, tdgc_aggregate,
 )
 from .graph import TemporalGraph
 from .optim import linear_init, uniform_fan_in
@@ -79,29 +79,21 @@ class TdgcParams:
                 self.gate_w, self.gate_b]
 
 
-def _gate_weights(p: TdgcParams, abs_dt: np.ndarray) -> Tensor:
-    """Per-edge per-channel gate from the absolute time offset."""
-    h = Tensor(abs_dt.reshape(-1, 1))
-    return relu(add(matmul(h, p.gate_w), p.gate_b))
-
-
 def tdgc_forward(p: TdgcParams, g: TemporalGraph, x: Tensor) -> Tensor:
     """out_i = x_i W_r + b_r + mean_{j in N(i)} s_ij * (w_ij * f(x_j W_n + b_n))
 
     with s_ij the sign of (t_i - t_j), w_ij the magnitude gate, and f ReLU.
-    Nodes without neighbors reduce exactly to the root projection.
+    Nodes without neighbors reduce exactly to the root projection. The
+    neighbour term is one ``tdgc_aggregate`` record over the topology's
+    plans.
     """
     root = add(matmul(x, p.w_root), p.b_root)
-    src, dst = g.edges[:, 0], g.edges[:, 1]
     h = relu(add(matmul(x, p.w_nbr), p.b_nbr))
-    msg = gather_rows(h, dst)
-    dt = g.positions_s[src] - g.positions_s[dst]
-    if not p.disable_gate:
-        msg = mul(msg, _gate_weights(p, np.abs(dt)))
-    if not p.disable_sign:
-        msg = mul(msg, Tensor(np.sign(dt).reshape(-1, 1)))
-    agg = segment_mean(msg, src, g.num_nodes)
-    return add(root, agg)
+    src, dst = g.topology.plan("src"), g.topology.plan("dst")
+    dt = g.positions_s[src.ids] - g.positions_s[dst.ids]
+    gate = None if p.disable_gate else (p.gate_w, p.gate_b)
+    return add(root, tdgc_aggregate(h, dt, src, dst, gate,
+                                    signed=not p.disable_sign))
 
 
 # ---------------------------------------------------------------------------
@@ -125,17 +117,17 @@ class GcnParams:
 
 def _loop_degrees(g: TemporalGraph) -> np.ndarray:
     """Node degrees counting the implicit self-loop."""
-    return 1.0 + np.bincount(g.edges[:, 0], minlength=g.num_nodes)
+    return 1.0 + g.topology.plan("src").counts
 
 
 def gcn_forward(p: GcnParams, g: TemporalGraph, x: Tensor) -> Tensor:
     h = matmul(x, p.w)
     deg = _loop_degrees(g)
     out = mul(h, Tensor((1.0 / deg).reshape(-1, 1)))  # self-loop term
-    src, dst = g.edges[:, 0], g.edges[:, 1]
-    norm = 1.0 / np.sqrt(deg[src] * deg[dst])
+    src, dst = g.topology.plan("src"), g.topology.plan("dst")
+    norm = 1.0 / np.sqrt(deg[src.ids] * deg[dst.ids])
     msg = mul(gather_rows(h, dst), Tensor(norm.reshape(-1, 1)))
-    out = add(out, segment_sum(msg, src, g.num_nodes))
+    out = add(out, segment_sum(msg, src))
     return add(out, p.b)
 
 
@@ -164,22 +156,20 @@ class GatParams:
 
 
 def gat_forward(p: GatParams, g: TemporalGraph, x: Tensor) -> Tensor:
-    n = g.num_nodes
-    loops = np.arange(n, dtype=np.intp)
-    src = np.concatenate([g.edges[:, 0], loops])
-    dst = np.concatenate([g.edges[:, 1], loops])
+    src = g.topology.plan("closed_src")
+    dst = g.topology.plan("closed_dst")
     h = matmul(x, p.w)
     score_src = matmul(h, p.a_src)  # (N, 1)
     score_dst = matmul(h, p.a_dst)
     e = leaky_relu(add(gather_rows(score_src, src), gather_rows(score_dst, dst)), 0.2)
     # segment softmax over receivers; the per-segment max is a constant shift
-    seg_max = np.full(n, -np.inf)
-    np.maximum.at(seg_max, src, e.data[:, 0])
-    z = exp(sub(e, Tensor(seg_max[src].reshape(-1, 1))))
-    denom = segment_sum(z, src, n)
+    seg_max = np.full(g.num_nodes, -np.inf)
+    np.maximum.at(seg_max, src.ids, e.data[:, 0])
+    z = exp(sub(e, Tensor(seg_max[src.ids].reshape(-1, 1))))
+    denom = segment_sum(z, src)
     alpha = div(z, gather_rows(denom, src))
     msg = mul(gather_rows(h, dst), alpha)
-    return add(segment_sum(msg, src, n), p.b)
+    return add(segment_sum(msg, src), p.b)
 
 
 @dataclass
@@ -202,9 +192,9 @@ class SageParams:
 
 def sage_forward(p: SageParams, g: TemporalGraph, x: Tensor) -> Tensor:
     out = add(matmul(x, p.w_root), p.b)
-    src, dst = g.edges[:, 0], g.edges[:, 1]
+    src, dst = g.topology.plan("src"), g.topology.plan("dst")
     msg = gather_rows(matmul(x, p.w_nbr), dst)
-    return add(out, segment_mean(msg, src, g.num_nodes))
+    return add(out, segment_mean(msg, src))
 
 
 @dataclass
@@ -231,12 +221,12 @@ def sgcn_forward(p: SgcnParams, g: TemporalGraph, x: Tensor) -> Tensor:
     h_future = matmul(x, p.w_future)
     deg = _loop_degrees(g)
     out = mul(h_past, Tensor((1.0 / deg).reshape(-1, 1)))  # self-loop, dt = 0
-    src, dst = g.edges[:, 0], g.edges[:, 1]
-    norm = (1.0 / np.sqrt(deg[src] * deg[dst])).reshape(-1, 1)
-    is_past = (g.positions_s[dst] <= g.positions_s[src]).reshape(-1, 1)
+    src, dst = g.topology.plan("src"), g.topology.plan("dst")
+    norm = (1.0 / np.sqrt(deg[src.ids] * deg[dst.ids])).reshape(-1, 1)
+    is_past = (g.positions_s[dst.ids] <= g.positions_s[src.ids]).reshape(-1, 1)
     msg = add(mul(gather_rows(h_past, dst), Tensor(is_past * norm)),
               mul(gather_rows(h_future, dst), Tensor(~is_past * norm)))
-    out = add(out, segment_sum(msg, src, g.num_nodes))
+    out = add(out, segment_sum(msg, src))
     return add(out, p.b)
 
 

@@ -383,8 +383,11 @@ def _read_annotations(path: Path, video_ids) -> dict:
 def load_dataset(directory: str | Path) -> SynthDataset:
     """Rebuild a saved corpus, reconstructing events from annotations.
 
-    A config key that is missing or unknown, or an annotation file that
-    lacks a video ``ar.json`` lists, raises ValueError naming the file.
+    A config key that is missing or unknown, an annotation file that lacks
+    a video ``ar.json`` lists, ``oscc.json`` records that are not ``ar.json``'s
+    events (count or start times), or ``pnr.json`` records that are not
+    exactly the state-changing events raise ValueError naming the file and
+    the video.
     """
     directory = Path(directory)
     cfg = _read_config(directory / "config.json")
@@ -398,17 +401,40 @@ def load_dataset(directory: str | Path) -> SynthDataset:
         for video_id in sorted(ar):
             feats, positions, vid = load_features(
                 directory / split / "features" / video_id)
-            pnr_by_start = {r["start_s"]: r["labels"]["keyframe_s"]
-                            for r in pnr[video_id]}
-            events = []
-            for rec_ar, rec_oscc in zip(ar[video_id], oscc[video_id]):
-                changing = bool(rec_oscc["labels"]["state_change"])
-                events.append(Event(
-                    start_s=rec_ar["start_s"], end_s=rec_ar["end_s"],
-                    verb=rec_ar["labels"]["verb"], noun=rec_ar["labels"]["noun"],
-                    state_change=changing,
-                    pnr_s=pnr_by_start.get(rec_ar["start_s"]),
-                ))
+            events = _video_events(ann_dir, video_id, ar[video_id],
+                                   oscc[video_id], pnr[video_id])
             videos.append(VideoSample(vid, feats, positions, events))
         splits[split] = videos
     return SynthDataset(cfg, splits["train"], splits["val"])
+
+
+def _video_events(ann_dir: Path, video_id: str, ar: list, oscc: list,
+                  pnr: list) -> list[Event]:
+    """One video's events from its ``ar``, ``oscc`` and ``pnr`` records,
+    checked against each other."""
+    where = f"{ann_dir / 'oscc.json'}: video {video_id}"
+    if len(oscc) != len(ar):
+        raise ValueError(f"{where} has {len(oscc)} records, "
+                         f"ar.json has {len(ar)}")
+    for rec_ar, rec_oscc in zip(ar, oscc):
+        if rec_oscc["start_s"] != rec_ar["start_s"]:
+            raise ValueError(f"{where} has a record at {rec_oscc['start_s']} "
+                             f"where ar.json has {rec_ar['start_s']}")
+    changing = {rec["start_s"] for rec in oscc
+                if rec["labels"]["state_change"]}
+    keyframes = {rec["start_s"]: rec["labels"]["keyframe_s"] for rec in pnr}
+    where = f"{ann_dir / 'pnr.json'}: video {video_id}"
+    missing = sorted(changing - keyframes.keys())
+    if missing:
+        raise ValueError(f"{where} has no record for the state change "
+                         f"at {missing[0]}")
+    stray = sorted(keyframes.keys() - changing)
+    if stray:
+        raise ValueError(f"{where} has a record at {stray[0]} that matches "
+                         f"no state change")
+    return [Event(start_s=rec_ar["start_s"], end_s=rec_ar["end_s"],
+                  verb=rec_ar["labels"]["verb"],
+                  noun=rec_ar["labels"]["noun"],
+                  state_change=bool(rec_oscc["labels"]["state_change"]),
+                  pnr_s=keyframes.get(rec_ar["start_s"]))
+            for rec_ar, rec_oscc in zip(ar, oscc)]

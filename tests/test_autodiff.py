@@ -11,6 +11,7 @@ import pytest
 
 from tgk.autodiff import (
     GradientTape,
+    ScatterPlan,
     Tensor,
     add,
     backward,
@@ -43,6 +44,7 @@ from tgk.autodiff import (
     sub,
     take_cols,
     take_per_row,
+    tdgc_aggregate,
     tmean,
     tsum,
 )
@@ -275,6 +277,154 @@ def test_segment_kernel_equals_add_at_bytes():
             loss = tsum(mul(gather_rows(a, ids), Tensor(values)))
         backward(tape, loss)
         assert a.grad.tobytes() == summed.tobytes()
+
+    check()
+
+
+def _hypothesis_settings(hyp, examples=200):
+    """Derandomized and without a shrink phase, so a failure reports the
+    same input every run and does not shrink for minutes."""
+    return hyp.settings(max_examples=examples, deadline=None,
+                        derandomize=True, database=None,
+                        phases=[p for p in hyp.Phase
+                                if p is not hyp.Phase.shrink])
+
+
+def _composed_tdgc(h, dt, src, dst, num_nodes, gate, signed):
+    """TDGC's aggregate as the chain of primitives ``tdgc_aggregate``
+    fuses: the byte oracle of its forward and backward."""
+    msg = gather_rows(h, dst)
+    if gate is not None:
+        gate_w, gate_b = gate
+        weights = relu(add(matmul(Tensor(np.abs(dt).reshape(-1, 1)), gate_w),
+                           gate_b))
+        msg = mul(msg, weights)
+    if signed:
+        msg = mul(msg, Tensor(np.sign(dt).reshape(-1, 1)))
+    return segment_mean(msg, src, num_nodes)
+
+
+def _tdgc_both_ways(h, dt, src, dst, gate_w, gate_b, upstream, use_gate,
+                    signed):
+    """(output, h grad, gate_w grad, gate_b grad) of the fused and the
+    composed aggregate under the same upstream gradient."""
+    n = h.shape[0]
+    results = []
+    for fused in (True, False):
+        leaves = [Tensor(a, requires_grad=True) for a in (h, gate_w, gate_b)]
+        gate = tuple(leaves[1:]) if use_gate else None
+        with GradientTape() as tape:
+            if fused:
+                out = tdgc_aggregate(leaves[0], dt, ScatterPlan.of(src, n),
+                                     ScatterPlan.of(dst, n), gate, signed)
+            else:
+                out = _composed_tdgc(leaves[0], dt, src, dst, n, gate, signed)
+            loss = tsum(mul(out, Tensor(upstream)))
+        backward(tape, loss, leaves=leaves)
+        results.append([out.data] + [t.grad for t in leaves])
+    return results
+
+
+def test_tdgc_aggregate_equals_composed_chain_bytes():
+    """The fused aggregate's output, taped or not, and every gradient
+    equal the composed chain's bytes: random graphs with degrees 0 to 8,
+    isolated nodes, time ties (sign 0), signed zeros, dead gate channels,
+    all four gate/sign combinations."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    grid = (0.0, -0.0, 1.0, -1.0, 0.5, -0.3, 5e-324, -5e-324, 1e3, -1e3)
+    number = st.one_of(st.sampled_from(grid), st.floats(-10.0, 10.0))
+    d = 3
+
+    def array(draw, shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(number, min_size=size, max_size=size)),
+                        dtype=np.float64).reshape(shape)
+
+    @st.composite
+    def problems(draw):
+        n = draw(st.integers(1, 9))
+        src, dst = [], []
+        for i in range(n):
+            for _ in range(draw(st.integers(0, 8))):
+                src.append(i)
+                dst.append(draw(st.integers(0, n - 1)))
+        order = draw(st.permutations(range(len(src))))
+        src = np.array(src, dtype=np.intp)[list(order)]
+        dst = np.array(dst, dtype=np.intp)[list(order)]
+        positions = np.array(draw(st.lists(st.sampled_from(
+            (0.0, 0.5, 1.0, 2.0, 3.5)), min_size=n, max_size=n)))
+        return (array(draw, (n, d)), positions[src] - positions[dst], src,
+                dst, array(draw, (1, d)), array(draw, (d,)),
+                array(draw, (n, d)), draw(st.booleans()), draw(st.booleans()))
+
+    @_hypothesis_settings(hyp)
+    @hyp.given(problems())
+    @np.errstate(all="ignore")  # huge products overflow on both paths
+    def check(problem):
+        fused, composed = _tdgc_both_ways(*problem)
+        for got, want in zip(fused, composed):
+            assert got.tobytes() == want.tobytes()
+        # a forward no tape records scales the rows in place
+        h, dt, src, dst, gate_w, gate_b, _, use_gate, signed = problem
+        n = h.shape[0]
+        gate = (Tensor(gate_w), Tensor(gate_b)) if use_gate else None
+        untaped = tdgc_aggregate(Tensor(h), dt, ScatterPlan.of(src, n),
+                                 ScatterPlan.of(dst, n), gate, signed)
+        assert untaped.data.tobytes() == composed[0].tobytes()
+
+    check()
+
+
+def test_tdgc_aggregate_gradients_numeric():
+    rng = np.random.default_rng(12)
+    n, d = 6, 3
+    src = np.array([0, 0, 1, 2, 2, 2, 4, 5])
+    dst = np.array([1, 3, 0, 1, 3, 4, 5, 4])
+    dt = rng.normal(size=len(src))
+    h = rng.normal(size=(n, d))
+    # keep the gate's pre-activations away from the ReLU kink
+    gate_w = np.abs(rng.normal(size=(1, d))) + 0.1
+    gate_b = np.abs(rng.normal(size=d)) + 0.1
+    plans = ScatterPlan.of(src, n), ScatterPlan.of(dst, n)
+    for signed in (True, False):
+        check_grads(lambda a, w, b: tdgc_aggregate(a, dt, *plans, (w, b),
+                                                   signed),
+                    [h, gate_w, gate_b], rng)
+        check_grads(lambda a: tdgc_aggregate(a, dt, *plans, None, signed),
+                    [h], rng)
+
+
+def test_take_cols_backward_equals_add_at_bytes():
+    """``take_cols``' backward, through the segment kernel, has the bytes
+    of ``np.add.at`` over the gradient's transpose: duplicate and unused
+    columns, signed zeros."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    grid = (0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 5e-324, 1e300, -1e300)
+
+    @st.composite
+    def problems(draw):
+        rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        cols = draw(st.lists(st.integers(0, width - 1), max_size=8))
+        g = draw(st.lists(st.one_of(st.sampled_from(grid),
+                                    st.floats(-1e3, 1e3)),
+                          min_size=rows * len(cols),
+                          max_size=rows * len(cols)))
+        return (rows, width, np.array(cols, dtype=np.intp),
+                np.array(g, dtype=np.float64).reshape(rows, len(cols)))
+
+    @_hypothesis_settings(hyp)
+    @hyp.given(problems())
+    def check(problem):
+        rows, width, cols, g = problem
+        a = Tensor(np.ones((rows, width)), requires_grad=True)
+        with GradientTape() as tape:
+            loss = tsum(mul(take_cols(a, cols), Tensor(g)))
+        backward(tape, loss)
+        want = np.zeros((rows, width))
+        np.add.at(want.T, cols, g.T)
+        assert a.grad.tobytes() == want.tobytes()
 
     check()
 

@@ -533,6 +533,19 @@ def test_commands_exit_in_one_line_on_unannotated_video(tmp_path, command):
                              f"{data}: {path}: no annotations for video ")
 
 
+def test_train_exits_in_one_line_on_oscc_records_unlike_ar(tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(workspace() / "data", data)
+    path = data / "train" / "annotations" / "oscc.json"
+    records = json.loads(path.read_text())
+    video = sorted(records)[0]
+    records[video].pop()
+    path.write_text(json.dumps(records))
+    run = tmp_path / "run"
+    assert_exits_in_one_line(data_argv("train-single", data, run), run,
+                             f"{data}: {path}: video {video} has ")
+
+
 def test_build_prototypes_exits_on_unreadable_support_run(tmp_path):
     ws = workspace()
     old = run_without_arm(tmp_path / "old")

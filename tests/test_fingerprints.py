@@ -129,14 +129,17 @@ def compute() -> dict:
         singles[task] = run_single(task, ds, cfg)
         record(f"single/{task}", singles[task],
                evaluate(singles[task], ds.val, cfg))
-    # The 4-stage pyramid under every other layer kind and pooling. The
-    # poolings run on 15-segment videos: with an even count every video of
-    # a batch starts at an even offset, and batch-ss keeps what video-ss
-    # keeps.
+    # The 4-stage pyramid under every other layer kind and pooling, and
+    # with a wider edge window. At the default 2 s window every TDGC node
+    # has at most two neighbours, so a mean would only divide by 1 or 2;
+    # 3.5 s gives larger degrees. The poolings run on 15-segment videos:
+    # with an even count every video of a batch starts at an even offset,
+    # and batch-ss keeps what video-ss keeps.
     odd = generate_dataset(replace(ds.config, segments_per_video=15))
     for name, data, bb in (
             [(f"layer={k}", ds, BackboneConfig(layer_kind=k))
              for k in sorted(LAYER_KINDS) if k != "tdgc"]
+            + [("threshold=3.5", ds, BackboneConfig(threshold_s=3.5))]
             + [(f"pooling={p}", odd, BackboneConfig(pooling=p))
                for p in ("max", "video-ss", "batch-ss")]):
         model = run_single("mq", data, cfg, backbone_cfg=bb)

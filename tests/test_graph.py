@@ -6,6 +6,8 @@ Halving itself is checked on the path the backbone runs: the survivor
 plan, closed-neighborhood pooling, and a 2-stage ``backbone_forward``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -187,7 +189,7 @@ def two_stage(g: TemporalGraph, pooling: str = "mean",
 
 def pooled_survivors(g: TemporalGraph, how: str) -> np.ndarray:
     keep, _ = subsample_plan(g, how)
-    return pool_closed_neighborhood(Tensor(g.features), g, how).data[keep]
+    return pool_closed_neighborhood(Tensor(g.features), g, how, keep).data
 
 
 def test_subsample_ceil_halves_every_video():
@@ -266,6 +268,21 @@ def test_rebuild_edges_preserves_nodes():
     assert np.array_equal(h.features, g.features)
     assert np.array_equal(h.positions_s, g.positions_s)
     assert len(h.edges) > len(g.edges)
+
+
+def test_replaced_edges_get_their_own_topology():
+    """A graph copied with other edges aggregates over those edges, never
+    over the topology it was copied from; a graph built over a topology's
+    own edge array keeps that topology."""
+    g = build_graph(np.zeros((6, 1)), np.arange(6.0),
+                    rule=EdgeRule(threshold_s=1.5))
+    h = replace(g, edges=g.edges[:2])
+    assert h.topology is not g.topology
+    assert h.topology.edges is h.edges
+    assert np.array_equal(h.topology.plan("src").ids, g.edges[:2, 0])
+    same = TemporalGraph(g.features, g.positions_s, g.topology.edges,
+                         topology=g.topology)
+    assert same.topology is g.topology
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ paths, and differentiability through the full stack."""
 import numpy as np
 import pytest
 
-from tgk.autodiff import GradientTape, Tensor, backward, tsum
-from tgk.graph import EdgeRule, build_graph
+from tgk.autodiff import (
+    GradientTape, Tensor, backward, gather_rows, mul, segment_max,
+    segment_mean, tsum,
+)
+from tgk.graph import EdgeRule, VideoCache, build_graph, subsample_plan
 from tgk.hierarchy import (
     BackboneConfig,
     BackboneParams,
@@ -112,7 +115,7 @@ def test_pool_closed_neighborhood_mean_oracle():
     rng = np.random.default_rng(5)
     g = make_graph(rng, [6], window=1.5)
     x = Tensor(g.features)
-    pooled = pool_closed_neighborhood(x, g, "mean").data
+    pooled = pool_closed_neighborhood(x, g, "mean", np.arange(6)).data
     for i in range(6):
         members = sorted(set(g.edges[g.edges[:, 0] == i, 1]) | {i})
         assert np.allclose(pooled[i], g.features[members].mean(axis=0), atol=1e-12)
@@ -121,7 +124,8 @@ def test_pool_closed_neighborhood_mean_oracle():
 def test_pool_closed_neighborhood_max_oracle():
     rng = np.random.default_rng(6)
     g = make_graph(rng, [6], window=1.5)
-    pooled = pool_closed_neighborhood(Tensor(g.features), g, "max").data
+    pooled = pool_closed_neighborhood(Tensor(g.features), g, "max",
+                                      np.arange(6)).data
     for i in range(6):
         members = sorted(set(g.edges[g.edges[:, 0] == i, 1]) | {i})
         assert np.array_equal(pooled[i], g.features[members].max(axis=0))
@@ -131,14 +135,79 @@ def test_pool_isolated_node_keeps_own_features():
     feats = np.array([[1.0, 2.0], [3.0, 4.0]])
     g = build_graph(feats, np.array([0.0, 100.0]), rule=EdgeRule(threshold_s=1.0))
     for how in ("mean", "max"):
-        pooled = pool_closed_neighborhood(Tensor(feats), g, how).data
+        pooled = pool_closed_neighborhood(Tensor(feats), g, how,
+                                          np.arange(2)).data
         assert np.array_equal(pooled, feats)
 
 
 def test_pool_rejects_unknown_mode():
     g = build_graph(np.zeros((2, 2)), np.arange(2.0))
     with pytest.raises(ValueError):
-        pool_closed_neighborhood(Tensor(g.features), g, "sum")
+        pool_closed_neighborhood(Tensor(g.features), g, "sum", np.arange(2))
+
+
+def _pool_then_gather(x, g, how, keep_idx):
+    """Every node pooled over its closed neighbourhood, then the survivors
+    gathered: the byte oracle of survivors-only pooling."""
+    loops = np.arange(g.num_nodes, dtype=np.intp)
+    src = np.concatenate([g.edges[:, 0], loops])
+    msg = gather_rows(x, np.concatenate([g.edges[:, 1], loops]))
+    reduce = segment_mean if how == "mean" else segment_max
+    return gather_rows(reduce(msg, src, g.num_nodes), keep_idx)
+
+
+def test_survivors_pooling_equals_pool_then_gather_bytes():
+    """Pooling only the survivors' closed neighbourhoods gives the bytes
+    of pooling every node and gathering the survivors, forward and in the
+    input gradient: batches of several videos of different lengths, with
+    the topology a ``VideoCache`` builds or the graph's own, isolated
+    nodes, signed zeros."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    settings = hyp.settings(max_examples=150, deadline=None,
+                            derandomize=True, database=None,
+                            phases=[p for p in hyp.Phase
+                                    if p is not hyp.Phase.shrink])
+    grid = (0.0, -0.0, 1.0, -1.0, 0.5, -0.3, 5e-324, 1e300, -1e300)
+    number = st.one_of(st.sampled_from(grid), st.floats(-1e3, 1e3))
+
+    @st.composite
+    def problems(draw):
+        sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+        n = sum(sizes)
+        positions = np.concatenate([np.sort(np.array(draw(st.lists(
+            st.floats(0.0, 8.0), min_size=k, max_size=k)))) for k in sizes])
+        values = [np.array(draw(st.lists(number, min_size=2 * n,
+                                         max_size=2 * n))).reshape(n, 2)
+                  for _ in range(2)]
+        return (sizes, positions, *values, draw(st.floats(0.5, 4.0)),
+                draw(st.sampled_from(("mean", "max"))), draw(st.booleans()))
+
+    @settings
+    @hyp.given(problems())
+    @np.errstate(all="ignore")
+    def check(problem):
+        sizes, positions, feats, upstream, window, how, cached = problem
+        bounds = np.cumsum([0] + sizes)
+        rule = EdgeRule(window)
+        g = build_graph(feats, positions, bounds, rule)
+        if cached:
+            g = VideoCache().graph(feats, positions, bounds, 1, rule,
+                                   lambda video: build_graph(
+                                       video.features, video.positions_s,
+                                       rule=rule))
+        keep_idx, _ = subsample_plan(g, how)
+        got = []
+        for pool in (pool_closed_neighborhood, _pool_then_gather):
+            x = Tensor(feats, requires_grad=True)
+            with GradientTape() as tape:
+                out = pool(x, g, how, keep_idx)
+                loss = tsum(mul(out, Tensor(upstream[:len(keep_idx)])))
+            backward(tape, loss)
+            got.append((out.data.tobytes(), x.grad.tobytes()))
+        assert got[0] == got[1]
+
+    check()
 
 
 def test_skip_pooling_copies_survivor_features():

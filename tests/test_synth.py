@@ -353,6 +353,63 @@ def test_load_rejects_malformed_corpus_naming_the_file(tmp_path):
         load_dataset(tmp_path)
 
 
+def _edit_annotations(root, task, edit):
+    """Apply ``edit(records)`` to the first train video's ``task`` records;
+    returns the file and the video."""
+    path = root / "train" / "annotations" / f"{task}.json"
+    records = json.loads(path.read_text())
+    video = sorted(records)[0]
+    edit(records[video])
+    path.write_text(json.dumps(records))
+    return path, video
+
+
+def test_load_rejects_oscc_records_that_are_not_the_ar_events(tmp_path):
+    save_dataset(tmp_path, generate_dataset(SMALL))
+    path, video = _edit_annotations(tmp_path, "oscc", lambda r: r.pop())
+    with pytest.raises(ValueError,
+                       match=f"{path}: video {video} has .* records, "
+                             f"ar.json has "):
+        load_dataset(tmp_path)
+    save_dataset(tmp_path, generate_dataset(SMALL))
+
+    def shift(records):
+        records[0]["start_s"] += 0.25
+
+    path, video = _edit_annotations(tmp_path, "oscc", shift)
+    with pytest.raises(ValueError,
+                       match=f"{path}: video {video} has a record at .* "
+                             f"where ar.json has "):
+        load_dataset(tmp_path)
+
+
+def test_load_rejects_state_change_without_pnr_record(tmp_path):
+    save_dataset(tmp_path, generate_dataset(SMALL))
+    path, video = _edit_annotations(tmp_path, "pnr", lambda r: r.pop())
+    with pytest.raises(ValueError,
+                       match=f"{path}: video {video} has no record for the "
+                             f"state change at "):
+        load_dataset(tmp_path)
+
+
+def test_load_rejects_pnr_record_matching_no_state_change(tmp_path):
+    ds = generate_dataset(SMALL)
+    save_dataset(tmp_path, ds)
+    video = sorted(v.video_id for v in ds.train)[0]
+    still = next(e for v in ds.train if v.video_id == video
+                 for e in v.events if not e.state_change)
+
+    def add(records):
+        records.append({"start_s": still.start_s, "end_s": still.end_s,
+                        "labels": {"keyframe_s": still.start_s}})
+
+    path, _ = _edit_annotations(tmp_path, "pnr", add)
+    with pytest.raises(ValueError,
+                       match=f"{path}: video {video} has a record at "
+                             f"{still.start_s} that matches no state change"):
+        load_dataset(tmp_path)
+
+
 def test_save_is_byte_deterministic(tmp_path):
     ds = generate_dataset(SMALL)
     save_dataset(tmp_path / "a", ds)

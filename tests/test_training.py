@@ -906,3 +906,40 @@ def test_evaluate_takes_one_transfer_arm():
     with pytest.raises(ValueError, match="not both"):
         evaluate(model, ds.val, small_cfg(), novel=novel,
                  translation=SimpleNamespace())
+
+
+# ---------------------------------------------------------------------------
+# tape size: an accidental unfuse fails here, not only in a traced benchmark
+# ---------------------------------------------------------------------------
+
+
+def test_tdgc_layer_with_gate_and_sign_emits_seven_records():
+    from tgk.layers import TdgcParams, tdgc_forward
+    ds = tiny_dataset()
+    g = build_batch_graph(ds.train[:2], EdgeRule())
+    p = TdgcParams.init(np.random.default_rng(0), g.features.shape[1], 8)
+    with GradientTape() as tape:
+        tdgc_forward(p, g, Tensor(g.features))
+    # root matmul and bias, neighbour matmul, bias and ReLU, the fused
+    # aggregate, and the final sum
+    assert len(tape.records) == 7
+
+
+def test_mq_pyramid_step_records_at_most_156(monkeypatch):
+    """One training step of mq on the 4-stage tdgc pyramid, at the
+    benchmark's shape (8 videos of 32 segments, 32 dims)."""
+    ds = generate_dataset(SynthConfig(num_train_videos=8, num_val_videos=1,
+                                      segments_per_video=32, dim=32,
+                                      seed=1))
+    counts = []
+
+    def counting(tape, loss, **kwargs):
+        counts.append(len(tape.records))
+        return backward(tape, loss, **kwargs)
+
+    monkeypatch.setattr(training, "backward", counting)
+    run_single("mq", ds, TrainConfig(epochs=1, warmup_epochs=0,
+                                     batch_videos=8, seed=0),
+               backbone_cfg=BackboneConfig(d_in=32, d_model=32, num_stages=4))
+    assert len(counts) == 1
+    assert counts[0] <= 156
