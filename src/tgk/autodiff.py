@@ -22,14 +22,14 @@ __all__ = [
     "Tensor",
     "GradientTape",
     "backward",
-    "add", "sub", "neg", "mul", "div", "power", "matmul", "bmm",
-    "permute", "split_heads", "merge_heads",
+    "add", "sub", "neg", "mul", "div", "power", "matmul",
+    "split_heads", "merge_heads",
     "exp", "log", "sqrt", "relu", "leaky_relu", "sigmoid",
     "softplus", "clip", "minimum", "maximum", "tsum", "tmean",
     "ScatterPlan", "gather_rows", "take_cols", "take_per_row",
     "segment_sum", "segment_mean", "segment_max", "tdgc_aggregate",
-    "concat_rows",
-    "masked_softmax_rows", "cross_entropy_rows",
+    "concat_rows", "attention_index", "masked_attention", "layer_norm_rows",
+    "cross_entropy_rows",
 ]
 
 
@@ -342,29 +342,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g @ b.data.T, a.data.T @ g))
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Stacked product ``a[i] @ b[i]`` over the leading axes; each slice's
-    bytes are those of 2-D ``matmul`` on it."""
-    if a.ndim < 3 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"bmm shape mismatch: {a.shape} @ {b.shape}")
-    return _emit(np.matmul(a.data, b.data), (a, b), lambda g: (
-        np.matmul(g, b.data.swapaxes(-1, -2)),
-        np.matmul(a.data.swapaxes(-1, -2), g)))
-
-
-def permute(a: Tensor, axes) -> Tensor:
-    """Axes reordered as ``a.data.transpose(axes)``, a view; ``(1, 0)``
-    transposes a matrix."""
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    return _emit(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
-
-
 def split_heads(a: Tensor, heads: int) -> Tensor:
     """(rows, heads * w) -> (heads, rows, w): slice h is the column block
     ``a[:, h*w:(h+1)*w]``, laid out in Fortran order as ``take_cols`` lays
-    it out, so ``bmm`` over the slices gives ``matmul``'s bytes on them.
-    The gradient comes back C-ordered."""
+    it out, so stacked products over the slices give ``matmul``'s bytes on
+    them. The gradient comes back C-ordered."""
     n, width = a.shape
     out = np.ascontiguousarray(a.data.T).reshape(heads, width // heads, n)
 
@@ -620,45 +602,96 @@ def concat_rows(tensors) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# row-wise softmax family
+# attention, normalisation and the row-wise softmax
 # ---------------------------------------------------------------------------
 
-def masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over the last axis restricted to positions where ``mask`` is
-    true; ``mask`` broadcasts over leading axes of ``logits``.
-
-    ``exp`` runs on admitted positions only (on the rest it would only
-    underflow, and slowly), and masked ones get weight exactly 0.0, so they
-    contribute nothing forward or backward. Every row must keep at least
-    one admitted position. The backward is that of ``e / sum(e)`` replayed
-    through the tape, the two paths into ``e`` added in the tape's order,
-    so gradients keep the composed chain's bytes; it works in one buffer,
-    since the large temporaries cost more than the arithmetic.
-    """
+def attention_index(mask: np.ndarray, heads: int) -> np.ndarray:
+    """Flat positions of ``mask``'s admitted entries in its broadcast over
+    ``heads`` stacked copies, the index ``masked_attention`` reads; build
+    it once per mask. Every row must admit at least one position."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=-1).all():
-        raise ValueError("masked_softmax_rows: some row admits no position")
-    x = logits.data
-    admitted = np.broadcast_to(mask, np.broadcast_shapes(x.shape, mask.shape))
-    e = np.where(admitted, x, -np.inf)
-    e -= e.max(axis=-1, keepdims=True)
-    flat, at = e.reshape(-1), np.flatnonzero(admitted)
-    weights = np.exp(flat[at])
-    e.fill(0.0)
-    flat[at] = weights
-    s = e.sum(axis=-1, keepdims=True)
+        raise ValueError("masked attention: some row admits no position")
+    return np.flatnonzero(np.broadcast_to(mask, (heads,) + mask.shape))
+
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
+                     admitted: np.ndarray) -> Tensor:
+    """Scaled dot-product attention over (heads, rows, w) stacks as one
+    record: ``softmax(q kᵀ / sqrt(w))`` restricted to the boolean (rows,
+    rows) ``mask`` broadcast over heads, times ``v``; ``admitted`` is
+    ``attention_index(mask, heads)``.
+
+    Masked positions get weight exactly 0.0, and ``exp`` runs on admitted
+    ones only (on the rest it would only underflow, and slowly). The
+    forward scales the scores and turns them into the softmax numerators
+    ``e`` in one buffer, and the record keeps only ``e`` and the row sums
+    ``s``. The backward recomputes ``e / s`` and replays the composed
+    chain's expressions (product, softmax of the scaled scores, product)
+    record by record, the softmax's two paths into ``e`` added in the
+    tape's order, so the output and the gradients keep that chain's
+    bytes.
+    """
+    scale = 1.0 / np.sqrt(q.shape[2])
+    x = np.matmul(q.data, k.data.transpose(0, 2, 1))
+    x *= scale
+    np.copyto(x, -np.inf, where=~mask)
+    x -= x.max(axis=-1, keepdims=True)
+    flat = x.reshape(-1)
+    weights = np.exp(flat[admitted])
+    x.fill(0.0)
+    flat[admitted] = weights
+    e, s = x, x.sum(axis=-1, keepdims=True)
 
     def back(g):
-        grad = np.negative(g)
+        buf = e / s
+        g_v = np.matmul(buf.swapaxes(-1, -2), g)
+        g_w = np.matmul(g, v.data.swapaxes(-1, -2))
+        grad = np.negative(g_w, out=buf)
         grad *= e
         grad /= s * s
         g_sum = grad.sum(axis=-1, keepdims=True)
-        np.divide(g, s, out=grad)
+        np.divide(g_w, s, out=grad)
         grad += g_sum
         grad *= e
-        return (grad,)
+        grad *= scale
+        return (np.matmul(grad, k.data),
+                np.matmul(q.data.swapaxes(-1, -2), grad).transpose(0, 2, 1),
+                g_v)
 
-    return _emit(e / s, (logits,), back)
+    return _emit(np.matmul(e / s, v.data), (q, k, v), back)
+
+
+def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Each row standardised (epsilon 1e-6 on the variance), then scaled
+    by ``gamma`` and shifted by ``beta``, as one record.
+
+    The forward and backward replay the composed chain (``tmean``,
+    ``sub``, ``mul``, ``tmean``, ``add``, ``sqrt``, ``div``, ``mul``,
+    ``add``) expression by expression. ``x`` is listed twice among the
+    inputs, so its gradients through the centred rows and through the
+    mean are added to what ``x`` already holds in that chain's order.
+    """
+    d = x.shape[1]
+    xc = x.data - x.data.mean(axis=1, keepdims=True)
+    sd = np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-6)
+    out = xc / sd
+    out *= gamma.data
+    out += beta.data
+
+    def back(g):
+        g_xn = g * gamma.data
+        g_sd = (-g_xn * xc / (sd * sd)).sum(axis=1, keepdims=True)
+        g_sq = np.broadcast_to(g_sd * 0.5 / sd, xc.shape) / d
+        g_sq *= xc
+        g_xc = g_xn / sd + g_sq
+        g_xc += g_sq
+        g_mu = np.broadcast_to((-g_xc).sum(axis=1, keepdims=True), x.shape)
+        return (g_xc, g_mu / d,
+                (g * (xc / sd)).sum(axis=0) if gamma.requires_grad else None,
+                g.sum(axis=0))
+
+    return _emit(out, (x, x, gamma, beta), back)
 
 
 def cross_entropy_rows(logits: Tensor, labels) -> Tensor:

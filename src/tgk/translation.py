@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, bmm, concat_rows, div, gather_rows, masked_softmax_rows,
-    matmul, merge_heads, mul, permute, split_heads, sqrt, sub, tmean,
+    Tensor, add, attention_index, concat_rows, gather_rows, layer_norm_rows,
+    masked_attention, matmul, merge_heads, split_heads,
 )
 from .graph import VideoCache
 from .optim import linear_init, uniform_fan_in
@@ -44,13 +44,6 @@ def build_mask(positions_s: np.ndarray, stages: np.ndarray) -> np.ndarray:
     mask = gap <= (2.0 ** stages)[:, None]
     np.fill_diagonal(mask, True)
     return mask
-
-
-def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    mu = tmean(x, axis=1, keepdims=True)
-    xc = sub(x, mu)
-    var = tmean(mul(xc, xc), axis=1, keepdims=True)
-    return add(mul(div(xc, sqrt(add(var, Tensor(1e-6)))), gamma), beta)
 
 
 @dataclass
@@ -95,20 +88,21 @@ class EncoderLayerParams:
                 *self.ff.params()]
 
 
-def _attention(p: EncoderLayerParams, x: Tensor, mask: np.ndarray) -> Tensor:
-    """All heads at once: (heads, tokens, dh) stacks through two ``bmm`` and
-    one masked softmax, the (tokens, tokens) mask broadcast over heads."""
+def _attention(p: EncoderLayerParams, x: Tensor, mask: np.ndarray,
+               admitted: np.ndarray) -> Tensor:
+    """All heads at once: (heads, tokens, dh) stacks through one masked
+    attention record, the (tokens, tokens) mask broadcast over heads."""
     q, k, v = (split_heads(add(matmul(x, w), b), p.num_heads)
                for w, b in ((p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv)))
-    scale = Tensor(1.0 / np.sqrt(q.shape[2]))
-    scores = mul(bmm(q, permute(k, (0, 2, 1))), scale)
-    out = bmm(masked_softmax_rows(scores, mask), v)
+    out = masked_attention(q, k, v, mask, admitted)
     return add(matmul(merge_heads(out), p.wo), p.bo)
 
 
-def _encoder_layer(p: EncoderLayerParams, x: Tensor, mask: np.ndarray) -> Tensor:
-    x = add(x, _attention(p, _layer_norm(x, p.ln1_g, p.ln1_b), mask))
-    h = mlp_forward(p.ff, _layer_norm(x, p.ln2_g, p.ln2_b))
+def _encoder_layer(p: EncoderLayerParams, x: Tensor, mask: np.ndarray,
+                   admitted: np.ndarray) -> Tensor:
+    x = add(x, _attention(p, layer_norm_rows(x, p.ln1_g, p.ln1_b), mask,
+                          admitted))
+    h = mlp_forward(p.ff, layer_norm_rows(x, p.ln2_g, p.ln2_b))
     return add(x, h)
 
 
@@ -132,6 +126,11 @@ class TranslationParams:
                    Tensor(np.ones(dim), requires_grad=True),
                    Tensor(np.zeros(dim), requires_grad=True))
 
+    @property
+    def num_heads(self) -> int:
+        """Heads per layer; ``init`` gives every layer the same count."""
+        return self.layers[0].num_heads
+
     def params(self) -> list[Tensor]:
         out = [self.task_embed[t] for t in sorted(self.task_embed)]
         for layer in self.layers:
@@ -140,10 +139,16 @@ class TranslationParams:
         return out
 
 
-def encoder_forward(p: TranslationParams, x: Tensor, mask: np.ndarray) -> Tensor:
+def encoder_forward(p: TranslationParams, x: Tensor, mask: np.ndarray,
+                    admitted: np.ndarray | None = None) -> Tensor:
+    """The encoder over tokens ``x`` under the boolean admission ``mask``;
+    ``admitted`` is ``attention_index(mask, heads)``, built here when not
+    given."""
+    if admitted is None:
+        admitted = attention_index(mask, p.num_heads)
     for layer in p.layers:
-        x = _encoder_layer(layer, x, mask)
-    return _layer_norm(x, p.ln_g, p.ln_b)
+        x = _encoder_layer(layer, x, mask, admitted)
+    return layer_norm_rows(x, p.ln_g, p.ln_b)
 
 
 def translation_forward(p: TranslationParams,
@@ -154,9 +159,9 @@ def translation_forward(p: TranslationParams,
 
     ``tokens`` maps task name to (features, positions_s, stage). Tasks are
     concatenated in sorted-name order with their learned embedding added,
-    the temporal mask is built from positions and stages, once per
-    ``cache`` for each token layout, and the encoded rows of ``primary``
-    come back in their original order.
+    the temporal mask and its attention index are built from positions
+    and stages, once per ``cache`` for each token layout, and the encoded
+    rows of ``primary`` come back in their original order.
     """
     if primary not in tokens:
         raise KeyError(f"primary task {primary!r} has no tokens")
@@ -175,7 +180,12 @@ def translation_forward(p: TranslationParams,
     x = concat_rows(parts)
     positions, stages = np.concatenate(pos_parts), np.concatenate(stage_parts)
     cache = VideoCache() if cache is None else cache
-    mask = cache.get(("mask", positions.tobytes(), stages.tobytes()),
-                     lambda: build_mask(positions, stages))
-    encoded = encoder_forward(p, x, mask)
+
+    def layout():
+        mask = build_mask(positions, stages)
+        return mask, attention_index(mask, p.num_heads)
+
+    mask, admitted = cache.get(
+        ("mask", p.num_heads, positions.tobytes(), stages.tobytes()), layout)
+    encoded = encoder_forward(p, x, mask, admitted)
     return gather_rows(encoded, primary_rows)

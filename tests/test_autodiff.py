@@ -3,7 +3,11 @@
 Every differentiable primitive is compared against central finite
 differences of a random weighted-sum loss. Structural behaviour of the
 tape (accumulation, detach, unused leaves, scalar-loss requirement) is
-checked separately with exact assertions.
+checked separately with exact assertions. Each fused primitive is also
+held to the bytes of the composed records it replaced; the records that
+no longer exist in the library (``bmm``, ``permute``, the fused
+``masked_softmax_rows``, the nine-record layer norm) live here as those
+oracles, with their own checks.
 """
 
 import numpy as np
@@ -14,8 +18,8 @@ from tgk.autodiff import (
     ScatterPlan,
     Tensor,
     add,
+    attention_index,
     backward,
-    bmm,
     clip,
     concat_rows,
     cross_entropy_rows,
@@ -23,15 +27,15 @@ from tgk.autodiff import (
     exp,
     gather_rows,
     leaky_relu,
+    layer_norm_rows,
     log,
-    masked_softmax_rows,
+    masked_attention,
     matmul,
     maximum,
     merge_heads,
     minimum,
     mul,
     neg,
-    permute,
     power,
     relu,
     segment_max,
@@ -48,7 +52,7 @@ from tgk.autodiff import (
     tmean,
     tsum,
 )
-from tgk.autodiff import sigmoid_values
+from tgk.autodiff import _emit, sigmoid_values
 from tgk.optim import finite_diff_check
 
 
@@ -90,6 +94,87 @@ def check_grads(fn, arrays, rng, tol=1e-6):
     for leaf, exp_g in zip(leaves, expected):
         err = np.max(np.abs(leaf.grad - exp_g)) / (1.0 + np.max(np.abs(exp_g)))
         assert err < tol, f"gradient mismatch for {fn}: {err}"
+
+
+def strategies():
+    """hypothesis' ``given``, ``settings`` and the strategies module; the
+    calling test is skipped when hypothesis is not installed. Shrinking is
+    off and generation derandomized, so a failure reports the same input
+    every run without minutes of shrinking."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    settings = hyp.settings(max_examples=150, deadline=None,
+                            derandomize=True, database=None,
+                            phases=[p for p in hyp.Phase
+                                    if p is not hyp.Phase.shrink])
+    return hyp.given, settings, st
+
+
+# ---------------------------------------------------------------------------
+# byte oracles: records the fused primitives replaced
+# ---------------------------------------------------------------------------
+
+
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Stacked product ``a[i] @ b[i]`` over the leading axes."""
+    if a.ndim < 3 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"bmm shape mismatch: {a.shape} @ {b.shape}")
+    return _emit(np.matmul(a.data, b.data), (a, b), lambda g: (
+        np.matmul(g, b.data.swapaxes(-1, -2)),
+        np.matmul(a.data.swapaxes(-1, -2), g)))
+
+
+def permute(a: Tensor, axes) -> Tensor:
+    """Axes reordered as ``a.data.transpose(axes)``, a view."""
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+    return _emit(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
+
+
+def masked_softmax_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
+    """Softmax over the last axis restricted to ``mask``'s positions, as
+    one record whose backward replays ``e / sum(e)`` in one buffer; it is
+    itself held to ``composed_masked_softmax_rows`` below."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any(axis=-1).all():
+        raise ValueError("masked_softmax_rows: some row admits no position")
+    x = logits.data
+    admitted = np.broadcast_to(mask, np.broadcast_shapes(x.shape, mask.shape))
+    e = np.where(admitted, x, -np.inf)
+    e -= e.max(axis=-1, keepdims=True)
+    flat, at = e.reshape(-1), np.flatnonzero(admitted)
+    weights = np.exp(flat[at])
+    e.fill(0.0)
+    flat[at] = weights
+    s = e.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        grad = np.negative(g)
+        grad *= e
+        grad /= s * s
+        g_sum = grad.sum(axis=-1, keepdims=True)
+        np.divide(g, s, out=grad)
+        grad += g_sum
+        grad *= e
+        return (grad,)
+
+    return _emit(e / s, (logits,), back)
+
+
+def composed_attention(q: Tensor, k: Tensor, v: Tensor,
+                       mask: np.ndarray) -> Tensor:
+    """The five records ``masked_attention`` replaced."""
+    scale = Tensor(1.0 / np.sqrt(q.shape[2]))
+    scores = mul(bmm(q, permute(k, (0, 2, 1))), scale)
+    return bmm(masked_softmax_rows(scores, mask), v)
+
+
+def composed_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """The nine records ``layer_norm_rows`` replaced."""
+    mu = tmean(x, axis=1, keepdims=True)
+    xc = sub(x, mu)
+    var = tmean(mul(xc, xc), axis=1, keepdims=True)
+    return add(mul(div(xc, sqrt(add(var, Tensor(1e-6)))), gamma), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +727,113 @@ def test_head_split_merge_and_permute_gradients_numeric():
     x = rng.normal(size=(5, 6))
     assert np.array_equal(merge_heads(split_heads(Tensor(x), 2)).data, x)
     assert np.array_equal(split_heads(Tensor(x), 2).data[1], x[:, 3:])
+
+
+# ---------------------------------------------------------------------------
+# fused attention and layer norm against their composed records
+# ---------------------------------------------------------------------------
+
+
+def fused_attention(q, k, v, mask):
+    return masked_attention(q, k, v, mask, attention_index(mask, q.shape[0]))
+
+
+def attention_bytes(attend, heads, inputs, mask, weights):
+    """Forward bytes and the q, k and v gradient bytes of a weighted sum of
+    the merged heads. As in the encoder, q, k and v come from
+    ``split_heads``, so their slices are Fortran-ordered, and the gradient
+    reaching the attention comes back through ``merge_heads``."""
+    q, k, v = (Tensor(split_heads(Tensor(a), heads).data, requires_grad=True)
+               for a in inputs)
+    with GradientTape() as tape:
+        out = attend(q, k, v, mask)
+        loss = tsum(mul(merge_heads(out), Tensor(weights)))
+    backward(tape, loss)
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in (q, k, v)]
+
+
+def test_masked_attention_equals_composed_chain_bytes():
+    """Up to the encoder's (4 heads, 128 tokens, width 8), under masks
+    whose rows admit only the diagonal, a random subset or everything."""
+    given, settings, st = strategies()
+
+    @settings
+    @given(st.integers(1, 4), st.integers(1, 128), st.integers(1, 8),
+           st.sampled_from(("diagonal", "subset", "full")),
+           st.sampled_from((1.0, 30.0)), st.integers(0, 2**32 - 1))
+    def check(heads, tokens, width, kind, spread, seed):
+        rng = np.random.default_rng(seed)
+        inputs = [rng.normal(size=(tokens, heads * width)) * spread
+                  for _ in range(3)]
+        weights = rng.normal(size=(tokens, heads * width))
+        if kind == "subset":
+            mask = rng.random((tokens, tokens)) < rng.uniform(0.0, 0.5)
+            np.fill_diagonal(mask, True)
+        else:
+            mask = np.eye(tokens, dtype=bool) | (kind == "full")
+        assert attention_bytes(fused_attention, heads, inputs, mask,
+                               weights) == \
+            attention_bytes(composed_attention, heads, inputs, mask, weights)
+
+    check()
+
+
+def test_layer_norm_rows_equals_composed_chain_bytes():
+    """With ``x`` also feeding a residual ``add``, so its gradients through
+    the centred rows and through the mean land on one it already holds."""
+    given, settings, st = strategies()
+
+    @settings
+    @given(st.integers(1, 128), st.integers(1, 32),
+           st.sampled_from((1e-4, 1.0, 50.0)), st.integers(0, 2**32 - 1))
+    def check(rows, width, spread, seed):
+        rng = np.random.default_rng(seed)
+        arrays = (rng.normal(size=(rows, width)) * spread
+                  + rng.normal(size=(rows, 1)), rng.normal(size=width),
+                  rng.normal(size=width))
+        weights = rng.normal(size=(rows, width))
+
+        def run(norm):
+            x, gamma, beta = (Tensor(a, requires_grad=True) for a in arrays)
+            with GradientTape() as tape:
+                out = add(x, norm(x, gamma, beta))
+                loss = tsum(mul(out, Tensor(weights)))
+            backward(tape, loss)
+            return [out.data.tobytes()] + [t.grad.tobytes()
+                                           for t in (x, gamma, beta)]
+
+        assert run(layer_norm_rows) == run(composed_layer_norm)
+
+    check()
+
+
+def test_masked_attention_gradient_finite_difference():
+    rng = np.random.default_rng(20)
+    heads, tokens = 2, 5
+    mask = rng.random((tokens, tokens)) < 0.4
+    np.fill_diagonal(mask, True)
+    leaves = [Tensor(rng.normal(size=(tokens, 6)), requires_grad=True)
+              for _ in range(3)]
+    w = Tensor(rng.normal(size=(tokens, 6)))
+    finite_diff_check(lambda: tsum(mul(merge_heads(fused_attention(
+        *(split_heads(t, heads) for t in leaves), mask)), w)), leaves)
+
+
+def test_layer_norm_rows_gradient_finite_difference():
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    gamma = Tensor(rng.normal(size=5), requires_grad=True)
+    beta = Tensor(rng.normal(size=5), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)))
+    finite_diff_check(lambda: tsum(mul(add(x, layer_norm_rows(x, gamma, beta)),
+                                       w)), [x, gamma, beta])
+
+
+def test_attention_index_covers_every_head_and_rejects_empty_rows():
+    assert attention_index(np.eye(3, dtype=bool), 2).tolist() == \
+        [0, 4, 8, 9, 13, 17]
+    with pytest.raises(ValueError):
+        attention_index(np.array([[True, False], [False, False]]), 2)
 
 
 def test_cross_entropy_matches_logsumexp_oracle():

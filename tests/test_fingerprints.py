@@ -160,26 +160,40 @@ def compute() -> dict:
             if task == "lta":
                 out[f"novel/{arm}/lta/forecast"] = _forecast_sha(
                     model, novel, ds.val)
+
+    def translated(data, supports):
+        """The mq translation arm over ``supports``' tokens, its metrics,
+        and the sha256 of every encoded row its ``evaluate`` reads. The
+        metrics dict can round a change in the encoder away; the encoded
+        rows cannot."""
+        model, tm = run_translation("mq", data, cfg, supports)
+        dense = hashlib.sha256()
+
+        def translating(*args, **kwargs):
+            rows = translation_forward(*args, **kwargs)
+            dense.update(rows.data.tobytes())
+            return rows
+
+        training.translation_forward = translating
+        try:
+            metrics = evaluate(model, data.val, cfg, translation=tm)
+        finally:
+            training.translation_forward = translation_forward
+        return model, metrics, dense.hexdigest()
+
     # support models are frozen by the translation arm, after their own
     # fingerprints are taken
-    model, tm = run_translation("mq", ds, cfg,
-                                {t: singles[t] for t in SUPPORT})
-    # The evaluate entry hashes a metrics dict, which can round a change in
-    # the encoder away; the dense entry hashes every encoded row it reads.
-    dense = hashlib.sha256()
-
-    def translating(*args, **kwargs):
-        rows = translation_forward(*args, **kwargs)
-        dense.update(rows.data.tobytes())
-        return rows
-
-    training.translation_forward = translating
-    try:
-        metrics = evaluate(model, ds.val, cfg, translation=tm)
-    finally:
-        training.translation_forward = translation_forward
+    model, metrics, dense = translated(ds, {t: singles[t] for t in SUPPORT})
     record("translation/mq", model, metrics)
-    out["translation/mq/dense"] = dense.hexdigest()
+    out["translation/mq/dense"] = dense
+    # The benchmark's token layout: dim 32 and 32 segments, three support
+    # tasks plus mq, so 128 tokens in 4 heads of 8 (the runs above encode
+    # 64 tokens in heads of 3).
+    wide = generate_dataset(replace(ds.config, segments_per_video=32, dim=32))
+    model, _, dense = translated(
+        wide, {t: run_single(t, wide, cfg) for t in SUPPORT})
+    out["translation/mq32/params"] = _params_sha(_model_params(model))
+    out["translation/mq32/dense"] = dense
 
     # The probe's accuracies sit at chance for several layer kinds, so each
     # entry hashes the logits of the probe's final scoring pass instead.

@@ -1,6 +1,8 @@
 """Cross-task token encoder tests: temporal admission mask, exact
 non-influence of masked tokens, token routing, and gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,49 @@ def test_tape_records_do_not_grow_with_heads():
             tsum(translation_forward(p, tokens, primary="a"))
         counts[heads] = len(tape.records)
     assert len(set(counts.values())) == 1, counts
+
+
+def benchmark_layout_forward():
+    """One two-layer forward at the transfer benchmark's token layout
+    (dim 32, three support tasks plus the primary, 32 tokens each, so 128
+    tokens in 4 heads of 8), with the layout's mask already cached. Only
+    the primary tokens require grad, as in training. Returns the tape's
+    record count and the bytes still allocated once the forward returns
+    (tracemalloc)."""
+    rng = np.random.default_rng(13)
+    p = TranslationParams.init(rng, 32, ["ar", "mq", "oscc", "pnr"])
+    tokens = {t: (Tensor(rng.normal(size=(32, 32)), requires_grad=t == "mq"),
+                  np.arange(32) + 0.5, 1) for t in ("ar", "mq", "oscc", "pnr")}
+    cache = VideoCache()
+    translation_forward(p, tokens, primary="mq", cache=cache)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with GradientTape() as tape:
+            out = translation_forward(p, tokens, primary="mq", cache=cache)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert out.shape == (32, 32)
+    return len(tape.records), held
+
+
+def test_tape_records_at_benchmark_layout():
+    """Each attention and each layer norm is one record: 51, where the
+    composed chains took 99."""
+    records, _ = benchmark_layout_forward()
+    assert records <= 52
+
+
+def test_tape_bytes_at_benchmark_layout():
+    """The tape keeps one (heads, tokens, tokens) array per layer, the
+    softmax numerators: about 3.4 MB, where the composed chains kept four
+    per layer and 7.1 MB."""
+    _, held = benchmark_layout_forward()
+    assert held <= 3.5e6
 
 
 # ---------------------------------------------------------------------------
