@@ -38,7 +38,7 @@ class Tensor:
 
     ``requires_grad`` marks trainable leaves. Outputs of primitives set it
     automatically when any input requires grad. ``grad`` is populated by
-    ``backward`` for the leaves it reports.
+    ``backward`` for the leaves it is given.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -129,8 +129,8 @@ class GradientTape:
     Use as a context manager around the forward computation::
 
         with GradientTape() as tape:
-            loss = model_loss(...)
-        grads = backward(tape, loss)
+            loss = model_loss(params, ...)
+        grads = backward(tape, loss, params)
 
     The tape only records ops whose output requires grad, so constant
     subgraphs cost nothing. One tape is owned by one training loop; tensors
@@ -139,8 +139,6 @@ class GradientTape:
 
     def __init__(self):
         self.records: list[_Record] = []
-        self._watched: dict[int, Tensor] = {}
-        self._produced: set[int] = set()
 
     def __enter__(self) -> "GradientTape":
         _TAPE_STACK.append(self)
@@ -149,16 +147,6 @@ class GradientTape:
     def __exit__(self, exc_type, exc, tb):
         popped = _TAPE_STACK.pop()
         assert popped is self
-
-    def _add(self, record: _Record) -> None:
-        self.records.append(record)
-        self._produced.add(id(record.out))
-        for t in record.inputs:
-            if t.requires_grad and id(t) not in self._produced:
-                self._watched[id(t)] = t
-
-    def leaves(self) -> list[Tensor]:
-        return [t for i, t in self._watched.items() if i not in self._produced]
 
 
 def _active_tape() -> GradientTape | None:
@@ -170,17 +158,16 @@ def _emit(out_data, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     out.requires_grad = any(t.requires_grad for t in inputs)
     tape = _active_tape()
     if tape is not None and out.requires_grad:
-        tape._add(_Record(out, inputs, backward_fn))
+        tape.records.append(_Record(out, inputs, backward_fn))
     return out
 
 
-def backward(tape: GradientTape, loss: Tensor, leaves=None):
+def backward(tape: GradientTape, loss: Tensor, leaves):
     """Reverse sweep over the tape, returning a leaf -> gradient dict.
 
-    ``loss`` must be scalar (size 1). Every requires-grad leaf seen by the
-    tape receives dLoss/dLeaf in its ``.grad`` field and in the returned
-    map; leaves passed explicitly but untouched by the computation map to
-    zeros.
+    ``loss`` must be scalar (size 1). Each tensor in ``leaves`` receives
+    dLoss/dLeaf in its ``.grad`` field and in the returned map; a leaf
+    the computation never touched gets zeros.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -199,11 +186,7 @@ def backward(tape: GradientTape, loss: Tensor, leaves=None):
                 grads[key] = np.asarray(g, dtype=np.float64)
 
     result: dict[Tensor, np.ndarray] = {}
-    targets = list(tape.leaves())
-    if leaves is not None:
-        known = {id(t) for t in targets}
-        targets.extend(t for t in leaves if id(t) not in known)
-    for t in targets:
+    for t in leaves:
         g = grads.get(id(t))
         if g is None:
             g = np.zeros_like(t.data)

@@ -221,6 +221,8 @@ def _train_fresh(args, tasks: list[str], arm: str, labels: dict) -> int:
 
 
 def _cmd_build_prototypes(args) -> int:
+    if args.knn_k < 1:
+        raise SystemExit(f"--knn-k: must be at least 1, got {args.knn_k}")
     ds = _loaded(args.data, load_dataset, args.data)
     model = _loaded(args.support_run, load_model, args.support_run)
     support_tasks = sorted(args.tasks.split(",")) if args.tasks else model.tasks
@@ -317,9 +319,27 @@ def _cmd_train_novel(args) -> int:
     return 0
 
 
+def _parsed_list(flag: str, text: str, parse) -> list:
+    """``text``'s comma-separated entries through ``parse``; an entry it
+    rejects exits in one line naming ``flag``."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(parse(entry))
+        except ValueError:
+            raise SystemExit(f"{flag}: malformed entry {entry!r}") from None
+    return values
+
+
 def _cmd_ablate(args) -> int:
     run_dir = Path(args.out)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = _parsed_list("--seeds", args.seeds, int)
+    if min(seeds) < 0:
+        raise SystemExit(f"--seeds: must be non-negative, got {min(seeds)}")
+    thresholds = _parsed_list("--thresholds", args.thresholds, float)
+    for t in thresholds:
+        if not t > 0:
+            raise SystemExit(f"--thresholds: must be positive, got {t}")
     kinds, poolings = args.kinds.split(","), args.poolings.split(",")
     for flag, values, known in (("--kinds", kinds, LAYER_KINDS),
                                 ("--poolings", poolings, POOLINGS)):
@@ -354,7 +374,7 @@ def _cmd_ablate(args) -> int:
                                 seed=seeds[0])
         records = run_ablation_grid(
             data_cfg, train_cfg, layer_kinds=kinds, poolings=poolings,
-            thresholds=[float(t) for t in args.thresholds.split(",")],
+            thresholds=thresholds,
             seeds=seeds)
         _write_table(run_dir, "ablation_grid",
                      ["layer_kind", "pooling", "threshold_s", "map_avg"],

@@ -42,15 +42,7 @@ class ExperimentConfig:
     support_tasks: tuple = ()
 
     def to_json(self) -> str:
-        payload = {
-            "data": asdict(self.data),
-            "train": asdict(self.train),
-            "backbone": asdict(self.backbone),
-            "tasks": list(self.tasks),
-            "arm": self.arm,
-            "support_tasks": list(self.support_tasks),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":

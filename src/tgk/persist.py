@@ -81,9 +81,7 @@ def load_run(run_dir: str | Path, cfg: ExperimentConfig
     transfer arm is laid out by the helper training builds it with, so
     ``model.npz`` reads back in the order it was written."""
     run_dir = Path(run_dir)
-    d = cfg.data
-    world = WorldInfo(dim=d.dim, num_verbs=d.num_verbs,
-                      num_nouns=d.num_nouns, lta_steps=d.lta_steps)
+    world = WorldInfo.from_config(cfg.data)
     rng = np.random.default_rng(0)
     model = MultiTaskModel.init(rng, cfg.tasks, world, cfg.backbone)
     novel = translation = None
@@ -92,7 +90,8 @@ def load_run(run_dir: str | Path, cfg: ExperimentConfig
         banks = {t: load_bank(run_dir / "prototypes", t)
                  for t in cfg.support_tasks}
         # neck-shaped placeholders, overwritten from support_necks.npz
-        shells = {t: MlpParams.init(rng, d.dim, d.dim, d.dim) for t in banks}
+        shells = {t: MlpParams.init(rng, world.dim, world.dim, world.dim)
+                  for t in banks}
         novel = _egopack_arm(model, task, shells, banks, cfg.train, rng)
         _read_arrays(run_dir / "support_necks.npz",
                      _neck_params(novel.support_necks))

@@ -44,7 +44,7 @@ from .metrics import (
 )
 from .optim import Adam, lr_at
 from .synth import (
-    SynthDataset, VideoSample, ar_annotations, lta_annotations,
+    SynthConfig, SynthDataset, VideoSample, ar_annotations, lta_annotations,
     lta_train_instances,
     mq_annotations, oscc_annotations, pnr_annotations,
 )
@@ -96,9 +96,13 @@ class WorldInfo:
     lta_steps: int
 
     @classmethod
+    def from_config(cls, cfg: SynthConfig) -> "WorldInfo":
+        return cls(dim=cfg.dim, num_verbs=cfg.num_verbs,
+                   num_nouns=cfg.num_nouns, lta_steps=cfg.lta_steps)
+
+    @classmethod
     def from_dataset(cls, ds: SynthDataset) -> "WorldInfo":
-        return cls(dim=ds.config.dim, num_verbs=ds.config.num_verbs,
-                   num_nouns=ds.config.num_nouns, lta_steps=ds.config.lta_steps)
+        return cls.from_config(ds.config)
 
     @property
     def mq_classes(self) -> int:

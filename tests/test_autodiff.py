@@ -89,7 +89,7 @@ def check_grads(fn, arrays, rng, tol=1e-6):
         out = fn(*leaves)
         weights = rng.normal(size=out.shape)
         loss = weighted_loss(out, weights)
-    backward(tape, loss)
+    backward(tape, loss, leaves)
     expected = numeric_grads(fn, arrays, weights)
     for leaf, exp_g in zip(leaves, expected):
         err = np.max(np.abs(leaf.grad - exp_g)) / (1.0 + np.max(np.abs(exp_g)))
@@ -240,7 +240,7 @@ def test_operator_sugar_matches_functions():
     with GradientTape() as tape:
         y = (2.0 * x + 1.0) / 4.0 - x * x
         loss = tsum(y)
-    backward(tape, loss)
+    backward(tape, loss, [x])
     expected = 0.5 - 2.0 * a
     assert np.allclose(x.grad, expected, atol=1e-12)
 
@@ -281,7 +281,7 @@ def test_gather_rows_accumulates_repeated_indices():
     with GradientTape() as tape:
         out = gather_rows(a, idx)
         loss = tsum(out)
-    backward(tape, loss)
+    backward(tape, loss, [a])
     expected = np.array([[3.0, 3.0], [0.0, 0.0], [1.0, 1.0]])
     assert np.array_equal(a.grad, expected)
 
@@ -360,7 +360,7 @@ def test_segment_kernel_equals_add_at_bytes():
         with GradientTape() as tape:
             # the upstream gradient of the gathered rows is ``values``
             loss = tsum(mul(gather_rows(a, ids), Tensor(values)))
-        backward(tape, loss)
+        backward(tape, loss, [a])
         assert a.grad.tobytes() == summed.tobytes()
 
     check()
@@ -506,7 +506,7 @@ def test_take_cols_backward_equals_add_at_bytes():
         a = Tensor(np.ones((rows, width)), requires_grad=True)
         with GradientTape() as tape:
             loss = tsum(mul(take_cols(a, cols), Tensor(g)))
-        backward(tape, loss)
+        backward(tape, loss, [a])
         want = np.zeros((rows, width))
         np.add.at(want.T, cols, g.T)
         assert a.grad.tobytes() == want.tobytes()
@@ -531,7 +531,7 @@ def test_segment_max_tie_routes_to_first_row():
     with GradientTape() as tape:
         out = segment_max(a, seg, 1)
         loss = tsum(out)
-    backward(tape, loss)
+    backward(tape, loss, [a])
     assert np.array_equal(a.grad, [[1.0], [0.0], [0.0]])
 
 
@@ -593,7 +593,7 @@ def test_masked_softmax_masked_logit_has_no_influence():
     x = Tensor(logits, requires_grad=True)
     with GradientTape() as tape:
         loss = tsum(masked_softmax_rows(x, mask) * Tensor(rng.normal(size=(2, 5))))
-    backward(tape, loss)
+    backward(tape, loss, [x])
     assert np.all(x.grad[~mask] == 0.0)
 
 
@@ -624,7 +624,7 @@ def softmax_bytes(softmax, logits, mask, weights):
     with GradientTape() as tape:
         out = softmax(x, mask)
         loss = tsum(mul(out, Tensor(weights)))
-    backward(tape, loss)
+    backward(tape, loss, [x])
     return out.data.tobytes(), x.grad.tobytes()
 
 
@@ -676,7 +676,7 @@ def test_bmm_over_heads_equals_per_head_matmul_bytes(tokens, dim, heads):
         with GradientTape() as tape:
             scores, out = build(*leaves)
             loss = add(tsum(mul(out, Tensor(w0))), tsum(scores))
-        backward(tape, loss)
+        backward(tape, loss, leaves)
         return scores.data, out.data, [t.grad for t in leaves]
 
     def stacked(q, k, v):
@@ -748,7 +748,7 @@ def attention_bytes(attend, heads, inputs, mask, weights):
     with GradientTape() as tape:
         out = attend(q, k, v, mask)
         loss = tsum(mul(merge_heads(out), Tensor(weights)))
-    backward(tape, loss)
+    backward(tape, loss, [q, k, v])
     return [out.data.tobytes()] + [t.grad.tobytes() for t in (q, k, v)]
 
 
@@ -798,7 +798,7 @@ def test_layer_norm_rows_equals_composed_chain_bytes():
             with GradientTape() as tape:
                 out = add(x, norm(x, gamma, beta))
                 loss = tsum(mul(out, Tensor(weights)))
-            backward(tape, loss)
+            backward(tape, loss, [x, gamma, beta])
             return [out.data.tobytes()] + [t.grad.tobytes()
                                            for t in (x, gamma, beta)]
 
@@ -855,7 +855,7 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
     x = Tensor(logits, requires_grad=True)
     with GradientTape() as tape:
         loss = cross_entropy_rows(x, labels)
-    backward(tape, loss)
+    backward(tape, loss, [x])
     shifted = logits - logits.max(axis=1, keepdims=True)
     p = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
     onehot = np.zeros_like(p)
@@ -898,14 +898,14 @@ def test_backward_requires_scalar_loss():
     with GradientTape() as tape:
         y = mul(x, x)
     with pytest.raises(ValueError):
-        backward(tape, y)
+        backward(tape, y, [x])
 
 
 def test_leaf_used_twice_accumulates():
     x = Tensor(np.array([3.0]), requires_grad=True)
     with GradientTape() as tape:
         loss = tsum(add(mul(x, x), x))
-    backward(tape, loss)
+    backward(tape, loss, [x])
     assert np.allclose(x.grad, [7.0], atol=1e-12)
 
 
@@ -914,19 +914,15 @@ def test_detach_blocks_gradient():
     with GradientTape() as tape:
         frozen = x.detach()
         loss = tsum(mul(x, frozen))
-    grads = backward(tape, loss)
+    grads = backward(tape, loss, [x, frozen])
     assert np.allclose(x.grad, [2.0], atol=1e-12)
     assert frozen.requires_grad is False
-    assert frozen not in grads
+    assert np.array_equal(grads[frozen], [0.0])
 
 
 def test_explicit_leaves_argument_reports_zeros():
     x = Tensor(np.array([1.0]), requires_grad=True)
     extra = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-    with GradientTape() as tape:
-        loss = tsum(mul(x, x))
-    grads = backward(tape, loss)
-    assert extra not in grads
     with GradientTape() as tape:
         loss = tsum(mul(x, x))
     grads = backward(tape, loss, leaves=[extra])
@@ -949,6 +945,6 @@ def test_gradients_match_across_two_separate_tapes():
     for _ in range(2):
         with GradientTape() as tape:
             loss = tsum(mul(sigmoid(x), x))
-        backward(tape, loss)
+        backward(tape, loss, [x])
         results.append(x.grad.copy())
     assert np.array_equal(results[0], results[1])

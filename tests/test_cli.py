@@ -376,6 +376,16 @@ def test_build_prototypes_rejects_task_the_support_run_lacks(tmp_path):
         run, f"--tasks: the support run {ws / 'run_mtl'} has no pnr branch")
 
 
+def test_build_prototypes_rejects_knn_k_below_one(tmp_path):
+    ws = workspace()
+    run = tmp_path / "protos"
+    for k in ("0", "-2"):
+        assert_exits_in_one_line(
+            ["build-prototypes", "--data", str(ws / "data"), "--support-run",
+             str(ws / "run_mtl"), "--knn-k", k, "--run", str(run)],
+            run, f"--knn-k: must be at least 1, got {k}")
+
+
 def test_train_novel_rejects_directory_without_banks(tmp_path):
     ws = workspace()
     empty = tmp_path / "empty"
@@ -733,6 +743,24 @@ def test_ablate_rejects_unknown_kind_or_pooling(tmp_path, capsys, mode, flag,
     assert message.startswith(f"{flag}: unknown entry ")
     assert "\n" not in message and repr(value.split(",")[-1]) in message
     assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mode,flag,value,message", [
+    ("order", "--seeds", "0,x", "--seeds: malformed entry 'x'"),
+    ("grid", "--seeds", "1.5", "--seeds: malformed entry '1.5'"),
+    ("order", "--seeds", "0,-1", "--seeds: must be non-negative, got -1"),
+    ("grid", "--thresholds", "2.0,two", "--thresholds: malformed entry 'two'"),
+    ("grid", "--thresholds", "0", "--thresholds: must be positive, got 0.0"),
+    ("grid", "--thresholds", "2.0,-1",
+     "--thresholds: must be positive, got -1.0")])
+def test_ablate_rejects_malformed_seeds_or_thresholds(tmp_path, capsys, mode,
+                                                      flag, value, message):
+    out = tmp_path / "abl"
+    assert_exits_in_one_line(
+        ["ablate", "--mode", mode, "--out", str(out), "--windows", "40",
+         "--epochs", "2", "--train-videos", "4", "--val-videos", "2",
+         "--segments", "16", flag, value], out, message)
     assert capsys.readouterr().out == ""
 
 

@@ -1,84 +1,105 @@
-"""Design-map integrity tests.
+"""Concept-map integrity tests.
 
-The concept map must resolve end to end against the real modules, the
-architecture doc must list exactly the same concept ids, and the checker
-must actually catch dangling pointers and drift rather than rubber-stamp
-them.
+The concept table in the architecture doc must resolve end to end against
+the real modules, and the checker must actually catch dangling pointers,
+duplicate ids and a doc without a table rather than rubber-stamp them.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-from tgk.crossref import DESIGN_MAP, MapEntry, check_design_map, doc_parity, main
+from tgk.crossref import check_concepts, concept_rows, main
 
-DOC = Path(__file__).resolve().parents[1] / "docs" / "architecture.md"
+ROOT = Path(__file__).resolve().parents[1]
+DOC = ROOT / "docs" / "architecture.md"
+ROW = "| `warmup-cosine-schedule` | `tgk.optim.lr_at` |"
+
+
+def doc_with(old: str, new: str) -> str:
+    text = DOC.read_text()
+    assert old in text
+    return text.replace(old, new)
 
 
 def test_every_concept_resolves():
-    assert check_design_map() == []
+    assert check_concepts(DOC.read_text()) == []
 
 
 def test_concept_ids_are_unique_and_kebab_case():
-    ids = [e.concept for e in DESIGN_MAP]
-    assert len(ids) == len(set(ids))
+    ids = [concept for _, concept, _ in concept_rows(DOC.read_text())]
+    assert len(ids) == len(set(ids)) > 0
     for cid in ids:
         assert cid == cid.lower()
-        assert " " not in cid
+        assert " " not in cid and "_" not in cid
 
 
 def test_checker_flags_dangling_target():
-    bad = DESIGN_MAP + (MapEntry("ghost", "layers:does_not_exist", "x"),)
-    problems = check_design_map(bad)
+    text = doc_with(ROW, "| `warmup-cosine-schedule` | "
+                         "`tgk.optim.does_not_exist` |")
+    problems = check_concepts(text)
+    assert len(problems) == 1
+    assert "warmup-cosine-schedule" in problems[0]
+    assert "tgk.optim.does_not_exist" in problems[0]
+
+
+def test_checker_flags_missing_module():
+    problems = check_concepts("| `ghost` | `tgk.no_such_module.f` | x |\n")
     assert len(problems) == 1
     assert "ghost" in problems[0]
 
 
-def test_checker_flags_missing_module():
-    bad = (MapEntry("ghost", "no_such_module:f", "x"),)
-    problems = check_design_map(bad)
+def test_checker_flags_pointer_outside_the_package():
+    problems = check_concepts("| `ghost` | `os.path.join` | x |\n")
     assert len(problems) == 1
+    assert "tgk.<module>.<attr>" in problems[0]
 
 
 def test_checker_flags_duplicate_concepts():
-    dup = DESIGN_MAP + (DESIGN_MAP[0],)
-    problems = check_design_map(dup)
-    assert any("duplicate" in p for p in problems)
-
-
-def test_doc_lists_exactly_the_map():
-    assert DOC.is_file()
-    assert doc_parity(DOC) == []
-
-
-def test_doc_parity_detects_drift(tmp_path):
-    doc = tmp_path / "arch.md"
-    rows = "\n".join(f"| `{e.concept}` | x |" for e in DESIGN_MAP[:-1])
-    doc.write_text(rows + "\n| `stowaway-concept` | x |\n")
-    problems = doc_parity(doc)
-    assert any("missing" in p and DESIGN_MAP[-1].concept in p for p in problems)
-    assert any("unknown" in p and "stowaway-concept" in p for p in problems)
-
-
-def test_doc_parity_detects_a_row_naming_another_implementation(tmp_path):
-    doc = tmp_path / "arch.md"
     text = DOC.read_text()
-    row = "| `warmup-cosine-schedule` | `tgk.optim.lr_at` |"
-    assert row in text
-    doc.write_text(text.replace(row, "| `warmup-cosine-schedule` | "
-                                     "`tgk.optim.Adam` |"))
-    assert doc_parity(doc) == [
-        "doc names tgk.optim.Adam for warmup-cosine-schedule, the map "
-        "tgk.optim.lr_at"]
+    problems = check_concepts(text + ROW + " again |\n")
+    assert problems == [f"line {len(text.splitlines()) + 1}: duplicate "
+                        f"concept id warmup-cosine-schedule"]
+
+
+def test_checker_flags_id_that_is_not_kebab_case():
+    problems = check_concepts("| `Warmup_Cosine` | `tgk.optim.lr_at` | x |\n")
+    assert problems == ["line 1: 'Warmup_Cosine' is not a kebab-case id"]
 
 
 def test_cli_entry_point_reports_status(capsys):
-    assert main([]) == 0
-    assert "design map ok" in capsys.readouterr().out
     assert main(["--doc", str(DOC)]) == 0
+    rows = len(concept_rows(DOC.read_text()))
+    assert capsys.readouterr().out == f"{DOC}: {rows} concepts resolve\n"
 
 
 def test_cli_entry_point_fails_on_bad_doc(tmp_path, capsys):
     doc = tmp_path / "arch.md"
     doc.write_text("no table here\n")
     assert main(["--doc", str(doc)]) == 1
-    out = capsys.readouterr().out
-    assert "doc missing concept" in out
+    assert capsys.readouterr().out == f"{doc}: no concept rows\n"
+
+
+def run_module(doc: Path) -> subprocess.CompletedProcess:
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-m", "tgk.crossref", "--doc", str(doc)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_documented_command_exits_by_the_table(tmp_path):
+    ok = run_module(Path("docs") / "architecture.md")
+    assert ok.returncode == 0, ok.stdout + ok.stderr
+    assert ok.stdout.endswith("concepts resolve\n")
+
+    doc = tmp_path / "arch.md"
+    doc.write_text(doc_with(ROW, "| `warmup-cosine-schedule` | "
+                                 "`tgk.optim.lr_after` |"))
+    bad = run_module(doc)
+    assert bad.returncode == 1
+    lines = bad.stdout.splitlines()
+    assert len(lines) == 1
+    assert "warmup-cosine-schedule: `tgk.optim.lr_after` does not resolve" \
+        in lines[0]

@@ -48,7 +48,7 @@ def test_adam_descends_on_quadratic():
         with GradientTape() as tape:
             diff = w - Tensor(target)
             loss = tsum(mul(diff, diff))
-        backward(tape, loss)
+        backward(tape, loss, [w])
         opt.step()
     assert np.max(np.abs(w.data - target)) < 1e-3
 

@@ -102,7 +102,7 @@ def test_align_intervals_gradient_splits_evenly():
     with GradientTape() as tape:
         pooled, _ = align_intervals(x, positions, np.array([[0.0, 3.0]]))
         loss = tsum(pooled)
-    backward(tape, loss)
+    backward(tape, loss, [x])
     assert np.allclose(x.grad, np.full((3, 2), 1.0 / 3.0), atol=1e-12)
 
 
@@ -331,7 +331,7 @@ def test_diou_loss_gradient_exists_for_disjoint_intervals():
     pred = Tensor(np.array([[0.0, 1.0]]), requires_grad=True)
     with GradientTape() as tape:
         loss = diou_loss(pred, np.array([[5.0, 6.0]]))
-    backward(tape, loss)
+    backward(tape, loss, [pred])
     # plain IoU is flat here; the center-distance term still pulls
     assert np.max(np.abs(pred.grad)) > 1e-6
 
