@@ -48,6 +48,11 @@ class OrderProbeConfig:
     batch_windows: int = 64
     threshold_s: float = 2.0
 
+    @property
+    def num_train(self) -> int:
+        """Windows in the training split; the rest are validation."""
+        return int(self.num_windows * self.train_fraction)
+
 
 def _window_batch_graph(feats: np.ndarray, positions: np.ndarray,
                         rule: EdgeRule, cache: VideoCache) -> TemporalGraph:
@@ -75,7 +80,7 @@ def train_order_probe(layer_kind: str, seed: int,
     feats, positions, labels = generate_order_windows(
         probe.num_windows, probe.noise, rng, dim=probe.dim,
         window_segments=probe.window_segments)
-    n_train = int(probe.num_windows * probe.train_fraction)
+    n_train = probe.num_train
     train_f, val_f = feats[:n_train], feats[n_train:]
     train_y, val_y = labels[:n_train], labels[n_train:]
 

@@ -385,9 +385,10 @@ class ScatterPlan:
     ``ids[r]`` is the segment of value row ``r``. Row ``s`` of ``table``
     lists segment ``s``'s value rows in ascending order, in the slots
     where ``filled`` holds; a plan derived by dropping rows may leave
-    holes. ``counts[s]`` is the segment's size. ``scatter`` adds each
-    segment's rows left to right onto +0.0, skipping empty slots: the
-    bytes of ``np.add.at`` into zeros, without its per-element dispatch.
+    holes. ``counts[s]`` is the segment's size. ``scatter`` folds each
+    segment's rows left to right onto a start value, skipping empty
+    slots: the bytes of ``np.add.at`` into zeros, or of ``np.maximum.at``
+    into -inf, without their per-element dispatch.
     """
 
     __slots__ = ("ids", "table", "filled", "counts")
@@ -412,16 +413,17 @@ class ScatterPlan:
         table = order[np.minimum(slots, len(order) - 1)] * filled
         return cls(ids, table, filled, counts)
 
-    def scatter(self, values: np.ndarray) -> np.ndarray:
-        """Rows of ``values`` summed per segment; empty segments are +0.0."""
-        out = np.zeros((len(self.counts),) + values.shape[1:])
+    def scatter(self, values: np.ndarray, fold=np.add, start=0.0) -> np.ndarray:
+        """Rows of ``values`` folded per segment by the ufunc ``fold``
+        onto ``start``, which empty segments keep."""
+        out = np.full((len(self.counts),) + values.shape[1:], start)
         if not len(values):
             return out
         filled = self.filled.reshape(self.filled.shape
                                      + (1,) * (values.ndim - 1))
         for col in range(self.table.shape[1]):
-            np.add(out, values.take(self.table[:, col], axis=0), out=out,
-                   where=filled[:, col])
+            fold(out, values.take(self.table[:, col], axis=0), out=out,
+                 where=filled[:, col])
         return out
 
 
@@ -487,33 +489,29 @@ def segment_mean(a: Tensor, seg, num_segments: int | None = None) -> Tensor:
     return _emit(out, (a,), lambda g: ((g / scale)[plan.ids],))
 
 
-def segment_max(a: Tensor, seg, num_segments: int) -> Tensor:
+def segment_max(a: Tensor, seg, num_segments: int | None = None) -> Tensor:
     """Per-segment column-wise max; empty segments yield zero rows.
+    ``seg`` is a ``ScatterPlan`` or raw ids with ``num_segments``.
 
     Gradient routes to the first row attaining the max in each segment
-    (deterministic tie-break by row index).
+    (the plan's table lists rows in ascending order); a NaN max routes
+    none.
     """
-    seg = np.asarray(seg, dtype=np.intp)
-    n, width = a.shape[0], int(np.prod(a.shape[1:], dtype=np.intp)) if a.ndim > 1 else 1
-    flat = a.data.reshape(n, -1)
-    out = np.full((num_segments, flat.shape[1]), -np.inf)
-    np.maximum.at(out, seg, flat)
-    empty = ~np.isin(np.arange(num_segments), seg)
-    out[empty] = 0.0
-
-    # first row index achieving the max, per (segment, column)
-    winner = np.full((num_segments, flat.shape[1]), n, dtype=np.intp)
-    hit_r, hit_c = np.nonzero(flat == out[seg])
-    np.minimum.at(winner, (seg[hit_r], hit_c), hit_r)
+    plan = _plan(seg, num_segments)
+    flat = a.data.reshape(a.shape[0], int(np.prod(a.shape[1:])))
+    out = plan.scatter(flat, np.maximum, -np.inf)
+    out[plan.counts == 0] = 0.0
+    hits = (flat[plan.table] == out[:, None]) & plan.filled[:, :, None]
+    seg_ids, cols = np.nonzero(hits.any(axis=1))
+    slots = hits[seg_ids, :, cols].argmax(axis=1) if len(seg_ids) else seg_ids
+    rows = plan.table[seg_ids, slots]
 
     def back(g):
-        g2 = g.reshape(num_segments, -1)
-        grad = np.zeros_like(flat)
-        seg_ids, col_ids = np.nonzero(winner < n)
-        grad[winner[seg_ids, col_ids], col_ids] += g2[seg_ids, col_ids]
+        grad = np.zeros_like(flat)  # added onto, so -0.0 comes out +0.0
+        grad[rows, cols] += g.reshape(out.shape)[seg_ids, cols]
         return (grad.reshape(a.shape),)
 
-    return _emit(out.reshape((num_segments,) + a.shape[1:]), (a,), back)
+    return _emit(out.reshape((len(out),) + a.shape[1:]), (a,), back)
 
 
 def tdgc_aggregate(h: Tensor, dt: np.ndarray, src: ScatterPlan,

@@ -36,6 +36,7 @@ from .ablation import (
 )
 from .config import (
     POOLINGS, ExperimentConfig, load_config, save_config, validate_config,
+    validate_data,
 )
 from .egopack import (
     activation_consensus, activation_histogram, knn_match, load_bank,
@@ -151,11 +152,16 @@ def _experiment_config(args, data_cfg: SynthConfig, tasks, arm: str,
     if backbone is None:
         backbone = backbone_layout(tasks, data_cfg.dim,
                                    BackboneConfig(**_backbone_flags(args)))
-    cfg = ExperimentConfig(data=data_cfg, train=_train_config(args),
-                           backbone=backbone, tasks=tuple(tasks), arm=arm,
-                           support_tasks=tuple(support_tasks))
+    return _valid(validate_config, ExperimentConfig(
+        data=data_cfg, train=_train_config(args), backbone=backbone,
+        tasks=tuple(tasks), arm=arm, support_tasks=tuple(support_tasks)))
+
+
+def _valid(check, cfg):
+    """``cfg``, if ``check`` accepts it; otherwise exit with the one line
+    that names its first invalid field."""
     try:
-        validate_config(cfg)
+        check(cfg)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     return cfg
@@ -190,7 +196,8 @@ def _load_banks(banks_run: str, support: MultiTaskModel) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_data(args) -> int:
-    ds = generate_dataset(_from_flags(SynthConfig, args))
+    ds = generate_dataset(
+        _valid(validate_data, _from_flags(SynthConfig, args)))
     save_dataset(args.out, ds)
     print(f"wrote {len(ds.train)} train / {len(ds.val)} val videos to {args.out}")
     return 0
@@ -351,6 +358,10 @@ def _cmd_ablate(args) -> int:
         probe = OrderProbeConfig(num_windows=args.windows, noise=args.noise,
                                  epochs=args.epochs,
                                  warmup_epochs=min(5, args.epochs - 1))
+        if not 0 < probe.num_train < probe.num_windows:
+            raise SystemExit(
+                f"--windows: the {probe.train_fraction:g} train split must "
+                f"leave a window on each side, got {args.windows}")
         separation = run_order_separation(kinds, seeds, probe)
         ablations = run_tdgc_ablations(seeds, probe)
         for name, key, result in (

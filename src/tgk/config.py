@@ -21,8 +21,8 @@ from .layers import LAYER_KINDS
 from .synth import SynthConfig, TASK_NAMES
 from .training import TrainConfig, stage_count_for
 
-__all__ = ["ExperimentConfig", "validate_config", "load_config",
-           "save_config"]
+__all__ = ["ExperimentConfig", "validate_config", "validate_data",
+           "load_config", "save_config"]
 
 POOLINGS = ("mean", "max", "video-ss", "batch-ss")
 ARMS = ("single", "mtl", "translation", "egopack", "mtl-ft", "mtl-ht")
@@ -114,18 +114,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.backbone.num_stages != stages:
         raise ValueError(f"backbone.num_stages: tasks {list(cfg.tasks)} "
                          f"need {stages}, got {cfg.backbone.num_stages}")
-    if cfg.data.dim % 2:
-        raise ValueError("data.dim: must be even (time encodings pair up "
-                         "sin/cos channels)")
-    if cfg.data.dim < 2 or cfg.data.num_verbs < 2 or cfg.data.num_nouns < 1:
-        raise ValueError("data: dim >= 2, num_verbs >= 2, num_nouns >= 1 required")
-    if cfg.data.event_len_lo < 1 or cfg.data.event_len_hi < cfg.data.event_len_lo:
-        raise ValueError("data: event length range must satisfy "
-                         "1 <= lo <= hi")
-    for prob_field in ("verb_follow", "noun_repeat"):
-        p = getattr(cfg.data, prob_field)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"data.{prob_field}: must lie in [0, 1]")
+    validate_data(cfg.data)
+    if cfg.train.seed < 0:
+        raise ValueError(f"train.seed: must be >= 0, got {cfg.train.seed}")
     if cfg.train.epochs <= cfg.train.warmup_epochs:
         raise ValueError("train.epochs: must exceed train.warmup_epochs")
     if cfg.train.batch_videos < 1:
@@ -136,6 +127,30 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("train.knn_k: must be >= 1")
     if cfg.train.num_candidates < 1:
         raise ValueError("train.num_candidates: must be >= 1")
+
+
+def validate_data(data: SynthConfig) -> None:
+    """Raise ValueError naming the first field of ``data`` that no corpus
+    can be generated from, or that no training run accepts."""
+    if data.dim < 2 or data.dim % 2:
+        raise ValueError(f"data.dim: must be even and >= 2 (time encodings "
+                         f"pair up sin/cos channels), got {data.dim}")
+    if data.num_verbs < 2:
+        raise ValueError(f"data.num_verbs: must be >= 2, got {data.num_verbs}")
+    if data.num_nouns < 1:
+        raise ValueError(f"data.num_nouns: must be >= 1, got {data.num_nouns}")
+    if data.event_len_lo < 1:
+        raise ValueError(f"data.event_len_lo: must be >= 1, got "
+                         f"{data.event_len_lo}")
+    if data.event_len_hi < data.event_len_lo:
+        raise ValueError(f"data.event_len_hi: must be >= event_len_lo "
+                         f"({data.event_len_lo}), got {data.event_len_hi}")
+    for prob_field in ("verb_follow", "noun_repeat"):
+        p = getattr(data, prob_field)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"data.{prob_field}: must lie in [0, 1], got {p}")
+    if data.seed < 0:
+        raise ValueError(f"data.seed: must be >= 0, got {data.seed}")
 
 
 def save_config(run_dir: str | Path, cfg: ExperimentConfig) -> None:

@@ -112,7 +112,7 @@ def pool_closed_neighborhood(x: Tensor, g: TemporalGraph, how: str,
     msg = gather_rows(x, reads)
     if how == "mean":
         return segment_mean(msg, groups)
-    return segment_max(msg, groups.ids, len(keep_idx))
+    return segment_max(msg, groups)
 
 
 def _run_block(block: list, kind: LayerKind, g: TemporalGraph, x: Tensor) -> Tensor:

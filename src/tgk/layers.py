@@ -163,8 +163,7 @@ def gat_forward(p: GatParams, g: TemporalGraph, x: Tensor) -> Tensor:
     score_dst = matmul(h, p.a_dst)
     e = leaky_relu(add(gather_rows(score_src, src), gather_rows(score_dst, dst)), 0.2)
     # segment softmax over receivers; the per-segment max is a constant shift
-    seg_max = np.full(g.num_nodes, -np.inf)
-    np.maximum.at(seg_max, src.ids, e.data[:, 0])
+    seg_max = src.scatter(e.data[:, 0], np.maximum, -np.inf)
     z = exp(sub(e, Tensor(seg_max[src.ids].reshape(-1, 1))))
     denom = segment_sum(z, src)
     alpha = div(z, gather_rows(denom, src))

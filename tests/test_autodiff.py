@@ -6,8 +6,8 @@ tape (accumulation, detach, unused leaves, scalar-loss requirement) is
 checked separately with exact assertions. Each fused primitive is also
 held to the bytes of the composed records it replaced; the records that
 no longer exist in the library (``bmm``, ``permute``, the fused
-``masked_softmax_rows``, the nine-record layer norm) live here as those
-oracles, with their own checks.
+``masked_softmax_rows``, the nine-record layer norm, the ``.at``
+segment max) live here as those oracles, with their own checks.
 """
 
 import numpy as np
@@ -523,6 +523,91 @@ def test_segment_gradients_numeric():
     # spread values so the per-segment max winner is unambiguous
     a2 = a + 10.0 * np.arange(6).reshape(-1, 1)
     check_grads(lambda t: segment_max(t, seg, 3), [a2], rng)
+
+
+def _maximum_at_max(values, ids, num_segments):
+    """The ``.at`` scatter ``segment_max`` replaced, as its output and its
+    backward: the byte oracle of both. Flattening by the rows' width is
+    its one change, so that zero rows reshape."""
+    n = len(values)
+    flat = values.reshape(n, int(np.prod(values.shape[1:])))
+    out = np.full((num_segments, flat.shape[1]), -np.inf)
+    np.maximum.at(out, ids, flat)
+    out[~np.isin(np.arange(num_segments), ids)] = 0.0
+    # first row index achieving the max, per (segment, column)
+    winner = np.full(out.shape, n, dtype=np.intp)
+    hit_r, hit_c = np.nonzero(flat == out[ids])
+    np.minimum.at(winner, (ids[hit_r], hit_c), hit_r)
+
+    def back(g):
+        grad = np.zeros_like(flat)
+        seg_ids, cols = np.nonzero(winner < n)
+        grad[winner[seg_ids, cols], cols] += g.reshape(out.shape)[seg_ids,
+                                                                 cols]
+        return grad.reshape(values.shape)
+
+    return out.reshape((num_segments,) + values.shape[1:]), back
+
+
+def test_segment_max_equals_maximum_at_bytes():
+    """segment_max, over raw ids and over a plan, gives the output and the
+    input gradient of the ``.at`` scatter it replaced, byte for byte:
+    repeated ids, empty segments, zero rows, 1-D and 2-D rows, signed
+    zeros, infinities and NaN, in the values and in the upstream
+    gradient."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    grid = (0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 5e-324, -5e-324, 1e300,
+            np.inf, -np.inf, np.nan)
+    number = st.one_of(st.sampled_from(grid), st.floats(-1e3, 1e3))
+
+    @st.composite
+    def problems(draw):
+        segments = draw(st.integers(1, 6))
+        n = draw(st.integers(0, 24))
+        shape = draw(st.sampled_from(((n,), (n, 1), (n, 3))))
+        values = draw(st.lists(number, min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))
+        ids = draw(st.lists(st.integers(0, segments - 1),
+                            min_size=n, max_size=n))
+        width = int(np.prod(shape[1:]))
+        g = draw(st.lists(number, min_size=segments * width,
+                          max_size=segments * width))
+        return (np.array(values, dtype=np.float64).reshape(shape),
+                np.array(ids, dtype=np.intp), segments,
+                np.array(g, dtype=np.float64).reshape((segments,)
+                                                      + shape[1:]))
+
+    @_hypothesis_settings(hyp)
+    @hyp.given(problems())
+    @np.errstate(invalid="ignore", over="ignore")  # inf and 1e300 in the loss
+    def check(problem):
+        values, ids, segments, g = problem
+        want, want_back = _maximum_at_max(values, ids, segments)
+        for seg in (ids, ScatterPlan.of(ids, segments)):
+            a = Tensor(values, requires_grad=True)
+            with GradientTape() as tape:
+                out = segment_max(a, seg, segments)
+                # the upstream gradient of the max is ``g``
+                loss = tsum(mul(out, Tensor(g)))
+            backward(tape, loss, [a])
+            assert out.data.tobytes() == want.tobytes()
+            assert a.grad.tobytes() == want_back(g).tobytes()
+
+    check()
+
+
+def test_segment_max_of_zero_rows_is_zeros():
+    """No rows: every segment is empty, so the max is zeros, as the sum and
+    the mean are, and the gradient is empty."""
+    for seg in ([], ScatterPlan.of([], 3)):
+        a = Tensor(np.zeros((0, 2)), requires_grad=True)
+        with GradientTape() as tape:
+            out = segment_max(a, seg, 3)
+            loss = tsum(out)
+        backward(tape, loss, [a])
+        assert np.array_equal(out.data, segment_mean(a, seg, 3).data)
+        assert out.shape == (3, 2) and a.grad.shape == (0, 2)
 
 
 def test_segment_max_tie_routes_to_first_row():

@@ -90,6 +90,27 @@ def test_gen_data_is_byte_deterministic(tmp_path):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--event-len-lo", "0", "--event-len-hi", "0"],
+     "data.event_len_lo: must be >= 1, got 0"),
+    (["--event-len-lo", "3", "--event-len-hi", "2"],
+     "data.event_len_hi: must be >= event_len_lo (3), got 2"),
+    (["--seed", "-1"], "data.seed: must be >= 0, got -1"),
+    (["--dim", "3"], "data.dim: must be even and >= 2"),
+    (["--verbs", "1"], "data.num_verbs: must be >= 2, got 1"),
+    (["--verb-follow", "2"], "data.verb_follow: must lie in [0, 1], got 2.0"),
+])
+def test_gen_data_rejects_corpus_no_run_accepts(tmp_path, capsys, flags,
+                                                message):
+    # a zero-length event would loop forever, a reversed range or a
+    # negative seed end in a numpy traceback, the rest write a corpus
+    # every training command refuses
+    out = tmp_path / "data"
+    assert_exits_in_one_line(["gen-data", "--out", str(out)] + DATA_FLAGS
+                             + flags, out, message)
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # training runs and their layout
 # ---------------------------------------------------------------------------
@@ -446,6 +467,14 @@ def test_train_novel_rejects_non_positive_video_count(tmp_path):
             run, f"--novel-videos: must be at least 1, got {count}")
 
 
+@pytest.mark.parametrize("command", ["train-single", "train-novel"])
+def test_training_rejects_negative_seed(tmp_path, command):
+    run = tmp_path / "run"
+    assert_exits_in_one_line(
+        data_argv(command, workspace() / "data", run) + ["--seed", "-1"],
+        run, "train.seed: must be >= 0, got -1")
+
+
 def run_without_arm(run: Path) -> Path:
     """A run directory as written before config.json recorded the arm."""
     run.mkdir()
@@ -761,6 +790,20 @@ def test_ablate_rejects_malformed_seeds_or_thresholds(tmp_path, capsys, mode,
         ["ablate", "--mode", mode, "--out", str(out), "--windows", "40",
          "--epochs", "2", "--train-videos", "4", "--val-videos", "2",
          "--segments", "16", flag, value], out, message)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("windows", ["-3", "0", "1"])
+def test_ablate_rejects_windows_the_split_leaves_empty(tmp_path, capsys,
+                                                        windows):
+    # 0.8 of fewer than two windows leaves the training or the validation
+    # split empty
+    out = tmp_path / "abl"
+    assert_exits_in_one_line(
+        ["ablate", "--mode", "order", "--out", str(out), "--seeds", "0",
+         "--kinds", "tdgc", "--epochs", "2", "--windows", windows], out,
+        f"--windows: the 0.8 train split must leave a window on each side, "
+        f"got {windows}")
     assert capsys.readouterr().out == ""
 
 

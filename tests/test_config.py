@@ -76,3 +76,17 @@ def test_validate_rejects_unknown_arm_or_support_task(change, field):
         validate_config(replace(mq_config(), **change))
     validate_config(replace(mq_config(), arm="translation",
                             support_tasks=("ar", "oscc")))
+
+
+@pytest.mark.parametrize("section, change, field", [
+    ("data", dict(seed=-1), "data.seed"),
+    ("data", dict(num_verbs=1), "data.num_verbs"),
+    ("data", dict(event_len_lo=3, event_len_hi=2), "data.event_len_hi"),
+    ("train", dict(seed=-1), "train.seed"),
+])
+def test_validate_rejects_negative_seed_or_unusable_data(section, change,
+                                                         field):
+    cfg = mq_config()
+    cfg = replace(cfg, **{section: replace(getattr(cfg, section), **change)})
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        validate_config(cfg)

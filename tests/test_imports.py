@@ -4,7 +4,9 @@ every top-level ``def`` or ``class`` is used by the package.
 An import counts as used when the module reads it anywhere (code or an
 evaluated annotation) or re-exports it through ``__all__``. A definition
 counts as used when its module exports it through ``__all__`` or some
-code of the package other than the definition itself names it.
+code of the package other than the definition itself names it. No module
+calls a ufunc's ``.at`` or ``isin``: per-segment reductions go through
+``ScatterPlan``.
 """
 
 import ast
@@ -74,3 +76,23 @@ def test_every_top_level_definition_is_used():
             if node.name not in exported and node.name not in named_in(rest):
                 unused.append(f"{stem}.{node.name}")
     assert unused == []
+
+
+def side_path_reductions(tree: ast.Module) -> list[str]:
+    """Each ``<ufunc>.at(...)`` call and each read of ``isin`` in ``tree``,
+    by line: per-segment reductions that bypass ``ScatterPlan``."""
+    found = []
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "at"):
+            found.append(f"{n.lineno}: {ast.unparse(n.func)}(...)")
+        elif (isinstance(n, ast.Attribute) and n.attr == "isin"
+              or isinstance(n, ast.alias) and n.name == "isin"):
+            found.append(f"{n.lineno}: isin")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_scatter_bypasses_the_segment_kernel(path):
+    # a per-segment sum or max goes through ``ScatterPlan.scatter``
+    assert side_path_reductions(ast.parse(path.read_text())) == []
