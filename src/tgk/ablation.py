@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import (
     GradientTape, Tensor, backward, cross_entropy_rows, segment_mean,
 )
-from .graph import EdgeRule, TemporalGraph, VideoCache, build_graph
+from .graph import TemporalGraph, VideoCache, build_graph
 from .hierarchy import BackboneConfig, BackboneParams, backbone_forward
 from .synth import SynthConfig, SynthDataset, generate_dataset, generate_order_windows
 from .tasks import MlpParams, mlp_forward
@@ -55,15 +55,17 @@ class OrderProbeConfig:
 
 
 def _window_batch_graph(feats: np.ndarray, positions: np.ndarray,
-                        rule: EdgeRule, cache: VideoCache) -> TemporalGraph:
+                        threshold_s: float, cache: VideoCache
+                        ) -> TemporalGraph:
     """Stack windows into one graph, each window its own video. Windows
     share their positions, so ``build_graph`` wires one window per cache."""
     w, s, d = feats.shape
     flat = feats.reshape(w * s, d)
     pos = np.tile(positions, w)
     bounds = np.arange(0, (w + 1) * s, s)
-    return cache.graph(flat, pos, bounds, 1, rule, lambda video: build_graph(
-        video.features, video.positions_s, rule=rule))
+    return cache.graph(flat, pos, bounds, 1, threshold_s, lambda video:
+                       build_graph(video.features, video.positions_s,
+                                   threshold_s=threshold_s))
 
 
 def train_order_probe(layer_kind: str, seed: int,
@@ -93,7 +95,7 @@ def train_order_probe(layer_kind: str, seed: int,
     cache = VideoCache()
 
     def window_logits(batch_feats: np.ndarray) -> Tensor:
-        g = _window_batch_graph(batch_feats, positions, cfg.edge_rule, cache)
+        g = _window_batch_graph(batch_feats, positions, cfg.threshold_s, cache)
         out = backbone_forward(params, cfg, g, cache)[0]
         pooled = segment_mean(out.features, g.video_of(), batch_feats.shape[0])
         return mlp_forward(readout, pooled)

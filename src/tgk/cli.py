@@ -64,6 +64,11 @@ BACKBONE_FLAGS = {"layer_kind": "--layer-kind", "pooling": "--pooling",
                   "layers_per_stage": "--layers-per-stage",
                   "disable_sign": "--disable-sign",
                   "disable_gate": "--disable-gate"}
+# SynthConfig fields ``ablate --mode grid`` sets by flag that
+# ``validate_data`` checks (its seeds are checked apart)
+GRID_DATA_FLAGS = {"num_train_videos": "--train-videos",
+                   "num_val_videos": "--val-videos",
+                   "segments_per_video": "--segments"}
 
 
 def _write_metrics(run_dir: Path, payload: dict) -> None:
@@ -247,7 +252,7 @@ def _cmd_build_prototypes(args) -> int:
     # video, read by every support task's neck
     rows = {task: [] for task in support_tasks}
     for video in ds.val:
-        graph = build_batch_graph([video], model.backbone_cfg.edge_rule)
+        graph = build_batch_graph([video], model.backbone_cfg.threshold_s)
         dense = model.forward_backbone(graph)[DENSE_STAGE].features
         for task in support_tasks:
             rows[task].append(
@@ -354,6 +359,8 @@ def _cmd_ablate(args) -> int:
             if value not in known:
                 raise SystemExit(f"{flag}: unknown entry {value!r}; choose "
                                  f"from {', '.join(sorted(known))}")
+    if args.epochs < 1:
+        raise SystemExit(f"--epochs: must be at least 1, got {args.epochs}")
     if args.mode == "order":
         probe = OrderProbeConfig(num_windows=args.windows, noise=args.noise,
                                  epochs=args.epochs,
@@ -380,6 +387,11 @@ def _cmd_ablate(args) -> int:
                                num_val_videos=args.val_videos,
                                segments_per_video=args.segments,
                                noise=args.noise, seed=seeds[0])
+        try:
+            validate_data(data_cfg)
+        except ValueError as exc:
+            field = str(exc).partition(":")[0].removeprefix("data.")
+            raise SystemExit(f"{GRID_DATA_FLAGS[field]}: {exc}") from None
         train_cfg = TrainConfig(epochs=args.epochs,
                                 warmup_epochs=min(3, args.epochs - 1),
                                 seed=seeds[0])

@@ -132,19 +132,22 @@ def validate_config(cfg: ExperimentConfig) -> None:
 def validate_data(data: SynthConfig) -> None:
     """Raise ValueError naming the first field of ``data`` that no corpus
     can be generated from, or that no training run accepts."""
+    for count in ("num_train_videos", "num_val_videos", "segments_per_video",
+                  "num_nouns", "event_len_lo", "lta_steps"):
+        if getattr(data, count) < 1:
+            raise ValueError(f"data.{count}: must be >= 1, got "
+                             f"{getattr(data, count)}")
     if data.dim < 2 or data.dim % 2:
         raise ValueError(f"data.dim: must be even and >= 2 (time encodings "
                          f"pair up sin/cos channels), got {data.dim}")
     if data.num_verbs < 2:
         raise ValueError(f"data.num_verbs: must be >= 2, got {data.num_verbs}")
-    if data.num_nouns < 1:
-        raise ValueError(f"data.num_nouns: must be >= 1, got {data.num_nouns}")
-    if data.event_len_lo < 1:
-        raise ValueError(f"data.event_len_lo: must be >= 1, got "
-                         f"{data.event_len_lo}")
     if data.event_len_hi < data.event_len_lo:
         raise ValueError(f"data.event_len_hi: must be >= event_len_lo "
                          f"({data.event_len_lo}), got {data.event_len_hi}")
+    if not data.segment_s > 0:
+        raise ValueError(f"data.segment_s: must be positive, got "
+                         f"{data.segment_s}")
     for prob_field in ("verb_follow", "noun_repeat"):
         p = getattr(data, prob_field)
         if not 0.0 <= p <= 1.0:

@@ -14,13 +14,13 @@ in feature space (mean).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor, add, matmul, mul
+from .graph import load_rows, save_rows
 from .optim import uniform_fan_in
 
 __all__ = [
@@ -84,29 +84,16 @@ def build_prototypes(task: str, features: np.ndarray,
 
 
 def save_bank(directory: str | Path, bank: PrototypeBank) -> None:
-    """Write a bank as <task>.bin (little-endian float32 rows) + <task>.json."""
+    """Write a bank as the row file ``<task>.bin`` + ``<task>.json``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    data = np.ascontiguousarray(bank.prototypes, dtype="<f4")
-    (directory / f"{bank.task}.bin").write_bytes(data.tobytes())
-    index = {
-        "task": bank.task,
-        "num_prototypes": bank.size,
-        "dim": bank.dim,
-        "keys": [[int(v), int(n)] for v, n in bank.keys],
-    }
-    (directory / f"{bank.task}.json").write_text(
-        json.dumps(index, indent=2, sort_keys=True))
+    save_rows(directory / bank.task, bank.prototypes, "num_prototypes",
+              task=bank.task, keys=[[int(v), int(n)] for v, n in bank.keys])
 
 
 def load_bank(directory: str | Path, task: str) -> PrototypeBank:
-    directory = Path(directory)
-    index = json.loads((directory / f"{task}.json").read_text())
-    raw = (directory / f"{task}.bin").read_bytes()
-    p, d = index["num_prototypes"], index["dim"]
-    if len(raw) != p * d * 4:
-        raise ValueError(f"bank {task}: expected {p * d * 4} bytes, found {len(raw)}")
-    protos = np.frombuffer(raw, dtype="<f4").reshape(p, d).astype(np.float64)
+    protos, index = load_rows(Path(directory) / task, "num_prototypes",
+                              "keys")
     keys = [(int(v), int(n)) for v, n in index["keys"]]
     return PrototypeBank(task=task, prototypes=protos, keys=keys)
 

@@ -26,34 +26,24 @@ import numpy as np
 from .autodiff import ScatterPlan
 
 __all__ = [
-    "EdgeRule", "TemporalGraph", "Topology", "VideoCache", "build_graph",
-    "rebuild_edges", "stage_window", "subsample_plan", "threshold_exponent",
-    "save_features", "load_features",
+    "TemporalGraph", "Topology", "VideoCache", "build_graph",
+    "rebuild_edges", "stage_scale", "stage_window", "subsample_plan",
+    "save_rows", "load_rows", "save_features", "load_features",
 ]
 
 
-@dataclass(frozen=True)
-class EdgeRule:
-    """Connection rule: link nodes closer in time than ``threshold_s``.
-
-    The comparison is strict (|dt| < threshold) and the effective window at
-    pyramid stage ``l`` is ``threshold_s * 2**threshold_exponent(l)``, so
-    coarser stages see proportionally farther in time.
-    """
-
-    threshold_s: float = 2.0
-
-
-def threshold_exponent(stage: int) -> int:
-    """Doubling exponent for a stage: 0 at the full-resolution stage 1."""
+def stage_scale(stage: int) -> float:
+    """The doubling law of the pyramid: 1 at the full-resolution stage 1,
+    twice the previous stage's value at every later one. Connection
+    windows and detection offsets both scale by it."""
     if stage < 1:
         raise ValueError(f"stage must be >= 1, got {stage}")
-    return stage - 1
+    return 2.0 ** (stage - 1)
 
 
-def stage_window(rule: EdgeRule, stage: int) -> float:
+def stage_window(threshold_s: float, stage: int) -> float:
     """Connection window in seconds at a pyramid stage."""
-    return rule.threshold_s * (2.0 ** threshold_exponent(stage))
+    return threshold_s * stage_scale(stage)
 
 
 @dataclass
@@ -193,21 +183,21 @@ def _edges_for_positions(positions_s: np.ndarray, boundaries: np.ndarray,
 
 def build_graph(features: np.ndarray, positions_s: np.ndarray,
                 video_boundaries: np.ndarray | None = None,
-                rule: EdgeRule = EdgeRule(), stage: int = 1) -> TemporalGraph:
+                threshold_s: float = 2.0, stage: int = 1) -> TemporalGraph:
     """Assemble a graph and wire its edges for the given stage."""
     features = np.asarray(features, dtype=np.float64)
     positions_s = np.asarray(positions_s, dtype=np.float64)
     if video_boundaries is None:
         video_boundaries = np.array([0, features.shape[0]], dtype=np.intp)
     edges = _edges_for_positions(positions_s, np.asarray(video_boundaries),
-                                 stage_window(rule, stage))
+                                 stage_window(threshold_s, stage))
     return TemporalGraph(features, positions_s, edges, stage, np.asarray(video_boundaries))
 
 
-def rebuild_edges(g: TemporalGraph, rule: EdgeRule = EdgeRule()) -> TemporalGraph:
+def rebuild_edges(g: TemporalGraph, threshold_s: float = 2.0) -> TemporalGraph:
     """Recompute edges from current positions and stage, leaving nodes alone."""
     edges = _edges_for_positions(g.positions_s, g.video_boundaries,
-                                 stage_window(rule, g.stage))
+                                 stage_window(threshold_s, g.stage))
     return replace(g, edges=edges)
 
 
@@ -232,15 +222,15 @@ class VideoCache:
         return value
 
     def graph(self, features: np.ndarray, positions_s: np.ndarray,
-              bounds: np.ndarray, stage: int, rule: EdgeRule,
+              bounds: np.ndarray, stage: int, threshold_s: float,
               wire) -> TemporalGraph:
         """A batch's graph at ``stage``. Each video's topology is that of
-        ``wire(video)``, the video's own graph wired under ``rule``, made
+        ``wire(video)``, the video's own graph wired for ``threshold_s``, made
         on a miss. A one-video batch is that topology; a larger one is a
         topology over its videos' edges shifted by their start offsets,
         reused, plans and all, by the next batch at this window whose
         videos have the same topologies in order."""
-        window = stage_window(rule, stage)
+        window = stage_window(threshold_s, stage)
         unwired = np.empty((0, 2), dtype=np.intp)
         videos = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -289,37 +279,58 @@ def subsample_plan(g: TemporalGraph, pooling: str) -> tuple[np.ndarray, np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# on-disk feature format: little-endian float32 rows + JSON sidecar
+# on-disk row files: little-endian float32 rows + JSON sidecar
 # ---------------------------------------------------------------------------
+
+def save_rows(path: str | Path, rows: np.ndarray, count_key: str,
+              **sidecar) -> None:
+    """Write ``rows`` as ``<path>.bin``, little-endian float32, and a
+    ``<path>.json`` sidecar holding ``sidecar``, the row count under
+    ``count_key`` and the row width under ``dim``."""
+    path = Path(path)
+    data = np.ascontiguousarray(rows, dtype="<f4")
+    path.with_suffix(".bin").write_bytes(data.tobytes())
+    sidecar |= {count_key: int(data.shape[0]), "dim": int(data.shape[1])}
+    path.with_suffix(".json").write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True))
+
+
+def load_rows(path: str | Path, count_key: str, *keys: str
+              ) -> tuple[np.ndarray, dict]:
+    """Rows saved by ``save_rows`` as float64, and their sidecar. A sidecar
+    that lacks ``count_key``, ``dim`` or one of ``keys``, or a ``.bin``
+    whose length disagrees with it, raises ValueError naming the file."""
+    path = Path(path)
+    sidecar_path = path.with_suffix(".json")
+    sidecar = json.loads(sidecar_path.read_text())
+    for key in (count_key, "dim", *keys):
+        if key not in sidecar:
+            raise ValueError(f"{sidecar_path}: missing key {key}")
+    n, d = sidecar[count_key], sidecar["dim"]
+    raw = path.with_suffix(".bin").read_bytes()
+    if len(raw) != n * d * 4:
+        raise ValueError(f"{path.with_suffix('.bin')}: expected {n * d * 4} "
+                         f"bytes, found {len(raw)}")
+    return np.frombuffer(raw, dtype="<f4").reshape(n, d).astype(
+        np.float64), sidecar
+
 
 def save_features(path: str | Path, features: np.ndarray,
                   positions_s: np.ndarray, video_id: str) -> None:
-    """Write one video's features as raw .bin plus a .json sidecar."""
-    path = Path(path)
-    feats = np.ascontiguousarray(features, dtype="<f4")
-    path.with_suffix(".bin").write_bytes(feats.tobytes())
-    sidecar = {
-        "num_segments": int(feats.shape[0]),
-        "dim": int(feats.shape[1]),
-        "segment_midpoints_s": [float(t) for t in positions_s],
-        "video_id": video_id,
-    }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    """Write one video's features as a row file whose sidecar also holds
+    the segment midpoints and the video id."""
+    save_rows(path, features, "num_segments",
+              segment_midpoints_s=[float(t) for t in positions_s],
+              video_id=video_id)
 
 
 def load_features(path: str | Path) -> tuple[np.ndarray, np.ndarray, str]:
-    """Read features saved by ``save_features``; validates byte length
-    and that every feature and midpoint is finite."""
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
-    n, d = sidecar["num_segments"], sidecar["dim"]
-    raw = path.with_suffix(".bin").read_bytes()
-    expect = n * d * 4
-    if len(raw) != expect:
-        raise ValueError(f"{path}: expected {expect} bytes, found {len(raw)}")
-    feats = np.frombuffer(raw, dtype="<f4").reshape(n, d).astype(np.float64)
+    """Read features saved by ``save_features``; validates that every
+    feature and midpoint is finite."""
+    feats, sidecar = load_rows(path, "num_segments", "segment_midpoints_s",
+                               "video_id")
     positions = np.asarray(sidecar["segment_midpoints_s"], dtype=np.float64)
-    if positions.shape != (n,):
+    if positions.shape != (len(feats),):
         raise ValueError(f"{path}: sidecar midpoints do not match num_segments")
     for name, values in (("features", feats), ("midpoints", positions)):
         if not np.isfinite(values).all():

@@ -23,9 +23,7 @@ import numpy as np
 from .autodiff import (
     Tensor, add, gather_rows, relu, segment_max, segment_mean,
 )
-from .graph import (
-    EdgeRule, TemporalGraph, VideoCache, rebuild_edges, subsample_plan,
-)
+from .graph import TemporalGraph, VideoCache, rebuild_edges, subsample_plan
 from .layers import LAYER_KINDS, LayerKind, sinusoidal_pe
 
 __all__ = ["BackboneConfig", "BackboneParams", "StageOutput",
@@ -57,10 +55,6 @@ class BackboneConfig:
     @property
     def kind(self) -> LayerKind:
         return LAYER_KINDS[self.layer_kind]
-
-    @property
-    def edge_rule(self) -> EdgeRule:
-        return EdgeRule(self.threshold_s)
 
 
 @dataclass
@@ -148,8 +142,8 @@ def backbone_forward(params: BackboneParams, cfg: BackboneConfig,
             else:
                 x = gather_rows(x, keep_idx)
             g = cache.graph(x.data, g.positions_s[keep_idx], new_bounds,
-                            g.stage + 1, cfg.edge_rule,
-                            lambda video: rebuild_edges(video, cfg.edge_rule))
+                            g.stage + 1, cfg.threshold_s,
+                            lambda video: rebuild_edges(video, cfg.threshold_s))
         if kind.adds_time_encoding:
             x = add(x, Tensor(sinusoidal_pe(g.positions_s, x.shape[1])))
         x = _run_block(block, kind, g, x)

@@ -116,15 +116,21 @@ def soft_nms(intervals: np.ndarray, scores: np.ndarray, sigma: float = 2.0,
     return np.asarray(kept_idx, dtype=np.intp), np.asarray(kept_score)
 
 
-def _video_codes(det_videos: np.ndarray, gt_videos: np.ndarray):
-    """Integer codes of video ids, equal ids sharing one code; a ground
-    truth video without detections gets -1."""
-    names, det_codes = np.unique(det_videos, return_inverse=True)
+def _detection_inputs(det_intervals, det_scores, det_classes, det_videos,
+                      gt_intervals, gt_classes, gt_videos):
+    """Detections and ground truth as arrays: intervals (K, 2) float,
+    scores float, classes int, and video ids as integer codes, equal ids
+    sharing one code; a ground truth video without detections gets -1."""
+    names, det_vid = np.unique(np.asarray(det_videos), return_inverse=True)
     code = {v: i for i, v in enumerate(names.tolist())}
-    gt_names, gt_inv = np.unique(gt_videos, return_inverse=True)
+    gt_names, gt_inv = np.unique(np.asarray(gt_videos), return_inverse=True)
     gt_codes = np.array([code.get(v, -1) for v in gt_names.tolist()],
                         dtype=np.intp)
-    return det_codes, gt_codes[gt_inv]
+    return (np.asarray(det_intervals, dtype=np.float64).reshape(-1, 2),
+            np.asarray(det_scores, dtype=np.float64),
+            np.asarray(det_classes, dtype=np.intp), det_vid,
+            np.asarray(gt_intervals, dtype=np.float64).reshape(-1, 2),
+            np.asarray(gt_classes, dtype=np.intp), gt_codes[gt_inv])
 
 
 def _greedy_hits(ious: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -179,16 +185,11 @@ def map_at_iou(det_intervals, det_scores, det_classes, det_videos,
     together by descending score (ties keep input order), and each greedily
     claims ground truth in its own video only (see ``_greedy_hits``).
     """
-    det_intervals = np.asarray(det_intervals, dtype=np.float64).reshape(-1, 2)
-    det_scores = np.asarray(det_scores, dtype=np.float64)
-    det_classes = np.asarray(det_classes, dtype=np.intp)
-    det_videos = np.asarray(det_videos)
-    gt_intervals = np.asarray(gt_intervals, dtype=np.float64).reshape(-1, 2)
-    gt_classes = np.asarray(gt_classes, dtype=np.intp)
-    gt_videos = np.asarray(gt_videos)
+    (det_intervals, det_scores, det_classes, det_vid, gt_intervals,
+     gt_classes, gt_vid) = _detection_inputs(
+        det_intervals, det_scores, det_classes, det_videos, gt_intervals,
+        gt_classes, gt_videos)
     thr = np.asarray(thresholds, dtype=np.float64)
-
-    det_vid, gt_vid = _video_codes(det_videos, gt_videos)
     classes = sorted(set(gt_classes.tolist()))
     aps = np.zeros((len(thr), len(classes)))
     for c, cls in enumerate(classes):
@@ -221,17 +222,12 @@ def recall_at_k(det_intervals, det_scores, det_classes, det_videos,
     scores (ties keep input order); a ground truth counts as recalled when
     any of those overlaps it with IoU >= iou_thr.
     """
-    det_intervals = np.asarray(det_intervals, dtype=np.float64).reshape(-1, 2)
-    det_scores = np.asarray(det_scores, dtype=np.float64)
-    det_classes = np.asarray(det_classes, dtype=np.intp)
-    det_videos = np.asarray(det_videos)
-    gt_intervals = np.asarray(gt_intervals, dtype=np.float64).reshape(-1, 2)
-    gt_classes = np.asarray(gt_classes, dtype=np.intp)
-    gt_videos = np.asarray(gt_videos)
-
+    (det_intervals, det_scores, det_classes, det_vid, gt_intervals,
+     gt_classes, gt_vid) = _detection_inputs(
+        det_intervals, det_scores, det_classes, det_videos, gt_intervals,
+        gt_classes, gt_videos)
     # one integer key per (video, class); -1 for ground truth whose video
     # has no detections
-    det_vid, gt_vid = _video_codes(det_videos, gt_videos)
     classes, cls = np.unique(np.concatenate([det_classes, gt_classes]),
                              return_inverse=True)
     det_key = det_vid * len(classes) + cls[:len(det_classes)]

@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 TASK_NAMES = ("ar", "oscc", "pnr", "mq", "lta")
+# the keys ``load_dataset`` reads from each record of a task's annotations
+RECORD_KEYS = {"ar": ("start_s", "end_s", "labels.verb", "labels.noun"),
+               "oscc": ("start_s", "labels.state_change"),
+               "pnr": ("start_s", "labels.keyframe_s")}
 
 
 @dataclass(frozen=True)
@@ -384,7 +388,8 @@ def load_dataset(directory: str | Path) -> SynthDataset:
     """Rebuild a saved corpus, reconstructing events from annotations.
 
     A config key that is missing or unknown, an annotation file that lacks
-    a video ``ar.json`` lists, ``oscc.json`` records that are not ``ar.json``'s
+    a video ``ar.json`` lists, a record that lacks a key of
+    ``RECORD_KEYS``, ``oscc.json`` records that are not ``ar.json``'s
     events (count or start times), or ``pnr.json`` records that are not
     exactly the state-changing events raise ValueError naming the file and
     the video.
@@ -411,7 +416,14 @@ def load_dataset(directory: str | Path) -> SynthDataset:
 def _video_events(ann_dir: Path, video_id: str, ar: list, oscc: list,
                   pnr: list) -> list[Event]:
     """One video's events from its ``ar``, ``oscc`` and ``pnr`` records,
-    checked against each other."""
+    checked for the keys they are read by and against each other."""
+    for task, records in (("ar", ar), ("oscc", oscc), ("pnr", pnr)):
+        for rec in records:
+            for key in RECORD_KEYS[task]:
+                top, _, sub = key.partition(".")
+                if top not in rec or sub and sub not in rec[top]:
+                    raise ValueError(f"{ann_dir / f'{task}.json'}: video "
+                                     f"{video_id} has a record without {key}")
     where = f"{ann_dir / 'oscc.json'}: video {video_id}"
     if len(oscc) != len(ar):
         raise ValueError(f"{where} has {len(oscc)} records, "

@@ -27,14 +27,14 @@ from .autodiff import (
     mul, power, relu, segment_mean, sigmoid, softplus, sub, take_cols,
     tmean, tsum,
 )
-from .graph import TemporalGraph, build_graph, EdgeRule
+from .graph import TemporalGraph, build_graph, stage_scale
 from .layers import TdgcParams, tdgc_forward
 from .optim import linear_init
 
 __all__ = [
     "MlpParams", "mlp_forward", "neck_forward", "ScorerParams",
     "scorer_forward", "LtaParams", "lta_forward", "lta_candidates", "MqParams", "mq_forward", "mq_decode", "mq_targets",
-    "interval_nodes", "align_intervals", "align_video_intervals",
+    "interval_nodes", "align_video_intervals",
     "bce_with_logits", "focal_loss", "diou_loss",
 ]
 
@@ -92,23 +92,16 @@ def interval_nodes(positions_s: np.ndarray, intervals: np.ndarray
     return nodes, ids, fallback
 
 
-def align_intervals(x: Tensor, positions_s: np.ndarray,
-                    intervals: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Average node features over each time interval's ``interval_nodes``;
-    the second return value flags the intervals that fell back to one
-    node. ``positions_s`` and ``x`` must come from one video so times
-    compare.
-    """
-    nodes, ids, fallback = interval_nodes(positions_s, intervals)
-    return segment_mean(gather_rows(x, nodes), ids, len(fallback)), fallback
-
-
 def align_video_intervals(x: Tensor, g: TemporalGraph, video: int,
                           intervals: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """``align_intervals`` restricted to one video of a batch graph."""
+    """Average the features of one video of a batch graph over each time
+    interval's ``interval_nodes``, through one gather of the batch rows
+    and one segment mean; the second return value flags the intervals
+    that fell back to one node."""
     sl = g.video_slice(video)
-    rows = gather_rows(x, np.arange(sl.start, sl.stop, dtype=np.intp))
-    return align_intervals(rows, g.positions_s[sl], intervals)
+    nodes, ids, fallback = interval_nodes(g.positions_s[sl], intervals)
+    return (segment_mean(gather_rows(x, nodes + sl.start), ids, len(fallback)),
+            fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +164,7 @@ def _future_graph(num_contexts: int, num_steps: int, dim: int) -> TemporalGraph:
                         num_contexts)
     bounds = np.arange(num_contexts + 1) * num_steps
     return build_graph(np.zeros((num_contexts * num_steps, dim)), positions,
-                       bounds, rule=EdgeRule(threshold_s=float(num_steps + 1)))
+                       bounds, threshold_s=float(num_steps + 1))
 
 
 def lta_forward(p: LtaParams, context: Tensor) -> tuple[Tensor, Tensor]:
@@ -241,7 +234,7 @@ def mq_forward(p: MqParams, x: Tensor, stage: int) -> tuple[Tensor, Tensor]:
     """
     scores = sigmoid(add(matmul(x, p.w_cls), p.b_cls))
     offsets = mul(softplus(add(matmul(x, p.w_reg), p.b_reg)),
-                  Tensor(np.array(2.0 ** (stage - 1))))
+                  Tensor(np.array(stage_scale(stage))))
     return scores, offsets
 
 
@@ -286,7 +279,7 @@ def mq_targets(positions_s: np.ndarray, stage: int, segments: np.ndarray,
     cls_t = np.zeros((n, num_classes))
     off_t = np.zeros((n, 2))
     pos_mask = np.zeros(n, dtype=bool)
-    scale = 2.0 ** (stage - 1)
+    scale = stage_scale(stage)
     durations = segments[:, 1] - segments[:, 0]
     for i, t in enumerate(positions_s):
         inside = np.nonzero((segments[:, 0] <= t) & (t <= segments[:, 1]))[0]

@@ -36,7 +36,7 @@ from .egopack import (
     InteractionParams, PrototypeBank, build_prototypes, fuse_features,
     interaction_forward,
 )
-from .graph import EdgeRule, TemporalGraph, VideoCache, build_graph
+from .graph import TemporalGraph, VideoCache, build_graph, stage_scale
 from .hierarchy import BackboneConfig, BackboneParams, StageOutput, backbone_forward
 from .metrics import (
     edit_distance, localization_error, map_at_iou, recall_at_k, soft_nms,
@@ -142,7 +142,7 @@ class AnnotationView:
         raise ValueError(f"unknown task {task!r}")
 
 
-def build_batch_graph(videos: list[VideoSample], rule: EdgeRule,
+def build_batch_graph(videos: list[VideoSample], threshold_s: float,
                       cache: VideoCache | None = None) -> TemporalGraph:
     """Concatenate videos into one stage-1 graph; ``build_graph`` wires
     each video's edges once per cache."""
@@ -150,8 +150,9 @@ def build_batch_graph(videos: list[VideoSample], rule: EdgeRule,
     feats = np.concatenate([v.features for v in videos], axis=0)
     pos = np.concatenate([v.positions_s for v in videos])
     bounds = np.cumsum([0] + [len(v.positions_s) for v in videos])
-    return cache.graph(feats, pos, bounds, 1, rule, lambda video: build_graph(
-        video.features, video.positions_s, rule=rule))
+    return cache.graph(feats, pos, bounds, 1, threshold_s, lambda video:
+                       build_graph(video.features, video.positions_s,
+                                   threshold_s=threshold_s))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,7 @@ def _batch_targets(task: str, g: TemporalGraph, videos: list[VideoSample],
         if task == "mq":
             cls_t, off_t, pos_mask = mq_targets(pos, g.stage, ivals, labels[0],
                                                 world.mq_classes)
-            return cls_t, off_t * 2.0 ** (g.stage - 1), pos_mask
+            return cls_t, off_t * stage_scale(g.stage), pos_mask
         if task == "pnr":
             nodes, ids = _covered_nodes(pos, ivals)
             targets = np.zeros(len(nodes))
@@ -498,7 +499,7 @@ def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
             owners, len(videos), np.random.default_rng(cfg.seed),
             cfg.batch_videos, cfg.epochs, cfg.warmup_epochs):
         batch = [videos[i] for i in sel]
-        graph = build_batch_graph(batch, model.backbone_cfg.edge_rule, cache)
+        graph = build_batch_graph(batch, model.backbone_cfg.threshold_s, cache)
         with GradientTape() as tape:
             stages = model.forward_backbone(graph, cache)
             loss = None
@@ -548,7 +549,7 @@ def build_prototype_banks(model: MultiTaskModel, ds: SynthDataset,
     per_task_rows: dict[str, list[np.ndarray]] = {t: [] for t in support_tasks}
     keys: list[np.ndarray] = []
     for video in ds.train:
-        graph = build_batch_graph([video], model.backbone_cfg.edge_rule)
+        graph = build_batch_graph([video], model.backbone_cfg.threshold_s)
         stages = model.forward_backbone(graph)
         feats = stages[DENSE_STAGE].features
         ivals, verbs, nouns = view.annotations(video, "ar")
@@ -706,7 +707,7 @@ class TranslationModel:
                         ) -> tuple[Tensor, np.ndarray, int]:
         """One video's detached dense-stage neck tokens from a frozen
         support model."""
-        sg = build_batch_graph([video], m.backbone_cfg.edge_rule)
+        sg = build_batch_graph([video], m.backbone_cfg.threshold_s)
         s_stages = m.forward_backbone(sg)
         sup = neck_forward(m.branches[task].neck, s_stages[DENSE_STAGE].features)
         return sup.detach(), sg.positions_s, 1
@@ -870,7 +871,7 @@ def evaluate(model: MultiTaskModel, videos: list[VideoSample],
     records: dict[str, list] = {task: [] for task in tasks}
     for idx, video in enumerate(videos):
         stages = model.forward_backbone(build_batch_graph(
-            [video], model.backbone_cfg.edge_rule, cache), cache)
+            [video], model.backbone_cfg.threshold_s, cache), cache)
         for task in tasks:
             feats = _stage_features(model, task, stages, [video], arm,
                                     cache)

@@ -30,7 +30,7 @@ from tgk.ablation import (
 from tgk.autodiff import GradientTape, Tensor, add, backward, mul, tsum
 from tgk.cli import main as cli_main
 from tgk.egopack import InteractionParams, PrototypeBank, interaction_forward
-from tgk.graph import EdgeRule, VideoCache, build_graph
+from tgk.graph import VideoCache, build_graph
 from tgk.hierarchy import BackboneConfig, BackboneParams, backbone_forward
 from tgk.layers import LAYER_KINDS, TdgcParams, sinusoidal_pe, tdgc_forward
 from tgk.metrics import (
@@ -68,7 +68,7 @@ def _nudge_gate(tensors, rng) -> None:
 def _random_graph(rng, n=8, d=6):
     feats = rng.normal(size=(n, d))
     pos = np.sort(rng.uniform(0.0, 6.0, size=n))
-    return build_graph(feats, pos, [0, n], rule=EdgeRule(2.5), stage=1)
+    return build_graph(feats, pos, [0, n], threshold_s=2.5, stage=1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def test_check_02_algebraic_identities():
 
     # empty neighborhood: an isolated node reduces to the root projection
     feats = rng.normal(size=(3, d))
-    g = build_graph(feats, np.array([0.0, 1.0, 50.0]), [0, 3], EdgeRule(2.0))
+    g = build_graph(feats, np.array([0.0, 1.0, 50.0]), [0, 3], 2.0)
     out = tdgc_forward(p, g, Tensor(feats)).data
     root = feats @ p.w_root.data + p.b_root.data
     margins.append(np.abs(out[2] - root[2]).max())
@@ -215,7 +215,7 @@ def test_check_02_algebraic_identities():
     # symmetric neighbors with equal features cancel exactly
     sym = rng.normal(size=(3, d))
     sym[2] = sym[0]
-    g = build_graph(sym, np.array([0.0, 1.0, 2.0]), [0, 3], EdgeRule(1.5))
+    g = build_graph(sym, np.array([0.0, 1.0, 2.0]), [0, 3], 1.5)
     out = tdgc_forward(p, g, Tensor(sym)).data
     root = sym @ p.w_root.data + p.b_root.data
     margins.append(np.abs(out[1] - root[1]).max())
@@ -223,17 +223,17 @@ def test_check_02_algebraic_identities():
     # shifting every timestamp by a constant changes nothing
     feats = rng.normal(size=(5, d))
     pos = np.array([0.0, 1.0, 2.0, 4.0, 7.0])
-    a = tdgc_forward(p, build_graph(feats, pos, [0, 5], EdgeRule(2.5)),
+    a = tdgc_forward(p, build_graph(feats, pos, [0, 5], 2.5),
                      Tensor(feats)).data
-    b = tdgc_forward(p, build_graph(feats, pos + 13.0, [0, 5], EdgeRule(2.5)),
+    b = tdgc_forward(p, build_graph(feats, pos + 13.0, [0, 5], 2.5),
                      Tensor(feats)).data
     margins.append(np.abs(a - b).max())
 
     # reflecting time negates the neighbor term and keeps the root
     root = feats @ p.w_root.data + p.b_root.data
-    fwd = tdgc_forward(p, build_graph(feats, pos, [0, 5], EdgeRule(2.5)),
+    fwd = tdgc_forward(p, build_graph(feats, pos, [0, 5], 2.5),
                        Tensor(feats)).data - root
-    rev = tdgc_forward(p, build_graph(feats, -pos, [0, 5], EdgeRule(2.5)),
+    rev = tdgc_forward(p, build_graph(feats, -pos, [0, 5], 2.5),
                        Tensor(feats)).data - root
     margins.append(np.abs(fwd + rev).max())
 
@@ -298,7 +298,7 @@ def test_check_05_hierarchy_coarsening_law():
     cfg = BackboneConfig(d_in=d, d_model=d, num_stages=4, threshold_s=2.0)
     params = BackboneParams.init(rng, cfg)
     g = build_graph(rng.normal(size=(n, d)), np.arange(n) + 0.5, [0, n],
-                    cfg.edge_rule)
+                    cfg.threshold_s)
     stages = backbone_forward(params, cfg, g)
     counts = [s.graph.num_nodes for s in stages]
     ok = counts == [64, 32, 16, 8]
@@ -465,7 +465,7 @@ def _blocking_factor_holds(model, novel_state, video) -> bool:
     """Backbone gradients through the interaction fusion must equal exactly
     1/(1+num_support) of the gradients through the plain novel neck:
     support branches are detached, fusion is an arithmetic mean."""
-    graph = build_batch_graph([video], model.backbone_cfg.edge_rule)
+    graph = build_batch_graph([video], model.backbone_cfg.threshold_s)
     rng = np.random.default_rng(13)
     leaves = model.backbone.params()
     neck = model.branches[novel_state.novel].neck

@@ -12,7 +12,7 @@ import shutil
 import struct
 import tempfile
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,9 @@ from tgk.cli import main
 from tgk.config import load_config
 from tgk.egopack import load_bank, save_bank
 from tgk.persist import load_run
-from tgk.synth import SynthConfig, generate_dataset, load_dataset
+from tgk.synth import (
+    SynthConfig, generate_dataset, load_dataset, save_dataset,
+)
 from tgk.training import (
     MultiTaskModel, TrainConfig, build_prototype_banks, evaluate, run_mtl,
     run_novel, run_single,
@@ -99,6 +101,11 @@ def test_gen_data_is_byte_deterministic(tmp_path):
     (["--dim", "3"], "data.dim: must be even and >= 2"),
     (["--verbs", "1"], "data.num_verbs: must be >= 2, got 1"),
     (["--verb-follow", "2"], "data.verb_follow: must lie in [0, 1], got 2.0"),
+    (["--segment-seconds", "0"], "data.segment_s: must be positive, got 0.0"),
+    (["--segments", "0"], "data.segments_per_video: must be >= 1, got 0"),
+    (["--train-videos", "0"], "data.num_train_videos: must be >= 1, got 0"),
+    (["--val-videos", "0"], "data.num_val_videos: must be >= 1, got 0"),
+    (["--lta-steps", "0"], "data.lta_steps: must be >= 1, got 0"),
 ])
 def test_gen_data_rejects_corpus_no_run_accepts(tmp_path, capsys, flags,
                                                 message):
@@ -439,21 +446,40 @@ def test_train_novel_rejects_banks_of_another_width(tmp_path):
         run, f"{protos}: bank ar has dim 16, not 12")
 
 
-def test_train_novel_rejects_bank_with_non_finite_rows(tmp_path):
-    ws = workspace()
+def copied_banks(tmp_path: Path) -> Path:
+    """A copy of ``proto_run``'s banks, for a test to corrupt."""
     protos = tmp_path / "protos"
-    (protos / "prototypes").mkdir(parents=True)
-    for path in (proto_run() / "prototypes").iterdir():
-        (protos / "prototypes" / path.name).write_bytes(path.read_bytes())
+    shutil.copytree(proto_run() / "prototypes", protos / "prototypes")
+    return protos
+
+
+def egopack_argv(protos: Path, run: Path) -> list[str]:
+    ws = workspace()
+    return ["train-novel", "--data", str(ws / "data"), "--task", "pnr",
+            "--method", "egopack", "--support-run", str(ws / "run_mtl"),
+            "--banks", str(protos), "--run", str(run)] + TRAIN_FLAGS
+
+
+def test_train_novel_rejects_bank_with_non_finite_rows(tmp_path):
+    protos = copied_banks(tmp_path)
     blob = bytearray((protos / "prototypes" / "oscc.bin").read_bytes())
     blob[4:8] = np.array([np.nan], dtype="<f4").tobytes()
     (protos / "prototypes" / "oscc.bin").write_bytes(bytes(blob))
     run = tmp_path / "run"
     assert_exits_in_one_line(
-        ["train-novel", "--data", str(ws / "data"), "--task", "pnr",
-         "--method", "egopack", "--support-run", str(ws / "run_mtl"),
-         "--banks", str(protos), "--run", str(run)] + TRAIN_FLAGS,
-        run, f"{protos}: bank oscc: prototypes hold non-finite values")
+        egopack_argv(protos, run), run,
+        f"{protos}: bank oscc: prototypes hold non-finite values")
+
+
+def test_train_novel_rejects_bank_without_dim(tmp_path):
+    protos = copied_banks(tmp_path)
+    index = protos / "prototypes" / "ar.json"
+    raw = json.loads(index.read_text())
+    del raw["dim"]
+    index.write_text(json.dumps(raw))
+    run = tmp_path / "run"
+    assert_exits_in_one_line(egopack_argv(protos, run), run,
+                             f"{protos}: {index}: missing key dim")
 
 
 def test_train_novel_rejects_non_positive_video_count(tmp_path):
@@ -528,18 +554,26 @@ def data_argv(command: str, data: Path, run: Path) -> list[str]:
 @pytest.mark.parametrize("command", ["train-single", "train-mtl",
                                      "build-prototypes", "train-novel",
                                      "eval"])
-@pytest.mark.parametrize("fault", ["missing", "non-finite"])
+@pytest.mark.parametrize("fault", ["missing", "non-finite", "no-dim"])
 def test_commands_exit_in_one_line_on_unreadable_data(tmp_path, command,
                                                       fault):
     data = tmp_path / "data"
+    start = f"{data}: "
     if fault == "non-finite":
         shutil.copytree(workspace() / "data", data)
         blob = sorted((data / "val" / "features").glob("*.bin"))[0]
         raw = bytearray(blob.read_bytes())
         raw[:4] = struct.pack("<f", float("nan"))
         blob.write_bytes(bytes(raw))
+    elif fault == "no-dim":
+        shutil.copytree(workspace() / "data", data)
+        sidecar = sorted((data / "val" / "features").glob("*.json"))[0]
+        raw = json.loads(sidecar.read_text())
+        del raw["dim"]
+        sidecar.write_text(json.dumps(raw))
+        start = f"{data}: {sidecar}: missing key dim"
     run = tmp_path / "run"
-    assert_exits_in_one_line(data_argv(command, data, run), run, f"{data}: ")
+    assert_exits_in_one_line(data_argv(command, data, run), run, start)
 
 
 @pytest.mark.parametrize("command", ["train-single", "train-mtl",
@@ -583,6 +617,42 @@ def test_train_exits_in_one_line_on_oscc_records_unlike_ar(tmp_path):
     run = tmp_path / "run"
     assert_exits_in_one_line(data_argv("train-single", data, run), run,
                              f"{data}: {path}: video {video} has ")
+
+
+@pytest.mark.parametrize("field, task", [
+    ("segments_per_video", "ar"), ("num_train_videos", "ar"),
+    ("num_val_videos", "ar"), ("lta_steps", "lta")])
+def test_training_refuses_corpus_with_empty_field(tmp_path, field, task):
+    # written through the API, which does not validate: an empty corpus
+    # used to train zero steps, or die part way with a run directory behind
+    data = tmp_path / "data"
+    save_dataset(data, generate_dataset(replace(SynthConfig(
+        num_train_videos=2, num_val_videos=1, segments_per_video=8, dim=12,
+        num_verbs=4, num_nouns=3, lta_steps=3, seed=5), **{field: 0})))
+    run = tmp_path / "run"
+    assert_exits_in_one_line(
+        ["train-single", "--data", str(data), "--task", task, "--run",
+         str(run)] + TRAIN_FLAGS, run, f"data.{field}: must be >= 1, got 0")
+
+
+@pytest.mark.parametrize("task, video_key, message", [
+    ("ar", "labels.verb", "has a record without labels.verb"),
+    ("pnr", "labels", "has a record without labels.keyframe_s")])
+def test_train_exits_in_one_line_on_record_without_key(tmp_path, task,
+                                                       video_key, message):
+    data = tmp_path / "data"
+    shutil.copytree(workspace() / "data", data)
+    path = data / "train" / "annotations" / f"{task}.json"
+    records = json.loads(path.read_text())
+    video = min(v for v in records if records[v])
+    if video_key == "labels":
+        records[video][0]["labels"] = {}
+    else:
+        del records[video][0]["labels"]["verb"]
+    path.write_text(json.dumps(records))
+    run = tmp_path / "run"
+    assert_exits_in_one_line(data_argv("train-single", data, run), run,
+                             f"{data}: {path}: video {video} {message}")
 
 
 def test_build_prototypes_exits_on_unreadable_support_run(tmp_path):
@@ -790,6 +860,27 @@ def test_ablate_rejects_malformed_seeds_or_thresholds(tmp_path, capsys, mode,
         ["ablate", "--mode", mode, "--out", str(out), "--windows", "40",
          "--epochs", "2", "--train-videos", "4", "--val-videos", "2",
          "--segments", "16", flag, value], out, message)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mode,flags,message", [
+    ("order", ["--epochs", "0"], "--epochs: must be at least 1, got 0"),
+    ("grid", ["--epochs", "0"], "--epochs: must be at least 1, got 0"),
+    ("grid", ["--train-videos", "0"],
+     "--train-videos: data.num_train_videos: must be >= 1, got 0"),
+    ("grid", ["--val-videos", "0"],
+     "--val-videos: data.num_val_videos: must be >= 1, got 0"),
+    ("grid", ["--segments", "0"],
+     "--segments: data.segments_per_video: must be >= 1, got 0")])
+def test_ablate_rejects_empty_runs(tmp_path, capsys, mode, flags, message):
+    # each used to write metrics.json and tables/ from untrained or empty
+    # runs, or end in a numpy traceback
+    out = tmp_path / "abl"
+    assert_exits_in_one_line(
+        ["ablate", "--mode", mode, "--out", str(out), "--seeds", "0",
+         "--kinds", "tdgc", "--windows", "40", "--epochs", "2",
+         "--train-videos", "4", "--val-videos", "2", "--segments", "16"]
+        + flags, out, message)
     assert capsys.readouterr().out == ""
 
 

@@ -7,6 +7,7 @@ gradient into prototypes) with exact assertions.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -91,7 +92,21 @@ def test_bank_roundtrip_bytes(tmp_path):
     blob_a = (tmp_path / "oscc.bin").read_bytes()
     blob_b = (tmp_path / "again" / "oscc.bin").read_bytes()
     assert blob_a == blob_b
+    assert json.loads((tmp_path / "oscc.json").read_text()) == {
+        "task": "oscc", "num_prototypes": bank.size, "dim": bank.dim,
+        "keys": [list(key) for key in bank.keys]}
     assert not loaded.prototypes.flags.writeable
+
+
+@pytest.mark.parametrize("key", ["num_prototypes", "dim", "keys"])
+def test_load_bank_names_missing_sidecar_key(tmp_path, key):
+    save_bank(tmp_path, random_bank(np.random.default_rng(4)))
+    index = tmp_path / "ar.json"
+    raw = json.loads(index.read_text())
+    del raw[key]
+    index.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(index))}: missing key {key}$"):
+        load_bank(tmp_path, "ar")
 
 
 def test_load_bank_validates_byte_length(tmp_path):

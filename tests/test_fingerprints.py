@@ -80,7 +80,7 @@ def _forecast_sha(model, novel, videos) -> str:
         if len(verbs) == 0 or anchor[1] <= 0:
             continue
         stages = model.forward_backbone(
-            build_batch_graph([video], model.backbone_cfg.edge_rule))
+            build_batch_graph([video], model.backbone_cfg.threshold_s))
         feats = _stage_features(model, "lta", stages, [video], novel,
                                 VideoCache())
         context, _ = align_video_intervals(feats[0], stages[0].graph, 0,

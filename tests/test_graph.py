@@ -6,6 +6,8 @@ Halving itself is checked on the path the backbone runs: the survivor
 plan, closed-neighborhood pooling, and a 2-stage ``backbone_forward``.
 """
 
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,14 +15,15 @@ import pytest
 
 from tgk.autodiff import Tensor
 from tgk.graph import (
-    EdgeRule,
     TemporalGraph,
     build_graph,
     load_features,
+    load_rows,
     rebuild_edges,
     save_features,
+    save_rows,
+    stage_scale,
     subsample_plan,
-    threshold_exponent,
 )
 from tgk.hierarchy import (
     BackboneConfig, BackboneParams, backbone_forward, pool_closed_neighborhood,
@@ -60,14 +63,14 @@ def test_edges_match_brute_force_random_batches():
         ])
         feats = rng.normal(size=(bounds[-1], 3))
         window = float(rng.uniform(0.5, 6.0))
-        g = build_graph(feats, positions, bounds, rule=EdgeRule(threshold_s=window))
+        g = build_graph(feats, positions, bounds, threshold_s=window)
         assert edge_set(g) == brute_force_edges(positions, bounds, window)
 
 
 def test_edges_are_symmetric_and_loop_free():
     rng = np.random.default_rng(1)
     positions = np.sort(rng.uniform(0, 30, size=40))
-    g = build_graph(rng.normal(size=(40, 2)), positions, rule=EdgeRule(threshold_s=3.0))
+    g = build_graph(rng.normal(size=(40, 2)), positions, threshold_s=3.0)
     pairs = set(map(tuple, g.edges.tolist()))
     assert all((b, a) in pairs for a, b in pairs)
     assert all(a != b for a, b in pairs)
@@ -76,7 +79,7 @@ def test_edges_are_symmetric_and_loop_free():
 def test_edges_never_cross_video_boundaries():
     positions = np.array([0.0, 1.0, 0.5, 1.5])
     bounds = np.array([0, 2, 4])
-    g = build_graph(np.zeros((4, 2)), positions, bounds, rule=EdgeRule(threshold_s=100.0))
+    g = build_graph(np.zeros((4, 2)), positions, bounds, threshold_s=100.0)
     video = g.video_of()
     assert len(g.edges) == 4
     assert all(video[a] == video[b] for a, b in g.edges)
@@ -84,30 +87,31 @@ def test_edges_never_cross_video_boundaries():
 
 def test_threshold_is_strict():
     positions = np.array([0.0, 2.0, 4.0])
-    g = build_graph(np.zeros((3, 1)), positions, rule=EdgeRule(threshold_s=2.0))
+    g = build_graph(np.zeros((3, 1)), positions, threshold_s=2.0)
     # gaps of exactly 2.0 are excluded by the strict comparison
     assert len(g.edges) == 0
-    g = build_graph(np.zeros((3, 1)), positions, rule=EdgeRule(threshold_s=2.0 + 1e-9))
+    g = build_graph(np.zeros((3, 1)), positions, threshold_s=2.0 + 1e-9)
     assert edge_set(g) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
 def test_stage_widens_window_by_doubling():
     positions = np.arange(6, dtype=np.float64)
     feats = np.zeros((6, 1))
-    rule = EdgeRule(threshold_s=1.5)
     by_stage = {}
     for stage in (1, 2, 3):
-        g = build_graph(feats, positions, rule=rule, stage=stage)
+        g = build_graph(feats, positions, threshold_s=1.5, stage=stage)
         by_stage[stage] = edge_set(g)
-        window = rule.threshold_s * 2.0 ** (stage - 1)
+        window = 1.5 * 2.0 ** (stage - 1)
         assert by_stage[stage] == brute_force_edges(positions, [0, 6], window)
     assert len(by_stage[1]) < len(by_stage[2]) < len(by_stage[3])
 
 
-def test_threshold_exponent_values():
-    assert [threshold_exponent(s) for s in (1, 2, 3, 4)] == [0, 1, 2, 3]
-    with pytest.raises(ValueError):
-        threshold_exponent(0)
+def test_stage_scale_values():
+    assert [stage_scale(s) for s in (1, 2, 3, 4)] == [1.0, 2.0, 4.0, 8.0]
+    assert all(type(stage_scale(s)) is float for s in (1, 2, 3, 4))
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"stage must be >= 1, got {bad}"):
+            stage_scale(bad)
 
 
 def test_single_node_video_has_no_edges():
@@ -210,7 +214,7 @@ def test_subsample_ceil_halves_every_video():
 def test_subsample_mean_pools_closed_neighborhood():
     positions = np.array([0.0, 1.0, 2.0, 3.0])
     feats = np.array([[1.0], [2.0], [4.0], [8.0]])
-    g = build_graph(feats, positions, rule=EdgeRule(threshold_s=1.5))
+    g = build_graph(feats, positions, threshold_s=1.5)
     # node 0 pools {0, 1}; node 2 pools {1, 2, 3}
     assert np.allclose(pooled_survivors(g, "mean"), [[1.5], [14.0 / 3.0]],
                        atol=1e-12)
@@ -225,7 +229,7 @@ def test_subsample_mean_pools_closed_neighborhood():
 def test_subsample_max_pools_closed_neighborhood():
     positions = np.array([0.0, 1.0, 2.0])
     feats = np.array([[1.0, 5.0], [2.0, 4.0], [9.0, 0.0]])
-    g = build_graph(feats, positions, rule=EdgeRule(threshold_s=1.5))
+    g = build_graph(feats, positions, threshold_s=1.5)
     assert np.array_equal(pooled_survivors(g, "max"), [[2.0, 5.0], [9.0, 4.0]])
     outs = two_stage(g, "max", threshold_s=1.5)
     stage1 = TemporalGraph(outs[0].features.data, positions, g.edges)
@@ -245,7 +249,7 @@ def test_subsample_skip_variants_copy_raw_features():
 
 def test_subsample_rebuilds_edges_for_wider_window():
     positions = np.arange(8, dtype=np.float64)
-    g = build_graph(np.zeros((8, 1)), positions, rule=EdgeRule(threshold_s=1.5))
+    g = build_graph(np.zeros((8, 1)), positions, threshold_s=1.5)
     h = two_stage(g, "mean", threshold_s=1.5)[1].graph
     # survivors sit 2 s apart; the stage-2 window 3.0 links adjacent ones
     assert edge_set(h) == brute_force_edges(h.positions_s, [0, 4], 3.0)
@@ -263,8 +267,8 @@ def test_subsample_rejects_unknown_pooling():
 def test_rebuild_edges_preserves_nodes():
     rng = np.random.default_rng(4)
     g = build_graph(rng.normal(size=(10, 2)), np.arange(10.0),
-                    rule=EdgeRule(threshold_s=1.5))
-    h = rebuild_edges(g, rule=EdgeRule(threshold_s=4.0))
+                    threshold_s=1.5)
+    h = rebuild_edges(g, threshold_s=4.0)
     assert np.array_equal(h.features, g.features)
     assert np.array_equal(h.positions_s, g.positions_s)
     assert len(h.edges) > len(g.edges)
@@ -275,7 +279,7 @@ def test_replaced_edges_get_their_own_topology():
     over the topology it was copied from; a graph built over a topology's
     own edge array keeps that topology."""
     g = build_graph(np.zeros((6, 1)), np.arange(6.0),
-                    rule=EdgeRule(threshold_s=1.5))
+                    threshold_s=1.5)
     h = replace(g, edges=g.edges[:2])
     assert h.topology is not g.topology
     assert h.topology.edges is h.edges
@@ -297,6 +301,9 @@ def test_feature_roundtrip(tmp_path):
     save_features(tmp_path / "clip", feats, positions, "clip-007")
     loaded, pos, vid = load_features(tmp_path / "clip")
     assert vid == "clip-007"
+    assert json.loads((tmp_path / "clip.json").read_text()) == {
+        "num_segments": 12, "dim": 6, "video_id": "clip-007",
+        "segment_midpoints_s": positions.tolist()}
     assert loaded.dtype == np.float64
     assert np.array_equal(pos, positions)
     # storage is float32, so the roundtrip is approximate
@@ -321,4 +328,26 @@ def test_load_features_rejects_non_finite_values(tmp_path, field, bad):
         positions[3] = bad
     save_features(tmp_path / "clip", feats, positions, "v")
     with pytest.raises(ValueError, match=f"clip: {field} hold non-finite"):
+        load_features(tmp_path / "clip")
+
+
+def test_row_file_roundtrip(tmp_path):
+    rows = np.random.default_rng(6).normal(size=(5, 3))
+    save_rows(tmp_path / "rows", rows, "num_rows", note="kept")
+    assert (tmp_path / "rows.bin").read_bytes() == rows.astype("<f4").tobytes()
+    loaded, sidecar = load_rows(tmp_path / "rows", "num_rows", "note")
+    assert sidecar == {"num_rows": 5, "dim": 3, "note": "kept"}
+    assert loaded.dtype == np.float64
+    assert np.array_equal(loaded, rows.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("key", ["num_segments", "dim", "segment_midpoints_s",
+                                 "video_id"])
+def test_load_features_names_missing_sidecar_key(tmp_path, key):
+    save_features(tmp_path / "clip", np.zeros((4, 2)), np.arange(4.0), "v")
+    sidecar = tmp_path / "clip.json"
+    raw = json.loads(sidecar.read_text())
+    del raw[key]
+    sidecar.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(sidecar))}: missing key {key}$"):
         load_features(tmp_path / "clip")

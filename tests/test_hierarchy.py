@@ -8,7 +8,7 @@ from tgk.autodiff import (
     GradientTape, Tensor, backward, gather_rows, mul, segment_max,
     segment_mean, tsum,
 )
-from tgk.graph import EdgeRule, VideoCache, build_graph, subsample_plan
+from tgk.graph import VideoCache, build_graph, subsample_plan
 from tgk.hierarchy import (
     BackboneConfig,
     BackboneParams,
@@ -25,7 +25,7 @@ def make_graph(rng, sizes, d=6, spacing=1.0, window=1.5):
         np.arange(s, dtype=np.float64) * spacing for s in sizes
     ])
     feats = rng.normal(size=(int(bounds[-1]), d))
-    return build_graph(feats, positions, bounds, rule=EdgeRule(threshold_s=window))
+    return build_graph(feats, positions, bounds, threshold_s=window)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_pool_closed_neighborhood_max_oracle():
 
 def test_pool_isolated_node_keeps_own_features():
     feats = np.array([[1.0, 2.0], [3.0, 4.0]])
-    g = build_graph(feats, np.array([0.0, 100.0]), rule=EdgeRule(threshold_s=1.0))
+    g = build_graph(feats, np.array([0.0, 100.0]), threshold_s=1.0)
     for how in ("mean", "max"):
         pooled = pool_closed_neighborhood(Tensor(feats), g, how,
                                           np.arange(2)).data
@@ -189,13 +189,12 @@ def test_survivors_pooling_equals_pool_then_gather_bytes():
     def check(problem):
         sizes, positions, feats, upstream, window, how, cached = problem
         bounds = np.cumsum([0] + sizes)
-        rule = EdgeRule(window)
-        g = build_graph(feats, positions, bounds, rule)
+        g = build_graph(feats, positions, bounds, window)
         if cached:
-            g = VideoCache().graph(feats, positions, bounds, 1, rule,
+            g = VideoCache().graph(feats, positions, bounds, 1, window,
                                    lambda video: build_graph(
                                        video.features, video.positions_s,
-                                       rule=rule))
+                                       threshold_s=window))
         keep_idx, _ = subsample_plan(g, how)
         got = []
         for pool in (pool_closed_neighborhood, _pool_then_gather):

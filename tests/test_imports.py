@@ -6,7 +6,9 @@ evaluated annotation) or re-exports it through ``__all__``. A definition
 counts as used when its module exports it through ``__all__`` or some
 code of the package other than the definition itself names it. No module
 calls a ufunc's ``.at`` or ``isin``: per-segment reductions go through
-``ScatterPlan``.
+``ScatterPlan``. The pyramid's doubling law, ``2.0 ** (stage - 1)``, is
+written only in ``graph.stage_scale``, and the on-disk ``"<f4"`` row dtype
+only in ``graph``.
 """
 
 import ast
@@ -96,3 +98,39 @@ def side_path_reductions(tree: ast.Module) -> list[str]:
 def test_no_scatter_bypasses_the_segment_kernel(path):
     # a per-segment sum or max goes through ``ScatterPlan.scatter``
     assert side_path_reductions(ast.parse(path.read_text())) == []
+
+
+def stage_law_copies(tree: ast.Module) -> list[str]:
+    """Each power ``2 ** (x - 1)`` in ``tree`` outside a function named
+    ``stage_scale``, by line."""
+    inside = {id(n) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "stage_scale"
+              for n in ast.walk(f)}
+    return [f"{n.lineno}: {ast.unparse(n)}" for n in ast.walk(tree)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+            and isinstance(n.left, ast.Constant) and n.left.value == 2
+            and isinstance(n.right, ast.BinOp)
+            and isinstance(n.right.op, ast.Sub)
+            and isinstance(n.right.right, ast.Constant)
+            and n.right.right.value == 1 and id(n) not in inside]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_stage_law_is_written_once(path):
+    # connection windows, detection offsets and their targets all scale
+    # by ``graph.stage_scale``
+    assert stage_law_copies(ast.parse(path.read_text())) == []
+
+
+def test_stage_law_guard_sees_a_copy():
+    tree = ast.parse("def f(s):\n    return 2.0 ** (s - 1)\n"
+                     "def stage_scale(stage):\n    return 2.0 ** (stage - 1)\n")
+    assert stage_law_copies(tree) == ["2: 2.0 ** (s - 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_row_dtype_lives_in_graph(path):
+    # features and banks share ``graph.save_rows`` / ``graph.load_rows``
+    found = [n.lineno for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, ast.Constant) and n.value == "<f4"]
+    assert path.stem == "graph" or found == []

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tgk.autodiff import GradientTape, Tensor, backward, tsum
-from tgk.graph import EdgeRule, build_graph
+from tgk.graph import build_graph
 from tgk.layers import (
     LAYER_KINDS,
     GatParams,
@@ -38,7 +38,7 @@ def random_graph(rng, n=12, d=4, window=2.5, videos=2):
         np.sort(rng.uniform(0, 10, size=s)) for s in sizes
     ])
     feats = rng.normal(size=(bounds[-1], d))
-    return build_graph(feats, positions, bounds, rule=EdgeRule(threshold_s=window))
+    return build_graph(feats, positions, bounds, threshold_s=window)
 
 
 def oracle_graphs(rng, count):
@@ -47,7 +47,7 @@ def oracle_graphs(rng, count):
     for _ in range(count):
         yield random_graph(rng)
     g = build_graph(rng.normal(size=(5, 4)), np.arange(0.0, 50.0, 10.0),
-                    rule=EdgeRule(threshold_s=2.5))
+                    threshold_s=2.5)
     assert len(g.edges) == 0
     yield g
 
@@ -208,7 +208,7 @@ def test_sgcn_matches_dense_loop():
 def test_tdgc_no_neighbors_reduces_to_root_projection():
     rng = np.random.default_rng(6)
     feats = rng.normal(size=(5, 4))
-    g = build_graph(feats, np.arange(0.0, 50.0, 10.0), rule=EdgeRule(threshold_s=1.0))
+    g = build_graph(feats, np.arange(0.0, 50.0, 10.0), threshold_s=1.0)
     assert len(g.edges) == 0
     p = TdgcParams.init(rng, 4, 3)
     got = tdgc_forward(p, g, Tensor(feats)).data
@@ -231,8 +231,8 @@ def test_tdgc_sign_antisymmetric_under_time_reversal():
     rng = np.random.default_rng(8)
     feats = rng.normal(size=(8, 4))
     positions = np.sort(rng.uniform(0, 8, size=8))
-    g_fwd = build_graph(feats, positions, rule=EdgeRule(threshold_s=2.0))
-    g_rev = build_graph(feats, -positions, rule=EdgeRule(threshold_s=2.0))
+    g_fwd = build_graph(feats, positions, threshold_s=2.0)
+    g_rev = build_graph(feats, -positions, threshold_s=2.0)
     p = TdgcParams.init(rng, 4, 3)
     root = feats @ p.w_root.data + p.b_root.data
     out_fwd = tdgc_forward(p, g_fwd, Tensor(feats)).data
@@ -250,7 +250,7 @@ def test_tdgc_mirrored_neighbors_cancel():
     rng = np.random.default_rng(9)
     shared = rng.normal(size=4)
     feats = np.stack([shared, rng.normal(size=4), shared])
-    g = build_graph(feats, np.array([0.0, 1.0, 2.0]), rule=EdgeRule(threshold_s=1.5))
+    g = build_graph(feats, np.array([0.0, 1.0, 2.0]), threshold_s=1.5)
     p = TdgcParams.init(rng, 4, 3)
     out = tdgc_forward(p, g, Tensor(feats)).data
     root = feats @ p.w_root.data + p.b_root.data

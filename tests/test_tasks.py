@@ -7,19 +7,21 @@ Alignment and decoding are checked against direct per-interval loops.
 import numpy as np
 import pytest
 
-from tgk.autodiff import GradientTape, Tensor, backward, tsum
-from tgk.graph import EdgeRule, TemporalGraph, build_graph
+from tgk.autodiff import (
+    GradientTape, Tensor, backward, gather_rows, mul, segment_mean, tsum,
+)
+from tgk.graph import TemporalGraph, build_graph
 from tgk.optim import finite_diff_check
 from tgk.tasks import (
     LtaParams,
     MlpParams,
     MqParams,
     ScorerParams,
-    align_intervals,
     align_video_intervals,
     bce_with_logits,
     diou_loss,
     focal_loss,
+    interval_nodes,
     lta_candidates,
     lta_forward,
     mlp_forward,
@@ -65,10 +67,16 @@ def test_classifier_and_scorer_shapes_and_oracle():
 # ---------------------------------------------------------------------------
 
 
+def align_one_video(x, positions, intervals):
+    """``align_video_intervals`` on a one-video graph over ``positions``."""
+    g = build_graph(np.zeros((len(positions), 1)), positions)
+    return align_video_intervals(x, g, 0, intervals)
+
+
 def test_align_intervals_strict_membership_mean():
     positions = np.array([0.5, 1.5, 2.5, 3.5])
     x = np.arange(8.0).reshape(4, 2)
-    pooled, fallback = align_intervals(Tensor(x), positions,
+    pooled, fallback = align_one_video(Tensor(x), positions,
                                        np.array([[1.0, 3.0], [0.0, 4.0]]))
     # (1, 3) admits nodes at 1.5 and 2.5 only; boundaries are exclusive
     assert np.allclose(pooled.data[0], x[[1, 2]].mean(axis=0), atol=1e-12)
@@ -79,7 +87,7 @@ def test_align_intervals_strict_membership_mean():
 def test_align_intervals_boundary_nodes_excluded():
     positions = np.array([1.0, 2.0, 3.0])
     x = np.eye(3)
-    pooled, fallback = align_intervals(Tensor(x), positions, np.array([[1.0, 3.0]]))
+    pooled, fallback = align_one_video(Tensor(x), positions, np.array([[1.0, 3.0]]))
     assert np.array_equal(pooled.data[0], x[1])
     assert not fallback[0]
 
@@ -87,7 +95,7 @@ def test_align_intervals_boundary_nodes_excluded():
 def test_align_intervals_empty_falls_back_to_nearest():
     positions = np.array([0.0, 10.0, 20.0])
     x = np.diag([1.0, 2.0, 3.0])
-    pooled, fallback = align_intervals(Tensor(x), positions,
+    pooled, fallback = align_one_video(Tensor(x), positions,
                                        np.array([[11.0, 13.0], [-0.5, 9.0]]))
     # (11, 13) captures nothing; midpoint 12 is nearest node 1
     assert np.array_equal(pooled.data[0], x[1])
@@ -100,7 +108,7 @@ def test_align_intervals_gradient_splits_evenly():
     positions = np.array([0.5, 1.5, 2.5])
     x = Tensor(np.zeros((3, 2)), requires_grad=True)
     with GradientTape() as tape:
-        pooled, _ = align_intervals(x, positions, np.array([[0.0, 3.0]]))
+        pooled, _ = align_one_video(x, positions, np.array([[0.0, 3.0]]))
         loss = tsum(pooled)
     backward(tape, loss, [x])
     assert np.allclose(x.grad, np.full((3, 2), 1.0 / 3.0), atol=1e-12)
@@ -113,6 +121,49 @@ def test_align_video_intervals_uses_only_that_video():
     g = build_graph(feats, positions, bounds)
     pooled, _ = align_video_intervals(Tensor(feats), g, 1, np.array([[0.0, 2.0]]))
     assert np.allclose(pooled.data[0], feats[2:].mean(axis=0), atol=1e-12)
+
+
+def two_gather_alignment(x, g, video, intervals):
+    """The former alignment: an identity gather of the video's rows, then
+    a gather of the covered nodes and a segment mean."""
+    sl = g.video_slice(video)
+    rows = gather_rows(x, np.arange(sl.start, sl.stop, dtype=np.intp))
+    nodes, ids, fallback = interval_nodes(g.positions_s[sl], intervals)
+    return segment_mean(gather_rows(rows, nodes), ids, len(fallback)), fallback
+
+
+def test_one_gather_alignment_matches_two_gathers_bytewise():
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        sizes = rng.integers(1, 9, size=rng.integers(1, 4))
+        bounds = np.cumsum(np.concatenate([[0], sizes]))
+        positions = np.concatenate([np.sort(rng.uniform(0.0, 12.0, size=n))
+                                    for n in sizes])
+        g = build_graph(np.zeros((bounds[-1], 1)), positions, bounds)
+        video = int(rng.integers(len(sizes)))
+        pos = g.positions_s[g.video_slice(video)]
+        starts = rng.uniform(-2.0, 14.0, size=rng.integers(1, 6))
+        intervals = np.stack([starts, starts + rng.uniform(0.0, 6.0,
+                                                           len(starts))], 1)
+        # a repeat, then three that capture no node and fall back: one
+        # just past the first node, a zero-length one, one past the end
+        gap = pos[0] + 1e-9
+        intervals = np.concatenate([intervals, intervals[:1],
+                                    [[gap, gap + 1e-12], [pos[0], pos[0]],
+                                     [pos[-1] + 5.0, pos[-1] + 6.0]]])
+        feats = rng.normal(size=(bounds[-1], 3))
+        upstream = rng.normal(size=(len(intervals), 3))
+        results = []
+        for align in (align_video_intervals, two_gather_alignment):
+            x = Tensor(feats, requires_grad=True)
+            with GradientTape() as tape:
+                pooled, fallback = align(x, g, video, intervals)
+                loss = tsum(mul(pooled, Tensor(upstream)))
+            backward(tape, loss, [x])
+            results.append((pooled.data.tobytes(), fallback.tobytes(),
+                            x.grad.tobytes()))
+        assert results[0] == results[1]
+        assert fallback[-3:].all()
 
 
 # ---------------------------------------------------------------------------

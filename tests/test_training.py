@@ -18,7 +18,7 @@ import pytest
 from tgk import ablation, metrics, optim, training
 from tgk.autodiff import GradientTape, Tensor, add, backward, mul, tsum
 from tgk.cli import _write_metrics
-from tgk.graph import EdgeRule, VideoCache, build_graph
+from tgk.graph import VideoCache, build_graph
 from tgk.hierarchy import BackboneConfig
 from tgk.synth import (
     Event,
@@ -83,7 +83,7 @@ def corpus_loss(model, videos, task):
     """Summed task loss over one batch holding every given video."""
     view = AnnotationView([task], model.world.lta_steps)
     branch = model.branches[task]
-    graph = build_batch_graph(videos, model.backbone_cfg.edge_rule)
+    graph = build_batch_graph(videos, model.backbone_cfg.threshold_s)
     stages = model.forward_backbone(graph)
     necked = [neck_forward(branch.neck, s.features) for s in stages]
     return float(task_loss(branch, necked, stages, videos, view,
@@ -173,7 +173,7 @@ def test_view_rejects_unknown_task():
 
 def test_batch_graph_concatenates_videos():
     vids = tiny_dataset().train[:3]
-    g = build_batch_graph(vids, EdgeRule(2.0))
+    g = build_batch_graph(vids, 2.0)
     assert np.array_equal(g.features,
                           np.concatenate([v.features for v in vids]))
     assert np.array_equal(g.positions_s,
@@ -187,14 +187,14 @@ def test_batch_graph_keeps_videos_disconnected():
     # video and the first node of the next are within the time window;
     # only the boundary bookkeeping keeps them apart
     vids = tiny_dataset().train[:3]
-    g = build_batch_graph(vids, EdgeRule(2.0))
+    g = build_batch_graph(vids, 2.0)
     owner = np.repeat(np.arange(3), 16)
     assert len(g.edges) > 0
     assert np.array_equal(owner[g.edges[:, 0]], owner[g.edges[:, 1]])
     # per-video edge sets match graphs built in isolation
     for vi, v in enumerate(vids):
         solo = build_graph(v.features, v.positions_s, [0, 16],
-                           rule=EdgeRule(2.0), stage=1)
+                           threshold_s=2.0, stage=1)
         sel = g.edges[owner[g.edges[:, 0]] == vi] - 16 * vi
         assert np.array_equal(np.sort(sel, axis=0), np.sort(solo.edges, axis=0))
 
@@ -244,7 +244,7 @@ def test_every_task_loss_is_finite_and_differentiable():
     batch = [v for v in ds.train if len(pnr_annotations(v)[0]) > 0][:2]
     assert len(batch) == 2
     view = AnnotationView(tasks, world.lta_steps)
-    graph = build_batch_graph(batch, cfg.edge_rule)
+    graph = build_batch_graph(batch, cfg.threshold_s)
     for task in tasks:
         branch = model.branches[task]
         with GradientTape() as tape:
@@ -275,7 +275,7 @@ def test_detection_loss_records_do_not_grow_with_the_batch(task):
 
     def loss_records(batch):
         stages = model.forward_backbone(
-            build_batch_graph(batch, cfg.edge_rule))
+            build_batch_graph(batch, cfg.threshold_s))
         necked = [neck_forward(branch.neck, s.features) for s in stages]
         with GradientTape() as tape:
             loss = task_loss(branch, necked, stages, batch, view, world)
@@ -328,8 +328,8 @@ def test_detection_targets_compile_once_per_video_and_stage(monkeypatch):
 # kept verbatim as oracles for ``interval_nodes`` and its two pnr readers.
 
 def _loop_align_nodes(positions_s, intervals):
-    """``align_intervals``' per-interval loop, returning the members it
-    pooled over instead of pooling them."""
+    """The former interval alignment's per-interval loop, returning the
+    members it pooled over instead of pooling them."""
     intervals = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
     m = intervals.shape[0]
     member_nodes: list[np.ndarray] = []
@@ -468,7 +468,7 @@ def test_keyframe_loss_is_zero_without_state_changes():
     model = MultiTaskModel.init(rng, ["pnr"], world, cfg)
     branch = model.branches["pnr"]
     view = AnnotationView(["pnr"], world.lta_steps)
-    graph = build_batch_graph([video], cfg.edge_rule)
+    graph = build_batch_graph([video], cfg.threshold_s)
     stages = model.forward_backbone(graph)
     necked = [neck_forward(branch.neck, s.features) for s in stages]
     loss = task_loss(branch, necked, stages, [video], view, world)
@@ -689,7 +689,7 @@ def test_prototype_banks_group_projected_features_by_label():
     rows = {t: [] for t in banks}
     keys = []
     for video in ds.train:
-        graph = build_batch_graph([video], model.backbone_cfg.edge_rule)
+        graph = build_batch_graph([video], model.backbone_cfg.threshold_s)
         stages = model.forward_backbone(graph)
         ivals, verbs, nouns = ar_annotations(video)
         aligned, _ = align_video_intervals(
@@ -768,7 +768,7 @@ def test_novel_gradients_bypass_support_branches():
     # equal exactly half of those through the plain novel neck
     model, novel = novel_run()
     video = tiny_dataset().train[0]
-    graph = build_batch_graph([video], model.backbone_cfg.edge_rule)
+    graph = build_batch_graph([video], model.backbone_cfg.threshold_s)
     rng = np.random.default_rng(7)
     weights = None
     leaves = model.backbone.params()
@@ -802,7 +802,7 @@ def test_novel_gradients_bypass_support_branches():
 def test_novel_interaction_weights_receive_gradient():
     model, novel = novel_run()
     video = tiny_dataset().train[0]
-    graph = build_batch_graph([video], model.backbone_cfg.edge_rule)
+    graph = build_batch_graph([video], model.backbone_cfg.threshold_s)
     inter = [p for ip in novel.interactions.values() for p in ip.params()]
     with GradientTape() as tape:
         stages = model.forward_backbone(graph)
@@ -916,7 +916,7 @@ def test_evaluate_takes_one_transfer_arm():
 def test_tdgc_layer_with_gate_and_sign_emits_seven_records():
     from tgk.layers import TdgcParams, tdgc_forward
     ds = tiny_dataset()
-    g = build_batch_graph(ds.train[:2], EdgeRule())
+    g = build_batch_graph(ds.train[:2], 2.0)
     p = TdgcParams.init(np.random.default_rng(0), g.features.shape[1], 8)
     with GradientTape() as tape:
         tdgc_forward(p, g, Tensor(g.features))
