@@ -298,14 +298,20 @@ def save_rows(path: str | Path, rows: np.ndarray, count_key: str,
 def load_rows(path: str | Path, count_key: str, *keys: str
               ) -> tuple[np.ndarray, dict]:
     """Rows saved by ``save_rows`` as float64, and their sidecar. A sidecar
-    that lacks ``count_key``, ``dim`` or one of ``keys``, or a ``.bin``
-    whose length disagrees with it, raises ValueError naming the file."""
+    that lacks ``count_key``, ``dim`` or one of ``keys``, whose count or
+    ``dim`` is not a non-negative int, or a ``.bin`` whose length disagrees
+    with it, raises ValueError naming the file."""
     path = Path(path)
     sidecar_path = path.with_suffix(".json")
     sidecar = json.loads(sidecar_path.read_text())
     for key in (count_key, "dim", *keys):
         if key not in sidecar:
             raise ValueError(f"{sidecar_path}: missing key {key}")
+    for key in (count_key, "dim"):
+        # bool is an int subclass, and 3.0 passes the length check
+        if type(sidecar[key]) is not int or sidecar[key] < 0:
+            raise ValueError(f"{sidecar_path}: {key} must be a non-negative "
+                             f"integer, got {sidecar[key]!r}")
     n, d = sidecar[count_key], sidecar["dim"]
     raw = path.with_suffix(".bin").read_bytes()
     if len(raw) != n * d * 4:

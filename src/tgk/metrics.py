@@ -70,50 +70,72 @@ def iou_1d(a, b) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two interval sets, shape (len(a), len(b))."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 2)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 2)
-    inter = np.maximum(0.0, np.minimum(a[:, None, 1], b[None, :, 1])
-                       - np.maximum(a[:, None, 0], b[None, :, 0]))
-    union = ((a[:, 1] - a[:, 0])[:, None] + (b[:, 1] - b[:, 0])[None, :] - inter)
+def _iou(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
+    """IoU of intervals a and b, elementwise over the broadcast shape of
+    their bounds; degenerate unions score 0."""
+    inter = np.maximum(0.0, np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo))
+    union = (a_hi - a_lo) + (b_hi - b_lo) - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0)
     return out
 
 
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU between two interval sets, shape (len(a), len(b))."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 2)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 2)
+    return _iou(a[:, None, 0], a[:, None, 1], b[None, :, 0], b[None, :, 1])
+
+
 def soft_nms(intervals: np.ndarray, scores: np.ndarray, sigma: float = 2.0,
-             floor: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian soft suppression over one group of candidate intervals.
+             floor: float = 1e-3, groups=None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian soft suppression within each group of candidate intervals.
 
-    Repeatedly picks the best remaining candidate (score desc, then start
-    asc, then input order) and decays every other candidate's score by
-    exp(-iou^2 / sigma) against the pick. Candidates whose decayed score
-    falls below ``floor`` are discarded. Returns (kept input indices,
-    decayed scores) in pick order.
+    ``groups`` gives every row an integer key; None makes one group. In
+    each group, repeatedly picks the best remaining candidate (score desc,
+    then start asc, then input order) and decays every other candidate's
+    score by exp(-iou^2 / sigma) against the pick. Candidates whose
+    decayed score falls below ``floor`` are discarded. Returns (kept input
+    indices, decayed scores), group by group in ascending key order, each
+    group in pick order.
 
-    The decay of every pair comes from one IoU matrix. Survivors stay
-    sorted by start (ties in input order), so the first highest score
-    among them is the pick.
+    Every group is suppressed at once: the survivors are laid out as
+    padded rows, one per group, sorted by start (ties in input order), so
+    each row's first highest score is its group's pick, and the pick's
+    decay row is computed against its own row only.
     """
     intervals = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
     scores = np.asarray(scores, dtype=np.float64)
-    ov = iou_matrix(intervals, intervals)
-    decay = np.exp(-(ov * ov) / sigma)
-    rank = np.argsort(intervals[:, 0], kind="stable")
-    alive = rank[scores[rank] >= floor]
-    live = scores[alive]  # the survivors' decayed scores
-    kept_idx, kept_score = [], []
-    while len(alive):
-        pos = int(np.argmax(live))
-        best = alive[pos]
-        kept_idx.append(best)
-        kept_score.append(live[pos])
-        live = live * decay[best, alive]
-        keep = live >= floor
-        keep[pos] = False
-        alive, live = alive[keep], live[keep]
-    return np.asarray(kept_idx, dtype=np.intp), np.asarray(kept_score)
+    key = (np.zeros(len(scores), np.intp) if groups is None
+           else np.asarray(groups))
+    order = np.lexsort((intervals[:, 0], key))
+    order = order[scores[order] >= floor]
+    _, first, size = np.unique(key[order], return_index=True,
+                               return_counts=True)
+    # slot[g, j]: input index of group g's j-th survivor, -1 past its end
+    slot = np.full((len(size), size.max(initial=0)), -1, dtype=np.intp)
+    slot[np.repeat(np.arange(len(size)), size),
+         np.arange(len(order)) - np.repeat(first, size)] = order
+    alive = slot >= 0
+    lo, hi = intervals[slot, 0], intervals[slot, 1]
+    live = np.where(alive, scores[slot], 0.0)  # the decayed scores
+    group = np.arange(len(size))
+    picks = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    while len(group):
+        pos = np.where(alive, live, -np.inf).argmax(axis=1)
+        at = np.arange(len(group))
+        picks.append((group, slot[at, pos], live[at, pos]))
+        ov = _iou(lo[at, pos, None], hi[at, pos, None], lo, hi)
+        live = live * np.exp(-(ov * ov) / sigma)
+        alive &= live >= floor
+        alive[at, pos] = False
+        go = alive.any(axis=1)
+        group, slot, lo, hi, live, alive = (
+            a[go] for a in (group, slot, lo, hi, live, alive))
+    group, kept, decayed = (np.concatenate(parts) for parts in zip(*picks))
+    by_group = np.argsort(group, kind="stable")
+    return kept[by_group], decayed[by_group]
 
 
 def _detection_inputs(det_intervals, det_scores, det_classes, det_videos,

@@ -777,15 +777,9 @@ def _predict_video(task: str, branch: TaskBranch, feats: list[Tensor],
             cands.append(mq_decode(
                 stage_out.graph.positions_s, scores.data, offsets.data,
                 (0.0, video.duration_s), cfg.mq_min_score))
-        iv, sc, cl = (np.concatenate(parts) for parts in zip(*cands))
-        picks, decayed = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-        for cls in np.unique(cl):
-            sel = np.nonzero(cl == cls)[0]
-            keep, scores = soft_nms(iv[sel], sc[sel])
-            picks.append(sel[keep])
-            decayed.append(scores)
-        picks = np.concatenate(picks)
-        return ivals, cats, (iv[picks], np.concatenate(decayed), cl[picks])
+        # unsuppressed: _score suppresses every video's candidates at once
+        return ivals, cats, tuple(np.concatenate(parts)
+                                  for parts in zip(*cands))
     if task == "lta":
         anchor, verbs, nouns = view.annotations(video, "lta")
         if len(verbs) == 0 or anchor[1] <= 0:
@@ -833,6 +827,11 @@ def _score(task: str, records: list) -> dict:
         det_v = np.repeat(codes, [len(s) for s in det_s[1:]])
         det_i, det_s, det_c, gt_i, gt_c = (
             np.concatenate(parts) for parts in (det_i, det_s, det_c, gt_i, gt_c))
+        # one suppression over every (video, class) group; detections come
+        # out by video, then class, then pick order
+        keep, det_s = soft_nms(det_i, det_s, groups=det_v * (
+            det_c.max(initial=0) + 1) + det_c)
+        det_i, det_c, det_v = det_i[keep], det_c[keep], det_v[keep]
         result = map_at_iou(det_i, det_s, det_c, det_v, gt_i, gt_c, gt_v)
         return {
             "map_avg": result["mean"],

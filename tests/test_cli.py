@@ -482,6 +482,19 @@ def test_train_novel_rejects_bank_without_dim(tmp_path):
                              f"{protos}: {index}: missing key dim")
 
 
+def test_train_novel_rejects_bank_with_float_dim(tmp_path):
+    protos = copied_banks(tmp_path)
+    index = protos / "prototypes" / "ar.json"
+    raw = json.loads(index.read_text())
+    raw["dim"] = float(raw["dim"])
+    index.write_text(json.dumps(raw))
+    run = tmp_path / "run"
+    assert_exits_in_one_line(
+        egopack_argv(protos, run), run,
+        f"{protos}: {index}: dim must be a non-negative integer, "
+        f"got {raw['dim']!r}")
+
+
 def test_train_novel_rejects_non_positive_video_count(tmp_path):
     ws = workspace()
     run = tmp_path / "run"

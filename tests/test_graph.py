@@ -341,6 +341,20 @@ def test_row_file_roundtrip(tmp_path):
     assert np.array_equal(loaded, rows.astype(np.float32).astype(np.float64))
 
 
+@pytest.mark.parametrize("key,value", [("dim", 3.0), ("num_rows", -5),
+                                       ("dim", True), ("num_rows", "5")])
+def test_load_rows_names_count_or_dim_that_is_no_count(tmp_path, key, value):
+    save_rows(tmp_path / "rows", np.zeros((5, 3)), "num_rows")
+    sidecar = tmp_path / "rows.json"
+    raw = json.loads(sidecar.read_text())
+    raw[key] = value
+    sidecar.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(sidecar))}: {key} must be a non-negative "
+            f"integer, got {re.escape(repr(value))}$")):
+        load_rows(tmp_path / "rows", "num_rows")
+
+
 @pytest.mark.parametrize("key", ["num_segments", "dim", "segment_midpoints_s",
                                  "video_id"])
 def test_load_features_names_missing_sidecar_key(tmp_path, key):

@@ -567,6 +567,48 @@ def test_soft_nms_equals_loop_bytes():
     check()
 
 
+def test_soft_nms_groups_equal_per_group_loop_bytes():
+    given, settings, st = strategies()
+
+    @st.composite
+    def grouped(draw):
+        """Rows of up to 5 groups of 1 to 40 rows each, under distinct
+        unsorted keys with gaps, interleaved in input order."""
+        keys = draw(st.lists(st.integers(-50, 50), max_size=5, unique=True))
+        sizes = [draw(st.integers(1, 40)) for _ in keys]
+        n = sum(sizes)
+        rows, scores = draw(interval_lists(st, n)), draw(score_lists(st, n))
+        order = draw(st.permutations(range(n)))
+        groups = np.repeat(np.array(keys, dtype=int), sizes)[list(order)]
+        return (as_intervals(rows), np.array(scores, dtype=np.float64),
+                groups)
+
+    @settings
+    @given(grouped(), st.sampled_from((2.0, 0.5, 0.05)),
+           st.sampled_from((1e-3, 0.3)))
+    def check(problem, sigma, floor):
+        intervals, scores, groups = problem
+        kept, decayed = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+        for key in np.unique(groups):
+            sel = np.nonzero(groups == key)[0]
+            idx, sc = soft_nms_loop(intervals[sel], scores[sel], sigma, floor)
+            kept.append(sel[idx])
+            decayed.append(sc)
+        assert same_arrays(
+            soft_nms(intervals, scores, sigma, floor, groups=groups),
+            (np.concatenate(kept), np.concatenate(decayed)))
+        assert same_arrays(
+            soft_nms(intervals, scores, sigma, floor),
+            soft_nms(intervals, scores, sigma, floor,
+                     groups=np.full(len(scores), 7)))
+
+    check()
+    idx, sc = soft_nms(np.empty((0, 2)), np.empty(0),
+                       groups=np.empty(0, dtype=int))
+    assert (idx.dtype, idx.shape, sc.dtype, sc.shape) == (
+        np.intp, (0,), np.float64, (0,))
+
+
 def test_map_at_iou_equals_loop_exactly():
     given, settings, st = strategies()
 

@@ -9,6 +9,7 @@ gradients cannot reach the backbone through an interaction branch.
 """
 
 import copy
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -630,10 +631,34 @@ def test_mq_evaluation_builds_one_iou_matrix_per_group(monkeypatch):
     evaluate(model, videos, small_cfg())
     assert calls["soft_nms"] > 0
     assert calls["iou_1d"] == 0
-    # one per soft-NMS group, one per (class, video) pair in mAP and one
-    # in recall, for each of recall@1 and recall@5
+    # none in soft-NMS, one per (class, video) pair in mAP and one in
+    # recall, for each of recall@1 and recall@5
     pairs = len(videos) * model.world.mq_classes
-    assert calls["iou_matrix"] <= calls["soft_nms"] + 3 * pairs
+    assert calls["iou_matrix"] <= 3 * pairs
+
+
+def test_mq_evaluation_suppresses_every_group_in_one_call(monkeypatch):
+    model = trained("mq")
+    videos = tiny_dataset().val
+    assert len(videos) >= 3
+    calls = []
+    real = training.soft_nms
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("groups"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "soft_nms", counting)
+    evaluate(model, videos, small_cfg())
+    assert len(calls) == 1 and len(np.unique(calls[0])) > len(videos)
+    # no candidate survives decoding: the metrics of no detections
+    calls.clear()
+    out = evaluate(model, videos,
+                   dataclasses.replace(small_cfg(), mq_min_score=2.0))
+    assert len(calls) == 1 and len(calls[0]) == 0
+    assert out == {"mq": {"map_avg": 0.0, "map@0.1": 0.0, "map@0.2": 0.0,
+                          "map@0.3": 0.0, "map@0.4": 0.0, "map@0.5": 0.0,
+                          "recall@1_iou0.5": 0.0, "recall@5_iou0.5": 0.0}}
 
 
 def test_each_task_necks_only_the_stages_it_reads(monkeypatch):
