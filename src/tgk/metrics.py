@@ -138,49 +138,61 @@ def soft_nms(intervals: np.ndarray, scores: np.ndarray, sigma: float = 2.0,
     return kept[by_group], decayed[by_group]
 
 
+def _same_length(**arrays) -> None:
+    """Raise ValueError naming the first array whose length is not the
+    first array's."""
+    (first, n), *rest = ((name, len(a)) for name, a in arrays.items())
+    for name, m in rest:
+        if m != n:
+            raise ValueError(f"{name} has {m} rows, {first} has {n}")
+
+
 def _detection_inputs(det_intervals, det_scores, det_classes, det_videos,
                       gt_intervals, gt_classes, gt_videos):
     """Detections and ground truth as arrays: intervals (K, 2) float,
     scores float, classes int, and video ids as integer codes, equal ids
-    sharing one code; a ground truth video without detections gets -1."""
-    names, det_vid = np.unique(np.asarray(det_videos), return_inverse=True)
+    sharing one code; a ground truth video without detections gets -1.
+
+    Raises ValueError naming the array when the detection arrays or the
+    ground truth arrays differ in length, or when a score is not finite.
+    """
+    det_intervals = np.asarray(det_intervals, dtype=np.float64).reshape(-1, 2)
+    det_scores = np.asarray(det_scores, dtype=np.float64)
+    det_classes = np.asarray(det_classes, dtype=np.intp)
+    det_videos = np.asarray(det_videos)
+    gt_intervals = np.asarray(gt_intervals, dtype=np.float64).reshape(-1, 2)
+    gt_classes = np.asarray(gt_classes, dtype=np.intp)
+    gt_videos = np.asarray(gt_videos)
+    _same_length(det_intervals=det_intervals, det_scores=det_scores,
+                 det_classes=det_classes, det_videos=det_videos)
+    _same_length(gt_intervals=gt_intervals, gt_classes=gt_classes,
+                 gt_videos=gt_videos)
+    bad = np.flatnonzero(~np.isfinite(det_scores))
+    if len(bad):
+        raise ValueError(f"det_scores[{bad[0]}] is {det_scores[bad[0]]}, "
+                         "not finite")
+    names, det_vid = np.unique(det_videos, return_inverse=True)
     code = {v: i for i, v in enumerate(names.tolist())}
-    gt_names, gt_inv = np.unique(np.asarray(gt_videos), return_inverse=True)
+    gt_names, gt_inv = np.unique(gt_videos, return_inverse=True)
     gt_codes = np.array([code.get(v, -1) for v in gt_names.tolist()],
                         dtype=np.intp)
-    return (np.asarray(det_intervals, dtype=np.float64).reshape(-1, 2),
-            np.asarray(det_scores, dtype=np.float64),
-            np.asarray(det_classes, dtype=np.intp), det_vid,
-            np.asarray(gt_intervals, dtype=np.float64).reshape(-1, 2),
-            np.asarray(gt_classes, dtype=np.intp), gt_codes[gt_inv])
+    return (det_intervals, det_scores, det_classes, det_vid, gt_intervals,
+            gt_classes, gt_codes[gt_inv])
 
 
-def _greedy_hits(ious: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Greedy matching of ranked detections (rows of ``ious``) to one
-    video's ground truth (columns) at every threshold at once.
-
-    Each detection claims the unclaimed ground truth of highest IoU (the
-    first on ties) when that IoU reaches the threshold. Returns (T, rows)
-    hits as 0/1 floats.
-    """
-    t = np.arange(len(thresholds))
-    claimed = np.zeros((len(thresholds), ious.shape[1]), dtype=bool)
-    hits = np.zeros((len(thresholds), len(ious)))
-    # a row whose best IoU misses every threshold claims nothing
-    reach = ious.max(axis=1) >= thresholds.min(initial=np.inf)
-    for j in np.nonzero(reach)[0]:
-        row = ious[j]
-        masked = np.where(claimed, -1.0, row)
-        best = masked.argmax(axis=1)
-        hit = masked[t, best] >= thresholds
-        claimed[t[hit], best[hit]] = True
-        hits[:, j] = hit
-    return hits
+def _slots(group: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's position among the earlier rows of its group, for groups
+    0..n-1, and each group's row count."""
+    counts = np.bincount(group, minlength=n)
+    slot = np.empty(len(group), dtype=np.intp)
+    slot[np.argsort(group, kind="stable")] = (
+        np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts))
+    return slot, counts
 
 
-def _envelope_ap(tp: np.ndarray, n_gt: int) -> np.ndarray:
-    """All-point interpolated AP per row of ranked 0/1 hits: the precision
-    envelope integrated over recall."""
+def _envelope_ap(tp: np.ndarray, n_gt: np.ndarray) -> np.ndarray:
+    """All-point interpolated AP per row of ranked 0/1 hits, over n_gt
+    ground truths per row: the precision envelope integrated over recall."""
     cum_tp = np.cumsum(tp, axis=1)
     recall = cum_tp / n_gt
     precision = cum_tp / np.arange(1, tp.shape[1] + 1)
@@ -205,31 +217,58 @@ def map_at_iou(det_intervals, det_scores, det_classes, det_videos,
 
     AP per class pools videos: all detections of the class are ranked
     together by descending score (ties keep input order), and each greedily
-    claims ground truth in its own video only (see ``_greedy_hits``).
+    claims the unclaimed ground truth of highest IoU in its own video (the
+    first on ties) when that IoU reaches the threshold. All (class, video)
+    pairs are matched at once on one padded (pair, row, gt) IoU block, one
+    row position per iteration.
     """
     (det_intervals, det_scores, det_classes, det_vid, gt_intervals,
      gt_classes, gt_vid) = _detection_inputs(
         det_intervals, det_scores, det_classes, det_videos, gt_intervals,
         gt_classes, gt_videos)
     thr = np.asarray(thresholds, dtype=np.float64)
-    classes = sorted(set(gt_classes.tolist()))
-    aps = np.zeros((len(thr), len(classes)))
-    for c, cls in enumerate(classes):
-        sel = np.nonzero(det_classes == cls)[0]
-        if len(sel) == 0:
-            continue
-        order = sel[np.argsort(-det_scores[sel], kind="stable")]
-        ranked_vid = det_vid[order]
-        gt_sel = np.nonzero(gt_classes == cls)[0]
-        tp = np.zeros((len(thr), len(order)))
-        for v in np.unique(gt_vid[gt_sel]):
-            ranks = np.nonzero(ranked_vid == v)[0]
-            if len(ranks):
-                ious = iou_matrix(det_intervals[order[ranks]],
-                                  gt_intervals[gt_sel[gt_vid[gt_sel] == v]])
-                tp[:, ranks] = _greedy_hits(ious, thr)
-        aps[:, c] = _envelope_ap(tp, len(gt_sel))
-    per_thr = {float(t): 100.0 * float(np.mean(row)) if classes else 0.0
+    classes, cls = np.unique(np.concatenate([gt_classes, det_classes]),
+                             return_inverse=True)
+    gt_cls, det_cls = cls[:len(gt_classes)], cls[len(gt_classes):]
+    # ranked by class, then descending score, ties in input order
+    order = np.lexsort((-det_scores, det_cls))
+    rank, per_class = _slots(det_cls[order], len(classes))
+    # padded detections and ground truth per (class, video) pair with both
+    n_vid = det_vid.max(initial=-1) + 1
+    seen = gt_vid >= 0
+    pairs, gt_pair = np.unique(gt_cls[seen] * n_vid + gt_vid[seen],
+                               return_inverse=True)
+    key = (det_cls * n_vid + det_vid)[order]
+    pair = np.searchsorted(pairs, key)
+    mine = np.append(pairs, -1)[pair] == key  # no key is -1
+    pair = pair[mine]
+    row, per_pair = _slots(pair, len(pairs))
+    col, gt_per_pair = _slots(gt_pair, len(pairs))
+    d = np.zeros((len(pairs), per_pair.max(initial=0), 2))
+    d[pair, row] = det_intervals[order[mine]]
+    g = np.zeros((len(pairs), gt_per_pair.max(initial=0), 2))
+    g[gt_pair, col] = gt_intervals[seen]
+    ious = _iou(d[:, :, None, 0], d[:, :, None, 1],
+                g[:, None, :, 0], g[:, None, :, 1])
+    # a pad gt column starts claimed, so it reads -1 as a claimed one does
+    claimed = np.repeat(np.arange(g.shape[1]) >= gt_per_pair[:, None, None],
+                        len(thr), axis=1)
+    first_col = g.shape[1] * np.arange(len(pairs) * len(thr)).reshape(
+        len(pairs), len(thr))
+    hits = np.zeros((len(pairs), d.shape[1], len(thr)))
+    for j in range(d.shape[1]):
+        masked = np.where(claimed, -1.0, ious[:, j, None, :])
+        best = first_col + masked.argmax(axis=2)
+        hit = np.take(masked, best) >= thr
+        np.put(claimed, best[hit], True)
+        hits[:, j] = hit
+    tp = np.zeros((len(thr), len(classes), per_class.max(initial=1)))
+    tp[:, det_cls[order[mine]], rank[mine]] = hits[pair, row].T
+    scored = np.unique(gt_cls)
+    n_gt = np.bincount(gt_cls)[scored, None]
+    # a threshold at a time: the envelope's temporaries are (classes, rows)
+    aps = [_envelope_ap(tp_t[scored], n_gt) for tp_t in tp]
+    per_thr = {float(t): 100.0 * float(np.mean(row)) if len(scored) else 0.0
                for t, row in zip(thr, aps)}
     return {"per_threshold": per_thr,
             "mean": float(np.mean(list(per_thr.values()))) if per_thr else 0.0}
@@ -237,13 +276,18 @@ def map_at_iou(det_intervals, det_scores, det_classes, det_videos,
 
 def recall_at_k(det_intervals, det_scores, det_classes, det_videos,
                 gt_intervals, gt_classes, gt_videos,
-                k: int, iou_thr: float = 0.5) -> float:
-    """Percentage of ground truths hit by a top-k prediction.
+                ks=(1, 5), iou_thr: float = 0.5) -> dict:
+    """{k: percentage of ground truths hit by a top-k prediction} for
+    every k in ``ks``.
 
-    Detections are grouped per (video, class) and cut to the k highest
-    scores (ties keep input order); a ground truth counts as recalled when
-    any of those overlaps it with IoU >= iou_thr.
+    Detections are grouped per (video, class) and ranked by descending
+    score (ties keep input order); a ground truth counts as recalled at k
+    when one of its group's first k detections overlaps it with IoU >=
+    iou_thr, so one pass finds each ground truth's first hitting rank.
     """
+    for k in ks:
+        if k < 0:
+            raise ValueError(f"recall_at_k: k must be >= 0, got k={k}")
     (det_intervals, det_scores, det_classes, det_vid, gt_intervals,
      gt_classes, gt_vid) = _detection_inputs(
         det_intervals, det_scores, det_classes, det_videos, gt_intervals,
@@ -257,14 +301,17 @@ def recall_at_k(det_intervals, det_scores, det_classes, det_videos,
                       gt_vid * len(classes) + cls[len(det_classes):], -1)
     # grouped by key, then by descending score, ties in input order
     order = np.lexsort((-det_scores, det_key))
-    sorted_key = det_key[order]
-    recalled = 0
-    for key in np.unique(gt_key[gt_key >= 0]):
-        lo = int(np.searchsorted(sorted_key, key, side="left"))
-        hi = int(np.searchsorted(sorted_key, key, side="right"))
-        if hi > lo:
-            top = order[lo:hi][:k]
-            ious = iou_matrix(gt_intervals[gt_key == key], det_intervals[top])
-            recalled += int((ious >= iou_thr).any(axis=1).sum())
+    lo, hi = (np.searchsorted(det_key[order], gt_key, side=side)
+              for side in ("left", "right"))
+    most = max(ks, default=0)
+    depth = min(most, int((hi - lo).max(initial=0)))
+    pos = lo[:, None] + np.arange(depth)
+    top = order[np.where(pos < hi[:, None], pos, 0)]
+    hit = (pos < hi[:, None]) & (
+        _iou(gt_intervals[:, None, 0], gt_intervals[:, None, 1],
+             det_intervals[top, 0], det_intervals[top, 1]) >= iou_thr)
+    # a ground truth no rank hits reads ``most``, which no k exceeds
+    first = np.where(hit, np.arange(depth), most).min(axis=1, initial=most)
     total = len(gt_intervals)
-    return 100.0 * recalled / total if total else 0.0
+    return {k: 100.0 * int((first < k).sum()) / total if total else 0.0
+            for k in ks}

@@ -833,13 +833,13 @@ def _score(task: str, records: list) -> dict:
             det_c.max(initial=0) + 1) + det_c)
         det_i, det_c, det_v = det_i[keep], det_c[keep], det_v[keep]
         result = map_at_iou(det_i, det_s, det_c, det_v, gt_i, gt_c, gt_v)
+        recall = recall_at_k(det_i, det_s, det_c, det_v, gt_i, gt_c, gt_v,
+                             ks=(1, 5))
         return {
             "map_avg": result["mean"],
             **{f"map@{thr:.1f}": v
                for thr, v in result["per_threshold"].items()},
-            **{f"recall@{k}_iou0.5": recall_at_k(det_i, det_s, det_c, det_v,
-                                                 gt_i, gt_c, gt_v, k=k)
-               for k in (1, 5)},
+            **{f"recall@{k}_iou0.5": v for k, v in recall.items()},
         }
     eds = [r for r in records if r is not None]
     if not eds:

@@ -5,11 +5,12 @@ from the rolling-row implementation), the suppression oracle a separate
 greedy rewrite, and the detection metrics are pinned on hand-worked
 examples plus exact best/worst cases.
 
-The detection metrics and ``mq_decode`` compute IoU as one matrix per
-group and decode with one mask. Their per-pair and per-detection loop
-forms are kept below as reference implementations (``*_loop``), and
-property tests require the two to agree byte for byte (hypothesis; the
-property tests skip when it is not installed).
+The detection metrics score a whole evaluation set at once (one padded
+IoU block over every (class, video) pair, one pass for every recall k)
+and ``mq_decode`` decodes with one mask. Their per-pair and
+per-detection loop forms are kept below as reference implementations
+(``*_loop``), and property tests require the two to agree byte for byte
+(hypothesis; the property tests skip when it is not installed).
 """
 
 from functools import lru_cache
@@ -453,10 +454,9 @@ def test_recall_at_k_respects_cutoff():
     det_cls = np.array([0, 0])
     det_vid = np.array(["a", "a"])
     scores = np.array([0.9, 0.8])  # the hit ranks second
-    hit1 = recall_at_k(dets, scores, det_cls, det_vid, gt, gt_cls, gt_vid, k=1)
-    hit2 = recall_at_k(dets, scores, det_cls, det_vid, gt, gt_cls, gt_vid, k=2)
-    assert hit1 == 0.0
-    assert hit2 == 100.0
+    hits = recall_at_k(dets, scores, det_cls, det_vid, gt, gt_cls, gt_vid,
+                       ks=(1, 2))
+    assert hits == {1: 0.0, 2: 100.0}
 
 
 def test_recall_at_k_groups_by_video_and_class():
@@ -465,10 +465,11 @@ def test_recall_at_k_groups_by_video_and_class():
     gt_vid = np.array(["a", "a"])
     dets = np.array([[0.0, 2.0]])
     out = recall_at_k(dets, np.array([0.9]), np.array([0]), np.array(["a"]),
-                      gt, gt_cls, gt_vid, k=5)
-    assert out == 50.0
+                      gt, gt_cls, gt_vid, ks=(5,))
+    assert out == {5: 50.0}
     assert recall_at_k(np.empty((0, 2)), np.empty(0), np.empty(0, dtype=int),
-                       np.empty(0, dtype=str), gt, gt_cls, gt_vid, k=5) == 0.0
+                       np.empty(0, dtype=str), gt, gt_cls, gt_vid,
+                       ks=(5,)) == {5: 0.0}
 
 
 def test_recall_at_k_needs_sufficient_iou():
@@ -476,8 +477,46 @@ def test_recall_at_k_needs_sufficient_iou():
     dets = np.array([[0.0, 3.0]])  # IoU 0.3
     args = (dets, np.array([0.9]), np.array([0]), np.array(["a"]),
             gt, np.array([0]), np.array(["a"]))
-    assert recall_at_k(*args, k=1, iou_thr=0.5) == 0.0
-    assert recall_at_k(*args, k=1, iou_thr=0.25) == 100.0
+    assert recall_at_k(*args, ks=(1,), iou_thr=0.5) == {1: 0.0}
+    assert recall_at_k(*args, ks=(1,), iou_thr=0.25) == {1: 100.0}
+
+
+def test_recall_at_k_rejects_negative_k():
+    gt = np.array([[0.0, 2.0]])
+    args = (gt, np.array([0.9]), np.array([0]), np.array(["a"]),
+            gt, np.array([0]), np.array(["a"]))
+    with pytest.raises(ValueError, match="k=-1"):
+        recall_at_k(*args, ks=(1, -1))
+
+
+def small_detection_problem():
+    """Keyword arguments of a two-video, two-class detection problem."""
+    return dict(det_intervals=np.array([[0.0, 1.0], [2.0, 3.0], [5.0, 6.0]]),
+                det_scores=np.array([0.9, 0.8, 0.7]),
+                det_classes=np.array([0, 0, 1]),
+                det_videos=np.array(["a", "a", "b"]),
+                gt_intervals=np.array([[0.0, 1.0], [5.0, 6.0]]),
+                gt_classes=np.array([0, 1]), gt_videos=np.array(["a", "b"]))
+
+
+@pytest.mark.parametrize("metric", [map_at_iou, recall_at_k])
+@pytest.mark.parametrize("name", ["det_intervals", "det_scores", "det_classes",
+                                  "det_videos", "gt_intervals", "gt_classes",
+                                  "gt_videos"])
+def test_detection_metrics_reject_a_short_parallel_array(metric, name):
+    args = small_detection_problem()
+    args[name] = args[name][:-1]
+    with pytest.raises(ValueError, match=name):
+        metric(**args)
+
+
+@pytest.mark.parametrize("metric", [map_at_iou, recall_at_k])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_detection_metrics_reject_a_non_finite_score(metric, bad):
+    args = small_detection_problem()
+    args["det_scores"] = np.array([0.9, bad, 0.7])
+    with pytest.raises(ValueError, match=r"det_scores\[1\]"):
+        metric(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +669,55 @@ def test_recall_at_k_equals_loop_exactly():
     @given(detection_problems(st), st.integers(0, 6),
            st.sampled_from((0.5, 0.25, 0.0, 1.0)))
     def check(problem, k, iou_thr):
-        assert (recall_at_k(*problem, k=k, iou_thr=iou_thr)
-                == recall_at_k_loop(*problem, k=k, iou_thr=iou_thr))
+        got = recall_at_k(*problem, ks=(k, 6 - k), iou_thr=iou_thr)
+        for kk in (k, 6 - k):
+            assert got[kk] == recall_at_k_loop(*problem, k=kk, iou_thr=iou_thr)
 
     check()
+
+
+def evaluation_problem(seed, string_ids):
+    """A seeded problem at evaluation scale: 12 videos x 8 classes with up
+    to 60 detections per (class, video) pair (one pair has exactly 60) on
+    coarse grids, so scores tie and intervals repeat, in shuffled input
+    order, plus ground truth in a 13th video that has no detections."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(0, 61, size=(12, 8))
+    sizes[3, 5] = 60
+    det_v = np.repeat(np.repeat(np.arange(12), 8), sizes.ravel())
+    det_c = np.repeat(np.tile(np.arange(8), 12), sizes.ravel())
+    n = len(det_v)
+    starts = 0.5 * rng.integers(0, 60, size=n)
+    det_i = np.stack([starts, starts + rng.choice(GRID_LENGTHS + (4.0,), n)],
+                     axis=1)
+    det_s = rng.integers(0, 11, size=n) / 10.0
+    gt_sizes = rng.integers(0, 5, size=(13, 8))
+    gt_v = np.repeat(np.repeat(np.arange(13), 8), gt_sizes.ravel())
+    gt_c = np.repeat(np.tile(np.arange(8), 13), gt_sizes.ravel())
+    g = len(gt_v)
+    gt_starts = 0.5 * rng.integers(0, 60, size=g)
+    gt_i = np.stack(
+        [gt_starts, gt_starts + rng.choice((0.5, 1.0, 2.0, 4.0), g)], axis=1)
+    perm = rng.permutation(n)
+    det_i, det_s, det_c, det_v = (
+        a[perm] for a in (det_i, det_s, det_c, det_v))
+    if string_ids:
+        det_v = np.array([f"v{v}" for v in det_v])
+        gt_v = np.array([f"v{v}" for v in gt_v])
+    return det_i, det_s, det_c, det_v, gt_i, gt_c, gt_v
+
+
+@pytest.mark.parametrize("string_ids", [False, True])
+def test_detection_metrics_at_evaluation_scale_equal_loops(string_ids):
+    """The property tests draw at most 60 detections in all, so they never
+    build a padded block this wide."""
+    problem = evaluation_problem(1901, string_ids)
+    for thresholds in ((), (0.5,), (0.0, 0.7, 1.0)):
+        assert (map_at_iou(*problem, thresholds=thresholds)
+                == map_at_iou_loop(*problem, thresholds=thresholds))
+    ks = (0, 1, 5, 60, 61)  # 61 ranks past the widest group
+    assert recall_at_k(*problem, ks=ks) == {
+        k: recall_at_k_loop(*problem, k=k) for k in ks}
 
 
 def test_mq_decode_equals_loop_bytes():
@@ -681,9 +765,8 @@ def test_detection_metrics_on_empty_inputs_equal_loops():
     ]
     for problem in problems:
         assert map_at_iou(*problem) == map_at_iou_loop(*problem)
-        for k in (1, 5):
-            assert (recall_at_k(*problem, k=k)
-                    == recall_at_k_loop(*problem, k=k))
+        got = recall_at_k(*problem)
+        assert got == {k: recall_at_k_loop(*problem, k=k) for k in (1, 5)}
     assert same_arrays(
         mq_decode(np.empty(0), np.empty((0, 3)), np.empty((0, 2)), (0.0, 5.0)),
         mq_decode_loop(np.empty(0), np.empty((0, 3)), np.empty((0, 2)),
