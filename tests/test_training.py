@@ -661,6 +661,24 @@ def test_mq_evaluation_suppresses_every_group_in_one_call(monkeypatch):
                           "recall@1_iou0.5": 0.0, "recall@5_iou0.5": 0.0}}
 
 
+def test_mq_evaluation_scores_with_one_map_and_one_recall_call(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(training, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("map_at_iou", "recall_at_k"):
+        monkeypatch.setattr(training, name, counted(name))
+    evaluate(trained("mq"), tiny_dataset().val, small_cfg())
+    assert calls == ["map_at_iou", "recall_at_k"]
+
+
 def test_each_task_necks_only_the_stages_it_reads(monkeypatch):
     ds = tiny_dataset()
     calls = []
