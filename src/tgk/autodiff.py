@@ -22,7 +22,7 @@ __all__ = [
     "Tensor",
     "GradientTape",
     "backward",
-    "add", "sub", "neg", "mul", "div", "power", "matmul",
+    "add", "sub", "neg", "mul", "div", "power", "matmul", "linear",
     "split_heads", "merge_heads",
     "exp", "log", "sqrt", "relu", "leaky_relu", "sigmoid",
     "softplus", "clip", "minimum", "maximum", "tsum", "tmean",
@@ -243,12 +243,16 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
 
+def power_grad(g: np.ndarray, x: np.ndarray, p: float) -> np.ndarray:
+    """``power``'s backward: ``g * p * x ** (p - 1)``, zeros for ``p == 0``."""
+    if p == 0.0:
+        return np.zeros_like(x)
+    return g * p * x ** (p - 1.0)
+
+
 def power(a: Tensor, p: float) -> Tensor:
     p = float(p)
-    out = a.data ** p
-    if p == 0.0:
-        return _emit(out, (a,), lambda g: (np.zeros_like(a.data),))
-    return _emit(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
+    return _emit(a.data ** p, (a,), lambda g: (power_grad(g, a.data, p),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -323,6 +327,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     return _emit(a.data @ b.data, (a, b), lambda g: (
         g @ b.data.T, a.data.T @ g))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The affine map ``x @ w + b`` as one record, with the bytes of
+    ``add(matmul(x, w), b)``; ``b`` broadcasts over the rows. ``g @ wᵀ``
+    is computed only when ``x`` requires grad."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape}")
+    return _emit(x.data @ w.data + b.data, (x, w, b), lambda g: (
+        g @ w.data.T if x.requires_grad else None, x.data.T @ g,
+        _unbroadcast(g, b.shape)))
 
 
 def split_heads(a: Tensor, heads: int) -> Tensor:

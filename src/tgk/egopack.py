@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul, mul
+from .autodiff import Tensor, add, linear, matmul, mul
 from .graph import load_rows, save_rows
 from .optim import uniform_fan_in
 
@@ -166,7 +166,7 @@ def interaction_forward(p: InteractionParams, x: Tensor, bank: PrototypeBank,
         if rematch and layer:
             idx = knn_match(x.data, bank, k)
         proto_mean = bank.prototypes[idx].mean(axis=1)
-        x = add(matmul(x, w_self), matmul(Tensor(proto_mean), w_proto))
+        x = linear(x, w_self, matmul(Tensor(proto_mean), w_proto))
     return x
 
 

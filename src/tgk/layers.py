@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, div, exp, gather_rows, leaky_relu, matmul, mul, relu,
-    segment_mean, segment_sum, sub, tdgc_aggregate,
+    Tensor, add, div, exp, gather_rows, leaky_relu, linear, matmul, mul,
+    relu, segment_mean, segment_sum, sub, tdgc_aggregate,
 )
 from .graph import TemporalGraph
 from .optim import linear_init, uniform_fan_in
@@ -87,8 +87,8 @@ def tdgc_forward(p: TdgcParams, g: TemporalGraph, x: Tensor) -> Tensor:
     neighbour term is one ``tdgc_aggregate`` record over the topology's
     plans.
     """
-    root = add(matmul(x, p.w_root), p.b_root)
-    h = relu(add(matmul(x, p.w_nbr), p.b_nbr))
+    root = linear(x, p.w_root, p.b_root)
+    h = relu(linear(x, p.w_nbr, p.b_nbr))
     src, dst = g.topology.plan("src"), g.topology.plan("dst")
     dt = g.positions_s[src.ids] - g.positions_s[dst.ids]
     gate = None if p.disable_gate else (p.gate_w, p.gate_b)
@@ -190,7 +190,7 @@ class SageParams:
 
 
 def sage_forward(p: SageParams, g: TemporalGraph, x: Tensor) -> Tensor:
-    out = add(matmul(x, p.w_root), p.b)
+    out = linear(x, p.w_root, p.b)
     src, dst = g.topology.plan("src"), g.topology.plan("dst")
     msg = gather_rows(matmul(x, p.w_nbr), dst)
     return add(out, segment_mean(msg, src))

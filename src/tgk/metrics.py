@@ -154,7 +154,9 @@ def _detection_inputs(det_intervals, det_scores, det_classes, det_videos,
     sharing one code; a ground truth video without detections gets -1.
 
     Raises ValueError naming the array when the detection arrays or the
-    ground truth arrays differ in length, or when a score is not finite.
+    ground truth arrays differ in length, when a score is not finite, or,
+    naming the row, at the first interval of either array that is not
+    finite or ends before it starts.
     """
     det_intervals = np.asarray(det_intervals, dtype=np.float64).reshape(-1, 2)
     det_scores = np.asarray(det_scores, dtype=np.float64)
@@ -171,6 +173,16 @@ def _detection_inputs(det_intervals, det_scores, det_classes, det_videos,
     if len(bad):
         raise ValueError(f"det_scores[{bad[0]}] is {det_scores[bad[0]]}, "
                          "not finite")
+    for name, ivals in (("det_intervals", det_intervals),
+                        ("gt_intervals", gt_intervals)):
+        bad = np.flatnonzero(~np.isfinite(ivals).all(axis=1))
+        if len(bad):
+            raise ValueError(f"{name}[{bad[0]}] is {ivals[bad[0]].tolist()}, "
+                             "not finite")
+        bad = np.flatnonzero(ivals[:, 1] < ivals[:, 0])
+        if len(bad):
+            raise ValueError(f"{name}[{bad[0]}] is {ivals[bad[0]].tolist()}, "
+                             "its end before its start")
     names, det_vid = np.unique(det_videos, return_inverse=True)
     code = {v: i for i, v in enumerate(names.tolist())}
     gt_names, gt_inv = np.unique(gt_videos, return_inverse=True)

@@ -19,6 +19,14 @@ class Adam:
     different learning rates per task keeps one instance per group. The
     learning rate may be replaced between steps (schedules call
     ``set_lr``), which leaves moment state untouched.
+
+    The group's values, first and second moments are three flat arrays,
+    ``_p``, ``_m`` and ``_v``, laid out in parameter order, and each
+    parameter's ``.data`` is rebound at construction to its view into
+    ``_p``, so a step updates every parameter through one set of array
+    expressions. A parameter listed twice would lose its view, so it
+    raises ``ValueError``; code that loads values into a parameter later
+    writes into ``.data`` in place.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-4,
@@ -27,12 +35,20 @@ class Adam:
         for p in self.params:
             if not p.requires_grad:
                 raise ValueError("Adam got a parameter with requires_grad=False")
+        if len({id(p) for p in self.params}) < len(self.params):
+            raise ValueError("Adam got the same parameter twice")
         self.lr = float(lr)
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._bounds = np.cumsum([0] + [p.data.size for p in self.params])
+        self._p = np.empty(self._bounds[-1])
+        for p, lo, hi in zip(self.params, self._bounds, self._bounds[1:]):
+            self._p[lo:hi] = p.data.reshape(-1)
+            p.data = self._p[lo:hi].reshape(p.data.shape)
+        self._m = np.zeros_like(self._p)
+        self._v = np.zeros_like(self._p)
+        self._g = np.empty_like(self._p)
 
     def set_lr(self, lr: float) -> None:
         self.lr = float(lr)
@@ -42,19 +58,28 @@ class Adam:
             p.grad = None
 
     def step(self) -> None:
-        """One update; parameters whose grad is None are skipped."""
+        """One update; parameters whose grad is None are skipped. The
+        gradients are copied into one flat array, and the update runs once
+        per contiguous span of parameters that have one."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
+        spans: list[list[int]] = []
+        for p, lo, hi in zip(self.params, self._bounds, self._bounds[1:]):
             if p.grad is None:
                 continue
-            g = p.grad
+            self._g[lo:hi] = p.grad.reshape(-1)
+            if spans and spans[-1][1] == lo:
+                spans[-1][1] = hi
+            else:
+                spans.append([lo, hi])
+        for lo, hi in spans:
+            g, m, v = self._g[lo:hi], self._m[lo:hi], self._v[lo:hi]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            self._p[lo:hi] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def lr_at(epoch: int, base_lr: float, warmup_epochs: int, total_epochs: int) -> float:

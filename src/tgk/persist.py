@@ -33,7 +33,8 @@ def _write_arrays(path: Path, params: list) -> None:
 
 
 def _read_arrays(path: Path, params: list) -> None:
-    """Load ``path``'s arrays into ``params``; an archive that does not
+    """Load ``path``'s arrays into ``params``, in place, so a parameter
+    bound to an optimizer's buffer stays bound; an archive that does not
     read, a member whose CRC fails included, raises ``ValueError``."""
     try:
         with np.load(path) as npz:
@@ -45,7 +46,7 @@ def _read_arrays(path: Path, params: list) -> None:
                 if arr.shape != t.data.shape:
                     raise ValueError(f"{path}: param {i} shape mismatch "
                                      f"{arr.shape} vs {t.data.shape}")
-                t.data = arr.astype(np.float64)
+                t.data[...] = arr
     except zipfile.BadZipFile as exc:
         raise ValueError(f"{path}: not a readable array archive: {exc}"
                          ) from None

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, clip, div, gather_rows, log, matmul, maximum, minimum,
-    mul, power, relu, segment_mean, sigmoid, softplus, sub, take_cols,
-    tmean, tsum,
+    Tensor, _emit, gather_rows, linear, mul, power_grad, relu, segment_mean,
+    sigmoid, softplus, sub, tmean,
 )
 from .graph import TemporalGraph, build_graph, stage_scale
 from .layers import TdgcParams, tdgc_forward
@@ -63,7 +62,7 @@ class MlpParams:
 
 
 def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
-    return add(matmul(relu(add(matmul(x, p.w1), p.b1)), p.w2), p.b2)
+    return linear(relu(linear(x, p.w1, p.b1)), p.w2, p.b2)
 
 
 # the per-task neck, named apart from the heads so its calls count apart
@@ -124,7 +123,7 @@ class ScorerParams:
 
 
 def scorer_forward(p: ScorerParams, x: Tensor) -> Tensor:
-    return add(matmul(x, p.w), p.b)
+    return linear(x, p.w, p.b)
 
 
 @dataclass
@@ -232,8 +231,8 @@ def mq_forward(p: MqParams, x: Tensor, stage: int) -> tuple[Tensor, Tensor]:
     doubling factor, so coarse stages regress proportionally longer spans
     from the same parameter range.
     """
-    scores = sigmoid(add(matmul(x, p.w_cls), p.b_cls))
-    offsets = mul(softplus(add(matmul(x, p.w_reg), p.b_reg)),
+    scores = sigmoid(linear(x, p.w_cls, p.b_cls))
+    offsets = mul(softplus(linear(x, p.w_reg, p.b_reg)),
                   Tensor(np.array(stage_scale(stage))))
     return scores, offsets
 
@@ -305,38 +304,96 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 def focal_loss(probs: Tensor, targets: np.ndarray, alpha: float = 0.25,
                gamma: float = 2.0, normalizer: float | None = None) -> Tensor:
-    """Focal binary loss on probabilities.
+    """Focal binary loss on probabilities, as one record.
 
     Positives: -alpha * (1-p)^gamma * log(p); negatives:
     -(1-alpha) * p^gamma * log(1-p). Probabilities are clamped away from
     0 and 1. The sum is divided by ``normalizer`` (element count when not
     given); detection training passes the positive count instead.
+
+    The forward replays the composed chain (``clip``; ``sub``, ``power``,
+    ``log``, ``mul``, ``mul`` for the positives; ``power``, ``sub``,
+    ``log``, ``mul``, ``mul`` for the negatives; ``add``, ``tsum``,
+    ``div``) expression by expression, and the backward replays its
+    records' backward closures in the tape's reverse order, the four
+    gradients into the clipped ``p`` added in that order, so the loss and
+    the gradient keep the chain's bytes.
     """
     t = np.asarray(targets, dtype=np.float64).reshape(probs.shape)
-    p = clip(probs, 1e-7, 1.0 - 1e-7)
-    pos = mul(mul(power(sub(Tensor(1.0), p), gamma), log(p)), Tensor(-alpha * t))
-    neg = mul(mul(power(p, gamma), log(sub(Tensor(1.0), p))),
-              Tensor(-(1.0 - alpha) * (1.0 - t)))
-    total = tsum(add(pos, neg))
+    gamma = float(gamma)
     if normalizer is None:
         normalizer = float(probs.size)
-    return div(total, Tensor(float(normalizer)))
+    norm = np.asarray(float(normalizer))
+    lo, hi = 1e-7, 1.0 - 1e-7
+    p = np.clip(probs.data, lo, hi)
+    inside = (probs.data > lo) & (probs.data < hi)
+    q = 1.0 - p
+    q_pow, log_p = q ** gamma, np.log(p)
+    p_pow, log_q = p ** gamma, np.log(q)
+    w_pos, w_neg = -alpha * t, -(1.0 - alpha) * (1.0 - t)
+    total = (q_pow * log_p * w_pos + p_pow * log_q * w_neg).sum()
+
+    def back(g):
+        g_sum = np.broadcast_to(g / norm, p.shape).copy()
+        g_neg = g_sum * w_neg
+        g_p = -(g_neg * p_pow / q)
+        g_p += power_grad(g_neg * log_q, p, gamma)
+        g_pos = g_sum * w_pos
+        g_p += g_pos * q_pow / p
+        g_p += -power_grad(g_pos * log_p, q, gamma)
+        return (g_p * inside,)
+
+    return _emit(total / norm, (probs,), back)
 
 
 def diou_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Distance-IoU loss for 1-D intervals, averaged over rows.
+    """Distance-IoU loss for 1-D intervals, averaged over rows, as one
+    record.
 
     ``pred`` and ``target`` are (M, 2) [start, end]. The penalty term is
     the squared center distance over the squared enclosing span, pulling
     disjoint intervals together where plain IoU has no gradient.
+
+    The forward replays the composed chain (``take_cols`` per column, the
+    intersection through ``minimum``, ``maximum``, ``sub`` and ``relu``,
+    the union, the IoU, the center gap, the enclosing span, the penalty,
+    ``tmean``) expression by expression, and the backward replays its
+    records' backward closures in the tape's reverse order: the four
+    gradients into each of the start and end columns are added in that
+    order, each squared term's gradient is added once per factor, and the
+    columns' scatter adds ``+ 0.0``, so the loss and the gradient keep the
+    chain's bytes (ties in ``minimum`` and ``maximum`` go to the first
+    argument).
     """
-    tgt = Tensor(np.asarray(target, dtype=np.float64).reshape(-1, 2))
-    ps, pe = take_cols(pred, [0]), take_cols(pred, [1])
-    ts, te = take_cols(tgt, [0]), take_cols(tgt, [1])
-    inter = relu(sub(minimum(pe, te), maximum(ps, ts)))
-    union = sub(add(sub(pe, ps), sub(te, ts)), inter)
-    iou = div(inter, union)
-    center_gap = sub(mul(add(ps, pe), Tensor(0.5)), mul(add(ts, te), Tensor(0.5)))
-    span = sub(maximum(pe, te), minimum(ps, ts))
-    penalty = div(mul(center_gap, center_gap), mul(span, span))
-    return tmean(add(sub(Tensor(1.0), iou), penalty))
+    tgt = np.asarray(target, dtype=np.float64).reshape(-1, 2)
+    ps, pe = pred.data[:, [0]], pred.data[:, [1]]
+    ts, te = tgt[:, [0]], tgt[:, [1]]
+    end_first, start_first = pe <= te, ps >= ts
+    overlap = np.where(end_first, pe, te) - np.where(start_first, ps, ts)
+    live = overlap > 0.0
+    inter = np.maximum(overlap, 0.0)
+    union = pe - ps + (te - ts) - inter
+    gap = (ps + pe) * 0.5 - (ts + te) * 0.5
+    end_last, start_last = pe >= te, ps <= ts
+    span = np.where(end_last, pe, te) - np.where(start_last, ps, ts)
+    gap2, span2 = gap * gap, span * span
+
+    def back(g):
+        g_term = np.broadcast_to(g, span.shape).copy() / span.size
+        g_iou = -g_term
+        g_gap = g_term / span2 * gap
+        g_gap += g_gap
+        g_span = -g_term * gap2 / (span2 * span2) * span
+        g_span += g_span
+        g_mid = g_gap * 0.5
+        g_ps = -g_span * start_last + g_mid
+        g_pe = g_span * end_last + g_mid
+        g_union = -g_iou * inter / (union * union)
+        g_pe += g_union
+        g_ps += -g_union
+        g_overlap = (g_iou / union + -g_union) * live
+        g_ps += -g_overlap * start_first
+        g_pe += g_overlap * end_first
+        return (np.concatenate((g_ps, g_pe), axis=1) + 0.0,)
+
+    return _emit((1.0 - inter / union + gap2 / span2).mean(), (pred,), back)

@@ -460,14 +460,17 @@ def _adam_batches(owners, n: int, rng: np.random.Generator, batch: int,
     ``n`` items with ``rng`` and yields ``(epoch, batch indices, leaves)``
     per batch; the caller runs ``backward`` into the leaves, and once its
     loop body returns every group steps. A raise in the body leaves the
-    generator unresumed, so no weight moves.
+    generator unresumed, so no weight moves. Each Adam binds its leaves
+    to views of its flat buffer, so a leaf listed twice, in one group or
+    in two, raises ``ValueError`` before any Adam is built.
     """
-    groups: list[tuple[float, Adam]] = []
-    for params, lr in owners:
-        ps = [p for p in params if p.requires_grad]
-        if ps:
-            groups.append((lr, Adam(ps, lr)))
-    leaves = [p for _, opt in groups for p in opt.params]
+    owned = [([p for p in params if p.requires_grad], lr)
+             for params, lr in owners]
+    leaves = [p for ps, _ in owned for p in ps]
+    if len({id(p) for p in leaves}) < len(leaves):
+        raise ValueError("a parameter is listed twice among the optimizer "
+                         "groups")
+    groups = [(lr, Adam(ps, lr)) for ps, lr in owned if ps]
     for epoch in range(epochs):
         for base, opt in groups:
             opt.set_lr(lr_at(epoch, base, warmup_epochs, epochs))
@@ -630,7 +633,7 @@ def run_novel(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
         src_block = src_stages[min(i, len(src_stages) - 1)]
         for lp, src_lp in zip(block, src_block):
             for t, src_t in zip(lp.params(), src_lp.params()):
-                t.data = src_t.data.copy()
+                t.data[...] = src_t.data
 
     model = MultiTaskModel.init(rng, [novel_task], world, backbone_cfg)
     model.backbone = backbone

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import (
     Tensor, add, attention_index, concat_rows, gather_rows, layer_norm_rows,
-    masked_attention, matmul, merge_heads, split_heads,
+    linear, masked_attention, merge_heads, split_heads,
 )
 from .graph import VideoCache
 from .optim import linear_init, uniform_fan_in
@@ -92,10 +92,10 @@ def _attention(p: EncoderLayerParams, x: Tensor, mask: np.ndarray,
                admitted: np.ndarray) -> Tensor:
     """All heads at once: (heads, tokens, dh) stacks through one masked
     attention record, the (tokens, tokens) mask broadcast over heads."""
-    q, k, v = (split_heads(add(matmul(x, w), b), p.num_heads)
+    q, k, v = (split_heads(linear(x, w, b), p.num_heads)
                for w, b in ((p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv)))
     out = masked_attention(q, k, v, mask, admitted)
-    return add(matmul(merge_heads(out), p.wo), p.bo)
+    return linear(merge_heads(out), p.wo, p.bo)
 
 
 def _encoder_layer(p: EncoderLayerParams, x: Tensor, mask: np.ndarray,

@@ -28,6 +28,7 @@ from tgk.autodiff import (
     gather_rows,
     leaky_relu,
     layer_norm_rows,
+    linear,
     log,
     masked_attention,
     matmul,
@@ -175,6 +176,11 @@ def composed_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xc = sub(x, mu)
     var = tmean(mul(xc, xc), axis=1, keepdims=True)
     return add(mul(div(xc, sqrt(add(var, Tensor(1e-6)))), gamma), beta)
+
+
+def composed_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The two records ``linear`` replaced."""
+    return add(matmul(x, w), b)
 
 
 # ---------------------------------------------------------------------------
@@ -861,6 +867,41 @@ def test_masked_attention_equals_composed_chain_bytes():
             attention_bytes(composed_attention, heads, inputs, mask, weights)
 
     check()
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("bias", ["row", "per-node"])
+def test_linear_equals_composed_chain_bytes(x_grad, bias):
+    """With ``x`` also feeding a second map, so its two gradients land on
+    one it already holds, and with a per-node (N, d) bias as the egopack
+    interaction passes."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n, d_in, d_out = rng.integers(1, 40), rng.integers(1, 24), 8
+        scale = (1e-3, 1.0, 1e3)[seed % 3]
+        arrays = (rng.normal(size=(n, d_in)) * scale,
+                  rng.normal(size=(d_in, d_out)),
+                  rng.normal(size=(d_out,) if bias == "row" else (n, d_out)),
+                  rng.normal(size=(d_in, d_out)))
+        weights = rng.normal(size=(n, d_out))
+
+        def run(affine):
+            x = Tensor(arrays[0], requires_grad=x_grad)
+            w, b, w2 = (Tensor(a, requires_grad=True) for a in arrays[1:])
+            with GradientTape() as tape:
+                out = affine(x, w, b)
+                loss = tsum(mul(add(out, matmul(x, w2)), Tensor(weights)))
+            leaves = [x, w, b, w2] if x_grad else [w, b, w2]
+            backward(tape, loss, leaves)
+            return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+        assert run(linear) == run(composed_linear)
+
+
+def test_linear_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="linear shape mismatch"):
+        linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 2))),
+               Tensor(np.zeros(2)))
 
 
 def test_layer_norm_rows_equals_composed_chain_bytes():

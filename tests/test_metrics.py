@@ -519,6 +519,38 @@ def test_detection_metrics_reject_a_non_finite_score(metric, bad):
         metric(**args)
 
 
+@pytest.mark.parametrize("metric", [map_at_iou, recall_at_k])
+@pytest.mark.parametrize("name", ["det_intervals", "gt_intervals"])
+@pytest.mark.parametrize("row", [[np.nan, 1.0], [0.0, np.inf],
+                                 [-np.inf, 6.0]])
+def test_detection_metrics_reject_a_non_finite_interval(metric, name, row):
+    args = small_detection_problem()
+    args[name] = args[name].copy()
+    args[name][1] = row
+    with pytest.raises(ValueError, match=rf"{name}\[1\] .* not finite"):
+        metric(**args)
+
+
+@pytest.mark.parametrize("metric", [map_at_iou, recall_at_k])
+@pytest.mark.parametrize("name", ["det_intervals", "gt_intervals"])
+def test_detection_metrics_reject_an_interval_ending_before_it_starts(
+        metric, name):
+    args = small_detection_problem()
+    args[name] = args[name].copy()
+    args[name][-1] = [6.0, 5.0]
+    args[name][0] = [2.0, 1.0]
+    with pytest.raises(ValueError, match=rf"{name}\[0\] .* end before"):
+        metric(**args)
+
+
+def test_detection_metrics_accept_zero_length_intervals():
+    args = small_detection_problem()
+    args["det_intervals"] = args["det_intervals"].copy()
+    args["det_intervals"][1] = [2.5, 2.5]
+    map_at_iou(**args)
+    recall_at_k(**args)
+
+
 # ---------------------------------------------------------------------------
 # matrix forms against the loop references, byte for byte
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from tgk.autodiff import (
-    GradientTape, Tensor, backward, gather_rows, mul, segment_mean, tsum,
+    GradientTape, Tensor, add, backward, clip, div, gather_rows, log,
+    maximum, minimum, mul, power, relu, segment_mean, sub, take_cols, tmean,
+    tsum,
 )
 from tgk.graph import TemporalGraph, build_graph
 from tgk.optim import finite_diff_check
@@ -385,6 +387,103 @@ def test_diou_loss_gradient_exists_for_disjoint_intervals():
     backward(tape, loss, [pred])
     # plain IoU is flat here; the center-distance term still pulls
     assert np.max(np.abs(pred.grad)) > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the fused detection losses against the composed chains they replaced
+# ---------------------------------------------------------------------------
+
+
+def composed_focal_loss(probs: Tensor, targets: np.ndarray,
+                        alpha: float = 0.25, gamma: float = 2.0,
+                        normalizer: float | None = None) -> Tensor:
+    """The fourteen records ``focal_loss`` replaced."""
+    t = np.asarray(targets, dtype=np.float64).reshape(probs.shape)
+    p = clip(probs, 1e-7, 1.0 - 1e-7)
+    pos = mul(mul(power(sub(Tensor(1.0), p), gamma), log(p)), Tensor(-alpha * t))
+    neg = mul(mul(power(p, gamma), log(sub(Tensor(1.0), p))),
+              Tensor(-(1.0 - alpha) * (1.0 - t)))
+    total = tsum(add(pos, neg))
+    if normalizer is None:
+        normalizer = float(probs.size)
+    return div(total, Tensor(float(normalizer)))
+
+
+def composed_diou_loss(pred: Tensor, target: np.ndarray) -> Tensor:
+    """The twenty-two records ``diou_loss`` replaced."""
+    tgt = Tensor(np.asarray(target, dtype=np.float64).reshape(-1, 2))
+    ps, pe = take_cols(pred, [0]), take_cols(pred, [1])
+    ts, te = take_cols(tgt, [0]), take_cols(tgt, [1])
+    inter = relu(sub(minimum(pe, te), maximum(ps, ts)))
+    union = sub(add(sub(pe, ps), sub(te, ts)), inter)
+    iou = div(inter, union)
+    center_gap = sub(mul(add(ps, pe), Tensor(0.5)), mul(add(ts, te), Tensor(0.5)))
+    span = sub(maximum(pe, te), minimum(ps, ts))
+    penalty = div(mul(center_gap, center_gap), mul(span, span))
+    return tmean(add(sub(Tensor(1.0), iou), penalty))
+
+
+def loss_bytes(loss_fn, leaf: np.ndarray, *args, scale: float, **kwargs):
+    """Forward bytes and the leaf's gradient bytes of ``scale`` times the
+    loss, so the gradient reaching the loss is not 1."""
+    x = Tensor(leaf, requires_grad=True)
+    with GradientTape() as tape:
+        loss = loss_fn(x, *args, **kwargs)
+        total = mul(loss, Tensor(scale))
+    backward(tape, total, [x])
+    return loss.data.tobytes(), x.grad.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [2.0, 0.0])
+def test_focal_loss_equals_composed_chain_bytes(gamma):
+    """Probabilities on and beyond both clip bounds, with and without the
+    positive-count normalizer. Soft targets give every element all four
+    gradient terms into the clipped probabilities, so their order shows;
+    a zero upstream gradient shows the signs of zeros."""
+    edges = np.array([0.0, 1e-7, 1.0 - 1e-7, 1.0, -0.25, 1.25, 0.5])
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(1, 30), rng.integers(1, 6)
+        probs = rng.uniform(0.0, 1.0, size=(rows, cols))
+        probs.reshape(-1)[:len(edges)] = edges[:probs.size]
+        targets = rng.random((rows, cols))
+        if seed % 4 < 2:
+            targets = (targets < 0.3).astype(float)
+        normalizer = None if seed % 2 else float(max(targets.sum(), 1.0))
+        scale = rng.normal() * (1e-3, 1.0, 1e3, 0.0, -0.0)[seed % 5]
+        assert loss_bytes(focal_loss, probs, targets, gamma=gamma,
+                          normalizer=normalizer, scale=scale) == \
+            loss_bytes(composed_focal_loss, probs, targets, gamma=gamma,
+                       normalizer=normalizer, scale=scale)
+
+
+def test_diou_loss_equals_composed_chain_bytes():
+    """Ties of the ends and of the starts, disjoint intervals and
+    zero-length predictions, among random rows; a zero upstream gradient
+    shows the signs of zeros."""
+    cases = np.array([
+        [[2.0, 5.0], [2.0, 5.0]],   # both ends tie
+        [[1.0, 5.0], [2.0, 5.0]],   # pe == te
+        [[2.0, 4.0], [2.0, 5.0]],   # ps == ts
+        [[0.0, 1.0], [5.0, 6.0]],   # disjoint, before
+        [[7.0, 9.0], [2.0, 5.0]],   # disjoint, after
+        [[1.0, 2.0], [2.0, 5.0]],   # touching
+        [[3.0, 3.0], [2.0, 5.0]],   # zero length, inside
+        [[7.0, 7.0], [2.0, 5.0]],   # zero length, outside
+        [[2.0, 2.0], [2.0, 5.0]],   # zero length on the start
+    ])
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        extra = rng.integers(0, 20)
+        starts = rng.uniform(0.0, 10.0, size=(extra, 2))
+        lengths = rng.uniform(0.0, 4.0, size=(extra, 2))
+        random_rows = np.stack([starts, starts + lengths], axis=2)
+        rows = np.concatenate([cases, random_rows])[rng.permutation(
+            len(cases) + extra)]
+        pred, target = rows[:, 0], rows[:, 1]
+        scale = rng.normal() * (1e-3, 1.0, 1e3, 0.0, -0.0)[seed % 5]
+        assert loss_bytes(diou_loss, pred, target, scale=scale) == \
+            loss_bytes(composed_diou_loss, pred, target, scale=scale)
 
 
 def test_loss_gradients_finite_difference():
