@@ -4,7 +4,8 @@ Each entry of ``fingerprints.json`` is a sha256: of a run's trained
 parameters in ``params()`` order, of ``repr`` of its ``evaluate`` output,
 of the logits of the order probe's final scoring pass, of the forecast
 logits a novel lta model gives on the val videos, of the encoded rows the
-translation arm's ``evaluate`` reads, or of one CLI output file. The runs
+translation arm's ``evaluate`` reads, of one CLI output file, or of every
+file ``gen-data`` writes (path and bytes, in sorted path order). The runs
 are tiny and execute in a subprocess pinned to one BLAS thread, so the
 bytes depend only on the code and the numeric stack. The file records that
 stack (numpy version, BLAS build, thread count); on any other stack the
@@ -230,6 +231,11 @@ def compute() -> dict:
                 assert main(argv) == 0, argv
         for name in ("metrics.json", "config.json"):
             out[f"cli/mtl-ft/{name}"] = _sha((ws / "ft" / name).read_bytes())
+        corpus = hashlib.sha256()
+        for path in sorted(p for p in Path(data).rglob("*") if p.is_file()):
+            corpus.update(path.relative_to(data).as_posix().encode())
+            corpus.update(path.read_bytes())
+        out["cli/gen-data/corpus"] = corpus.hexdigest()
     return out
 
 
