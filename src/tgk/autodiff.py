@@ -24,9 +24,8 @@ __all__ = [
     "backward",
     "add", "sub", "neg", "mul", "div", "power", "matmul", "linear",
     "split_heads", "merge_heads",
-    "exp", "log", "sqrt", "relu", "leaky_relu", "sigmoid",
-    "softplus", "clip", "minimum", "maximum", "tsum", "tmean",
-    "ScatterPlan", "gather_rows", "take_cols", "take_per_row",
+    "exp", "log", "relu", "leaky_relu", "sigmoid", "softplus", "tsum",
+    "tmean", "ScatterPlan", "gather_rows", "take_per_row",
     "segment_sum", "segment_mean", "segment_max", "tdgc_aggregate",
     "concat_rows", "attention_index", "masked_attention", "layer_norm_rows",
     "cross_entropy_rows",
@@ -264,11 +263,6 @@ def log(a: Tensor) -> Tensor:
     return _emit(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return _emit(out, (a,), lambda g: (g * 0.5 / out,))
-
-
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     return _emit(out, (a,), lambda g: (g * (a.data > 0.0),))
@@ -294,26 +288,6 @@ def sigmoid(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     out = np.logaddexp(0.0, a.data)
     return _emit(out, (a,), lambda g: (g * sigmoid_values(a.data),))
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    out = np.clip(a.data, lo, hi)
-    inside = (a.data > lo) & (a.data < hi)
-    return _emit(out, (a,), lambda g: (g * inside,))
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    a_wins = a.data <= b.data  # ties route to the first argument
-    return _emit(np.where(a_wins, a.data, b.data), (a, b), lambda g: (
-        _unbroadcast(g * a_wins, a.shape), _unbroadcast(g * ~a_wins, b.shape)))
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    a_wins = a.data >= b.data
-    return _emit(np.where(a_wins, a.data, b.data), (a, b), lambda g: (
-        _unbroadcast(g * a_wins, a.shape), _unbroadcast(g * ~a_wins, b.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +316,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def split_heads(a: Tensor, heads: int) -> Tensor:
     """(rows, heads * w) -> (heads, rows, w): slice h is the column block
-    ``a[:, h*w:(h+1)*w]``, laid out in Fortran order as ``take_cols`` lays
+    ``a[:, h*w:(h+1)*w]``, laid out in Fortran order as ``a[:, cols]`` lays
     it out, so stacked products over the slices give ``matmul``'s bytes on
     them. The gradient comes back C-ordered."""
     n, width = a.shape
@@ -459,19 +433,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     ids = idx.ids if isinstance(idx, ScatterPlan) else idx
     return _emit(a.data[ids], (a,),
                  lambda g: (_plan(idx, a.shape[0]).scatter(g),))
-
-
-def take_cols(a: Tensor, cols) -> Tensor:
-    """Select columns ``a[:, cols]`` of a 2-D tensor; backward scatter-adds
-    the gradient's columns through the segment kernel over its transpose."""
-    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
-
-    def back(g):
-        out = np.empty_like(a.data)
-        out.T[...] = ScatterPlan.of(cols, a.shape[1]).scatter(g.T)
-        return (out,)
-
-    return _emit(a.data[:, cols], (a,), back)
 
 
 def take_per_row(a: Tensor, cols) -> Tensor:

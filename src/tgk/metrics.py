@@ -11,7 +11,7 @@ import numpy as np
 
 __all__ = [
     "top1_accuracy", "levenshtein", "edit_distance", "localization_error",
-    "iou_1d", "iou_matrix", "soft_nms", "map_at_iou",
+    "iou_matrix", "soft_nms", "map_at_iou",
     "recall_at_k",
 ]
 
@@ -63,13 +63,6 @@ def localization_error(pred_times_s: np.ndarray, true_times_s: np.ndarray) -> fl
 # interval detection
 # ---------------------------------------------------------------------------
 
-def iou_1d(a, b) -> float:
-    """IoU of two [start, end] intervals; degenerate unions score 0."""
-    inter = max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
-    union = (a[1] - a[0]) + (b[1] - b[0]) - inter
-    return inter / union if union > 0 else 0.0
-
-
 def _iou(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
     """IoU of intervals a and b, elementwise over the broadcast shape of
     their bounds; degenerate unions score 0."""
@@ -111,12 +104,11 @@ def soft_nms(intervals: np.ndarray, scores: np.ndarray, sigma: float = 2.0,
            else np.asarray(groups))
     order = np.lexsort((intervals[:, 0], key))
     order = order[scores[order] >= floor]
-    _, first, size = np.unique(key[order], return_index=True,
-                               return_counts=True)
+    keys, row_group = np.unique(key[order], return_inverse=True)
+    pos, size = _slots(row_group, len(keys))
     # slot[g, j]: input index of group g's j-th survivor, -1 past its end
-    slot = np.full((len(size), size.max(initial=0)), -1, dtype=np.intp)
-    slot[np.repeat(np.arange(len(size)), size),
-         np.arange(len(order)) - np.repeat(first, size)] = order
+    slot = np.full((len(keys), size.max(initial=0)), -1, dtype=np.intp)
+    slot[row_group, pos] = order
     alive = slot >= 0
     lo, hi = intervals[slot, 0], intervals[slot, 1]
     live = np.where(alive, scores[slot], 0.0)  # the decayed scores

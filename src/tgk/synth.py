@@ -25,6 +25,11 @@ fixed-size windows holding exactly two events (A then B, or B then A) with
 randomized lengths, labeled by which came first. The window distribution
 is mirror-symmetric, so any model blind to time order sits at chance on
 it.
+
+Both generators draw their Gaussian noise in one call per window or per
+video, which consumes the generator's stream in the order a draw per
+segment would: the bytes and the generator state afterwards are those of
+the per-segment loops kept in ``tests/test_synth.py`` as byte oracles.
 """
 
 from __future__ import annotations
@@ -127,16 +132,6 @@ class _World:
         for k in range(0, n_change - 1, 2):
             self.verb_patterns[k + 1] = self.verb_patterns[k]
 
-    def emit(self, cfg: SynthConfig, event: Event, t_s: float,
-             rng: np.random.Generator) -> np.ndarray:
-        base = self.verb_patterns[event.verb] + self.noun_patterns[event.noun]
-        if cfg.two_phase and event.state_change and event.pnr_s is not None:
-            after = t_s >= event.pnr_s
-            forward = event.verb % 2 == 0
-            sign = 1.0 if after == forward else -1.0
-            base = base + sign * self.phase_delta
-        return base + cfg.noise * rng.standard_normal(cfg.dim)
-
 
 def _is_state_changing(verb: int, num_verbs: int) -> bool:
     return verb < num_verbs // 2
@@ -180,12 +175,20 @@ def _make_video(cfg: SynthConfig, world: _World, video_id: str,
             pnr = start + frac * (end - start)
         events.append(Event(start, end, verb, noun, changing, pnr))
 
-    feats = np.zeros((n, cfg.dim))
-    for event in events:
-        lo = int(round(event.start_s / cfg.segment_s))
-        hi = int(round(event.end_s / cfg.segment_s))
-        for i in range(lo, hi):
-            feats[i] = world.emit(cfg, event, positions[i], rng)
+    # the events tile segments 0..n in order, so one (n, dim) draw is the
+    # stream of a draw per segment
+    lengths = [hi - lo for lo, hi in cuts]
+    verbs = np.repeat(np.array([e.verb for e in events], np.intp), lengths)
+    nouns = np.repeat(np.array([e.noun for e in events], np.intp), lengths)
+    feats = world.verb_patterns[verbs] + world.noun_patterns[nouns]
+    if cfg.two_phase:
+        pnr = np.repeat(np.array([e.pnr_s for e in events], float), lengths)
+        phased = ~np.isnan(pnr)
+        after = positions[phased] >= pnr[phased]
+        forward = verbs[phased] % 2 == 0
+        sign = np.where(after == forward, 1.0, -1.0)
+        feats[phased] += sign[:, None] * world.phase_delta
+    feats += cfg.noise * rng.standard_normal((n, cfg.dim))
     return VideoSample(video_id, feats, positions, events)
 
 
@@ -292,24 +295,34 @@ def generate_order_windows(num_windows: int, noise: float,
     models cannot beat 50%.
 
     Returns (features (W, S, dim), positions_s (S,), labels (W,)).
+    ``window_segments`` below 4 or a negative ``num_windows`` raise
+    ValueError naming the argument.
     """
+    if window_segments < 4:
+        raise ValueError(f"window_segments must be at least 4, "
+                         f"got {window_segments}")
+    if num_windows < 0:
+        raise ValueError(f"num_windows must be non-negative, "
+                         f"got {num_windows}")
     cfg = SynthConfig(dim=dim, num_verbs=2, num_nouns=2, noise=noise,
                       two_phase=False, seed=0)
     world = _World(cfg)
     pattern_a = world.verb_patterns[0] + world.noun_patterns[0]
     pattern_b = world.verb_patterns[1] + world.noun_patterns[1]
     positions = (np.arange(window_segments) + 0.5) * segment_s
-    lo, hi = 2, window_segments - 2
-    feats = np.zeros((num_windows, window_segments, dim))
-    labels = np.zeros(num_windows, dtype=np.intp)
+    first_len = np.empty((num_windows, 1), dtype=np.intp)
+    labels = np.empty(num_windows, dtype=np.intp)
+    feats = np.empty((num_windows, window_segments, dim))
+    # the two integers stay between the window's normals: one draw of
+    # those normals per window keeps the per-segment stream
     for w in range(num_windows):
-        first_len = int(rng.integers(lo, hi + 1))
-        a_first = bool(rng.integers(2))
-        first, second = (pattern_a, pattern_b) if a_first else (pattern_b, pattern_a)
-        labels[w] = int(a_first)
-        for i in range(window_segments):
-            base = first if i < first_len else second
-            feats[w, i] = base + noise * rng.standard_normal(dim)
+        first_len[w] = rng.integers(2, window_segments - 1)
+        labels[w] = rng.integers(2)
+        rng.standard_normal(out=feats[w])
+    feats *= noise
+    a_rows = (np.arange(window_segments) < first_len) == (labels[:, None] == 1)
+    np.add(feats, pattern_a, out=feats, where=a_rows[:, :, None])
+    np.add(feats, pattern_b, out=feats, where=~a_rows[:, :, None])
     return feats, positions, labels
 
 

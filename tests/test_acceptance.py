@@ -34,8 +34,7 @@ from tgk.graph import VideoCache, build_graph
 from tgk.hierarchy import BackboneConfig, BackboneParams, backbone_forward
 from tgk.layers import LAYER_KINDS, TdgcParams, sinusoidal_pe, tdgc_forward
 from tgk.metrics import (
-    edit_distance, iou_1d, localization_error, map_at_iou, soft_nms,
-    top1_accuracy,
+    edit_distance, localization_error, map_at_iou, soft_nms, top1_accuracy,
 )
 from tgk.optim import finite_diff_check
 from tgk.synth import SynthConfig, generate_dataset
@@ -45,6 +44,8 @@ from tgk.tasks import (
 )
 from tgk.training import TrainConfig, build_batch_graph, build_prototype_banks
 from tgk.translation import TranslationParams, build_mask, translation_forward
+
+from oracle_ops import iou_1d
 
 _CACHE = {}
 

@@ -20,7 +20,6 @@ import pytest
 
 from tgk.metrics import (
     edit_distance,
-    iou_1d,
     iou_matrix,
     levenshtein,
     localization_error,
@@ -30,6 +29,8 @@ from tgk.metrics import (
     top1_accuracy,
 )
 from tgk.tasks import mq_decode
+
+from oracle_ops import iou_1d
 
 
 def levenshtein_oracle(a, b):

@@ -1,12 +1,15 @@
 """Synthetic corpus tests: determinism, event structure, emission
 semantics (two-phase and reversible pairs), scripted transitions,
-annotation views, the ordering probe, and the on-disk roundtrip."""
+annotation views, the ordering probe, byte oracles for both generators'
+one-draw noise, and the on-disk roundtrip."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tgk import synth
 from tgk.synth import (
     SynthConfig,
     ar_annotations,
@@ -295,6 +298,151 @@ def test_order_windows_deterministic_given_generator():
     f2, _, l2 = generate_order_windows(20, 0.2, np.random.default_rng(11))
     assert np.array_equal(f1, f2)
     assert np.array_equal(l1, l2)
+
+
+@pytest.mark.parametrize("argument, value", [("window_segments", 3),
+                                             ("num_windows", -1)])
+def test_order_windows_reject_bad_sizes_by_name(argument, value):
+    kwargs = {"num_windows": 4, "window_segments": 8, argument: value}
+    with pytest.raises(ValueError, match=f"{argument} .*{value}"):
+        generate_order_windows(noise=0.1, rng=np.random.default_rng(0),
+                               **kwargs)
+
+
+def test_order_windows_accept_four_segments():
+    feats, _, _ = generate_order_windows(
+        3, 0.1, np.random.default_rng(0), dim=4, window_segments=4)
+    assert feats.shape == (3, 4, 4)
+
+
+# ---------------------------------------------------------------------------
+# byte oracles: one noise draw per window and per video against the
+# per-segment loops they replace
+# ---------------------------------------------------------------------------
+
+
+def order_windows_loop(num_windows, noise, rng, dim=32, window_segments=8,
+                       segment_s=1.0):
+    cfg = SynthConfig(dim=dim, num_verbs=2, num_nouns=2, noise=noise,
+                      two_phase=False, seed=0)
+    world = synth._World(cfg)
+    pattern_a = world.verb_patterns[0] + world.noun_patterns[0]
+    pattern_b = world.verb_patterns[1] + world.noun_patterns[1]
+    positions = (np.arange(window_segments) + 0.5) * segment_s
+    lo, hi = 2, window_segments - 2
+    feats = np.zeros((num_windows, window_segments, dim))
+    labels = np.zeros(num_windows, dtype=np.intp)
+    for w in range(num_windows):
+        first_len = int(rng.integers(lo, hi + 1))
+        a_first = bool(rng.integers(2))
+        first, second = (pattern_a, pattern_b) if a_first else (pattern_b, pattern_a)
+        labels[w] = int(a_first)
+        for i in range(window_segments):
+            base = first if i < first_len else second
+            feats[w, i] = base + noise * rng.standard_normal(dim)
+    return feats, positions, labels
+
+
+def emit_loop(world, cfg, event, t_s, rng):
+    base = world.verb_patterns[event.verb] + world.noun_patterns[event.noun]
+    if cfg.two_phase and event.state_change and event.pnr_s is not None:
+        after = t_s >= event.pnr_s
+        forward = event.verb % 2 == 0
+        sign = 1.0 if after == forward else -1.0
+        base = base + sign * world.phase_delta
+    return base + cfg.noise * rng.standard_normal(cfg.dim)
+
+
+def make_video_loop(cfg, world, video_id, rng):
+    n = cfg.segments_per_video
+    positions = (np.arange(n) + 0.5) * cfg.segment_s
+
+    # carve the timeline into events; the tail extends the last event
+    cuts = []
+    used = 0
+    while used < n:
+        length = int(rng.integers(cfg.event_len_lo, cfg.event_len_hi + 1))
+        if n - (used + length) < cfg.event_len_lo:
+            length = n - used
+        cuts.append((used, used + length))
+        used += length
+
+    events = []
+    verb = int(rng.integers(cfg.num_verbs))
+    noun = int(rng.integers(cfg.num_nouns))
+    for k, (seg_lo, seg_hi) in enumerate(cuts):
+        if k > 0:
+            if rng.random() < cfg.verb_follow:
+                verb = (verb + 1) % cfg.num_verbs
+            else:
+                verb = int(rng.integers(cfg.num_verbs))
+            if rng.random() >= cfg.noun_repeat:
+                noun = int(rng.integers(cfg.num_nouns))
+        start = seg_lo * cfg.segment_s
+        end = seg_hi * cfg.segment_s
+        changing = synth._is_state_changing(verb, cfg.num_verbs)
+        pnr = None
+        if changing:
+            frac = rng.uniform(0.3, 0.7)
+            pnr = start + frac * (end - start)
+        events.append(synth.Event(start, end, verb, noun, changing, pnr))
+
+    feats = np.zeros((n, cfg.dim))
+    for event in events:
+        lo = int(round(event.start_s / cfg.segment_s))
+        hi = int(round(event.end_s / cfg.segment_s))
+        for i in range(lo, hi):
+            feats[i] = emit_loop(world, cfg, event, positions[i], rng)
+    return synth.VideoSample(video_id, feats, positions, events)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1, 0.37])
+@pytest.mark.parametrize("num_windows, window_segments, dim",
+                         [(0, 8, 8), (1, 8, 4), (1, 4, 4), (37, 7, 12),
+                          (200, 8, 8), (25, 4, 3)])
+@pytest.mark.parametrize("seed", [0, 17])
+def test_order_windows_equal_per_segment_loop_bytes(
+        noise, num_windows, window_segments, dim, seed):
+    rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = generate_order_windows(num_windows, noise, rng, dim=dim,
+                                 window_segments=window_segments,
+                                 segment_s=0.5)
+    want = order_windows_loop(num_windows, noise, rng_loop, dim=dim,
+                              window_segments=window_segments, segment_s=0.5)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert rng.bit_generator.state == rng_loop.bit_generator.state
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1, 0.25])
+@pytest.mark.parametrize("two_phase", [True, False])
+@pytest.mark.parametrize("segment_s", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("segments, dim", [(32, 16), (7, 5)])
+def test_make_video_equals_per_segment_loop_bytes(noise, two_phase, segment_s,
+                                                  segments, dim):
+    cfg = SynthConfig(segments_per_video=segments, dim=dim, noise=noise,
+                      two_phase=two_phase, segment_s=segment_s, seed=11)
+    world = synth._World(cfg)
+    rng, rng_loop = np.random.default_rng(4), np.random.default_rng(4)
+    for i in range(6):
+        got = synth._make_video(cfg, world, f"v{i}", rng)
+        want = make_video_loop(cfg, world, f"v{i}", rng_loop)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.positions_s.tobytes() == want.positions_s.tobytes()
+        assert got.events == want.events
+        assert rng.bit_generator.state == rng_loop.bit_generator.state
+
+
+def test_dataset_equals_per_segment_loop_bytes():
+    cfg = replace(SMALL, noise=0.25)
+    world = synth._World(cfg)
+    rng = np.random.default_rng(cfg.seed + 1)
+    ds = generate_dataset(cfg)
+    for v in ds.train + ds.val:
+        want = make_video_loop(cfg, world, v.video_id, rng)
+        assert v.features.tobytes() == want.features.tobytes()
+        assert v.events == want.events
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from tgk.autodiff import (
-    GradientTape, Tensor, add, backward, clip, div, gather_rows, log,
-    maximum, minimum, mul, power, relu, segment_mean, sub, take_cols, tmean,
-    tsum,
+    GradientTape, Tensor, add, backward, div, gather_rows, log, mul, power,
+    relu, segment_mean, sub, tmean, tsum,
 )
 from tgk.graph import TemporalGraph, build_graph
 from tgk.optim import finite_diff_check
@@ -33,6 +32,8 @@ from tgk.tasks import (
     neck_forward,
     scorer_forward,
 )
+
+from oracle_ops import clip, maximum, minimum, take_cols
 
 
 # ---------------------------------------------------------------------------

@@ -614,7 +614,7 @@ def test_evaluate_runs_backbone_once_per_video(monkeypatch):
 def test_mq_evaluation_builds_one_iou_matrix_per_group(monkeypatch):
     model = trained("mq")
     videos = tiny_dataset().val
-    calls = {"iou_matrix": 0, "iou_1d": 0, "soft_nms": 0}
+    calls = {"iou_matrix": 0, "soft_nms": 0}
 
     def counting(owner, name):
         real = getattr(owner, name)
@@ -626,11 +626,9 @@ def test_mq_evaluation_builds_one_iou_matrix_per_group(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counting(metrics, "iou_matrix")
-    counting(metrics, "iou_1d")
     counting(training, "soft_nms")
     evaluate(model, videos, small_cfg())
     assert calls["soft_nms"] > 0
-    assert calls["iou_1d"] == 0
     # none in soft-NMS, one per (class, video) pair in mAP and one in
     # recall, for each of recall@1 and recall@5
     pairs = len(videos) * model.world.mq_classes
