@@ -182,9 +182,12 @@ def _make_video(cfg: SynthConfig, world: _World, video_id: str,
     nouns = np.repeat(np.array([e.noun for e in events], np.intp), lengths)
     feats = world.verb_patterns[verbs] + world.noun_patterns[nouns]
     if cfg.two_phase:
-        pnr = np.repeat(np.array([e.pnr_s for e in events], float), lengths)
-        phased = ~np.isnan(pnr)
-        after = positions[phased] >= pnr[phased]
+        keyframe = np.repeat(np.array([e.pnr_s for e in events], float),
+                             lengths)
+        # only the two-phase rows: adding 0.0 * phase_delta elsewhere would
+        # turn a -0.0 into +0.0
+        phased = ~np.isnan(keyframe)
+        after = positions[phased] >= keyframe[phased]
         forward = verbs[phased] % 2 == 0
         sign = np.where(after == forward, 1.0, -1.0)
         feats[phased] += sign[:, None] * world.phase_delta
