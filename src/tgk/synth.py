@@ -313,16 +313,15 @@ def generate_order_windows(num_windows: int, noise: float,
     pattern_a = world.verb_patterns[0] + world.noun_patterns[0]
     pattern_b = world.verb_patterns[1] + world.noun_patterns[1]
     positions = (np.arange(window_segments) + 0.5) * segment_s
+    first_len = np.empty((num_windows, 1), dtype=np.intp)
+    labels = np.empty(num_windows, dtype=np.intp)
     feats = np.empty((num_windows, window_segments, dim))
-    first_len, labels = [], []
     # the two integers stay between the window's normals: one draw of
     # those normals per window keeps the per-segment stream
-    for window in feats:
-        first_len.append(rng.integers(2, window_segments - 1))
-        labels.append(rng.integers(2))
-        rng.standard_normal(out=window)
-    first_len = np.array(first_len, np.intp)[:, None]
-    labels = np.array(labels, np.intp)
+    for w in range(num_windows):
+        first_len[w] = rng.integers(2, window_segments - 1)
+        labels[w] = rng.integers(2)
+        rng.standard_normal(out=feats[w])
     feats *= noise
     a_rows = (np.arange(window_segments) < first_len) == (labels[:, None] == 1)
     np.add(feats, pattern_a, out=feats, where=a_rows[:, :, None])
