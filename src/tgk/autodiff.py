@@ -22,7 +22,7 @@ __all__ = [
     "Tensor",
     "GradientTape",
     "backward",
-    "add", "sub", "neg", "mul", "div", "power", "matmul", "linear",
+    "add", "sub", "mul", "div", "matmul", "linear",
     "split_heads", "merge_heads",
     "exp", "log", "relu", "leaky_relu", "sigmoid", "softplus", "tsum",
     "tmean", "ScatterPlan", "gather_rows", "take_per_row",
@@ -68,46 +68,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; constants are wrapped as non-grad tensors
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 class _Record:
@@ -212,46 +172,34 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     return _emit(a.data + b.data, (a, b), lambda g: (
         _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     return _emit(a.data - b.data, (a, b), lambda g: (
         _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _emit(-a.data, (a,), lambda g: (-g,))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; a constant factor gets no gradient computed."""
-    a, b = _as_tensor(a), _as_tensor(b)
     return _emit(a.data * b.data, (a, b), lambda g: (
         _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
         _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     return _emit(a.data / b.data, (a, b), lambda g: (
         _unbroadcast(g / b.data, a.shape),
         _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
 
 def power_grad(g: np.ndarray, x: np.ndarray, p: float) -> np.ndarray:
-    """``power``'s backward: ``g * p * x ** (p - 1)``, zeros for ``p == 0``."""
+    """The backward of ``x ** p``: ``g * p * x ** (p - 1)``, zeros for
+    ``p == 0``."""
     if p == 0.0:
         return np.zeros_like(x)
     return g * p * x ** (p - 1.0)
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    p = float(p)
-    return _emit(a.data ** p, (a,), lambda g: (power_grad(g, a.data, p),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -547,8 +495,8 @@ def tdgc_aggregate(h: Tensor, dt: np.ndarray, src: ScatterPlan,
 
 
 def concat_rows(tensors) -> Tensor:
-    """Stack 2-D tensors along axis 0; backward splits the gradient."""
-    tensors = [t if isinstance(t, Tensor) else _as_tensor(t) for t in tensors]
+    """Stack a list of 2-D tensors along axis 0; backward splits the
+    gradient."""
     sizes = [t.shape[0] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -659,6 +607,6 @@ def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
         raise ValueError(f"labels shape {labels.shape} does not match {n} rows")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError("label index out of range")
-    shift = logits - Tensor(logits.data.max(axis=1, keepdims=True))
+    shift = sub(logits, Tensor(logits.data.max(axis=1, keepdims=True)))
     lse = log(tsum(exp(shift), axis=1))
-    return tmean(lse - take_per_row(shift, labels))
+    return tmean(sub(lse, take_per_row(shift, labels)))

@@ -35,13 +35,14 @@ from .ablation import (
     run_tdgc_ablations,
 )
 from .config import (
-    POOLINGS, ExperimentConfig, load_config, save_config, validate_config,
+    ExperimentConfig, load_config, save_config, validate_config,
     validate_data,
 )
 from .egopack import (
     activation_consensus, activation_histogram, knn_match, load_bank,
     save_bank,
 )
+from .graph import POOLINGS
 from .hierarchy import BackboneConfig
 from .layers import LAYER_KINDS
 from .persist import load_model, load_run, save_run
@@ -51,8 +52,8 @@ from .synth import (
 from .tasks import neck_forward
 from .training import (
     DENSE_STAGE, MultiTaskModel, TrainConfig, WorldInfo, backbone_layout,
-    build_batch_graph, build_prototype_banks, evaluate, run_mtl, run_novel,
-    run_single, run_translation, stage_count_for,
+    build_prototype_banks, evaluate, run_mtl, run_novel, run_single,
+    run_translation, stage_count_for,
 )
 
 __all__ = ["main"]
@@ -102,7 +103,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--warmup", dest="warmup_epochs", type=int)
     p.add_argument("--base-lr", type=float)
     p.add_argument("--task-lr", action="append", default=[],
-                   metavar="TASK=LR", help="per-task lr override, repeatable")
+                   metavar="TASK=LR", help="per-task lr override, repeatable "
+                   "or comma-separated")
     p.add_argument("--batch-videos", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--pooling", default=None, help="default: mean")
@@ -120,11 +122,16 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.set_defaults(**{**asdict(TrainConfig()), "task_lr": []})
 
 
+def _task_rate(entry: str) -> tuple[str, float]:
+    """One ``TASK=LR`` entry of ``--task-lr``."""
+    name, _, value = entry.partition("=")
+    return name, float(value)
+
+
 def _train_config(args) -> TrainConfig:
     task_lr = dict(TrainConfig().task_lr)
     for item in args.task_lr:
-        name, _, value = item.partition("=")
-        task_lr[name] = float(value)
+        task_lr.update(_parsed_list("--task-lr", item, _task_rate))
     return _from_flags(TrainConfig, args, task_lr=task_lr)
 
 
@@ -252,8 +259,7 @@ def _cmd_build_prototypes(args) -> int:
     # video, read by every support task's neck
     rows = {task: [] for task in support_tasks}
     for video in ds.val:
-        graph = build_batch_graph([video], model.backbone_cfg.threshold_s)
-        dense = model.forward_backbone(graph)[DENSE_STAGE].features
+        dense = model.forward_backbone([video])[DENSE_STAGE].features
         for task in support_tasks:
             rows[task].append(
                 neck_forward(model.branches[task].neck, dense).data)

@@ -13,9 +13,11 @@ construction time with named errors instead of failures mid-training.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .graph import POOLINGS
 from .hierarchy import BackboneConfig
 from .layers import LAYER_KINDS
 from .synth import SynthConfig, TASK_NAMES
@@ -24,7 +26,6 @@ from .training import TrainConfig, stage_count_for
 __all__ = ["ExperimentConfig", "validate_config", "validate_data",
            "load_config", "save_config"]
 
-POOLINGS = ("mean", "max", "video-ss", "batch-ss")
 ARMS = ("single", "mtl", "translation", "egopack", "mtl-ft", "mtl-ht")
 # arms that read support tasks; every other arm records none
 SUPPORT_ARMS = ("egopack", "translation")
@@ -123,6 +124,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("train.batch_videos: must be >= 1")
     if cfg.train.base_lr <= 0:
         raise ValueError("train.base_lr: must be positive")
+    for task, rate in cfg.train.task_lr.items():
+        if task not in TASK_NAMES:
+            raise ValueError(f"train.task_lr.{task}: unknown task; "
+                             f"choose from {TASK_NAMES}")
+        if not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
+            raise ValueError(f"train.task_lr.{task}: must be positive and "
+                             f"finite, got {rate!r}")
     if cfg.train.knn_k < 1:
         raise ValueError("train.knn_k: must be >= 1")
     if cfg.train.num_candidates < 1:

@@ -27,8 +27,9 @@ from .autodiff import ScatterPlan
 
 __all__ = [
     "TemporalGraph", "Topology", "VideoCache", "build_graph",
-    "rebuild_edges", "stage_scale", "stage_window", "subsample_plan",
-    "save_rows", "load_rows", "save_features", "load_features",
+    "rebuild_edges", "stage_scale", "stage_window", "POOLINGS",
+    "subsample_plan", "save_rows", "load_rows", "save_features",
+    "load_features",
 ]
 
 
@@ -254,6 +255,9 @@ class VideoCache:
                              bounds, topology)
 
 
+POOLINGS = ("mean", "max", "video-ss", "batch-ss")
+
+
 def subsample_plan(g: TemporalGraph, pooling: str) -> tuple[np.ndarray, np.ndarray]:
     """Survivor node indices and new video boundaries for one halving.
 
@@ -261,7 +265,7 @@ def subsample_plan(g: TemporalGraph, pooling: str) -> tuple[np.ndarray, np.ndarr
     batch-ss alternates nodes across the whole batch, so per-video counts
     may deviate by one while the global count still ceil-halves.
     """
-    if pooling not in ("mean", "max", "video-ss", "batch-ss"):
+    if pooling not in POOLINGS:
         raise ValueError(f"unknown pooling {pooling!r}")
     keep_parts = []
     new_bounds = [0]

@@ -58,28 +58,24 @@ class Adam:
             p.grad = None
 
     def step(self) -> None:
-        """One update; parameters whose grad is None are skipped. The
-        gradients are copied into one flat array, and the update runs once
-        per contiguous span of parameters that have one."""
+        """One update of the whole group. Every parameter's gradient is
+        copied into one flat array, and the update runs once over the
+        group's flat buffers. A parameter whose grad is None raises
+        ``ValueError`` naming its index, before ``t`` or any value moves."""
+        for i, (p, lo, hi) in enumerate(zip(self.params, self._bounds,
+                                            self._bounds[1:])):
+            if p.grad is None:
+                raise ValueError(f"Adam.step: parameter {i} has no gradient")
+            self._g[lo:hi] = p.grad.reshape(-1)
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        spans: list[list[int]] = []
-        for p, lo, hi in zip(self.params, self._bounds, self._bounds[1:]):
-            if p.grad is None:
-                continue
-            self._g[lo:hi] = p.grad.reshape(-1)
-            if spans and spans[-1][1] == lo:
-                spans[-1][1] = hi
-            else:
-                spans.append([lo, hi])
-        for lo, hi in spans:
-            g, m, v = self._g[lo:hi], self._m[lo:hi], self._v[lo:hi]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            self._p[lo:hi] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        g, m, v = self._g, self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        self._p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def lr_at(epoch: int, base_lr: float, warmup_epochs: int, total_epochs: int) -> float:

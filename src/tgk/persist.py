@@ -35,7 +35,8 @@ def _write_arrays(path: Path, params: list) -> None:
 def _read_arrays(path: Path, params: list) -> None:
     """Load ``path``'s arrays into ``params``, in place, so a parameter
     bound to an optimizer's buffer stays bound; an archive that does not
-    read, a member whose CRC fails included, raises ``ValueError``."""
+    read, a member whose CRC fails included, or an array holding a
+    non-finite value raises ``ValueError``."""
     try:
         with np.load(path) as npz:
             if len(npz.files) != len(params):
@@ -46,6 +47,9 @@ def _read_arrays(path: Path, params: list) -> None:
                 if arr.shape != t.data.shape:
                     raise ValueError(f"{path}: param {i} shape mismatch "
                                      f"{arr.shape} vs {t.data.shape}")
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{path}: param {i} holds a non-finite "
+                                     f"value")
                 t.data[...] = arr
     except zipfile.BadZipFile as exc:
         raise ValueError(f"{path}: not a readable array archive: {exc}"

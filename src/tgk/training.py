@@ -245,9 +245,14 @@ class MultiTaskModel:
         return self.backbone.params() + [
             p for t in self.tasks for p in self.branches[t].params()]
 
-    def forward_backbone(self, graph: TemporalGraph,
+    def forward_backbone(self, videos: list[VideoSample],
                          cache: VideoCache | None = None
                          ) -> list[StageOutput]:
+        """The backbone over ``videos``' stage-1 graph, built at
+        ``backbone_cfg.threshold_s``; ``cache`` holds every stage's
+        per-video edges across the calls of one loop."""
+        graph = build_batch_graph(videos, self.backbone_cfg.threshold_s,
+                                  cache)
         return backbone_forward(self.backbone, self.backbone_cfg, graph,
                                 cache)
 
@@ -502,9 +507,8 @@ def _train_loop(model: MultiTaskModel, videos: list[VideoSample],
             owners, len(videos), np.random.default_rng(cfg.seed),
             cfg.batch_videos, cfg.epochs, cfg.warmup_epochs):
         batch = [videos[i] for i in sel]
-        graph = build_batch_graph(batch, model.backbone_cfg.threshold_s, cache)
         with GradientTape() as tape:
-            stages = model.forward_backbone(graph, cache)
+            stages = model.forward_backbone(batch, cache)
             loss = None
             for task, branch in model.branches.items():
                 feats = _stage_features(model, task, stages, batch, arm, cache)
@@ -552,8 +556,7 @@ def build_prototype_banks(model: MultiTaskModel, ds: SynthDataset,
     per_task_rows: dict[str, list[np.ndarray]] = {t: [] for t in support_tasks}
     keys: list[np.ndarray] = []
     for video in ds.train:
-        graph = build_batch_graph([video], model.backbone_cfg.threshold_s)
-        stages = model.forward_backbone(graph)
+        stages = model.forward_backbone([video])
         feats = stages[DENSE_STAGE].features
         ivals, verbs, nouns = view.annotations(video, "ar")
         aligned, _ = align_video_intervals(feats, stages[DENSE_STAGE].graph,
@@ -710,10 +713,9 @@ class TranslationModel:
                         ) -> tuple[Tensor, np.ndarray, int]:
         """One video's detached dense-stage neck tokens from a frozen
         support model."""
-        sg = build_batch_graph([video], m.backbone_cfg.threshold_s)
-        s_stages = m.forward_backbone(sg)
-        sup = neck_forward(m.branches[task].neck, s_stages[DENSE_STAGE].features)
-        return sup.detach(), sg.positions_s, 1
+        dense = m.forward_backbone([video])[DENSE_STAGE]
+        sup = neck_forward(m.branches[task].neck, dense.features)
+        return sup.detach(), dense.graph.positions_s, 1
 
 
 def run_translation(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
@@ -872,8 +874,7 @@ def evaluate(model: MultiTaskModel, videos: list[VideoSample],
     cache = VideoCache()
     records: dict[str, list] = {task: [] for task in tasks}
     for idx, video in enumerate(videos):
-        stages = model.forward_backbone(build_batch_graph(
-            [video], model.backbone_cfg.threshold_s, cache), cache)
+        stages = model.forward_backbone([video], cache)
         for task in tasks:
             feats = _stage_features(model, task, stages, [video], arm,
                                     cache)

@@ -1,18 +1,19 @@
 """Tape primitives and metrics that only the tests use.
 
 No ``tgk`` module calls these. They build the composed chains that the
-fused records replaced (``focal_loss``' clip, ``diou_loss``' column picks,
-``minimum`` and ``maximum``, the nine-record layer norm's ``sqrt``, the
-per-head ``take_cols`` blocks), and ``iou_1d`` is the scalar IoU the
-detection oracles score with. Each is taped the way the library's own
-primitives are, so the chains keep the bytes they had in ``tgk``.
+fused records replaced (``focal_loss``' clip and power, ``diou_loss``'
+column picks, ``minimum`` and ``maximum``, the nine-record layer norm's
+``sqrt``, the per-head ``take_cols`` blocks), and ``iou_1d`` is the
+scalar IoU the detection oracles score with. Each is taped the way the
+library's own primitives are, so the chains keep the bytes they had in
+``tgk``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from tgk.autodiff import ScatterPlan, Tensor, _as_tensor, _emit, _unbroadcast
+from tgk.autodiff import ScatterPlan, Tensor, _emit, _unbroadcast, power_grad
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -26,15 +27,18 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _emit(out, (a,), lambda g: (g * inside,))
 
 
+def power(a: Tensor, p: float) -> Tensor:
+    p = float(p)
+    return _emit(a.data ** p, (a,), lambda g: (power_grad(g, a.data, p),))
+
+
 def minimum(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     a_wins = a.data <= b.data  # ties route to the first argument
     return _emit(np.where(a_wins, a.data, b.data), (a, b), lambda g: (
         _unbroadcast(g * a_wins, a.shape), _unbroadcast(g * ~a_wins, b.shape)))
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     a_wins = a.data >= b.data
     return _emit(np.where(a_wins, a.data, b.data), (a, b), lambda g: (
         _unbroadcast(g * a_wins, a.shape), _unbroadcast(g * ~a_wins, b.shape)))

@@ -42,7 +42,7 @@ from tgk.tasks import (
     LtaParams, MlpParams, MqParams, ScorerParams, lta_forward, mlp_forward,
     mq_decode, mq_forward, mq_targets, neck_forward, scorer_forward,
 )
-from tgk.training import TrainConfig, build_batch_graph, build_prototype_banks
+from tgk.training import TrainConfig, build_prototype_banks
 from tgk.translation import TranslationParams, build_mask, translation_forward
 
 from oracle_ops import iou_1d
@@ -466,7 +466,6 @@ def _blocking_factor_holds(model, novel_state, video) -> bool:
     """Backbone gradients through the interaction fusion must equal exactly
     1/(1+num_support) of the gradients through the plain novel neck:
     support branches are detached, fusion is an arithmetic mean."""
-    graph = build_batch_graph([video], model.backbone_cfg.threshold_s)
     rng = np.random.default_rng(13)
     leaves = model.backbone.params()
     neck = model.branches[novel_state.novel].neck
@@ -475,7 +474,7 @@ def _blocking_factor_holds(model, novel_state, video) -> bool:
     def grads(fused_path):
         nonlocal weights
         with GradientTape() as tape:
-            stages = model.forward_backbone(graph)
+            stages = model.forward_backbone([video])
             if fused_path:
                 feats = novel_state.stage_features(stages, [video],
                                                    VideoCache())

@@ -24,7 +24,7 @@ from tgk.training import (
 
 def adam_loop(arrays, grads_per_step, lr, betas=(0.9, 0.999), eps=1e-8):
     """The per-tensor Adam update the flat buffers replaced, on copies of
-    ``arrays``; a None gradient skips its tensor for that step."""
+    ``arrays``."""
     values = [a.copy() for a in arrays]
     ms = [np.zeros_like(a) for a in arrays]
     vs = [np.zeros_like(a) for a in arrays]
@@ -34,8 +34,6 @@ def adam_loop(arrays, grads_per_step, lr, betas=(0.9, 0.999), eps=1e-8):
         c1 = 1.0 - beta1 ** t
         c2 = 1.0 - beta2 ** t
         for p, m, v, g in zip(values, ms, vs, grads):
-            if g is None:
-                continue
             m *= beta1
             m += (1.0 - beta1) * g
             v *= beta2
@@ -46,25 +44,34 @@ def adam_loop(arrays, grads_per_step, lr, betas=(0.9, 0.999), eps=1e-8):
 
 
 def test_flat_update_equals_per_tensor_loop_bytes():
-    """Over several steps, with a None gradient in the middle of the group
-    (so a step runs over several spans) and at either end."""
+    """Over several steps with every gradient set; between them, a step
+    with a None gradient in the middle of the group or at either end
+    raises and moves no value."""
     rng = np.random.default_rng(0)
     shapes = [(3, 4), (4,), (1,), (2, 3, 2), (5,), (1, 6)]
     arrays = [rng.normal(size=s) for s in shapes]
-    missing = [(), (2,), (0, 5), (1, 3), (), (0, 1, 2, 3, 4, 5)]
     grads_per_step = [
-        [None if i in gone else rng.normal(size=s) * 10.0 ** rng.integers(-3, 3)
-         for i, s in enumerate(shapes)]
-        for gone in missing]
+        [rng.normal(size=s) * 10.0 ** rng.integers(-3, 3) for s in shapes]
+        for _ in range(6)]
+    missing = [(2,), (0, 5), (1, 3), (0, 1, 2, 3, 4, 5)]
     params = [Tensor(a, requires_grad=True) for a in arrays]
     opt = Adam(params, lr=0.01)
     got = []
-    for grads in grads_per_step:
+    for step, grads in enumerate(grads_per_step):
+        if step < len(missing):
+            gone = missing[step]
+            before = [p.data.tobytes() for p in params]
+            for i, (p, g) in enumerate(zip(params, grads)):
+                p.grad = None if i in gone else g
+            with pytest.raises(ValueError, match=f"parameter {gone[0]} "):
+                opt.step()
+            assert [p.data.tobytes() for p in params] == before
         for p, g in zip(params, grads):
             p.grad = g
         opt.step()
         got.append([p.data.tobytes() for p in params])
     assert got == adam_loop(arrays, grads_per_step, lr=0.01)
+    assert opt.t == len(grads_per_step)
     assert all(np.shares_memory(p.data, opt._p) for p in params)
 
 

@@ -220,9 +220,9 @@ def test_build_prototypes_runs_backbone_once_per_video(tmp_path, monkeypatch):
     calls = []
     real = MultiTaskModel.forward_backbone
 
-    def counting(self, graph):
+    def counting(self, videos):
         calls.append(1)
-        return real(self, graph)
+        return real(self, videos)
 
     monkeypatch.setattr(MultiTaskModel, "forward_backbone", counting)
     run = tmp_path / "protos"
@@ -514,6 +514,37 @@ def test_training_rejects_negative_seed(tmp_path, command):
         run, "train.seed: must be >= 0, got -1")
 
 
+def test_task_lr_records_every_entry(tmp_path):
+    run = tmp_path / "run"
+    assert main(data_argv("train-single", workspace() / "data", run)
+                + ["--task-lr", "oscc=3e-5,ar=2e-4", "--task-lr",
+                   "lta=1e-6"]) == 0
+    assert load_config(run).train.task_lr == {
+        "ar": 2e-4, "lta": 1e-6, "oscc": 3e-5, "pnr": 1e-5}
+
+
+def test_task_lr_entry_without_rate_exits_in_one_line(tmp_path):
+    run = tmp_path / "run"
+    assert_exits_in_one_line(
+        data_argv("train-single", workspace() / "data", run)
+        + ["--task-lr", "ar"], run, "--task-lr: malformed entry 'ar'")
+
+
+def test_task_lr_rejects_non_positive_rate(tmp_path):
+    run = tmp_path / "run"
+    assert_exits_in_one_line(
+        data_argv("train-single", workspace() / "data", run)
+        + ["--task-lr", "ar=-1"], run,
+        "train.task_lr.ar: must be positive and finite, got -1.0")
+
+
+def test_task_lr_rejects_unknown_task(tmp_path):
+    run = tmp_path / "run"
+    assert_exits_in_one_line(
+        data_argv("train-single", workspace() / "data", run)
+        + ["--task-lr", "xyz=1e-3"], run, "train.task_lr.xyz: unknown task")
+
+
 def run_without_arm(run: Path) -> Path:
     """A run directory as written before config.json recorded the arm."""
     run.mkdir()
@@ -731,6 +762,33 @@ def test_truncated_model_exits_with_one_line(tmp_path):
         assert exc.value.code.startswith(f"{run}: {run / 'model.npz'}: ")
         assert "\n" not in exc.value.code
     assert not novel.exists()
+
+
+def test_model_with_non_finite_weight_exits_with_one_line(tmp_path):
+    """One NaN in the first array of ``model.npz``: every command that
+    loads the run names the archive and the parameter in one line."""
+    ws = workspace()
+    run = tmp_path / "run"
+    run.mkdir()
+    src = ws / "run_single_oscc"
+    (run / "config.json").write_bytes((src / "config.json").read_bytes())
+    with np.load(src / "model.npz") as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays["p00000"].reshape(-1)[0] = np.nan
+    np.savez(run / "model.npz", **arrays)
+    out = tmp_path / "out"
+    for argv in (["eval", "--run", str(run), "--data", str(ws / "data")],
+                 ["build-prototypes", "--data", str(ws / "data"),
+                  "--support-run", str(run), "--run", str(out)],
+                 ["train-novel", "--data", str(ws / "data"), "--task", "pnr",
+                  "--method", "mtl-ft", "--support-run", str(run),
+                  "--run", str(out)] + TRAIN_FLAGS):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == (f"{run}: {run / 'model.npz'}: param 0 "
+                                  f"holds a non-finite value")
+    assert not out.exists()
+    assert not (run / "metrics.json").exists()
 
 
 def test_eval_exits_on_corrupted_model_member(tmp_path):

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from tgk.autodiff import GradientTape, Tensor, backward, tsum
+from tgk.autodiff import GradientTape, Tensor, backward, mul, tsum
 from tgk.egopack import (
     InteractionParams,
     PrototypeBank,
@@ -266,7 +266,8 @@ def test_interaction_gradients_finite_difference():
 
     def build_loss():
         # fixed matching keeps the loss smooth for the numeric check
-        return tsum(interaction_forward(p, x, bank, 2, rematch=False) * weights)
+        return tsum(mul(interaction_forward(p, x, bank, 2, rematch=False),
+                        weights))
 
     assert finite_diff_check(build_loss, p.params() + [x], rel_tol=1e-5) < 1e-5
 

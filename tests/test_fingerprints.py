@@ -73,15 +73,14 @@ def _forecast_sha(model, novel, videos) -> str:
     from tgk.synth import lta_annotations
     from tgk.tasks import align_video_intervals, lta_forward
     from tgk.graph import VideoCache
-    from tgk.training import _stage_features, build_batch_graph
+    from tgk.training import _stage_features
 
     h = hashlib.sha256()
     for video in videos:
         anchor, verbs, _ = lta_annotations(video, model.world.lta_steps)
         if len(verbs) == 0 or anchor[1] <= 0:
             continue
-        stages = model.forward_backbone(
-            build_batch_graph([video], model.backbone_cfg.threshold_s))
+        stages = model.forward_backbone([video])
         feats = _stage_features(model, "lta", stages, [video], novel,
                                 VideoCache())
         context, _ = align_video_intervals(feats[0], stages[0].graph, 0,

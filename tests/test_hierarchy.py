@@ -277,7 +277,7 @@ def test_backbone_gradients_finite_difference_mean_and_max():
 
         def build_loss():
             outs = backbone_forward(params, cfg, g)
-            return tsum(outs[-1].features * weights)
+            return tsum(mul(outs[-1].features, weights))
 
         worst = finite_diff_check(build_loss, params.params(), rel_tol=1e-5)
         assert worst < 1e-5, f"{pooling}: {worst}"

@@ -11,7 +11,7 @@ gradient checks.
 import numpy as np
 import pytest
 
-from tgk.autodiff import GradientTape, Tensor, backward, tsum
+from tgk.autodiff import GradientTape, Tensor, backward, mul, tsum
 from tgk.graph import build_graph
 from tgk.layers import (
     LAYER_KINDS,
@@ -277,7 +277,7 @@ def test_layer_gradients_finite_difference():
         weights = Tensor(rng.normal(size=(g.num_nodes, 4)))
 
         def build_loss():
-            return tsum(kind.forward(p, g, x) * weights)
+            return tsum(mul(kind.forward(p, g, x), weights))
 
         worst = finite_diff_check(build_loss, p.params() + [x], rel_tol=1e-5)
         assert worst < 1e-5, f"{name}: {worst}"

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from tgk.autodiff import GradientTape, Tensor, backward, mul, tsum
+from tgk.autodiff import GradientTape, Tensor, backward, mul, sub, tsum
 from tgk.optim import Adam, finite_diff_check, lr_at, uniform_fan_in
 
 
@@ -46,23 +46,27 @@ def test_adam_descends_on_quadratic():
     for _ in range(400):
         opt.zero_grad()
         with GradientTape() as tape:
-            diff = w - Tensor(target)
+            diff = sub(w, Tensor(target))
             loss = tsum(mul(diff, diff))
         backward(tape, loss, [w])
         opt.step()
     assert np.max(np.abs(w.data - target)) < 1e-3
 
 
-def test_adam_skips_none_grads_and_counts_steps():
+def test_adam_raises_on_none_grad_and_counts_steps():
     a = Tensor(np.array([1.0]), requires_grad=True)
     b = Tensor(np.array([2.0]), requires_grad=True)
     opt = Adam([a, b], lr=0.1)
-    a.grad = np.array([1.0])
-    b.grad = None
+    a.grad, b.grad = np.array([1.0]), np.array([-1.0])
     opt.step()
-    assert a.data[0] != 1.0
-    assert b.data[0] == 2.0
     assert opt.t == 1
+    state = [x.copy() for x in (opt._p, opt._m, opt._v)]
+    a.grad, b.grad = np.array([3.0]), None
+    with pytest.raises(ValueError, match="parameter 1 has no gradient"):
+        opt.step()
+    assert opt.t == 1
+    assert all(np.array_equal(x, y)
+               for x, y in zip((opt._p, opt._m, opt._v), state))
 
 
 def test_adam_rejects_frozen_parameters():

@@ -84,8 +84,7 @@ def corpus_loss(model, videos, task):
     """Summed task loss over one batch holding every given video."""
     view = AnnotationView([task], model.world.lta_steps)
     branch = model.branches[task]
-    graph = build_batch_graph(videos, model.backbone_cfg.threshold_s)
-    stages = model.forward_backbone(graph)
+    stages = model.forward_backbone(videos)
     necked = [neck_forward(branch.neck, s.features) for s in stages]
     return float(task_loss(branch, necked, stages, videos, view,
                            model.world).data)
@@ -245,11 +244,10 @@ def test_every_task_loss_is_finite_and_differentiable():
     batch = [v for v in ds.train if len(pnr_annotations(v)[0]) > 0][:2]
     assert len(batch) == 2
     view = AnnotationView(tasks, world.lta_steps)
-    graph = build_batch_graph(batch, cfg.threshold_s)
     for task in tasks:
         branch = model.branches[task]
         with GradientTape() as tape:
-            stages = model.forward_backbone(graph)
+            stages = model.forward_backbone(batch)
             necked = [neck_forward(branch.neck, s.features) for s in stages]
             loss = task_loss(branch, necked, stages, batch, view, world)
         assert loss.shape == ()
@@ -275,8 +273,7 @@ def test_detection_loss_records_do_not_grow_with_the_batch(task):
     view = AnnotationView([task], world.lta_steps)
 
     def loss_records(batch):
-        stages = model.forward_backbone(
-            build_batch_graph(batch, cfg.threshold_s))
+        stages = model.forward_backbone(batch)
         necked = [neck_forward(branch.neck, s.features) for s in stages]
         with GradientTape() as tape:
             loss = task_loss(branch, necked, stages, batch, view, world)
@@ -469,8 +466,7 @@ def test_keyframe_loss_is_zero_without_state_changes():
     model = MultiTaskModel.init(rng, ["pnr"], world, cfg)
     branch = model.branches["pnr"]
     view = AnnotationView(["pnr"], world.lta_steps)
-    graph = build_batch_graph([video], cfg.threshold_s)
-    stages = model.forward_backbone(graph)
+    stages = model.forward_backbone([video])
     necked = [neck_forward(branch.neck, s.features) for s in stages]
     loss = task_loss(branch, necked, stages, [video], view, world)
     assert float(loss.data) == 0.0
@@ -730,8 +726,7 @@ def test_prototype_banks_group_projected_features_by_label():
     rows = {t: [] for t in banks}
     keys = []
     for video in ds.train:
-        graph = build_batch_graph([video], model.backbone_cfg.threshold_s)
-        stages = model.forward_backbone(graph)
+        stages = model.forward_backbone([video])
         ivals, verbs, nouns = ar_annotations(video)
         aligned, _ = align_video_intervals(
             stages[DENSE_STAGE].features, stages[DENSE_STAGE].graph, 0, ivals)
@@ -809,7 +804,6 @@ def test_novel_gradients_bypass_support_branches():
     # equal exactly half of those through the plain novel neck
     model, novel = novel_run()
     video = tiny_dataset().train[0]
-    graph = build_batch_graph([video], model.backbone_cfg.threshold_s)
     rng = np.random.default_rng(7)
     weights = None
     leaves = model.backbone.params()
@@ -818,7 +812,7 @@ def test_novel_gradients_bypass_support_branches():
     def grads_with(fused_path):
         nonlocal weights
         with GradientTape() as tape:
-            stages = model.forward_backbone(graph)
+            stages = model.forward_backbone([video])
             if fused_path:
                 feats = novel.stage_features(stages, [video], VideoCache())
             else:
@@ -843,10 +837,9 @@ def test_novel_gradients_bypass_support_branches():
 def test_novel_interaction_weights_receive_gradient():
     model, novel = novel_run()
     video = tiny_dataset().train[0]
-    graph = build_batch_graph([video], model.backbone_cfg.threshold_s)
     inter = [p for ip in novel.interactions.values() for p in ip.params()]
     with GradientTape() as tape:
-        stages = model.forward_backbone(graph)
+        stages = model.forward_backbone([video])
         fused = novel.stage_features(stages, [video], VideoCache())
         loss = tsum(mul(fused[0], fused[0]))
     grads = backward(tape, loss, leaves=inter)

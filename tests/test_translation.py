@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tgk import translation
-from tgk.autodiff import GradientTape, Tensor, backward, tsum
+from tgk.autodiff import GradientTape, Tensor, backward, mul, tsum
 from tgk.graph import VideoCache
 from tgk.optim import finite_diff_check
 from tgk.translation import (
@@ -287,7 +287,7 @@ def test_translation_gradients_finite_difference():
             "a": (feats_a, np.array([0.0, 1.0]), 1),
             "b": (feats_b, np.array([0.5, 1.5]), 1),
         }
-        return tsum(translation_forward(p, tokens, primary="b") * weights)
+        return tsum(mul(translation_forward(p, tokens, primary="b"), weights))
 
     worst = finite_diff_check(build_loss, p.params() + [feats_a, feats_b],
                               rel_tol=1e-4, max_entries=10)
@@ -304,7 +304,7 @@ def test_every_translation_parameter_receives_gradient():
     }
     with GradientTape() as tape:
         out = translation_forward(p, tokens, primary="a")
-        loss = tsum(out * Tensor(rng.normal(size=out.shape)))
+        loss = tsum(mul(out, Tensor(rng.normal(size=out.shape))))
     grads = backward(tape, loss, leaves=p.params())
     dead = [i for i, t in enumerate(p.params()) if np.max(np.abs(grads[t])) == 0.0]
     assert dead == []
