@@ -235,6 +235,15 @@ def compute() -> dict:
             corpus.update(path.relative_to(data).as_posix().encode())
             corpus.update(path.read_bytes())
         out["cli/gen-data/corpus"] = corpus.hexdigest()
+        # every default kind, at a size where full, no_sign and no_gate differ
+        order = ws / "order"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["ablate", "--mode", "order", "--out", str(order),
+                         "--seeds", "0,1", "--windows", "600",
+                         "--epochs", "8"]) == 0
+        for path in [order / "metrics.json",
+                     *sorted((order / "tables").glob("*.csv"))]:
+            out[f"cli/ablate-order/{path.name}"] = _sha(path.read_bytes())
     return out
 
 
