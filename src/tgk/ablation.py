@@ -27,10 +27,14 @@ from .training import (
 )
 
 __all__ = [
-    "OrderProbeConfig", "train_order_probe", "run_order_separation",
-    "run_tdgc_ablations", "run_transfer_matchup",
+    "OrderProbeConfig", "TDGC_VARIANTS", "train_order_probe",
+    "run_order_separation", "tdgc_ablations", "run_transfer_matchup",
     "run_ablation_grid",
 ]
+
+# probe arms beyond the layer kinds: tdgc without one temporal modulation
+TDGC_VARIANTS = {"tdgc-no-sign": {"disable_sign": True},
+                 "tdgc-no-gate": {"disable_gate": True}}
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,9 @@ def _window_batch_graph(feats: np.ndarray, positions: np.ndarray,
 
 
 def train_order_probe(layer_kind: str, seed: int,
-                      probe: OrderProbeConfig = OrderProbeConfig(),
-                      disable_sign: bool = False,
-                      disable_gate: bool = False) -> dict:
-    """Train one layer family on the ordering probe; returns accuracies.
+                      probe: OrderProbeConfig = OrderProbeConfig()) -> dict:
+    """Train one probe arm, a ``LAYER_KINDS`` name or a ``TDGC_VARIANTS``
+    name, on the ordering probe; returns accuracies.
 
     The model is one backbone stage (two layers) followed by per-window
     mean pooling and a small classifier, trained by ``_train_loop``'s
@@ -86,10 +89,10 @@ def train_order_probe(layer_kind: str, seed: int,
     train_f, val_f = feats[:n_train], feats[n_train:]
     train_y, val_y = labels[:n_train], labels[n_train:]
 
-    cfg = BackboneConfig(layer_kind=layer_kind, d_in=probe.dim,
-                         d_model=probe.dim, num_stages=1,
-                         threshold_s=probe.threshold_s,
-                         disable_sign=disable_sign, disable_gate=disable_gate)
+    flags = TDGC_VARIANTS.get(layer_kind, {})
+    cfg = BackboneConfig(layer_kind="tdgc" if flags else layer_kind,
+                         d_in=probe.dim, d_model=probe.dim, num_stages=1,
+                         threshold_s=probe.threshold_s, **flags)
     params = BackboneParams.init(rng, cfg)
     readout = MlpParams.init(rng, probe.dim, probe.dim, 2)
     cache = VideoCache()
@@ -117,29 +120,26 @@ def train_order_probe(layer_kind: str, seed: int,
             "val_acc": accuracy(val_f, val_y)}
 
 
-def _probe_across_seeds(kind: str, seeds, probe: OrderProbeConfig,
-                        **flags) -> dict:
-    """Probe validation accuracy per seed, plus the seed mean."""
-    per_seed = {s: train_order_probe(kind, s, probe, **flags)["val_acc"]
-                for s in seeds}
-    return {"per_seed": per_seed,
-            "mean": float(np.mean(list(per_seed.values())))}
-
-
-def run_order_separation(layer_kinds, seeds,
+def run_order_separation(arms, seeds,
                          probe: OrderProbeConfig = OrderProbeConfig()) -> dict:
-    """Probe accuracy per layer kind per seed, plus seed means."""
-    return {kind: _probe_across_seeds(kind, seeds, probe)
-            for kind in layer_kinds}
+    """Probe validation accuracy per arm per seed, plus seed means; each
+    arm is a layer kind or a ``TDGC_VARIANTS`` name."""
+    out = {}
+    for arm in arms:
+        per_seed = {s: train_order_probe(arm, s, probe)["val_acc"]
+                    for s in seeds}
+        out[arm] = {"per_seed": per_seed,
+                    "mean": float(np.mean(list(per_seed.values())))}
+    return out
 
 
-def run_tdgc_ablations(seeds, probe: OrderProbeConfig = OrderProbeConfig()
-                       ) -> dict:
-    """Ordering-probe accuracy with each temporal modulation removed."""
-    variants = {"full": {}, "no_sign": {"disable_sign": True},
-                "no_gate": {"disable_gate": True}}
-    return {name: _probe_across_seeds("tdgc", seeds, probe, **flags)
-            for name, flags in variants.items()}
+def tdgc_ablations(separation: dict) -> dict:
+    """The tdgc ablation table of a separation over ``tdgc`` and every
+    ``TDGC_VARIANTS`` arm: ``full`` is ``tdgc``, ``no_sign`` is
+    ``tdgc-no-sign``."""
+    return {"full": separation["tdgc"]} | {
+        arm.removeprefix("tdgc-").replace("-", "_"): separation[arm]
+        for arm in TDGC_VARIANTS}
 
 
 def run_transfer_matchup(novel_task: str, ds: SynthDataset,

@@ -25,14 +25,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .ablation import (
-    OrderProbeConfig, run_ablation_grid, run_order_separation,
-    run_tdgc_ablations,
+    TDGC_VARIANTS, OrderProbeConfig, run_ablation_grid, run_order_separation,
+    tdgc_ablations,
 )
 from .config import (
     ExperimentConfig, load_config, save_config, validate_config,
@@ -69,7 +70,7 @@ BACKBONE_FLAGS = {"layer_kind": "--layer-kind", "pooling": "--pooling",
 # ``validate_data`` checks (its seeds are checked apart)
 GRID_DATA_FLAGS = {"num_train_videos": "--train-videos",
                    "num_val_videos": "--val-videos",
-                   "segments_per_video": "--segments"}
+                   "segments_per_video": "--segments", "noise": "--noise"}
 
 
 def _write_metrics(run_dir: Path, payload: dict) -> None:
@@ -358,6 +359,8 @@ def _cmd_ablate(args) -> int:
     for t in thresholds:
         if not t > 0:
             raise SystemExit(f"--thresholds: must be positive, got {t}")
+        if t == math.inf:
+            raise SystemExit("--thresholds: must be finite, got inf")
     kinds, poolings = args.kinds.split(","), args.poolings.split(",")
     for flag, values, known in (("--kinds", kinds, LAYER_KINDS),
                                 ("--poolings", poolings, POOLINGS)):
@@ -368,6 +371,10 @@ def _cmd_ablate(args) -> int:
     if args.epochs < 1:
         raise SystemExit(f"--epochs: must be at least 1, got {args.epochs}")
     if args.mode == "order":
+        # grid mode checks its noise with the rest of its corpus
+        if not 0 <= args.noise < math.inf:
+            raise SystemExit(f"--noise: must be non-negative and finite, got "
+                             f"{args.noise}")
         probe = OrderProbeConfig(num_windows=args.windows, noise=args.noise,
                                  epochs=args.epochs,
                                  warmup_epochs=min(5, args.epochs - 1))
@@ -375,8 +382,11 @@ def _cmd_ablate(args) -> int:
             raise SystemExit(
                 f"--windows: the {probe.train_fraction:g} train split must "
                 f"leave a window on each side, got {args.windows}")
-        separation = run_order_separation(kinds, seeds, probe)
-        ablations = run_tdgc_ablations(seeds, probe)
+        # each (arm, seed) trains once: the ablation's full is tdgc's entry
+        swept = run_order_separation(
+            dict.fromkeys([*kinds, "tdgc", *TDGC_VARIANTS]), seeds, probe)
+        separation = {kind: swept[kind] for kind in kinds}
+        ablations = tdgc_ablations(swept)
         for name, key, result in (
                 ("order_separation", "layer_kind", separation),
                 ("tdgc_ablations", "variant", ablations)):

@@ -86,8 +86,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.backbone.pooling not in POOLINGS:
         raise ValueError(f"backbone.pooling: unknown pooling "
                          f"{cfg.backbone.pooling!r}; choose from {POOLINGS}")
-    if cfg.backbone.threshold_s <= 0:
-        raise ValueError("backbone.threshold_s: must be positive")
+    if not 0 < cfg.backbone.threshold_s < math.inf:
+        raise ValueError(f"backbone.threshold_s: must be positive and finite, "
+                         f"got {cfg.backbone.threshold_s}")
     if cfg.backbone.layers_per_stage < 1:
         raise ValueError("backbone.layers_per_stage: must be >= 1")
     if cfg.backbone.layer_kind != "tdgc":
@@ -122,8 +123,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("train.epochs: must exceed train.warmup_epochs")
     if cfg.train.batch_videos < 1:
         raise ValueError("train.batch_videos: must be >= 1")
-    if cfg.train.base_lr <= 0:
-        raise ValueError("train.base_lr: must be positive")
+    if not 0 < cfg.train.base_lr < math.inf:
+        raise ValueError(f"train.base_lr: must be positive and finite, got "
+                         f"{cfg.train.base_lr}")
     for task, rate in cfg.train.task_lr.items():
         if task not in TASK_NAMES:
             raise ValueError(f"train.task_lr.{task}: unknown task; "
@@ -135,6 +137,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("train.knn_k: must be >= 1")
     if cfg.train.num_candidates < 1:
         raise ValueError("train.num_candidates: must be >= 1")
+    if not 0.0 <= cfg.train.mq_min_score <= 1.0:
+        raise ValueError(f"train.mq_min_score: must lie in [0, 1], got "
+                         f"{cfg.train.mq_min_score}")
 
 
 def validate_data(data: SynthConfig) -> None:
@@ -156,6 +161,11 @@ def validate_data(data: SynthConfig) -> None:
     if not data.segment_s > 0:
         raise ValueError(f"data.segment_s: must be positive, got "
                          f"{data.segment_s}")
+    if data.segment_s == math.inf:
+        raise ValueError("data.segment_s: must be finite, got inf")
+    if not 0.0 <= data.noise < math.inf:
+        raise ValueError(f"data.noise: must be non-negative and finite, got "
+                         f"{data.noise}")
     for prob_field in ("verb_follow", "noun_repeat"):
         p = getattr(data, prob_field)
         if not 0.0 <= p <= 1.0:

@@ -1,4 +1,4 @@
-"""Adam optimizer, warmup/cosine schedule, init, and a gradient checker."""
+"""Adam optimizer, warmup/cosine schedule, and init."""
 
 from __future__ import annotations
 
@@ -6,10 +6,9 @@ import math
 
 import numpy as np
 
-from .autodiff import GradientTape, Tensor, backward
+from .autodiff import Tensor
 
-__all__ = ["Adam", "lr_at", "uniform_fan_in", "linear_init",
-           "finite_diff_check"]
+__all__ = ["Adam", "lr_at", "uniform_fan_in", "linear_init"]
 
 
 class Adam:
@@ -118,53 +117,3 @@ def linear_init(rng: np.random.Generator, d_in: int, d_out: int
     w = Tensor(uniform_fan_in(rng, (d_in, d_out)), requires_grad=True)
     b = Tensor(uniform_fan_in(rng, (d_out,), fan_in=d_in), requires_grad=True)
     return w, b
-
-
-def finite_diff_check(build_loss, params: list[Tensor], rel_tol: float = 1e-4,
-                      eps: float = 1e-6, max_entries: int = 40,
-                      rng: np.random.Generator | None = None,
-                      atol: float = 1e-9) -> float:
-    """Compare tape gradients against central finite differences.
-
-    ``build_loss`` is a zero-argument callable returning a scalar Tensor;
-    it must read the current values of ``params`` each call. For each
-    parameter a subset of entries (all, or ``max_entries`` sampled ones) is
-    perturbed by +-eps. Returns the worst relative error and raises
-    AssertionError if it exceeds ``rel_tol``.
-
-    Differences within ``atol`` count as agreement: the numeric side
-    carries roundoff noise of about ulp(loss) / (2 * eps), so entries
-    whose true gradient sits below that floor would otherwise report
-    spurious mismatches that shrink as eps grows, the signature of
-    measurement noise rather than a wrong derivative.
-    """
-    with GradientTape() as tape:
-        loss = build_loss()
-    backward(tape, loss, leaves=params)
-    analytic = [p.grad.copy() for p in params]
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-    worst = 0.0
-    for p, g in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        idxs = np.arange(flat.size)
-        if flat.size > max_entries:
-            idxs = rng.choice(flat.size, size=max_entries, replace=False)
-        for i in idxs:
-            keep = flat[i]
-            flat[i] = keep + eps
-            up = build_loss().item()
-            flat[i] = keep - eps
-            down = build_loss().item()
-            flat[i] = keep
-            numeric = (up - down) / (2.0 * eps)
-            a = g.reshape(-1)[i]
-            if abs(a - numeric) <= atol:
-                continue
-            denom = max(abs(a), abs(numeric), 1e-8)
-            rel = abs(a - numeric) / denom
-            worst = max(worst, rel)
-    if worst > rel_tol:
-        raise AssertionError(f"gradient check failed: rel err {worst:.3e} > {rel_tol:.1e}")
-    return worst

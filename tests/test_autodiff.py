@@ -47,9 +47,10 @@ from tgk.autodiff import (
     tsum,
 )
 from tgk.autodiff import _emit, sigmoid_values
-from tgk.optim import finite_diff_check
 
-from oracle_ops import clip, maximum, minimum, power, sqrt, take_cols
+from oracle_ops import (
+    clip, finite_diff_check, maximum, minimum, power, sqrt, take_cols,
+)
 
 
 def weighted_loss(out, weights):

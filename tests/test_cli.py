@@ -106,6 +106,11 @@ def test_gen_data_is_byte_deterministic(tmp_path):
     (["--train-videos", "0"], "data.num_train_videos: must be >= 1, got 0"),
     (["--val-videos", "0"], "data.num_val_videos: must be >= 1, got 0"),
     (["--lta-steps", "0"], "data.lta_steps: must be >= 1, got 0"),
+    (["--segment-seconds", "inf"], "data.segment_s: must be finite, got inf"),
+    (["--noise", "nan"], "data.noise: must be non-negative and finite, got nan"),
+    (["--noise", "inf"], "data.noise: must be non-negative and finite, got inf"),
+    (["--noise", "-0.1"],
+     "data.noise: must be non-negative and finite, got -0.1"),
 ])
 def test_gen_data_rejects_corpus_no_run_accepts(tmp_path, capsys, flags,
                                                 message):
@@ -514,6 +519,29 @@ def test_training_rejects_negative_seed(tmp_path, command):
         run, "train.seed: must be >= 0, got -1")
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--base-lr", "nan"], "train.base_lr: must be positive and finite, "
+                           "got nan"),
+    (["--base-lr", "inf"], "train.base_lr: must be positive and finite, "
+                           "got inf"),
+    (["--threshold", "nan"], "backbone.threshold_s: must be positive and "
+                             "finite, got nan"),
+    (["--threshold", "inf"], "backbone.threshold_s: must be positive and "
+                             "finite, got inf"),
+    (["--mq-min-score", "1.5"], "train.mq_min_score: must lie in [0, 1], "
+                                "got 1.5"),
+    (["--mq-min-score", "nan"], "train.mq_min_score: must lie in [0, 1], "
+                                "got nan")])
+def test_training_rejects_non_finite_or_out_of_range_float(tmp_path, flags,
+                                                           message):
+    # each used to be written into config.json: a nan rate ended in a
+    # traceback, a nan threshold trained an edgeless graph
+    run = tmp_path / "run"
+    assert_exits_in_one_line(
+        data_argv("train-single", workspace() / "data", run) + flags, run,
+        message)
+
+
 def test_task_lr_records_every_entry(tmp_path):
     run = tmp_path / "run"
     assert main(data_argv("train-single", workspace() / "data", run)
@@ -882,6 +910,31 @@ def test_ablate_order_probe(tmp_path):
     assert (out / "tables" / "tdgc_ablations.csv").is_file()
 
 
+def test_ablate_order_trains_each_arm_and_seed_once(tmp_path, monkeypatch):
+    # the ablation's full variant is the separation's tdgc entry, so every
+    # default kind plus the two tdgc variants over two seeds is 16 runs
+    from tgk import ablation
+    from tgk.layers import LAYER_KINDS
+
+    calls = []
+    real = ablation.train_order_probe
+
+    def counted(layer_kind, seed, *args, **kwargs):
+        calls.append((layer_kind, seed, tuple(sorted(kwargs.items()))))
+        return real(layer_kind, seed, *args, **kwargs)
+
+    monkeypatch.setattr(ablation, "train_order_probe", counted)
+    out = tmp_path / "abl"
+    assert main(["ablate", "--mode", "order", "--out", str(out),
+                 "--seeds", "0,1", "--windows", "20", "--epochs", "1"]) == 0
+    arms = [*LAYER_KINDS, *ablation.TDGC_VARIANTS]
+    assert sorted(calls) == sorted((arm, seed, ()) for arm in arms
+                                   for seed in (0, 1))
+    assert len(calls) == 16
+    payload = metrics_of(out)
+    assert payload["ablations"]["full"] == payload["separation"]["tdgc"]
+
+
 def test_ablate_grid(tmp_path):
     out = tmp_path / "grid"
     assert main(["ablate", "--mode", "grid", "--out", str(out),
@@ -931,6 +984,30 @@ def test_ablate_rejects_malformed_seeds_or_thresholds(tmp_path, capsys, mode,
         ["ablate", "--mode", mode, "--out", str(out), "--windows", "40",
          "--epochs", "2", "--train-videos", "4", "--val-videos", "2",
          "--segments", "16", flag, value], out, message)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mode,flags,message", [
+    ("order", ["--noise", "nan"],
+     "--noise: must be non-negative and finite, got nan"),
+    ("order", ["--noise", "-1"],
+     "--noise: must be non-negative and finite, got -1.0"),
+    ("grid", ["--noise", "inf"],
+     "--noise: data.noise: must be non-negative and finite, got inf"),
+    ("grid", ["--thresholds", "2.0,inf"], "--thresholds: must be finite, "
+                                          "got inf"),
+    ("order", ["--thresholds", "inf"], "--thresholds: must be finite, "
+                                       "got inf")])
+def test_ablate_rejects_non_finite_noise_or_threshold(tmp_path, capsys, mode,
+                                                       flags, message):
+    # a nan noise ended in a probe traceback, a negative one in numpy's
+    # own error; grid mode read --noise unchecked, and inf thresholds ran
+    out = tmp_path / "abl"
+    assert_exits_in_one_line(
+        ["ablate", "--mode", mode, "--out", str(out), "--seeds", "0",
+         "--kinds", "tdgc", "--windows", "40", "--epochs", "2",
+         "--train-videos", "4", "--val-videos", "2", "--segments", "16"]
+        + flags, out, message)
     assert capsys.readouterr().out == ""
 
 

@@ -90,3 +90,22 @@ def test_validate_rejects_negative_seed_or_unusable_data(section, change,
     cfg = replace(cfg, **{section: replace(getattr(cfg, section), **change)})
     with pytest.raises(ValueError, match=f"^{field}: "):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("section, change, field", [
+    ("backbone", dict(threshold_s=float("nan")), "backbone.threshold_s"),
+    ("backbone", dict(threshold_s=float("inf")), "backbone.threshold_s"),
+    ("train", dict(base_lr=float("nan")), "train.base_lr"),
+    ("train", dict(base_lr=float("inf")), "train.base_lr"),
+    ("train", dict(mq_min_score=-0.1), "train.mq_min_score"),
+    ("train", dict(mq_min_score=float("nan")), "train.mq_min_score"),
+    ("data", dict(noise=float("nan")), "data.noise"),
+    ("data", dict(noise=-0.1), "data.noise"),
+    ("data", dict(segment_s=float("inf")), "data.segment_s"),
+])
+def test_validate_rejects_non_finite_or_out_of_range_float(section, change,
+                                                           field):
+    cfg = mq_config()
+    cfg = replace(cfg, **{section: replace(getattr(cfg, section), **change)})
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        validate_config(cfg)

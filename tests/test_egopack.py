@@ -25,7 +25,8 @@ from tgk.egopack import (
     load_bank,
     save_bank,
 )
-from tgk.optim import finite_diff_check
+
+from oracle_ops import finite_diff_check
 
 
 def random_bank(rng, task="ar", p=6, dim=4):

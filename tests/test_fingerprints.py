@@ -198,9 +198,6 @@ def compute() -> dict:
     # The probe's accuracies sit at chance for several layer kinds, so each
     # entry hashes the logits of the probe's final scoring pass instead.
     probe = OrderProbeConfig(num_windows=1000, epochs=2, warmup_epochs=0)
-    variants = [(kind, {}) for kind in sorted(LAYER_KINDS)] + [
-        ("tdgc-no-sign", {"disable_sign": True}),
-        ("tdgc-no-gate", {"disable_gate": True})]
     last = {}
 
     def capturing(p, x):
@@ -209,9 +206,8 @@ def compute() -> dict:
 
     ablation.mlp_forward = capturing
     try:
-        for name, flags in variants:
-            kind = name if name in LAYER_KINDS else "tdgc"
-            train_order_probe(kind, 0, probe, **flags)
+        for name in [*sorted(LAYER_KINDS), *ablation.TDGC_VARIANTS]:
+            train_order_probe(name, 0, probe)
             out[f"order_probe/{name}"] = _sha(last["logits"].data.tobytes())
     finally:
         ablation.mlp_forward = mlp_forward
@@ -275,10 +271,14 @@ def test_fingerprints_match_record():
 
 
 def test_order_probe_entries_tell_every_variant_apart():
+    from tgk.ablation import TDGC_VARIANTS
+    from tgk.layers import LAYER_KINDS
+
     recorded = json.loads(RECORD.read_text())["fingerprints"]
     probes = [sha for name, sha in recorded.items()
               if name.startswith("order_probe/")]
-    assert len(probes) == 8 and len(set(probes)) == len(probes)
+    assert len(probes) == len(LAYER_KINDS) + len(TDGC_VARIANTS)
+    assert len(set(probes)) == len(probes)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from tgk.hierarchy import (
     pool_closed_neighborhood,
 )
 from tgk.layers import sinusoidal_pe
-from tgk.optim import finite_diff_check
+
+from oracle_ops import finite_diff_check
 
 
 def make_graph(rng, sizes, d=6, spacing=1.0, window=1.5):

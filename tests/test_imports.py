@@ -3,12 +3,15 @@ every top-level ``def`` or ``class`` is used by the package.
 
 An import counts as used when the module reads it anywhere (code or an
 evaluated annotation) or re-exports it through ``__all__``. A definition
-counts as used when its module exports it through ``__all__`` or some
-code of the package other than the definition itself names it. No module
-calls a ufunc's ``.at`` or ``isin``: per-segment reductions go through
-``ScatterPlan``. The pyramid's doubling law, ``2.0 ** (stage - 1)``, is
-written only in ``graph.stage_scale``, and the on-disk ``"<f4"`` row dtype
-only in ``graph``.
+counts as used when some code of the package other than the definition
+itself names it, when the benchmark in ``perfbench/`` names it (in code
+or as a string: its tracer binds names by string), or when it is one of
+the few public entry points listed in ``PUBLIC``. Listing a name in
+``__all__`` does not count, so test-only code cannot hide in ``src/``.
+No module calls a ufunc's ``.at`` or ``isin``: per-segment reductions go
+through ``ScatterPlan``. The pyramid's doubling law,
+``2.0 ** (stage - 1)``, is written only in ``graph.stage_scale``, and the
+on-disk ``"<f4"`` row dtype only in ``graph``.
 """
 
 import ast
@@ -18,6 +21,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tgk"
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+# documented entry points no package or benchmark code calls
+PUBLIC = {"run_transfer_matchup"}
 
 
 def imported_names(tree: ast.Module) -> list[str]:
@@ -44,8 +50,9 @@ def used_names(tree: ast.Module) -> set[str]:
     return used | exported_names(tree)
 
 
-def named_in(nodes) -> set[str]:
-    """Every name the nodes read, reach as an attribute or import."""
+def named_in(nodes, strings: bool = False) -> set[str]:
+    """Every name the nodes read, reach as an attribute or import, and
+    with ``strings`` every string constant they hold."""
     out = set()
     for root in nodes:
         for n in ast.walk(root):
@@ -55,6 +62,9 @@ def named_in(nodes) -> set[str]:
                 out.add(n.attr)
             elif isinstance(n, ast.alias):
                 out.add(n.name)
+            elif (strings and isinstance(n, ast.Constant)
+                  and isinstance(n.value, str)):
+                out.add(n.value)
     return out
 
 
@@ -67,15 +77,16 @@ def test_every_module_level_import_is_used(path):
 
 def test_every_top_level_definition_is_used():
     trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    outside = PUBLIC | named_in([ast.parse(p.read_text()) for p in BENCH],
+                                strings=True)
     unused = []
     for stem, tree in trees.items():
-        exported = exported_names(tree)
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             rest = [n for n in tree.body if n is not node] + [
                 t for other, t in trees.items() if other != stem]
-            if node.name not in exported and node.name not in named_in(rest):
+            if node.name not in outside | named_in(rest):
                 unused.append(f"{stem}.{node.name}")
     assert unused == []
 

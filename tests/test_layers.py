@@ -28,7 +28,8 @@ from tgk.layers import (
     sinusoidal_pe,
     tdgc_forward,
 )
-from tgk.optim import finite_diff_check
+
+from oracle_ops import finite_diff_check
 
 
 def random_graph(rng, n=12, d=4, window=2.5, videos=2):

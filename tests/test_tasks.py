@@ -12,7 +12,6 @@ from tgk.autodiff import (
     segment_mean, sub, tmean, tsum,
 )
 from tgk.graph import TemporalGraph, build_graph
-from tgk.optim import finite_diff_check
 from tgk.tasks import (
     LtaParams,
     MlpParams,
@@ -33,7 +32,9 @@ from tgk.tasks import (
     scorer_forward,
 )
 
-from oracle_ops import clip, maximum, minimum, power, take_cols
+from oracle_ops import (
+    clip, finite_diff_check, maximum, minimum, power, take_cols,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -531,6 +531,22 @@ def test_non_finite_probe_loss_stops_before_any_adam_step(monkeypatch):
     assert steps == []
 
 
+def test_order_separation_trains_a_tdgc_variant_by_name():
+    # at this size seed 0 gives tdgc 97.50, tdgc-no-sign 45.83 (sign
+    # removed: chance) and tdgc-no-gate 94.17
+    probe = ablation.OrderProbeConfig(num_windows=600, epochs=8,
+                                      warmup_epochs=5)
+    got = ablation.run_order_separation(
+        ["tdgc", *ablation.TDGC_VARIANTS], [0], probe)
+    assert list(got) == ["tdgc", "tdgc-no-sign", "tdgc-no-gate"]
+    acc = {arm: entry["per_seed"][0] for arm, entry in got.items()}
+    assert all(got[arm]["mean"] == acc[arm] for arm in got)
+    assert acc["tdgc-no-sign"] == ablation.train_order_probe(
+        "tdgc-no-sign", 0, probe)["val_acc"]
+    assert acc["tdgc"] >= 90.0 and 40.0 <= acc["tdgc-no-sign"] <= 60.0
+    assert acc["tdgc"] != acc["tdgc-no-gate"] >= 85.0
+
+
 def test_single_task_eval_structure():
     ds = tiny_dataset()
     model = trained("oscc", epochs=60, lr=3e-3)
