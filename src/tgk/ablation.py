@@ -19,6 +19,7 @@ from .autodiff import (
 )
 from .graph import TemporalGraph, VideoCache, build_graph
 from .hierarchy import BackboneConfig, BackboneParams, backbone_forward
+from .layers import TDGC_VARIANTS
 from .synth import SynthConfig, SynthDataset, generate_dataset, generate_order_windows
 from .tasks import MlpParams, mlp_forward
 from .training import (
@@ -27,14 +28,9 @@ from .training import (
 )
 
 __all__ = [
-    "OrderProbeConfig", "TDGC_VARIANTS", "train_order_probe",
-    "run_order_separation", "tdgc_ablations", "run_transfer_matchup",
-    "run_ablation_grid",
+    "OrderProbeConfig", "train_order_probe", "run_order_separation",
+    "tdgc_ablations", "run_transfer_matchup", "run_ablation_grid",
 ]
-
-# probe arms beyond the layer kinds: tdgc without one temporal modulation
-TDGC_VARIANTS = {"tdgc-no-sign": {"disable_sign": True},
-                 "tdgc-no-gate": {"disable_gate": True}}
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,9 @@ def train_order_probe(layer_kind: str, seed: int,
     train_f, val_f = feats[:n_train], feats[n_train:]
     train_y, val_y = labels[:n_train], labels[n_train:]
 
-    flags = TDGC_VARIANTS.get(layer_kind, {})
-    cfg = BackboneConfig(layer_kind="tdgc" if flags else layer_kind,
-                         d_in=probe.dim, d_model=probe.dim, num_stages=1,
-                         threshold_s=probe.threshold_s, **flags)
+    cfg = BackboneConfig(layer_kind=layer_kind, d_in=probe.dim,
+                         d_model=probe.dim, num_stages=1,
+                         threshold_s=probe.threshold_s)
     params = BackboneParams.init(rng, cfg)
     readout = MlpParams.init(rng, probe.dim, probe.dim, 2)
     cache = VideoCache()

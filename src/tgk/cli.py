@@ -32,8 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .ablation import (
-    TDGC_VARIANTS, OrderProbeConfig, run_ablation_grid, run_order_separation,
-    tdgc_ablations,
+    OrderProbeConfig, run_ablation_grid, run_order_separation, tdgc_ablations,
 )
 from .config import (
     ExperimentConfig, load_config, save_config, validate_config,
@@ -45,7 +44,7 @@ from .egopack import (
 )
 from .graph import POOLINGS
 from .hierarchy import BackboneConfig
-from .layers import LAYER_KINDS
+from .layers import LAYER_KINDS, TDGC_VARIANTS
 from .persist import load_model, load_run, save_run
 from .synth import (
     SynthConfig, SynthDataset, generate_dataset, load_dataset, save_dataset,
@@ -63,9 +62,7 @@ NOVEL_METHODS = ("egopack", "mtl-ft", "mtl-ht", "single", "translation")
 # BackboneConfig fields settable by flag; each flag's dest is its field
 BACKBONE_FLAGS = {"layer_kind": "--layer-kind", "pooling": "--pooling",
                   "threshold_s": "--threshold",
-                  "layers_per_stage": "--layers-per-stage",
-                  "disable_sign": "--disable-sign",
-                  "disable_gate": "--disable-gate"}
+                  "layers_per_stage": "--layers-per-stage"}
 # SynthConfig fields ``ablate --mode grid`` sets by flag that
 # ``validate_data`` checks (its seeds are checked apart)
 GRID_DATA_FLAGS = {"num_train_videos": "--train-videos",
@@ -113,8 +110,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    default=None, help="default: 2.0")
     p.add_argument("--layers-per-stage", type=int, default=None,
                    help="default: 2")
-    p.add_argument("--disable-sign", action="store_true", default=None)
-    p.add_argument("--disable-gate", action="store_true", default=None)
     p.add_argument("--knn-k", type=int)
     p.add_argument("--interaction-layers", type=int)
     p.add_argument("--no-rematch", dest="rematch", action="store_false")
@@ -355,13 +350,25 @@ def _cmd_ablate(args) -> int:
     seeds = _parsed_list("--seeds", args.seeds, int)
     if min(seeds) < 0:
         raise SystemExit(f"--seeds: must be non-negative, got {min(seeds)}")
-    thresholds = _parsed_list("--thresholds", args.thresholds, float)
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise SystemExit(f"--seeds: repeated entry {seed}")
+    if args.mode == "order":
+        # the probe has one graph window and no pooling
+        for flag, value in (("--thresholds", args.thresholds),
+                            ("--poolings", args.poolings)):
+            if value is not None:
+                raise SystemExit(f"{flag}: applies only to --mode grid")
+    thresholds = _parsed_list(
+        "--thresholds",
+        "2.0" if args.thresholds is None else args.thresholds, float)
     for t in thresholds:
         if not t > 0:
             raise SystemExit(f"--thresholds: must be positive, got {t}")
         if t == math.inf:
             raise SystemExit("--thresholds: must be finite, got inf")
-    kinds, poolings = args.kinds.split(","), args.poolings.split(",")
+    kinds = args.kinds.split(",")
+    poolings = ("mean" if args.poolings is None else args.poolings).split(",")
     for flag, values, known in (("--kinds", kinds, LAYER_KINDS),
                                 ("--poolings", poolings, POOLINGS)):
         for value in values:
@@ -535,8 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", type=int, default=2000)
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--poolings", default="mean")
-    p.add_argument("--thresholds", default="2.0")
+    p.add_argument("--poolings", help="grid mode only; default: mean")
+    p.add_argument("--thresholds", help="grid mode only; default: 2.0")
     p.add_argument("--train-videos", type=int, default=60)
     p.add_argument("--val-videos", type=int, default=20)
     p.add_argument("--segments", type=int, default=32)

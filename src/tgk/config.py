@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .graph import POOLINGS
 from .hierarchy import BackboneConfig
-from .layers import LAYER_KINDS
+from .layers import LAYER_KINDS, TDGC_VARIANTS
 from .synth import SynthConfig, TASK_NAMES
 from .training import TrainConfig, stage_count_for
 
@@ -29,8 +29,6 @@ __all__ = ["ExperimentConfig", "validate_config", "validate_data",
 ARMS = ("single", "mtl", "translation", "egopack", "mtl-ft", "mtl-ht")
 # arms that read support tasks; every other arm records none
 SUPPORT_ARMS = ("egopack", "translation")
-# backbone fields only the tdgc layer reads; other kinds must keep defaults
-TDGC_ONLY = ("disable_sign", "disable_gate")
 
 
 @dataclass(frozen=True)
@@ -79,10 +77,10 @@ def _section(name: str, raw: dict, kind):
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ValueError naming the first invalid field."""
-    if cfg.backbone.layer_kind not in LAYER_KINDS:
+    kinds = sorted(LAYER_KINDS.keys() | TDGC_VARIANTS.keys())
+    if cfg.backbone.layer_kind not in kinds:
         raise ValueError(f"backbone.layer_kind: unknown kind "
-                         f"{cfg.backbone.layer_kind!r}; "
-                         f"choose from {sorted(LAYER_KINDS)}")
+                         f"{cfg.backbone.layer_kind!r}; choose from {kinds}")
     if cfg.backbone.pooling not in POOLINGS:
         raise ValueError(f"backbone.pooling: unknown pooling "
                          f"{cfg.backbone.pooling!r}; choose from {POOLINGS}")
@@ -91,16 +89,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
                          f"got {cfg.backbone.threshold_s}")
     if cfg.backbone.layers_per_stage < 1:
         raise ValueError("backbone.layers_per_stage: must be >= 1")
-    if cfg.backbone.layer_kind != "tdgc":
-        for name in TDGC_ONLY:
-            if getattr(cfg.backbone, name) != getattr(BackboneConfig(), name):
-                raise ValueError(f"backbone.{name}: applies only to "
-                                 f"layer_kind tdgc")
     for name in ("tasks", "support_tasks"):
-        for t in getattr(cfg, name):
+        listed = getattr(cfg, name)
+        for i, t in enumerate(listed):
             if t not in TASK_NAMES:
                 raise ValueError(f"{name}: unknown task {t!r}; "
                                  f"choose from {TASK_NAMES}")
+            if t in listed[:i]:
+                raise ValueError(f"{name}: task {t!r} listed twice")
     if not cfg.tasks:
         raise ValueError("tasks: at least one task required")
     if cfg.arm not in ARMS:

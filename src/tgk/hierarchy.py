@@ -24,7 +24,7 @@ from .autodiff import (
     Tensor, add, gather_rows, relu, segment_max, segment_mean,
 )
 from .graph import TemporalGraph, VideoCache, rebuild_edges, subsample_plan
-from .layers import LAYER_KINDS, LayerKind, sinusoidal_pe
+from .layers import LAYER_KINDS, TDGC_VARIANTS, LayerKind, sinusoidal_pe
 
 __all__ = ["BackboneConfig", "BackboneParams", "StageOutput",
            "backbone_forward", "pool_closed_neighborhood"]
@@ -35,9 +35,8 @@ class BackboneConfig:
     """Shape of the pyramid.
 
     num_stages=1 keeps everything at full resolution (dense per-segment
-    tasks); detection-style tasks use 4. ``disable_sign`` and
-    ``disable_gate`` only apply to the tdgc layer kind, and
-    ``validate_config`` rejects them on any other. A run records the config
+    tasks); detection-style tasks use 4. ``layer_kind`` names a
+    ``LAYER_KINDS`` or a ``TDGC_VARIANTS`` entry. A run records the config
     its model is built with in ``config.json``, which ``load_run`` rebuilds
     the model from.
     """
@@ -49,12 +48,11 @@ class BackboneConfig:
     layers_per_stage: int = 2
     threshold_s: float = 2.0
     pooling: str = "mean"
-    disable_sign: bool = False
-    disable_gate: bool = False
 
     @property
     def kind(self) -> LayerKind:
-        return LAYER_KINDS[self.layer_kind]
+        # read at call time: a tracer may swap the LAYER_KINDS entries
+        return LAYER_KINDS.get(self.layer_kind) or TDGC_VARIANTS[self.layer_kind]
 
 
 @dataclass
@@ -66,18 +64,11 @@ class BackboneParams:
     @classmethod
     def init(cls, rng: np.random.Generator, cfg: BackboneConfig) -> "BackboneParams":
         kind = cfg.kind
-        kwargs = {}
-        if cfg.layer_kind == "tdgc":
-            kwargs = dict(disable_sign=cfg.disable_sign,
-                          disable_gate=cfg.disable_gate)
-        stages = []
-        for stage in range(cfg.num_stages):
-            block = []
-            for layer in range(cfg.layers_per_stage):
-                d_in = cfg.d_in if (stage == 0 and layer == 0) else cfg.d_model
-                block.append(kind.init(rng, d_in, cfg.d_model, **kwargs))
-            stages.append(block)
-        return cls(stages)
+        # only the first layer of the first stage reads the input width
+        return cls([[kind.init(rng, cfg.d_model if stage or layer else cfg.d_in,
+                               cfg.d_model)
+                     for layer in range(cfg.layers_per_stage)]
+                    for stage in range(cfg.num_stages)])
 
     def params(self) -> list[Tensor]:
         return [t for block in self.stages for lp in block for t in lp.params()]

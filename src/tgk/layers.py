@@ -3,8 +3,8 @@
 The main layer (``tdgc_forward``) aggregates neighbors with two
 time-derived modulations: a direction sign (past vs future neighbor) and a
 magnitude gate (a small MLP of the absolute time offset). Both are what
-give the layer its ability to distinguish event order; each can be
-disabled independently for ablations.
+give the layer its ability to distinguish event order; ``TDGC_VARIANTS``
+names the layer with either one off, for ablations.
 
 The rest of the zoo exists for controlled comparisons: GCN, one-head GAT,
 GraphSAGE, GraphSAGE with sinusoidal time encodings, and a sign-aware GCN
@@ -18,6 +18,7 @@ activations between layers are the caller's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "TdgcParams", "tdgc_forward", "GcnParams", "gcn_forward",
     "GatParams", "gat_forward", "SageParams", "sage_forward",
     "SgcnParams", "sgcn_forward", "sinusoidal_pe", "LayerKind", "LAYER_KINDS",
+    "TDGC_VARIANTS",
 ]
 
 
@@ -274,3 +276,11 @@ LAYER_KINDS: dict[str, LayerKind] = {
                          adds_time_encoding=True),
     "sgcn": LayerKind("sgcn", SgcnParams.init, sgcn_forward),
 }
+
+# tdgc without one temporal modulation, layer kinds by name; kept out of
+# LAYER_KINDS, which every layer comparison sweeps
+TDGC_VARIANTS: dict[str, LayerKind] = {
+    name: LayerKind(name, partial(TdgcParams.init, **{switch: True}),
+                    tdgc_forward)
+    for name, switch in (("tdgc-no-sign", "disable_sign"),
+                         ("tdgc-no-gate", "disable_gate"))}

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from tgk.ablation import (
-    TDGC_VARIANTS, OrderProbeConfig, run_ablation_grid, run_order_separation,
+    OrderProbeConfig, run_ablation_grid, run_order_separation,
     run_transfer_matchup, tdgc_ablations,
 )
 from tgk.autodiff import GradientTape, Tensor, add, backward, mul, tsum
@@ -32,7 +32,9 @@ from tgk.cli import main as cli_main
 from tgk.egopack import InteractionParams, PrototypeBank, interaction_forward
 from tgk.graph import VideoCache, build_graph
 from tgk.hierarchy import BackboneConfig, BackboneParams, backbone_forward
-from tgk.layers import LAYER_KINDS, TdgcParams, sinusoidal_pe, tdgc_forward
+from tgk.layers import (
+    LAYER_KINDS, TDGC_VARIANTS, TdgcParams, sinusoidal_pe, tdgc_forward,
+)
 from tgk.metrics import (
     edit_distance, localization_error, map_at_iou, soft_nms, top1_accuracy,
 )

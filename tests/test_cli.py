@@ -21,6 +21,7 @@ import pytest
 from tgk.cli import main
 from tgk.config import load_config
 from tgk.egopack import load_bank, save_bank
+from tgk.layers import TdgcParams
 from tgk.persist import load_run
 from tgk.synth import (
     SynthConfig, generate_dataset, load_dataset, save_dataset,
@@ -587,10 +588,12 @@ def test_invalid_config_exits_with_one_line(tmp_path):
     run = tmp_path / "bad"
     with pytest.raises(SystemExit) as exc:
         main(["train-single", "--data", str(ws / "data"), "--task", "oscc",
-              "--run", str(run), "--layer-kind", "gcn", "--disable-sign"]
+              "--run", str(run), "--layer-kind", "tdgc-no-both"]
              + TRAIN_FLAGS)
-    assert exc.value.code == ("backbone.disable_sign: applies only to "
-                              "layer_kind tdgc")
+    assert exc.value.code == (
+        "backbone.layer_kind: unknown kind 'tdgc-no-both'; choose from "
+        "['gat', 'gcn', 'sage', 'sage-pe', 'sgcn', 'tdgc', 'tdgc-no-gate', "
+        "'tdgc-no-sign']")
     assert not run.exists()
 
     # a run directory whose config.json lacks a field does not load
@@ -914,7 +917,7 @@ def test_ablate_order_trains_each_arm_and_seed_once(tmp_path, monkeypatch):
     # the ablation's full variant is the separation's tdgc entry, so every
     # default kind plus the two tdgc variants over two seeds is 16 runs
     from tgk import ablation
-    from tgk.layers import LAYER_KINDS
+    from tgk.layers import LAYER_KINDS, TDGC_VARIANTS
 
     calls = []
     real = ablation.train_order_probe
@@ -927,7 +930,7 @@ def test_ablate_order_trains_each_arm_and_seed_once(tmp_path, monkeypatch):
     out = tmp_path / "abl"
     assert main(["ablate", "--mode", "order", "--out", str(out),
                  "--seeds", "0,1", "--windows", "20", "--epochs", "1"]) == 0
-    arms = [*LAYER_KINDS, *ablation.TDGC_VARIANTS]
+    arms = [*LAYER_KINDS, *TDGC_VARIANTS]
     assert sorted(calls) == sorted((arm, seed, ()) for arm in arms
                                    for seed in (0, 1))
     assert len(calls) == 16
@@ -952,9 +955,21 @@ def test_ablate_grid(tmp_path):
     assert (out / "tables" / "ablation_grid.csv").is_file()
 
 
+def test_ablate_grid_defaults_to_one_window_and_mean_pooling(tmp_path):
+    argv = ["ablate", "--mode", "grid", "--seeds", "0", "--kinds", "tdgc",
+            "--train-videos", "4", "--val-videos", "2", "--segments", "16",
+            "--epochs", "2"]
+    assert main(argv + ["--out", str(tmp_path / "given"), "--poolings",
+                        "mean", "--thresholds", "2.0"]) == 0
+    assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+    for name in ("metrics.json", "tables/ablation_grid.csv"):
+        assert ((tmp_path / "default" / name).read_bytes()
+                == (tmp_path / "given" / name).read_bytes())
+
+
 @pytest.mark.parametrize("mode,flag,value", [
     ("order", "--kinds", "tdgc,foo"), ("grid", "--kinds", "foo"),
-    ("grid", "--poolings", "mean,avg"), ("order", "--poolings", "avg")])
+    ("grid", "--poolings", "mean,avg")])
 def test_ablate_rejects_unknown_kind_or_pooling(tmp_path, capsys, mode, flag,
                                                 value):
     out = tmp_path / "abl"
@@ -973,6 +988,9 @@ def test_ablate_rejects_unknown_kind_or_pooling(tmp_path, capsys, mode, flag,
     ("order", "--seeds", "0,x", "--seeds: malformed entry 'x'"),
     ("grid", "--seeds", "1.5", "--seeds: malformed entry '1.5'"),
     ("order", "--seeds", "0,-1", "--seeds: must be non-negative, got -1"),
+    # a repeated seed trained twice; grid mode counted it twice in num_seeds
+    ("order", "--seeds", "0,1,0", "--seeds: repeated entry 0"),
+    ("grid", "--seeds", "0,0", "--seeds: repeated entry 0"),
     ("grid", "--thresholds", "2.0,two", "--thresholds: malformed entry 'two'"),
     ("grid", "--thresholds", "0", "--thresholds: must be positive, got 0.0"),
     ("grid", "--thresholds", "2.0,-1",
@@ -995,9 +1013,7 @@ def test_ablate_rejects_malformed_seeds_or_thresholds(tmp_path, capsys, mode,
     ("grid", ["--noise", "inf"],
      "--noise: data.noise: must be non-negative and finite, got inf"),
     ("grid", ["--thresholds", "2.0,inf"], "--thresholds: must be finite, "
-                                          "got inf"),
-    ("order", ["--thresholds", "inf"], "--thresholds: must be finite, "
-                                       "got inf")])
+                                          "got inf")])
 def test_ablate_rejects_non_finite_noise_or_threshold(tmp_path, capsys, mode,
                                                        flags, message):
     # a nan noise ended in a probe traceback, a negative one in numpy's
@@ -1008,6 +1024,20 @@ def test_ablate_rejects_non_finite_noise_or_threshold(tmp_path, capsys, mode,
          "--kinds", "tdgc", "--windows", "40", "--epochs", "2",
          "--train-videos", "4", "--val-videos", "2", "--segments", "16"]
         + flags, out, message)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--poolings", "avg"), ("--poolings", "max"), ("--thresholds", "inf"),
+    ("--thresholds", "9.0")])
+def test_ablate_order_refuses_grid_only_flags(tmp_path, capsys, flag, value):
+    # the probe builds its graph at one window and pools nothing, so these
+    # flags were checked and then ignored
+    out = tmp_path / "abl"
+    assert_exits_in_one_line(
+        ["ablate", "--mode", "order", "--out", str(out), "--seeds", "0",
+         "--kinds", "tdgc", "--windows", "40", "--epochs", "2", flag, value],
+        out, f"{flag}: applies only to --mode grid")
     assert capsys.readouterr().out == ""
 
 
@@ -1146,12 +1176,64 @@ def test_every_arm_records_the_backbone_it_trains(tmp_path):
         assert config == {**support_backbone, "num_stages": 4}, method
         assert_eval_reproduces_training(run, data)
 
-    for flag, field in ((["--layer-kind", "tdgc"], "backbone.layer_kind"),
-                        (["--disable-sign"], "backbone.disable_sign")):
-        run = tmp_path / "conflict"
-        with pytest.raises(SystemExit) as exc:
-            main(["train-novel", "--data", data, "--task", "mq",
-                  "--method", "mtl-ft", "--support-run", str(support_run),
-                  "--run", str(run)] + flag + TRAIN_FLAGS)
-        assert field in str(exc.value.code)
-        assert not run.exists()
+    run = tmp_path / "conflict"
+    with pytest.raises(SystemExit) as exc:
+        main(["train-novel", "--data", data, "--task", "mq",
+              "--method", "mtl-ft", "--support-run", str(support_run),
+              "--run", str(run), "--layer-kind", "tdgc"] + TRAIN_FLAGS)
+    assert "backbone.layer_kind" in str(exc.value.code)
+    assert not run.exists()
+
+
+def test_a_tdgc_variant_is_a_layer_kind(tmp_path):
+    # tdgc without its gate trains, is recorded and reloads by its name
+    data = str(workspace() / "data")
+    run = tmp_path / "no_gate"
+    assert main(["train-single", "--data", data, "--task", "oscc",
+                 "--run", str(run), "--layer-kind", "tdgc-no-gate"]
+                + TRAIN_FLAGS) == 0
+    config, meta = recorded_backbones(run)
+    assert config == meta
+    assert config["layer_kind"] == "tdgc-no-gate"
+    assert_eval_reproduces_training(run, data)
+    model, _, _ = load_run(run, load_config(run))
+    layers = [lp for block in model.backbone.stages for lp in block]
+    assert len(layers) == 2
+    for lp in layers:
+        assert isinstance(lp, TdgcParams)
+        assert (lp.disable_sign, lp.disable_gate) == (False, True)
+
+
+@pytest.mark.parametrize("edit, message", [
+    # the sign and gate switches left the backbone section
+    (lambda raw: raw["backbone"].update(disable_sign=False),
+     "backbone.disable_sign: unknown key"),
+    (lambda raw: raw.update(tasks=["oscc", "oscc"]),
+     "tasks: task 'oscc' listed twice"),
+    (lambda raw: raw.update(arm="translation", support_tasks=["ar", "ar"]),
+     "support_tasks: task 'ar' listed twice"),
+])
+def test_eval_refuses_a_config_no_run_writes(tmp_path, edit, message):
+    ws = workspace()
+    run = tmp_path / "old"
+    run.mkdir()
+    raw = json.loads((ws / "run_single_oscc" / "config.json").read_text())
+    edit(raw)
+    (run / "config.json").write_text(json.dumps(raw))
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--run", str(run), "--data", str(ws / "data")])
+    assert exc.value.code == f"{run}: {message}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train-mtl", "--tasks", "oscc,oscc"], "tasks: task 'oscc' listed twice"),
+    (["train-novel", "--task", "mq", "--method", "translation",
+      "--support-tasks", "ar,ar"], "support_tasks: task 'ar' listed twice"),
+])
+def test_a_task_listed_twice_exits_in_one_line(tmp_path, argv, message):
+    # both ran: one oscc branch recorded as ["oscc", "oscc"], one ar token
+    # model recorded as ["ar", "ar"]
+    run = tmp_path / "run"
+    assert_exits_in_one_line(
+        argv + ["--data", str(workspace() / "data"), "--run", str(run)]
+        + TRAIN_FLAGS, run, message)

@@ -1,14 +1,21 @@
-"""Run-config tests: JSON round trip, strict loading, and the checks
-that keep the recorded backbone consistent with the data and tasks."""
+"""Run-config tests: JSON round trip, strict loading, the checks that
+keep the recorded backbone consistent with the data and tasks, and the
+schema doc's field tables."""
 
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 from tgk.config import ExperimentConfig, validate_config
 from tgk.hierarchy import BackboneConfig
+from tgk.layers import LAYER_KINDS, TDGC_VARIANTS
 from tgk.synth import SynthConfig
+from tgk.training import TrainConfig
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
 
 
 def mq_config() -> ExperimentConfig:
@@ -52,18 +59,25 @@ def test_validate_rejects_backbone_not_laid_out_for_run(backbone, field):
         validate_config(cfg)
 
 
-@pytest.mark.parametrize("setting", [
-    dict(disable_sign=True), dict(disable_gate=True),
+def test_validate_accepts_every_layer_kind_and_tdgc_variant():
+    cfg = mq_config()
+    for kind in [*LAYER_KINDS, *TDGC_VARIANTS]:
+        validate_config(replace(cfg, backbone=replace(cfg.backbone,
+                                                      layer_kind=kind)))
+    with pytest.raises(ValueError, match="^backbone.layer_kind: unknown kind "
+                                         "'tdgc-no-both'; choose from "):
+        validate_config(replace(cfg, backbone=replace(
+            cfg.backbone, layer_kind="tdgc-no-both")))
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(tasks=("mq", "mq")), "tasks: task 'mq' listed twice"),
+    (dict(arm="translation", support_tasks=("ar", "oscc", "ar")),
+     "support_tasks: task 'ar' listed twice"),
 ])
-def test_validate_rejects_tdgc_only_fields_on_other_kinds(setting):
-    cfg = mq_config()  # a sage backbone
-    cfg = replace(cfg, backbone=replace(cfg.backbone, **setting))
-    field = next(iter(setting))
-    with pytest.raises(ValueError,
-                       match=f"^backbone.{field}: applies only to layer_kind tdgc$"):
-        validate_config(cfg)
-    validate_config(replace(cfg, backbone=replace(cfg.backbone,
-                                                  layer_kind="tdgc")))
+def test_validate_rejects_a_task_listed_twice(change, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate_config(replace(mq_config(), **change))
 
 
 @pytest.mark.parametrize("change, field", [
@@ -109,3 +123,14 @@ def test_validate_rejects_non_finite_or_out_of_range_float(section, change,
     cfg = replace(cfg, **{section: replace(getattr(cfg, section), **change)})
     with pytest.raises(ValueError, match=f"^{field}: "):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("section, kind", [
+    ("data", SynthConfig), ("train", TrainConfig), ("backbone", BackboneConfig),
+])
+def test_schema_doc_lists_exactly_the_config_fields(section, kind):
+    # a field added to or removed from a config type reaches the doc's
+    # table for its section, once
+    body = SCHEMA.read_text().split(f"\n## `{section}`")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \|", body, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(f.name for f in fields(kind))

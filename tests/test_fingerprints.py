@@ -104,7 +104,7 @@ def compute() -> dict:
     from tgk.ablation import OrderProbeConfig, train_order_probe
     from tgk.cli import main
     from tgk.hierarchy import BackboneConfig
-    from tgk.layers import LAYER_KINDS
+    from tgk.layers import LAYER_KINDS, TDGC_VARIANTS
     from tgk.synth import SynthConfig, generate_dataset
     from tgk.tasks import mlp_forward
     from tgk.training import (
@@ -206,7 +206,7 @@ def compute() -> dict:
 
     ablation.mlp_forward = capturing
     try:
-        for name in [*sorted(LAYER_KINDS), *ablation.TDGC_VARIANTS]:
+        for name in [*sorted(LAYER_KINDS), *TDGC_VARIANTS]:
             train_order_probe(name, 0, probe)
             out[f"order_probe/{name}"] = _sha(last["logits"].data.tobytes())
     finally:
@@ -271,8 +271,7 @@ def test_fingerprints_match_record():
 
 
 def test_order_probe_entries_tell_every_variant_apart():
-    from tgk.ablation import TDGC_VARIANTS
-    from tgk.layers import LAYER_KINDS
+    from tgk.layers import LAYER_KINDS, TDGC_VARIANTS
 
     recorded = json.loads(RECORD.read_text())["fingerprints"]
     probes = [sha for name, sha in recorded.items()

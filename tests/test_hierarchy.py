@@ -15,7 +15,7 @@ from tgk.hierarchy import (
     backbone_forward,
     pool_closed_neighborhood,
 )
-from tgk.layers import sinusoidal_pe
+from tgk.layers import TdgcParams, sinusoidal_pe
 
 from oracle_ops import finite_diff_check
 
@@ -105,6 +105,24 @@ def test_first_layer_maps_d_in_rest_d_model():
     assert len(params.params()) == sum(
         len(lp.params()) for block in params.stages for lp in block
     )
+
+
+@pytest.mark.parametrize("kind, switch", [
+    ("tdgc-no-sign", "disable_sign"), ("tdgc-no-gate", "disable_gate"),
+])
+def test_tdgc_variant_backbone_is_tdgc_with_one_switch_off(kind, switch):
+    # the same draws, in the same order, as TdgcParams.init with the switch
+    cfg = BackboneConfig(layer_kind=kind, d_in=5, d_model=9, num_stages=2)
+    params = BackboneParams.init(np.random.default_rng(4), cfg)
+    rng = np.random.default_rng(4)
+    expected = [TdgcParams.init(rng, d_in, 9, **{switch: True})
+                for d_in in (5, 9, 9, 9)]
+    got = [lp for block in params.stages for lp in block]
+    for lp, want in zip(got, expected, strict=True):
+        assert (lp.disable_sign, lp.disable_gate) == (
+            want.disable_sign, want.disable_gate)
+        for a, b in zip(lp.params(), want.params(), strict=True):
+            assert a.data.tobytes() == b.data.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from tgk.autodiff import GradientTape, Tensor, add, backward, mul, tsum
 from tgk.cli import _write_metrics
 from tgk.graph import VideoCache, build_graph
 from tgk.hierarchy import BackboneConfig
+from tgk.layers import TDGC_VARIANTS
 from tgk.synth import (
     Event,
     SynthConfig,
@@ -537,7 +538,7 @@ def test_order_separation_trains_a_tdgc_variant_by_name():
     probe = ablation.OrderProbeConfig(num_windows=600, epochs=8,
                                       warmup_epochs=5)
     got = ablation.run_order_separation(
-        ["tdgc", *ablation.TDGC_VARIANTS], [0], probe)
+        ["tdgc", *TDGC_VARIANTS], [0], probe)
     assert list(got) == ["tdgc", "tdgc-no-sign", "tdgc-no-gate"]
     acc = {arm: entry["per_seed"][0] for arm, entry in got.items()}
     assert all(got[arm]["mean"] == acc[arm] for arm in got)
