@@ -19,7 +19,6 @@ from .autodiff import (
 )
 from .graph import TemporalGraph, VideoCache, build_graph
 from .hierarchy import BackboneConfig, BackboneParams, backbone_forward
-from .layers import TDGC_VARIANTS
 from .synth import SynthConfig, SynthDataset, generate_dataset, generate_order_windows
 from .tasks import MlpParams, mlp_forward
 from .training import (
@@ -29,8 +28,11 @@ from .training import (
 
 __all__ = [
     "OrderProbeConfig", "train_order_probe", "run_order_separation",
-    "tdgc_ablations", "run_transfer_matchup", "run_ablation_grid",
+    "run_transfer_matchup", "run_ablation_grid",
 ]
+
+# Adam learning rate of every probe arm
+PROBE_LR = 3e-3
 
 
 @dataclass(frozen=True)
@@ -44,9 +46,7 @@ class OrderProbeConfig:
     window_segments: int = 8
     epochs: int = 30
     warmup_epochs: int = 5
-    lr: float = 3e-3
     batch_windows: int = 64
-    threshold_s: float = 2.0
 
     @property
     def num_train(self) -> int:
@@ -69,13 +69,14 @@ def _window_batch_graph(feats: np.ndarray, positions: np.ndarray,
 
 
 def train_order_probe(layer_kind: str, seed: int,
-                      probe: OrderProbeConfig = OrderProbeConfig()) -> dict:
+                      probe: OrderProbeConfig = OrderProbeConfig()) -> float:
     """Train one probe arm, a ``LAYER_KINDS`` name or a ``TDGC_VARIANTS``
-    name, on the ordering probe; returns accuracies.
+    name, on the ordering probe; returns its validation accuracy in %.
 
     The model is one backbone stage (two layers) followed by per-window
     mean pooling and a small classifier, trained by ``_train_loop``'s
-    core. Data, split, and init all derive from ``seed``.
+    core. Data, split, and init all derive from ``seed``; only the
+    validation split is scored.
     """
     rng = np.random.default_rng(seed)
     feats, positions, labels = generate_order_windows(
@@ -86,8 +87,7 @@ def train_order_probe(layer_kind: str, seed: int,
     train_y, val_y = labels[:n_train], labels[n_train:]
 
     cfg = BackboneConfig(layer_kind=layer_kind, d_in=probe.dim,
-                         d_model=probe.dim, num_stages=1,
-                         threshold_s=probe.threshold_s)
+                         d_model=probe.dim, num_stages=1)
     params = BackboneParams.init(rng, cfg)
     readout = MlpParams.init(rng, probe.dim, probe.dim, 2)
     cache = VideoCache()
@@ -99,7 +99,7 @@ def train_order_probe(layer_kind: str, seed: int,
         return mlp_forward(readout, pooled)
 
     for epoch, sel, leaves in _adam_batches(
-            [(params.params() + readout.params(), probe.lr)], n_train, rng,
+            [(params.params() + readout.params(), PROBE_LR)], n_train, rng,
             probe.batch_windows, probe.epochs, probe.warmup_epochs):
         with GradientTape() as tape:
             loss = _require_finite(cross_entropy_rows(
@@ -107,12 +107,8 @@ def train_order_probe(layer_kind: str, seed: int,
                 epoch)
         backward(tape, loss, leaves=leaves)
 
-    def accuracy(f, y):
-        preds = window_logits(f).data.argmax(axis=1)
-        return 100.0 * float((preds == y).mean())
-
-    return {"train_acc": accuracy(train_f, train_y),
-            "val_acc": accuracy(val_f, val_y)}
+    preds = window_logits(val_f).data.argmax(axis=1)
+    return 100.0 * float((preds == val_y).mean())
 
 
 def run_order_separation(arms, seeds,
@@ -121,20 +117,10 @@ def run_order_separation(arms, seeds,
     arm is a layer kind or a ``TDGC_VARIANTS`` name."""
     out = {}
     for arm in arms:
-        per_seed = {s: train_order_probe(arm, s, probe)["val_acc"]
-                    for s in seeds}
+        per_seed = {s: train_order_probe(arm, s, probe) for s in seeds}
         out[arm] = {"per_seed": per_seed,
                     "mean": float(np.mean(list(per_seed.values())))}
     return out
-
-
-def tdgc_ablations(separation: dict) -> dict:
-    """The tdgc ablation table of a separation over ``tdgc`` and every
-    ``TDGC_VARIANTS`` arm: ``full`` is ``tdgc``, ``no_sign`` is
-    ``tdgc-no-sign``."""
-    return {"full": separation["tdgc"]} | {
-        arm.removeprefix("tdgc-").replace("-", "_"): separation[arm]
-        for arm in TDGC_VARIANTS}
 
 
 def run_transfer_matchup(novel_task: str, ds: SynthDataset,

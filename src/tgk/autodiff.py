@@ -89,7 +89,7 @@ class GradientTape:
 
         with GradientTape() as tape:
             loss = model_loss(params, ...)
-        grads = backward(tape, loss, params)
+        backward(tape, loss, params)  # each param's .grad is dLoss/dParam
 
     The tape only records ops whose output requires grad, so constant
     subgraphs cost nothing. One tape is owned by one training loop; tensors
@@ -121,12 +121,12 @@ def _emit(out_data, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def backward(tape: GradientTape, loss: Tensor, leaves):
-    """Reverse sweep over the tape, returning a leaf -> gradient dict.
+def backward(tape: GradientTape, loss: Tensor, leaves) -> None:
+    """Reverse sweep over the tape.
 
     ``loss`` must be scalar (size 1). Each tensor in ``leaves`` receives
-    dLoss/dLeaf in its ``.grad`` field and in the returned map; a leaf
-    the computation never touched gets zeros.
+    dLoss/dLeaf in its ``.grad`` field; a leaf the computation never
+    touched gets zeros.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -144,7 +144,6 @@ def backward(tape: GradientTape, loss: Tensor, leaves):
             else:
                 grads[key] = np.asarray(g, dtype=np.float64)
 
-    result: dict[Tensor, np.ndarray] = {}
     for t in leaves:
         g = grads.get(id(t))
         if g is None:
@@ -153,8 +152,6 @@ def backward(tape: GradientTape, loss: Tensor, leaves):
             g = np.broadcast_to(g, t.data.shape).astype(np.float64, copy=True) \
                 if g.shape != t.data.shape else g
         t.grad = g
-        result[t] = g
-    return result
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

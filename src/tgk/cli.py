@@ -31,9 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ablation import (
-    OrderProbeConfig, run_ablation_grid, run_order_separation, tdgc_ablations,
-)
+from .ablation import OrderProbeConfig, run_ablation_grid, run_order_separation
 from .config import (
     ExperimentConfig, load_config, save_config, validate_config,
     validate_data,
@@ -220,14 +218,17 @@ def _cmd_train_mtl(args) -> int:
     return _train_fresh(args, tasks, "mtl", {"tasks": tasks})
 
 
-def _train_fresh(args, tasks: list[str], arm: str, labels: dict) -> int:
-    """Train, save and evaluate a fresh model on ``tasks``; ``labels``
-    name them in metrics.json."""
+def _train_fresh(args, tasks: list[str], arm: str, labels: dict,
+                 train_videos: int | None = None) -> int:
+    """Train, save and evaluate a fresh model on ``tasks`` over the first
+    ``train_videos`` train videos (None: all); ``labels`` name the tasks
+    in metrics.json."""
     ds = _loaded(args.data, load_dataset, args.data)
     cfg = _experiment_config(args, ds.config, tasks, arm)
     run_dir = Path(args.run)
     save_config(run_dir, cfg)
-    model = run_mtl(tasks, ds, cfg.train, backbone_cfg=cfg.backbone)
+    used = SynthDataset(ds.config, ds.train[:train_videos], ds.val)
+    model = run_mtl(tasks, used, cfg.train, backbone_cfg=cfg.backbone)
     save_run(run_dir, model)
     metrics = evaluate(model, ds.val, cfg.train)
     _write_metrics(run_dir, {"arm": arm, **labels, "metrics": metrics})
@@ -240,7 +241,8 @@ def _cmd_build_prototypes(args) -> int:
         raise SystemExit(f"--knn-k: must be at least 1, got {args.knn_k}")
     ds = _loaded(args.data, load_dataset, args.data)
     model = _loaded(args.support_run, load_model, args.support_run)
-    support_tasks = sorted(args.tasks.split(",")) if args.tasks else model.tasks
+    support_tasks = (sorted(_parsed_list("--tasks", args.tasks, str))
+                     if args.tasks else model.tasks)
     missing = sorted(set(support_tasks) - set(model.tasks))
     if missing:
         raise SystemExit(f"--tasks: the support run {args.support_run} has "
@@ -283,10 +285,11 @@ def _cmd_train_novel(args) -> int:
     if args.novel_videos is not None and args.novel_videos < 1:
         raise SystemExit(
             f"--novel-videos: must be at least 1, got {args.novel_videos}")
-    ds = _loaded(args.data, load_dataset, args.data)
     if args.method == "single":
-        cfg = _experiment_config(args, ds.config, [args.task], "single")
-    elif args.method == "translation":
+        return _train_fresh(args, [args.task], "single", {"task": args.task},
+                            args.novel_videos)
+    ds = _loaded(args.data, load_dataset, args.data)
+    if args.method == "translation":
         cfg = _experiment_config(args, ds.config, [args.task], "translation",
                                  sorted(args.support_tasks.split(",")))
     else:
@@ -310,10 +313,7 @@ def _cmd_train_novel(args) -> int:
     novel_ds = SynthDataset(ds.config, ds.train[:args.novel_videos], ds.val)
 
     novel = tm = None
-    if args.method == "single":
-        model = run_single(args.task, novel_ds, cfg.train,
-                           backbone_cfg=cfg.backbone)
-    elif args.method == "translation":
+    if args.method == "translation":
         support_models = {
             t: run_single(t, ds, cfg.train, backbone_cfg=cfg.backbone)
             for t in cfg.support_tasks}
@@ -335,13 +335,17 @@ def _cmd_train_novel(args) -> int:
 
 def _parsed_list(flag: str, text: str, parse) -> list:
     """``text``'s comma-separated entries through ``parse``; an entry it
-    rejects exits in one line naming ``flag``."""
+    rejects, or one that parses to an earlier entry's value, exits in one
+    line naming ``flag``."""
     values = []
     for entry in text.split(","):
         try:
-            values.append(parse(entry))
+            value = parse(entry)
         except ValueError:
             raise SystemExit(f"{flag}: malformed entry {entry!r}") from None
+        if value in values:
+            raise SystemExit(f"{flag}: repeated entry {entry}")
+        values.append(value)
     return values
 
 
@@ -350,9 +354,6 @@ def _cmd_ablate(args) -> int:
     seeds = _parsed_list("--seeds", args.seeds, int)
     if min(seeds) < 0:
         raise SystemExit(f"--seeds: must be non-negative, got {min(seeds)}")
-    for i, seed in enumerate(seeds):
-        if seed in seeds[:i]:
-            raise SystemExit(f"--seeds: repeated entry {seed}")
     if args.mode == "order":
         # the probe has one graph window and no pooling
         for flag, value in (("--thresholds", args.thresholds),
@@ -367,8 +368,9 @@ def _cmd_ablate(args) -> int:
             raise SystemExit(f"--thresholds: must be positive, got {t}")
         if t == math.inf:
             raise SystemExit("--thresholds: must be finite, got inf")
-    kinds = args.kinds.split(",")
-    poolings = ("mean" if args.poolings is None else args.poolings).split(",")
+    kinds = _parsed_list("--kinds", args.kinds, str)
+    poolings = _parsed_list(
+        "--poolings", "mean" if args.poolings is None else args.poolings, str)
     for flag, values, known in (("--kinds", kinds, LAYER_KINDS),
                                 ("--poolings", poolings, POOLINGS)):
         for value in values:
@@ -389,22 +391,16 @@ def _cmd_ablate(args) -> int:
             raise SystemExit(
                 f"--windows: the {probe.train_fraction:g} train split must "
                 f"leave a window on each side, got {args.windows}")
-        # each (arm, seed) trains once: the ablation's full is tdgc's entry
-        swept = run_order_separation(
+        # the kinds, then tdgc and its variants for the sign/gate ablation
+        separation = run_order_separation(
             dict.fromkeys([*kinds, "tdgc", *TDGC_VARIANTS]), seeds, probe)
-        separation = {kind: swept[kind] for kind in kinds}
-        ablations = tdgc_ablations(swept)
-        for name, key, result in (
-                ("order_separation", "layer_kind", separation),
-                ("tdgc_ablations", "variant", ablations)):
-            rows = [(k, f"{v['mean']:.2f}",
-                     " ".join(f"{a:.2f}" for a in v["per_seed"].values()))
-                    for k, v in result.items()]
-            _write_table(run_dir, name, [key, "mean_val_acc", "per_seed"],
-                         rows)
+        _write_table(run_dir, "order_separation",
+                     ["layer_kind", "mean_val_acc", "per_seed"],
+                     [(k, f"{v['mean']:.2f}",
+                       " ".join(f"{a:.2f}" for a in v["per_seed"].values()))
+                      for k, v in separation.items()])
         _write_metrics(run_dir, {"arm": "ablate-order",
-                                 "separation": separation,
-                                 "ablations": ablations})
+                                 "separation": separation})
     else:
         data_cfg = SynthConfig(num_train_videos=args.train_videos,
                                num_val_videos=args.val_videos,

@@ -104,10 +104,15 @@ def soft_nms(intervals: np.ndarray, scores: np.ndarray, sigma: float = 2.0,
            else np.asarray(groups))
     order = np.lexsort((intervals[:, 0], key))
     order = order[scores[order] >= floor]
-    keys, row_group = np.unique(key[order], return_inverse=True)
-    pos, size = _slots(row_group, len(keys))
+    # survivors are sorted by key: a group starts where the key changes
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    start = np.flatnonzero(first)
+    row_group = np.cumsum(first) - 1
+    pos = np.arange(len(order)) - start[row_group]
+    size = np.diff(start, append=len(order))
     # slot[g, j]: input index of group g's j-th survivor, -1 past its end
-    slot = np.full((len(keys), size.max(initial=0)), -1, dtype=np.intp)
+    slot = np.full((len(start), size.max(initial=0)), -1, dtype=np.intp)
     slot[row_group, pos] = order
     alive = slot >= 0
     lo, hi = intervals[slot, 0], intervals[slot, 1]

@@ -286,8 +286,7 @@ def lta_train_instances(v: VideoSample, steps: int):
 
 def generate_order_windows(num_windows: int, noise: float,
                            rng: np.random.Generator, dim: int = 32,
-                           window_segments: int = 8,
-                           segment_s: float = 1.0):
+                           window_segments: int = 8):
     """Two-event windows labeled by which event comes first.
 
     Event A is (verb 0, noun 0), event B is (verb 1, noun 1); one of them
@@ -297,7 +296,8 @@ def generate_order_windows(num_windows: int, noise: float,
     window of the opposite label that is equally likely, so order-blind
     models cannot beat 50%.
 
-    Returns (features (W, S, dim), positions_s (S,), labels (W,)).
+    Returns (features (W, S, dim), positions_s (S,), labels (W,)); the
+    segments are one second long.
     ``window_segments`` below 4 or a negative ``num_windows`` raise
     ValueError naming the argument.
     """
@@ -312,7 +312,7 @@ def generate_order_windows(num_windows: int, noise: float,
     world = _World(cfg)
     pattern_a = world.verb_patterns[0] + world.noun_patterns[0]
     pattern_b = world.verb_patterns[1] + world.noun_patterns[1]
-    positions = (np.arange(window_segments) + 0.5) * segment_s
+    positions = np.arange(window_segments) + 0.5
     first_len = np.empty((num_windows, 1), dtype=np.intp)
     labels = np.empty(num_windows, dtype=np.intp)
     feats = np.empty((num_windows, window_segments, dim))

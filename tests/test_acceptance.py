@@ -25,7 +25,7 @@ import numpy as np
 
 from tgk.ablation import (
     OrderProbeConfig, run_ablation_grid, run_order_separation,
-    run_transfer_matchup, tdgc_ablations,
+    run_transfer_matchup,
 )
 from tgk.autodiff import GradientTape, Tensor, add, backward, mul, tsum
 from tgk.cli import main as cli_main
@@ -255,16 +255,15 @@ def _order_results():
         t0 = time.monotonic()
         probe = OrderProbeConfig()
         kinds = ["tdgc", "sgcn", "sage-pe", "sage", "gcn", "gat"]
-        # one sweep: the ablation's full is the separation's tdgc entry
+        # one sweep: checks 3 and 4 read the kinds and the tdgc variants
         separation = run_order_separation([*kinds, *TDGC_VARIANTS],
                                           [0, 1, 2], probe)
-        _CACHE["order"] = (separation, tdgc_ablations(separation),
-                           time.monotonic() - t0)
+        _CACHE["order"] = (separation, time.monotonic() - t0)
     return _CACHE["order"]
 
 
 def test_check_03_order_separation():
-    separation, _, elapsed = _order_results()
+    separation, elapsed = _order_results()
     means = {k: v["mean"] for k, v in separation.items()}
     pi = max(means["gcn"], means["gat"], means["sage"])
     ok = (means["tdgc"] >= 90.0 and means["sgcn"] >= 90.0
@@ -280,15 +279,16 @@ def test_check_03_order_separation():
 
 
 def test_check_04_component_ablation():
-    _, ablations, _ = _order_results()
-    means = {k: v["mean"] for k, v in ablations.items()}
-    ok = (40.0 <= means["no_sign"] <= 60.0
-          and means["no_gate"] >= 85.0
-          and means["full"] - means["no_gate"] <= 5.0)
+    separation, _ = _order_results()
+    means = {k: v["mean"] for k, v in separation.items()}
+    ok = (40.0 <= means["tdgc-no-sign"] <= 60.0
+          and means["tdgc-no-gate"] >= 85.0
+          and means["tdgc"] - means["tdgc-no-gate"] <= 5.0)
     _report(4, ok,
-            f"full={means['full']:.1f} no_sign={means['no_sign']:.1f} "
-            f"(chance band) no_gate={means['no_gate']:.1f} "
-            f"(>= 85, within 5 of full)")
+            f"tdgc={means['tdgc']:.1f} "
+            f"tdgc-no-sign={means['tdgc-no-sign']:.1f} (chance band) "
+            f"tdgc-no-gate={means['tdgc-no-gate']:.1f} "
+            f"(>= 85, within 5 of tdgc)")
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +489,16 @@ def _blocking_factor_holds(model, novel_state, video) -> bool:
             for f, w in zip(feats, weights):
                 term = _weighted(f, w)
                 loss = term if loss is None else add(loss, term)
-        return backward(tape, loss, leaves=leaves)
+        backward(tape, loss, leaves=leaves)
+        # the second sweep rebinds every .grad, so keep copies
+        return [p.grad.copy() for p in leaves]
 
     g_on = grads(True)
     g_off = grads(False)
     factor = 1.0 / (1.0 + len(novel_state.interactions))
-    some_signal = any(np.abs(g_off[p]).sum() > 0 for p in leaves)
+    some_signal = any(np.abs(g).sum() > 0 for g in g_off)
     return some_signal and all(
-        np.allclose(g_on[p], factor * g_off[p], atol=1e-12) for p in leaves)
+        np.allclose(a, factor * b, atol=1e-12) for a, b in zip(g_on, g_off))
 
 
 def test_check_07_transfer_trend():

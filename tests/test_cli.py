@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from tgk.cli import main
-from tgk.config import load_config
+from tgk.config import load_config, validate_config
 from tgk.egopack import load_bank, save_bank
 from tgk.layers import TdgcParams
 from tgk.persist import load_run
@@ -904,18 +904,37 @@ def test_ablate_order_probe(tmp_path):
                  "--seeds", "0", "--kinds", "tdgc,gcn",
                  "--windows", "40", "--epochs", "3", "--noise", "0.1"]) == 0
     payload = metrics_of(out)
-    assert set(payload["separation"]) == {"tdgc", "gcn"}
-    assert set(payload["ablations"]) == {"full", "no_sign", "no_gate"}
+    assert set(payload) == {"arm", "separation"}
+    assert set(payload["separation"]) == {"tdgc", "gcn", "tdgc-no-sign",
+                                          "tdgc-no-gate"}
     for entry in payload["separation"].values():
         assert 0.0 <= entry["mean"] <= 100.0
         assert set(entry["per_seed"]) == {"0"} or set(entry["per_seed"]) == {0}
-    assert (out / "tables" / "order_separation.csv").is_file()
-    assert (out / "tables" / "tdgc_ablations.csv").is_file()
+    assert [p.name for p in (out / "tables").iterdir()] == [
+        "order_separation.csv"]
+
+
+def test_ablate_order_writes_one_row_per_arm_under_its_layer_kind(tmp_path):
+    # the tdgc variants used to sit in a second table as full, no_sign and
+    # no_gate; each row's name is now what --layer-kind takes
+    out = tmp_path / "abl"
+    assert main(["ablate", "--mode", "order", "--out", str(out),
+                 "--kinds", "gcn", "--seeds", "0", "--windows", "40",
+                 "--epochs", "2"]) == 0
+    lines = (out / "tables" / "order_separation.csv").read_text().splitlines()
+    assert lines[0] == "layer_kind,mean_val_acc,per_seed"
+    names = [line.split(",")[0] for line in lines[1:]]
+    assert names == ["gcn", "tdgc", "tdgc-no-sign", "tdgc-no-gate"]
+    assert set(metrics_of(out)["separation"]) == set(names)
+    cfg = load_config(workspace() / "run_single_oscc")
+    for name in names:
+        validate_config(replace(cfg, backbone=replace(cfg.backbone,
+                                                      layer_kind=name)))
 
 
 def test_ablate_order_trains_each_arm_and_seed_once(tmp_path, monkeypatch):
-    # the ablation's full variant is the separation's tdgc entry, so every
-    # default kind plus the two tdgc variants over two seeds is 16 runs
+    # the six default kinds and the two tdgc variants over two seeds: 16
+    # runs, each (arm, seed) once
     from tgk import ablation
     from tgk.layers import LAYER_KINDS, TDGC_VARIANTS
 
@@ -934,8 +953,7 @@ def test_ablate_order_trains_each_arm_and_seed_once(tmp_path, monkeypatch):
     assert sorted(calls) == sorted((arm, seed, ()) for arm in arms
                                    for seed in (0, 1))
     assert len(calls) == 16
-    payload = metrics_of(out)
-    assert payload["ablations"]["full"] == payload["separation"]["tdgc"]
+    assert set(metrics_of(out)["separation"]) == set(arms)
 
 
 def test_ablate_grid(tmp_path):
@@ -1002,6 +1020,36 @@ def test_ablate_rejects_malformed_seeds_or_thresholds(tmp_path, capsys, mode,
         ["ablate", "--mode", mode, "--out", str(out), "--windows", "40",
          "--epochs", "2", "--train-videos", "4", "--val-videos", "2",
          "--segments", "16", flag, value], out, message)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    # grid mode trained and recorded 4 identical cells
+    (["ablate", "--mode", "grid", "--kinds", "tdgc,tdgc", "--poolings",
+      "mean,mean"], "--kinds: repeated entry tdgc"),
+    (["ablate", "--mode", "grid", "--kinds", "tdgc", "--poolings",
+      "mean,mean"], "--poolings: repeated entry mean"),
+    # order mode dropped the repeat without a word
+    (["ablate", "--mode", "order", "--kinds", "gcn,gcn"],
+     "--kinds: repeated entry gcn"),
+    # entries are compared as parsed values
+    (["ablate", "--mode", "grid", "--kinds", "tdgc", "--thresholds",
+      "2.0,2.00"], "--thresholds: repeated entry 2.00"),
+    # ended in a ValueError traceback from build_prototypes
+    (["build-prototypes", "--tasks", "oscc,oscc"],
+     "--tasks: repeated entry oscc")])
+def test_a_repeated_list_entry_exits_in_one_line(tmp_path, capsys, argv,
+                                                 message):
+    ws = workspace()
+    out = tmp_path / "out"
+    if argv[0] == "ablate":
+        argv = argv + ["--out", str(out), "--seeds", "0", "--windows", "40",
+                       "--epochs", "2", "--train-videos", "4",
+                       "--val-videos", "2", "--segments", "16"]
+    else:
+        argv = argv + ["--data", str(ws / "data"), "--support-run",
+                       str(ws / "run_mtl"), "--run", str(out)]
+    assert_exits_in_one_line(argv, out, message)
     assert capsys.readouterr().out == ""
 
 

@@ -5,7 +5,9 @@ the real modules, and the checker must actually catch dangling pointers,
 duplicate ids and a doc without a table rather than rubber-stamp them.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from tgk.crossref import check_concepts, concept_rows, main
 ROOT = Path(__file__).resolve().parents[1]
 DOC = ROOT / "docs" / "architecture.md"
 ROW = "| `warmup-cosine-schedule` | `tgk.optim.lr_at` |"
+TABLE = re.compile(r"tables/([\w<>{}-]+)\.csv")
 
 
 def doc_with(old: str, new: str) -> str:
@@ -103,3 +106,31 @@ def test_documented_command_exits_by_the_table(tmp_path):
     assert len(lines) == 1
     assert "warmup-cosine-schedule: `tgk.optim.lr_after` does not resolve" \
         in lines[0]
+
+
+def tables_the_cli_cannot_write(text: str) -> list[str]:
+    """Names of ``tables/<name>.csv`` in ``text`` that ``tgk.cli`` holds
+    neither as a string constant nor as the leading literal of an
+    f-string (``activation_histogram_<task>``)."""
+    tree = ast.parse((ROOT / "src" / "tgk" / "cli.py").read_text())
+    names, prefixes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            head = node.values[0] if node.values else None
+            if isinstance(head, ast.Constant) and head.value:
+                prefixes.add(head.value)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return [name for name in TABLE.findall(text)
+            if name not in names
+            and not any(name.startswith(pre) for pre in prefixes)]
+
+
+def test_docs_name_only_tables_the_cli_writes():
+    docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+    text = "\n".join(doc.read_text() for doc in docs)
+    assert TABLE.search(text)
+    assert tables_the_cli_cannot_write(text) == []
+    assert tables_the_cli_cannot_write(
+        "`tables/no_such_table.csv`, `tables/activation_histogram_<task>.csv`"
+    ) == ["no_such_table"]

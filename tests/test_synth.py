@@ -321,14 +321,13 @@ def test_order_windows_accept_four_segments():
 # ---------------------------------------------------------------------------
 
 
-def order_windows_loop(num_windows, noise, rng, dim=32, window_segments=8,
-                       segment_s=1.0):
+def order_windows_loop(num_windows, noise, rng, dim=32, window_segments=8):
     cfg = SynthConfig(dim=dim, num_verbs=2, num_nouns=2, noise=noise,
                       two_phase=False, seed=0)
     world = synth._World(cfg)
     pattern_a = world.verb_patterns[0] + world.noun_patterns[0]
     pattern_b = world.verb_patterns[1] + world.noun_patterns[1]
-    positions = (np.arange(window_segments) + 0.5) * segment_s
+    positions = np.arange(window_segments) + 0.5
     lo, hi = 2, window_segments - 2
     feats = np.zeros((num_windows, window_segments, dim))
     labels = np.zeros(num_windows, dtype=np.intp)
@@ -405,10 +404,9 @@ def test_order_windows_equal_per_segment_loop_bytes(
         noise, num_windows, window_segments, dim, seed):
     rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
     got = generate_order_windows(num_windows, noise, rng, dim=dim,
-                                 window_segments=window_segments,
-                                 segment_s=0.5)
+                                 window_segments=window_segments)
     want = order_windows_loop(num_windows, noise, rng_loop, dim=dim,
-                              window_segments=window_segments, segment_s=0.5)
+                              window_segments=window_segments)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
