@@ -524,44 +524,60 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     rows) ``mask`` broadcast over heads, times ``v``; ``admitted`` is
     ``attention_index(mask, heads)``.
 
-    Masked positions get weight exactly 0.0, and ``exp`` runs on admitted
-    ones only (on the rest it would only underflow, and slowly). The
-    forward scales the scores and turns them into the softmax numerators
-    ``e`` in one buffer, and the record keeps only ``e`` and the row sums
-    ``s``. The backward recomputes ``e / s`` and replays the composed
-    chain's expressions (product, softmax of the scaled scores, product)
-    record by record, the softmax's two paths into ``e`` added in the
-    tape's order, so the output and the gradients keep that chain's
-    bytes.
+    Masked positions get weight exactly 0.0, and the softmax's elementwise
+    steps run on the admitted entries only, gathered in ``admitted``'s
+    order, where each (head, row) owns one contiguous run whose length
+    is counted from ``mask``. The forward scales them, shifts each run by
+    its maximum and takes ``exp``, giving the numerators ``e``; the
+    record keeps ``e`` in that compressed form and the dense row sums
+    ``s``, and no dense array. The backward works in one dense buffer:
+    ``e / s`` scattered for the product with ``v``, then ``g @ vᵀ``
+    written over it. It replays the composed chain's expressions
+    (product, softmax of the scaled scores, product) on the admitted
+    entries, the softmax's two paths into ``e`` added in the tape's
+    order, and keeps the buffer for what reads every entry: the row
+    sums, whose pairwise order a gathered sum would change, and the
+    three products, which read +0.0 at the masked entries. So the output
+    and the gradients keep that chain's bytes.
     """
     scale = 1.0 / np.sqrt(q.shape[2])
+    counts = np.tile(np.count_nonzero(mask, axis=-1), q.shape[0])
     x = np.matmul(q.data, k.data.transpose(0, 2, 1))
-    x *= scale
-    np.copyto(x, -np.inf, where=~mask)
-    x -= x.max(axis=-1, keepdims=True)
     flat = x.reshape(-1)
-    weights = np.exp(flat[admitted])
+    e = flat[admitted]
+    e *= scale
+    e -= np.repeat(np.maximum.reduceat(e, np.cumsum(counts) - counts), counts)
+    np.exp(e, out=e)
     x.fill(0.0)
-    flat[admitted] = weights
-    e, s = x, x.sum(axis=-1, keepdims=True)
+    flat[admitted] = e
+    s = x.sum(axis=-1, keepdims=True)
+    flat[admitted] = e / np.repeat(s.reshape(-1), counts)
+    shape = x.shape
 
     def back(g):
-        buf = e / s
+        buf = np.zeros(shape)
+        flat = buf.reshape(-1)
+        s_at = np.repeat(s.reshape(-1), counts)
+        flat[admitted] = e / s_at
         g_v = np.matmul(buf.swapaxes(-1, -2), g)
-        g_w = np.matmul(g, v.data.swapaxes(-1, -2))
-        grad = np.negative(g_w, out=buf)
+        np.matmul(g, v.data.swapaxes(-1, -2), out=buf)
+        g_w = flat[admitted]
+        grad = np.negative(g_w)
         grad *= e
-        grad /= s * s
-        g_sum = grad.sum(axis=-1, keepdims=True)
-        np.divide(g_w, s, out=grad)
-        grad += g_sum
+        grad /= s_at * s_at
+        buf.fill(0.0)
+        flat[admitted] = grad
+        g_sum = buf.sum(axis=-1).reshape(-1)
+        np.divide(g_w, s_at, out=grad)
+        grad += np.repeat(g_sum, counts)
         grad *= e
         grad *= scale
-        return (np.matmul(grad, k.data),
-                np.matmul(q.data.swapaxes(-1, -2), grad).transpose(0, 2, 1),
+        flat[admitted] = grad
+        return (np.matmul(buf, k.data),
+                np.matmul(q.data.swapaxes(-1, -2), buf).transpose(0, 2, 1),
                 g_v)
 
-    return _emit(np.matmul(e / s, v.data), (q, k, v), back)
+    return _emit(np.matmul(x, v.data), (q, k, v), back)
 
 
 def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

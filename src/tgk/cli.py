@@ -123,10 +123,16 @@ def _task_rate(entry: str) -> tuple[str, float]:
 
 
 def _train_config(args) -> TrainConfig:
-    task_lr = dict(TrainConfig().task_lr)
+    """The flags' ``TrainConfig``; a task given two ``--task-lr`` rates,
+    in one flag or across its repeats, exits in one line naming it."""
+    given = {}
     for item in args.task_lr:
-        task_lr.update(_parsed_list("--task-lr", item, _task_rate))
-    return _from_flags(TrainConfig, args, task_lr=task_lr)
+        for name, rate in _parsed_list("--task-lr", item, _task_rate):
+            if name in given:
+                raise SystemExit(f"--task-lr: repeated task {name}")
+            given[name] = rate
+    return _from_flags(TrainConfig, args,
+                       task_lr=TrainConfig().task_lr | given)
 
 
 def _backbone_flags(args) -> dict:

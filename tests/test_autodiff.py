@@ -829,23 +829,39 @@ def attention_bytes(attend, heads, inputs, mask, weights):
 
 def test_masked_attention_equals_composed_chain_bytes():
     """Up to the encoder's (4 heads, 128 tokens, width 8), under masks
-    whose rows admit only the diagonal, a random subset or everything."""
+    whose rows admit only the diagonal, a random subset, everything, or
+    the encoder's band (four tasks' tokens at shared positions, stages 1
+    and 2, from ``build_mask``); and with the gradient exactly zero in
+    some rows or all of them, as the last encoder layer's non-primary
+    tokens get it."""
+    from tgk.translation import build_mask
+
     given, settings, st = strategies()
 
     @settings
     @given(st.integers(1, 4), st.integers(1, 128), st.integers(1, 8),
-           st.sampled_from(("diagonal", "subset", "full")),
+           st.sampled_from(("diagonal", "subset", "full", "banded")),
+           st.sampled_from(("none", "some", "all")),
            st.sampled_from((1.0, 30.0)), st.integers(0, 2**32 - 1))
-    def check(heads, tokens, width, kind, spread, seed):
+    def check(heads, tokens, width, kind, zero_rows, spread, seed):
         rng = np.random.default_rng(seed)
-        inputs = [rng.normal(size=(tokens, heads * width)) * spread
-                  for _ in range(3)]
-        weights = rng.normal(size=(tokens, heads * width))
-        if kind == "subset":
+        if kind == "banded":
+            per_task = max(1, tokens // 4)
+            tokens = 4 * per_task
+            mask = build_mask(np.tile(np.arange(per_task) + 0.5, 4),
+                              np.repeat(rng.integers(1, 3, size=4), per_task))
+        elif kind == "subset":
             mask = rng.random((tokens, tokens)) < rng.uniform(0.0, 0.5)
             np.fill_diagonal(mask, True)
         else:
             mask = np.eye(tokens, dtype=bool) | (kind == "full")
+        inputs = [rng.normal(size=(tokens, heads * width)) * spread
+                  for _ in range(3)]
+        weights = rng.normal(size=(tokens, heads * width))
+        if zero_rows == "all":
+            weights[:] = 0.0
+        elif zero_rows == "some":
+            weights[rng.random(tokens) < 0.5] = 0.0
         assert attention_bytes(fused_attention, heads, inputs, mask,
                                weights) == \
             attention_bytes(composed_attention, heads, inputs, mask, weights)

@@ -567,6 +567,19 @@ def test_task_lr_rejects_non_positive_rate(tmp_path):
         "train.task_lr.ar: must be positive and finite, got -1.0")
 
 
+@pytest.mark.parametrize("entries,task", [
+    (["ar=1e-3,ar=2e-3"], "ar"),
+    (["ar=1e-3", "ar=2e-3"], "ar"),
+    (["oscc=3e-5", "lta=1e-6,oscc=3e-5"], "oscc")])
+def test_task_lr_rejects_a_task_named_twice(tmp_path, entries, task):
+    # the last rate used to win without a word
+    run = tmp_path / "run"
+    assert_exits_in_one_line(
+        data_argv("train-single", workspace() / "data", run)
+        + [arg for entry in entries for arg in ("--task-lr", entry)], run,
+        f"--task-lr: repeated task {task}")
+
+
 def test_task_lr_rejects_unknown_task(tmp_path):
     run = tmp_path / "run"
     assert_exits_in_one_line(

@@ -98,6 +98,21 @@ def _stack() -> dict:
             "threads": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
+def join_lengths(config, lengths):
+    """One corpus from ``generate_dataset`` at ``config`` once per video
+    length in ``lengths``, each later set's video ids suffixed with its
+    length so that none collides."""
+    from tgk.synth import SynthDataset, generate_dataset
+
+    train, val = [], []
+    for i, n in enumerate(lengths):
+        part = generate_dataset(replace(config, segments_per_video=n))
+        for split, videos in ((train, part.train), (val, part.val)):
+            split.extend(replace(v, video_id=f"{v.video_id}_{n}") if i else v
+                         for v in videos)
+    return SynthDataset(config, train, val)
+
+
 def compute() -> dict:
     """Every fingerprint, keyed by run; run this pinned to one thread."""
     from tgk import ablation, training
@@ -194,6 +209,25 @@ def compute() -> dict:
         wide, {t: run_single(t, wide, cfg) for t in SUPPORT})
     out["translation/mq32/params"] = _params_sha(_model_params(model))
     out["translation/mq32/dense"] = dense
+
+    # Videos of two lengths in one corpus, 24 and 40 segments: batch
+    # offsets vary, a batch's stages differ in length (3 and 5 nodes at
+    # stage 4), and the translation masks are 96 and 160 tokens wide.
+    varied = join_lengths(ds.config, (24, 40))
+    model = run_single("mq", varied, cfg)
+    record("varied/single/mq", model, evaluate(model, varied.val, cfg))
+    support = run_mtl(SUPPORT, varied, cfg)
+    record(f"varied/mtl/{','.join(SUPPORT)}", support,
+           evaluate(support, varied.val, cfg))
+    model, novel = run_novel("mq", varied, cfg, support, interaction=True,
+                             banks=build_prototype_banks(support, varied,
+                                                         SUPPORT))
+    record("varied/novel/egopack/mq", model,
+           evaluate(model, varied.val, cfg, novel=novel))
+    model, metrics, dense = translated(
+        varied, {t: run_single(t, varied, cfg) for t in SUPPORT})
+    record("varied/translation/mq", model, metrics)
+    out["varied/translation/mq/dense"] = dense
 
     # The probe's accuracies sit at chance for several layer kinds, so each
     # entry hashes the logits of the probe's final scoring pass instead.

@@ -230,9 +230,8 @@ def benchmark_layout_forward():
     """One two-layer forward at the transfer benchmark's token layout
     (dim 32, three support tasks plus the primary, 32 tokens each, so 128
     tokens in 4 heads of 8), with the layout's mask already cached. Only
-    the primary tokens require grad, as in training. Returns the tape's
-    record count and the bytes still allocated once the forward returns
-    (tracemalloc)."""
+    the primary tokens require grad, as in training. Returns the tape and
+    the bytes still allocated once the forward returns (tracemalloc)."""
     rng = np.random.default_rng(13)
     p = TranslationParams.init(rng, 32, ["ar", "mq", "oscc", "pnr"])
     tokens = {t: (Tensor(rng.normal(size=(32, 32)), requires_grad=t == "mq"),
@@ -251,23 +250,50 @@ def benchmark_layout_forward():
         if not tracing:
             tracemalloc.stop()
     assert out.shape == (32, 32)
-    return len(tape.records), held
+    return tape, held
 
 
 def test_tape_records_at_benchmark_layout():
     """Each attention, each layer norm and each affine map is one record:
     39, where the composed chains took 99."""
-    records, _ = benchmark_layout_forward()
-    assert records <= 39
+    tape, _ = benchmark_layout_forward()
+    assert len(tape.records) <= 39
 
 
 def test_tape_bytes_at_benchmark_layout():
-    """The tape keeps one (heads, tokens, tokens) array per layer, the
-    softmax numerators, and one output per affine map: about 2.8 MB, where
-    the composed chains kept four such arrays per layer and an output per
+    """Each attention record keeps its softmax numerators compressed to
+    the admitted entries (about 15% of the (heads, tokens, tokens) scores)
+    and the row sums, and each affine map keeps one output: about 1.9 MB.
+    A dense numerator array per layer made it 2.8 MB, and the composed
+    chains, which kept four such arrays per layer and an output per
     product and per bias, 7.1 MB."""
     _, held = benchmark_layout_forward()
-    assert held <= 2.9e6
+    assert held <= 2.1e6
+
+
+def test_attention_backward_peak_at_benchmark_layout():
+    """One attention record's backward works in a single dense (heads,
+    tokens, tokens) buffer: its peak stays below two such float64 arrays
+    (1,048,576 bytes at 4 x 128 x 128), where a fresh ``e / s`` and a
+    fresh ``g @ vᵀ`` took about 1.15 MB."""
+    tape, _ = benchmark_layout_forward()
+    attention = [r for r in tape.records
+                 if r.backward_fn.__qualname__.startswith("masked_attention.")]
+    assert len(attention) == 2
+    g = np.random.default_rng(14).normal(size=attention[-1].out.shape)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        grads = attention[-1].backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert [a.shape for a in grads] == [(4, 128, 8)] * 3
+    assert peak < 2 * 4 * 128 * 128 * 8
 
 
 # ---------------------------------------------------------------------------
