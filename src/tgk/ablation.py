@@ -22,8 +22,8 @@ from .hierarchy import BackboneConfig, BackboneParams, backbone_forward
 from .synth import SynthConfig, SynthDataset, generate_dataset, generate_order_windows
 from .tasks import MlpParams, mlp_forward
 from .training import (
-    TrainConfig, _adam_batches, _require_finite, build_prototype_banks,
-    evaluate, run_mtl, run_novel, run_single,
+    MultiTaskModel, TrainConfig, _adam_batches, _require_finite, evaluate,
+    run_novel, run_single,
 )
 
 __all__ = [
@@ -123,21 +123,20 @@ def run_order_separation(arms, seeds,
     return out
 
 
-def run_transfer_matchup(novel_task: str, ds: SynthDataset,
-                         cfg: TrainConfig, support_tasks=("ar", "oscc", "pnr"),
+def run_transfer_matchup(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
+                         support: MultiTaskModel, banks: dict,
                          novel_train_videos: int | None = None) -> tuple:
     """One seed of the transfer experiment: egopack vs its baselines.
 
-    The support phase sees the full training split; the novel phase is
-    restricted to its first ``novel_train_videos`` videos (data-poor novel
-    task; None keeps them all). Returns ``(arms, support, banks, egopack_model,
-    egopack_state)``: each arm's novel-task validation metrics, then the
-    support model, its prototype banks and the egopack arm's trained model
-    and ``NovelModel``, for checks on the transfer assets.
+    ``support`` is the support model trained on ``ds`` with ``cfg``
+    (``run_mtl``) and ``banks`` its prototype banks
+    (``build_prototype_banks``), keyed by support task. Neither is written,
+    so one support phase serves every novel task. The novel phase is
+    restricted to the first ``novel_train_videos`` training videos
+    (data-poor novel task; None keeps them all). Returns ``(arms,
+    egopack_model, egopack_state)``: each arm's novel-task validation
+    metrics, then the egopack arm's trained model and ``NovelModel``.
     """
-    support = run_mtl(support_tasks, ds, cfg)
-    banks = build_prototype_banks(support, ds, support_tasks)
-
     novel_ds = SynthDataset(ds.config, ds.train[:novel_train_videos], ds.val)
 
     single = run_single(novel_task, novel_ds, cfg)
@@ -150,7 +149,7 @@ def run_transfer_matchup(novel_task: str, ds: SynthDataset,
         "mtl_ft": evaluate(ft_model, ds.val, cfg, novel=ft_state)[novel_task],
         "egopack": evaluate(ego_model, ds.val, cfg, novel=ego_state)[novel_task],
     }
-    return arms, support, banks, ego_model, ego_state
+    return arms, ego_model, ego_state
 
 
 def run_ablation_grid(data_cfg: SynthConfig, train_cfg: TrainConfig,

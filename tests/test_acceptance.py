@@ -43,7 +43,7 @@ from tgk.tasks import (
     LtaParams, MlpParams, MqParams, ScorerParams, lta_forward, mlp_forward,
     mq_decode, mq_forward, mq_targets, neck_forward, scorer_forward,
 )
-from tgk.training import TrainConfig, build_prototype_banks
+from tgk.training import TrainConfig, build_prototype_banks, run_mtl
 from tgk.translation import TranslationParams, build_mask, translation_forward
 
 from oracle_ops import finite_diff_check, iou_1d
@@ -502,28 +502,25 @@ def _blocking_factor_holds(model, novel_state, video) -> bool:
 
 
 def test_check_07_transfer_trend():
-    """Runs the library's transfer recipe per (task, seed). The banks count
-    as frozen when rebuilding them from the support model, after every arm
-    trained and evaluated, gives the same keys and bytes."""
+    """Per seed, trains one support model and its banks, then runs the
+    library's transfer recipe for each novel task on them. The banks count
+    as frozen when rebuilding them from the support model, after both
+    matchups' arms trained and evaluated, gives the same keys and bytes."""
     support_tasks = ("ar", "oscc", "pnr")
-    lines = []
+    matchups = (("mq", "map_avg", True), ("lta", "mean_ed", False))
+    wins = {task: 0 for task, _, _ in matchups}
     ok = True
-    for task, key, higher in (("mq", "map_avg", True),
-                              ("lta", "mean_ed", False)):
-        wins = 0
-        for seed in (0, 1, 2):
-            ds = generate_dataset(SynthConfig(
-                num_train_videos=40, num_val_videos=16, segments_per_video=32,
-                noise=0.25, seed=seed))
-            cfg = TrainConfig(epochs=100, warmup_epochs=10, base_lr=1e-3,
-                              seed=seed)
-            arms, support, banks, ego_model, ego_state = run_transfer_matchup(
-                task, ds, cfg, support_tasks, novel_train_videos=8)
-            rebuilt = build_prototype_banks(support, ds, support_tasks)
-            frozen = sorted(banks) == sorted(rebuilt) and all(
-                banks[t].keys == rebuilt[t].keys
-                and banks[t].prototypes.tobytes()
-                == rebuilt[t].prototypes.tobytes() for t in banks)
+    for seed in (0, 1, 2):
+        ds = generate_dataset(SynthConfig(
+            num_train_videos=40, num_val_videos=16, segments_per_video=32,
+            noise=0.25, seed=seed))
+        cfg = TrainConfig(epochs=100, warmup_epochs=10, base_lr=1e-3,
+                          seed=seed)
+        support = run_mtl(support_tasks, ds, cfg)
+        banks = build_prototype_banks(support, ds, support_tasks)
+        for task, key, higher in matchups:
+            arms, ego_model, ego_state = run_transfer_matchup(
+                task, ds, cfg, support, banks, novel_train_videos=8)
             blocked = _blocking_factor_holds(ego_model, ego_state, ds.val[0])
             vals = {a: arms[a][key] for a in arms}
             if higher:
@@ -532,12 +529,18 @@ def test_check_07_transfer_trend():
             else:
                 win = (vals["egopack"] <= vals["single"]
                        and vals["egopack"] <= vals["mtl_ft"])
-            wins += win
-            ok = ok and frozen and blocked
-        ok = ok and wins >= 2
-        lines.append(f"{task}:{wins}/3 seeds")
+            wins[task] += win
+            ok = ok and blocked
+        rebuilt = build_prototype_banks(support, ds, support_tasks)
+        frozen = sorted(banks) == sorted(rebuilt) and all(
+            banks[t].keys == rebuilt[t].keys
+            and banks[t].prototypes.tobytes()
+            == rebuilt[t].prototypes.tobytes() for t in banks)
+        ok = ok and frozen
+    ok = ok and all(w >= 2 for w in wins.values())
     _report(7, ok,
-            "novel-task wins " + ", ".join(lines) +
+            "novel-task wins " +
+            ", ".join(f"{task}:{w}/3 seeds" for task, w in wins.items()) +
             "; banks byte-identical; backbone gradients blocked on "
             "support branches")
 

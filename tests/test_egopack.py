@@ -3,7 +3,8 @@
 Matching is checked against a brute-force distance sort and, byte for
 byte, against the full-tensor matcher it replaced; the banks against
 per-key mean loops, and the freeze guarantees (read-only arrays, no
-gradient into prototypes) with exact assertions.
+gradient into prototypes) with exact assertions, up to a support model
+and its banks that transfer matchups share.
 """
 
 import json
@@ -12,6 +13,7 @@ import re
 import numpy as np
 import pytest
 
+from tgk.ablation import run_transfer_matchup
 from tgk.autodiff import GradientTape, Tensor, backward, mul, tsum
 from tgk.egopack import (
     InteractionParams,
@@ -25,6 +27,8 @@ from tgk.egopack import (
     load_bank,
     save_bank,
 )
+from tgk.synth import SynthConfig, generate_dataset
+from tgk.training import TrainConfig, build_prototype_banks, run_mtl
 
 from oracle_ops import finite_diff_check
 
@@ -313,3 +317,40 @@ def test_activation_consensus_shared_keys():
     assert (a, b) == ("ar", "oscc")
     # row 0 shares both keys, row 1 shares only (0, 1): mean of 1 and 0.5
     assert abs(score - 0.75) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one support phase shared by several transfer matchups
+# ---------------------------------------------------------------------------
+
+
+def test_matchups_share_a_support_without_writing_to_it():
+    # the novel arms copy the support backbone and deep-copy its necks, so
+    # an lta matchup leaves the support model and banks as they were, and
+    # an mq matchup on them equals one on a freshly trained support
+    ds = generate_dataset(SynthConfig(
+        num_train_videos=4, num_val_videos=2, segments_per_video=16, dim=12,
+        num_verbs=4, num_nouns=3, noise=0.1, lta_steps=3, seed=5))
+    cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_videos=4, seed=0)
+    tasks = ("ar", "oscc", "pnr")
+
+    def support_phase():
+        support = run_mtl(tasks, ds, cfg)
+        return support, build_prototype_banks(support, ds, tasks)
+
+    support, banks = support_phase()
+
+    def snapshot():
+        return ([(p.data.tobytes(), p.requires_grad)
+                 for p in support.params()],
+                {t: (b.keys, b.prototypes.tobytes())
+                 for t, b in banks.items()})
+
+    before = snapshot()
+    run_transfer_matchup("lta", ds, cfg, support, banks, novel_train_videos=2)
+    shared = run_transfer_matchup("mq", ds, cfg, support, banks,
+                                  novel_train_videos=2)[0]
+    assert snapshot() == before
+    alone = run_transfer_matchup("mq", ds, cfg, *support_phase(),
+                                 novel_train_videos=2)[0]
+    assert shared == alone

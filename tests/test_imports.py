@@ -15,6 +15,7 @@ on-disk ``"<f4"`` row dtype only in ``graph``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -75,20 +76,36 @@ def test_every_module_level_import_is_used(path):
     assert [name for name in imported_names(tree) if name not in used] == []
 
 
+def unused_definitions(trees: dict[str, ast.Module],
+                       outside: set[str]) -> list[str]:
+    """Each top-level ``def`` or ``class`` of ``trees`` (module stem to
+    tree), as ``stem.name``, whose name is not in ``outside`` and that no
+    top-level node of any tree names apart from the definition itself."""
+    named = {id(node): named_in([node])
+             for tree in trees.values() for node in tree.body}
+    count = Counter(name for names in named.values() for name in names)
+    return [f"{stem}.{node.name}" for stem, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in outside
+            and count[node.name] == (node.name in named[id(node)])]
+
+
 def test_every_top_level_definition_is_used():
     trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
     outside = PUBLIC | named_in([ast.parse(p.read_text()) for p in BENCH],
                                 strings=True)
-    unused = []
-    for stem, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            rest = [n for n in tree.body if n is not node] + [
-                t for other, t in trees.items() if other != stem]
-            if node.name not in outside | named_in(rest):
-                unused.append(f"{stem}.{node.name}")
-    assert unused == []
+    assert unused_definitions(trees, outside) == []
+
+
+def test_dead_code_guard_sees_an_unused_definition():
+    trees = {"a": ast.parse("def kept():\n    pass\n"
+                            "def loop(n):\n    return loop(n - 1)\n"
+                            "def entry():\n    pass\n"),
+             "b": ast.parse("from a import kept\nkept()\n")}
+    # ``kept`` is named by another module, ``entry`` is listed as outside,
+    # and ``loop`` names only itself
+    assert unused_definitions(trees, {"entry"}) == ["a.loop"]
 
 
 def side_path_reductions(tree: ast.Module) -> list[str]:
