@@ -8,12 +8,14 @@ Subcommands cover the full experiment lifecycle:
   build-prototypes  summarize a trained model into prototype banks
   train-novel       train a novel task (egopack / mtl-ft / mtl-ht /
                     single / translation)
-  ablate            ordering-probe and grid ablations
+  ablate order      ordering probe over layer kinds and tdgc variants
+  ablate grid       detection grid over layer kind, pooling and threshold
   eval              re-evaluate a saved run
   report            aggregate several runs into one summary
 
 Every run directory receives ``config.json`` (the resolved experiment
-config, the only record ``eval`` rebuilds the run from) and
+config, the only record ``eval`` rebuilds the run from; for ``ablate``,
+the probe or grid settings and the swept axes) and
 ``metrics.json`` (sorted keys, no timestamps, so reruns with the same
 inputs are byte-identical); analytics land in ``tables/*.csv`` and banks
 in ``prototypes/``. The ``TGK_THREADS`` environment variable
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 from dataclasses import asdict, fields, replace
@@ -40,7 +43,6 @@ from .egopack import (
     activation_consensus, activation_histogram, knn_match, load_bank,
     save_bank,
 )
-from .graph import POOLINGS
 from .hierarchy import BackboneConfig
 from .layers import LAYER_KINDS, TDGC_VARIANTS
 from .persist import load_model, load_run, save_run
@@ -61,17 +63,20 @@ NOVEL_METHODS = ("egopack", "mtl-ft", "mtl-ht", "single", "translation")
 BACKBONE_FLAGS = {"layer_kind": "--layer-kind", "pooling": "--pooling",
                   "threshold_s": "--threshold",
                   "layers_per_stage": "--layers-per-stage"}
-# SynthConfig fields ``ablate --mode grid`` sets by flag that
-# ``validate_data`` checks (its seeds are checked apart)
-GRID_DATA_FLAGS = {"num_train_videos": "--train-videos",
-                   "num_val_videos": "--val-videos",
-                   "segments_per_video": "--segments", "noise": "--noise"}
+# ExperimentConfig fields an ``ablate grid`` cell takes from a flag
+GRID_FLAGS = {"backbone.layer_kind": "--kinds",
+              "backbone.pooling": "--poolings",
+              "backbone.threshold_s": "--thresholds",
+              "data.num_train_videos": "--train-videos",
+              "data.num_val_videos": "--val-videos",
+              "data.segments_per_video": "--segments", "data.noise": "--noise",
+              "data.seed": "--seeds", "train.epochs": "--epochs"}
 
 
-def _write_metrics(run_dir: Path, payload: dict) -> None:
+def _write_json(run_dir: Path, name: str, payload: dict) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     # strict JSON: a missing metric is null, a non-finite one an error
-    (run_dir / "metrics.json").write_text(
+    (run_dir / name).write_text(
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
@@ -109,8 +114,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layers-per-stage", type=int, default=None,
                    help="default: 2")
     p.add_argument("--knn-k", type=int)
-    p.add_argument("--interaction-layers", type=int)
-    p.add_argument("--no-rematch", dest="rematch", action="store_false")
     p.add_argument("--mq-min-score", type=float)
     p.add_argument("--candidates", dest="num_candidates", type=int)
     p.set_defaults(**{**asdict(TrainConfig()), "task_lr": []})
@@ -169,13 +172,15 @@ def _experiment_config(args, data_cfg: SynthConfig, tasks, arm: str,
         tasks=tuple(tasks), arm=arm, support_tasks=tuple(support_tasks)))
 
 
-def _valid(check, cfg):
+def _valid(check, cfg, flags=None):
     """``cfg``, if ``check`` accepts it; otherwise exit with the one line
-    that names its first invalid field."""
+    that names its first invalid field, after the flag that set it when
+    ``flags`` maps the field to one."""
     try:
         check(cfg)
     except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        flag = (flags or {}).get(str(exc).partition(":")[0])
+        raise SystemExit(f"{flag}: {exc}" if flag else str(exc)) from None
     return cfg
 
 
@@ -237,7 +242,8 @@ def _train_fresh(args, tasks: list[str], arm: str, labels: dict,
     model = run_mtl(tasks, used, cfg.train, backbone_cfg=cfg.backbone)
     save_run(run_dir, model)
     metrics = evaluate(model, ds.val, cfg.train)
-    _write_metrics(run_dir, {"arm": arm, **labels, "metrics": metrics})
+    _write_json(run_dir, "metrics.json",
+                {"arm": arm, **labels, "metrics": metrics})
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
 
@@ -278,7 +284,7 @@ def _cmd_build_prototypes(args) -> int:
     _write_table(run_dir, "activation_consensus",
                  ["task_a", "task_b", "consensus"],
                  [(a, b, f"{c:.6f}") for a, b, c in consensus])
-    _write_metrics(run_dir, {
+    _write_json(run_dir, "metrics.json", {
         "arm": "prototypes",
         "banks": {t: {"num_prototypes": banks[t].size, "dim": banks[t].dim}
                   for t in sorted(banks)},
@@ -333,8 +339,8 @@ def _cmd_train_novel(args) -> int:
     save_run(run_dir, model, novel=novel, translation=tm)
     metrics = evaluate(model, ds.val, cfg.train, novel=novel, translation=tm)
 
-    _write_metrics(run_dir, {"arm": args.method, "task": args.task,
-                             "metrics": metrics})
+    _write_json(run_dir, "metrics.json",
+                {"arm": args.method, "task": args.task, "metrics": metrics})
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
 
@@ -355,80 +361,81 @@ def _parsed_list(flag: str, text: str, parse) -> list:
     return values
 
 
-def _cmd_ablate(args) -> int:
-    run_dir = Path(args.out)
+def _cmd_ablate_order(args) -> int:
+    # the probe has no config validator, so its flags are checked here
     seeds = _parsed_list("--seeds", args.seeds, int)
     if min(seeds) < 0:
         raise SystemExit(f"--seeds: must be non-negative, got {min(seeds)}")
-    if args.mode == "order":
-        # the probe has one graph window and no pooling
-        for flag, value in (("--thresholds", args.thresholds),
-                            ("--poolings", args.poolings)):
-            if value is not None:
-                raise SystemExit(f"{flag}: applies only to --mode grid")
-    thresholds = _parsed_list(
-        "--thresholds",
-        "2.0" if args.thresholds is None else args.thresholds, float)
-    for t in thresholds:
-        if not t > 0:
-            raise SystemExit(f"--thresholds: must be positive, got {t}")
-        if t == math.inf:
-            raise SystemExit("--thresholds: must be finite, got inf")
     kinds = _parsed_list("--kinds", args.kinds, str)
-    poolings = _parsed_list(
-        "--poolings", "mean" if args.poolings is None else args.poolings, str)
-    for flag, values, known in (("--kinds", kinds, LAYER_KINDS),
-                                ("--poolings", poolings, POOLINGS)):
-        for value in values:
-            if value not in known:
-                raise SystemExit(f"{flag}: unknown entry {value!r}; choose "
-                                 f"from {', '.join(sorted(known))}")
+    for kind in kinds:
+        if kind not in LAYER_KINDS:
+            raise SystemExit(f"--kinds: unknown entry {kind!r}; choose "
+                             f"from {', '.join(sorted(LAYER_KINDS))}")
     if args.epochs < 1:
         raise SystemExit(f"--epochs: must be at least 1, got {args.epochs}")
-    if args.mode == "order":
-        # grid mode checks its noise with the rest of its corpus
-        if not 0 <= args.noise < math.inf:
-            raise SystemExit(f"--noise: must be non-negative and finite, got "
-                             f"{args.noise}")
-        probe = OrderProbeConfig(num_windows=args.windows, noise=args.noise,
-                                 epochs=args.epochs,
-                                 warmup_epochs=min(5, args.epochs - 1))
-        if not 0 < probe.num_train < probe.num_windows:
-            raise SystemExit(
-                f"--windows: the {probe.train_fraction:g} train split must "
-                f"leave a window on each side, got {args.windows}")
-        # the kinds, then tdgc and its variants for the sign/gate ablation
-        separation = run_order_separation(
-            dict.fromkeys([*kinds, "tdgc", *TDGC_VARIANTS]), seeds, probe)
-        _write_table(run_dir, "order_separation",
-                     ["layer_kind", "mean_val_acc", "per_seed"],
-                     [(k, f"{v['mean']:.2f}",
-                       " ".join(f"{a:.2f}" for a in v["per_seed"].values()))
-                      for k, v in separation.items()])
-        _write_metrics(run_dir, {"arm": "ablate-order",
-                                 "separation": separation})
-    else:
-        data_cfg = SynthConfig(num_train_videos=args.train_videos,
-                               num_val_videos=args.val_videos,
-                               segments_per_video=args.segments,
-                               noise=args.noise, seed=seeds[0])
-        try:
-            validate_data(data_cfg)
-        except ValueError as exc:
-            field = str(exc).partition(":")[0].removeprefix("data.")
-            raise SystemExit(f"{GRID_DATA_FLAGS[field]}: {exc}") from None
-        train_cfg = TrainConfig(epochs=args.epochs,
-                                warmup_epochs=min(3, args.epochs - 1),
-                                seed=seeds[0])
-        records = run_ablation_grid(
-            data_cfg, train_cfg, layer_kinds=kinds, poolings=poolings,
-            thresholds=thresholds,
-            seeds=seeds)
-        _write_table(run_dir, "ablation_grid",
-                     ["layer_kind", "pooling", "threshold_s", "map_avg"],
-                     [(r["layer_kind"], r["pooling"], r["threshold_s"],
-                       f"{r['map_avg']:.3f}") for r in records])
-        _write_metrics(run_dir, {"arm": "ablate-grid", "records": records})
+    if not 0 <= args.noise < math.inf:
+        raise SystemExit(f"--noise: must be non-negative and finite, got "
+                         f"{args.noise}")
+    probe = OrderProbeConfig(num_windows=args.windows, noise=args.noise,
+                             epochs=args.epochs,
+                             warmup_epochs=min(5, args.epochs - 1))
+    if not 0 < probe.num_train < probe.num_windows:
+        raise SystemExit(
+            f"--windows: the {probe.train_fraction:g} train split must "
+            f"leave a window on each side, got {args.windows}")
+    # the kinds, then tdgc and its variants for the sign/gate ablation
+    arms = list(dict.fromkeys([*kinds, "tdgc", *TDGC_VARIANTS]))
+    run_dir = Path(args.out)
+    _write_json(run_dir, "config.json",
+                {"probe": asdict(probe), "arms": arms, "seeds": seeds})
+    separation = run_order_separation(arms, seeds, probe)
+    _write_table(run_dir, "order_separation",
+                 ["layer_kind", "mean_val_acc", "per_seed"],
+                 [(k, f"{v['mean']:.2f}",
+                   " ".join(f"{a:.2f}" for a in v["per_seed"].values()))
+                  for k, v in separation.items()])
+    _write_json(run_dir, "metrics.json",
+                {"arm": "ablate-order", "separation": separation})
+    print(f"ablation results in {run_dir}")
+    return 0
+
+
+def _cmd_ablate_grid(args) -> int:
+    seeds = _parsed_list("--seeds", args.seeds, int)
+    kinds = _parsed_list("--kinds", args.kinds, str)
+    poolings = _parsed_list("--poolings", args.poolings, str)
+    thresholds = _parsed_list("--thresholds", args.thresholds, float)
+    data_cfg = SynthConfig(num_train_videos=args.train_videos,
+                           num_val_videos=args.val_videos,
+                           segments_per_video=args.segments,
+                           noise=args.noise, seed=seeds[0])
+    train_cfg = TrainConfig(epochs=args.epochs,
+                            warmup_epochs=min(3, args.epochs - 1),
+                            seed=seeds[0])
+    # every cell's single-task detection run, checked before any trains
+    for kind, pooling, thr, seed in itertools.product(kinds, poolings,
+                                                      thresholds, seeds):
+        backbone = BackboneConfig(layer_kind=kind, pooling=pooling,
+                                  threshold_s=thr)
+        _valid(validate_config, ExperimentConfig(
+            data=replace(data_cfg, seed=seed),
+            train=replace(train_cfg, seed=seed),
+            backbone=backbone_layout(["mq"], data_cfg.dim, backbone),
+            tasks=("mq",), arm="single"), GRID_FLAGS)
+    run_dir = Path(args.out)
+    _write_json(run_dir, "config.json", {
+        "data": asdict(data_cfg), "train": asdict(train_cfg),
+        "layer_kinds": kinds, "poolings": poolings,
+        "thresholds": thresholds, "seeds": seeds})
+    records = run_ablation_grid(
+        data_cfg, train_cfg, layer_kinds=kinds, poolings=poolings,
+        thresholds=thresholds, seeds=seeds)
+    _write_table(run_dir, "ablation_grid",
+                 ["layer_kind", "pooling", "threshold_s", "map_avg"],
+                 [(r["layer_kind"], r["pooling"], r["threshold_s"],
+                   f"{r['map_avg']:.3f}") for r in records])
+    _write_json(run_dir, "metrics.json",
+                {"arm": "ablate-grid", "records": records})
     print(f"ablation results in {run_dir}")
     return 0
 
@@ -441,8 +448,8 @@ def _cmd_eval(args) -> int:
     metrics = evaluate(model, ds.split(args.split), cfg.train, novel=novel,
                        translation=tm)
     out_dir = Path(args.out) if args.out else run_dir
-    _write_metrics(out_dir, {"arm": cfg.arm, "metrics": metrics,
-                             "split": args.split})
+    _write_json(out_dir, "metrics.json",
+                {"arm": cfg.arm, "metrics": metrics, "split": args.split})
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
 
@@ -462,7 +469,7 @@ def _cmd_report(args) -> int:
                 rows.append((run_dir.name, task, key,
                              "" if value is None else f"{value:.6f}"))
     _write_table(out_dir, "summary", ["run", "task", "metric", "value"], rows)
-    _write_metrics(out_dir, {"arm": "report", "runs": merged})
+    _write_json(out_dir, "metrics.json", {"arm": "report", "runs": merged})
     print(f"report across {len(args.runs)} runs in {out_dir}")
     return 0
 
@@ -537,19 +544,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train_novel)
 
     p = sub.add_parser("ablate", help="ordering probe or detection grid")
-    p.add_argument("--mode", choices=("order", "grid"), default="order")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--kinds", default="tdgc,sgcn,sage-pe,sage,gcn,gat")
-    p.add_argument("--windows", type=int, default=2000)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--poolings", help="grid mode only; default: mean")
-    p.add_argument("--thresholds", help="grid mode only; default: 2.0")
-    p.add_argument("--train-videos", type=int, default=60)
-    p.add_argument("--val-videos", type=int, default=20)
-    p.add_argument("--segments", type=int, default=32)
-    p.set_defaults(func=_cmd_ablate)
+    modes = p.add_subparsers(dest="mode", required=True)
+    order = modes.add_parser("order", help="ordering probe over layer kinds")
+    grid = modes.add_parser("grid", help="detection grid over the pyramid")
+    for q in (order, grid):
+        q.add_argument("--out", required=True)
+        q.add_argument("--seeds", default="0,1,2")
+        q.add_argument("--kinds", default="tdgc,sgcn,sage-pe,sage,gcn,gat")
+        q.add_argument("--noise", type=float, default=0.1)
+        q.add_argument("--epochs", type=int, default=30)
+    order.add_argument("--windows", type=int, default=2000)
+    order.set_defaults(func=_cmd_ablate_order)
+    grid.add_argument("--poolings", default="mean")
+    grid.add_argument("--thresholds", default="2.0")
+    grid.add_argument("--train-videos", type=int, default=60)
+    grid.add_argument("--val-videos", type=int, default=20)
+    grid.add_argument("--segments", type=int, default=32)
+    grid.set_defaults(func=_cmd_ablate_grid)
 
     p = sub.add_parser("eval", help="re-evaluate a saved run")
     p.add_argument("--run", required=True)

@@ -115,6 +115,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     validate_data(cfg.data)
     if cfg.train.seed < 0:
         raise ValueError(f"train.seed: must be >= 0, got {cfg.train.seed}")
+    if cfg.train.epochs < 1:
+        raise ValueError(f"train.epochs: must be >= 1, got {cfg.train.epochs}")
+    if cfg.train.warmup_epochs < 0:
+        raise ValueError(f"train.warmup_epochs: must be >= 0, got "
+                         f"{cfg.train.warmup_epochs}")
     if cfg.train.epochs <= cfg.train.warmup_epochs:
         raise ValueError("train.epochs: must exceed train.warmup_epochs")
     if cfg.train.batch_videos < 1:

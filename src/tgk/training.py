@@ -77,8 +77,6 @@ class TrainConfig:
     batch_videos: int = 8
     seed: int = 0
     knn_k: int = 8
-    interaction_layers: int = 2
-    rematch: bool = True
     mq_min_score: float = 0.05
     num_candidates: int = 5
 
@@ -602,7 +600,7 @@ class NovelModel:
                 sup = neck_forward(self.support_necks[t], blocked)
                 parts.append(interaction_forward(
                     self.interactions[t], sup, self.banks[t],
-                    self.cfg.knn_k, self.cfg.rematch))
+                    self.cfg.knn_k))
             out.append(fuse_features(parts))
         return out
 
@@ -653,6 +651,10 @@ def run_novel(novel_task: str, ds: SynthDataset, cfg: TrainConfig,
     return model, novel
 
 
+# interaction layers per support task in the egopack arm
+_INTERACTION_LAYERS = 2
+
+
 def _egopack_arm(model: MultiTaskModel, task: str,
                  support_necks: dict[str, MlpParams],
                  banks: dict[str, PrototypeBank], cfg: TrainConfig,
@@ -665,7 +667,7 @@ def _egopack_arm(model: MultiTaskModel, task: str,
     necks = {t: copy.deepcopy(support_necks[t]) for t in tasks}
     _freeze(*necks.values())
     interactions = {t: InteractionParams.init(rng, model.world.dim,
-                                              cfg.interaction_layers)
+                                              _INTERACTION_LAYERS)
                     for t in tasks}
     model.branches[task].extra = [
         p for t in tasks for p in interactions[t].params()]

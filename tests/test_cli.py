@@ -7,6 +7,7 @@ disk and must reproduce the train-time metrics exactly, and repeated
 runs with the same arguments must leave byte-identical metrics files.
 """
 
+import itertools
 import json
 import shutil
 import struct
@@ -18,17 +19,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tgk.ablation import OrderProbeConfig
 from tgk.cli import main
-from tgk.config import load_config, validate_config
+from tgk.config import ExperimentConfig, load_config, validate_config
 from tgk.egopack import load_bank, save_bank
+from tgk.hierarchy import BackboneConfig
 from tgk.layers import TdgcParams
 from tgk.persist import load_run
 from tgk.synth import (
     SynthConfig, generate_dataset, load_dataset, save_dataset,
 )
 from tgk.training import (
-    MultiTaskModel, TrainConfig, build_prototype_banks, evaluate, run_mtl,
-    run_novel, run_single,
+    MultiTaskModel, TrainConfig, backbone_layout, build_prototype_banks,
+    evaluate, run_mtl, run_novel, run_single,
 )
 
 _CACHE = {}
@@ -532,7 +535,9 @@ def test_training_rejects_negative_seed(tmp_path, command):
     (["--mq-min-score", "1.5"], "train.mq_min_score: must lie in [0, 1], "
                                 "got 1.5"),
     (["--mq-min-score", "nan"], "train.mq_min_score: must lie in [0, 1], "
-                                "got nan")])
+                                "got nan"),
+    # a negative warmup shifted the schedule: lr_at(0) was not 0
+    (["--warmup", "-1"], "train.warmup_epochs: must be >= 0, got -1")])
 def test_training_rejects_non_finite_or_out_of_range_float(tmp_path, flags,
                                                            message):
     # each used to be written into config.json: a nan rate ended in a
@@ -913,7 +918,7 @@ def test_report_exits_in_one_line_without_readable_metrics(tmp_path):
 
 def test_ablate_order_probe(tmp_path):
     out = tmp_path / "abl"
-    assert main(["ablate", "--mode", "order", "--out", str(out),
+    assert main(["ablate", "order", "--out", str(out),
                  "--seeds", "0", "--kinds", "tdgc,gcn",
                  "--windows", "40", "--epochs", "3", "--noise", "0.1"]) == 0
     payload = metrics_of(out)
@@ -931,7 +936,7 @@ def test_ablate_order_writes_one_row_per_arm_under_its_layer_kind(tmp_path):
     # the tdgc variants used to sit in a second table as full, no_sign and
     # no_gate; each row's name is now what --layer-kind takes
     out = tmp_path / "abl"
-    assert main(["ablate", "--mode", "order", "--out", str(out),
+    assert main(["ablate", "order", "--out", str(out),
                  "--kinds", "gcn", "--seeds", "0", "--windows", "40",
                  "--epochs", "2"]) == 0
     lines = (out / "tables" / "order_separation.csv").read_text().splitlines()
@@ -960,7 +965,7 @@ def test_ablate_order_trains_each_arm_and_seed_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ablation, "train_order_probe", counted)
     out = tmp_path / "abl"
-    assert main(["ablate", "--mode", "order", "--out", str(out),
+    assert main(["ablate", "order", "--out", str(out),
                  "--seeds", "0,1", "--windows", "20", "--epochs", "1"]) == 0
     arms = [*LAYER_KINDS, *TDGC_VARIANTS]
     assert sorted(calls) == sorted((arm, seed, ()) for arm in arms
@@ -971,7 +976,7 @@ def test_ablate_order_trains_each_arm_and_seed_once(tmp_path, monkeypatch):
 
 def test_ablate_grid(tmp_path):
     out = tmp_path / "grid"
-    assert main(["ablate", "--mode", "grid", "--out", str(out),
+    assert main(["ablate", "grid", "--out", str(out),
                  "--seeds", "0", "--kinds", "tdgc", "--poolings", "mean",
                  "--thresholds", "2.0", "--train-videos", "4",
                  "--val-videos", "2", "--segments", "16",
@@ -987,7 +992,7 @@ def test_ablate_grid(tmp_path):
 
 
 def test_ablate_grid_defaults_to_one_window_and_mean_pooling(tmp_path):
-    argv = ["ablate", "--mode", "grid", "--seeds", "0", "--kinds", "tdgc",
+    argv = ["ablate", "grid", "--seeds", "0", "--kinds", "tdgc",
             "--train-videos", "4", "--val-videos", "2", "--segments", "16",
             "--epochs", "2"]
     assert main(argv + ["--out", str(tmp_path / "given"), "--poolings",
@@ -998,20 +1003,77 @@ def test_ablate_grid_defaults_to_one_window_and_mean_pooling(tmp_path):
                 == (tmp_path / "given" / name).read_bytes())
 
 
+def test_ablate_config_json_holds_what_each_mode_ran(tmp_path, monkeypatch):
+    # config.json is written before anything trains, from the very configs
+    # the runs receive; every grid cell rebuilt from it is a valid run
+    from tgk import cli
+
+    ran = {}
+
+    def recorded(name, result):
+        def run(*args, **kwargs):
+            assert (out / name / "config.json").is_file()
+            ran[name] = (args, kwargs)
+            return result
+        return run
+
+    monkeypatch.setattr(cli, "run_order_separation", recorded("order", {}))
+    monkeypatch.setattr(cli, "run_ablation_grid", recorded("grid", []))
+    out = tmp_path
+    assert main(["ablate", "order", "--out", str(out / "order"), "--seeds",
+                 "2,0", "--kinds", "gcn,tdgc", "--windows", "40",
+                 "--noise", "0.2", "--epochs", "3"]) == 0
+    assert main(["ablate", "grid", "--out", str(out / "grid"), "--seeds",
+                 "3,1", "--kinds", "tdgc,sage", "--poolings", "mean,max",
+                 "--thresholds", "2.0,4", "--train-videos", "4",
+                 "--val-videos", "2", "--segments", "16", "--noise", "0.2",
+                 "--epochs", "2"]) == 0
+
+    probe = OrderProbeConfig(num_windows=40, noise=0.2, epochs=3,
+                             warmup_epochs=2)
+    arms = ["gcn", "tdgc", "tdgc-no-sign", "tdgc-no-gate"]
+    assert ran["order"] == ((arms, [2, 0], probe), {})
+    assert json.loads((out / "order" / "config.json").read_text()) == {
+        "probe": asdict(probe), "arms": arms, "seeds": [2, 0]}
+
+    data = SynthConfig(num_train_videos=4, num_val_videos=2,
+                       segments_per_video=16, noise=0.2, seed=3)
+    train = TrainConfig(epochs=2, warmup_epochs=1, seed=3)
+    axes = {"layer_kinds": ["tdgc", "sage"], "poolings": ["mean", "max"],
+            "thresholds": [2.0, 4.0], "seeds": [3, 1]}
+    assert ran["grid"] == ((data, train), axes)
+    saved = json.loads((out / "grid" / "config.json").read_text())
+    assert saved == {"data": asdict(data), "train": asdict(train), **axes}
+    for kind, pooling, thr, seed in itertools.product(*axes.values()):
+        validate_config(ExperimentConfig(
+            data=SynthConfig(**{**saved["data"], "seed": seed}),
+            train=TrainConfig(**{**saved["train"], "seed": seed}),
+            backbone=backbone_layout(["mq"], saved["data"]["dim"],
+                                     BackboneConfig(layer_kind=kind,
+                                                    pooling=pooling,
+                                                    threshold_s=thr)),
+            tasks=("mq",), arm="single"))
+
+
+# the small run each ablate mode takes in the refusal tests
+ABLATE_FLAGS = {"order": ["--seeds", "0", "--windows", "40", "--epochs", "2"],
+                "grid": ["--seeds", "0", "--epochs", "2", "--train-videos",
+                         "4", "--val-videos", "2", "--segments", "16"]}
+
+
 @pytest.mark.parametrize("mode,flag,value", [
     ("order", "--kinds", "tdgc,foo"), ("grid", "--kinds", "foo"),
     ("grid", "--poolings", "mean,avg")])
 def test_ablate_rejects_unknown_kind_or_pooling(tmp_path, capsys, mode, flag,
                                                 value):
+    # the probe checks its kinds itself, the grid through validate_config
+    cause = {("order", "--kinds"): "unknown entry",
+             ("grid", "--kinds"): "backbone.layer_kind: unknown kind",
+             ("grid", "--poolings"): "backbone.pooling: unknown pooling"}
     out = tmp_path / "abl"
-    with pytest.raises(SystemExit) as exc:
-        main(["ablate", "--mode", mode, "--out", str(out), "--seeds", "0",
-              "--windows", "40", "--epochs", "2", "--train-videos", "4",
-              "--val-videos", "2", "--segments", "16", flag, value])
-    message = str(exc.value.code)
-    assert message.startswith(f"{flag}: unknown entry ")
-    assert "\n" not in message and repr(value.split(",")[-1]) in message
-    assert not out.exists()
+    assert_exits_in_one_line(
+        ["ablate", mode, "--out", str(out), *ABLATE_FLAGS[mode], flag,
+         value], out, f"{flag}: {cause[mode, flag]} {value.split(',')[-1]!r}")
     assert capsys.readouterr().out == ""
 
 
@@ -1023,31 +1085,33 @@ def test_ablate_rejects_unknown_kind_or_pooling(tmp_path, capsys, mode, flag,
     ("order", "--seeds", "0,1,0", "--seeds: repeated entry 0"),
     ("grid", "--seeds", "0,0", "--seeds: repeated entry 0"),
     ("grid", "--thresholds", "2.0,two", "--thresholds: malformed entry 'two'"),
-    ("grid", "--thresholds", "0", "--thresholds: must be positive, got 0.0"),
-    ("grid", "--thresholds", "2.0,-1",
-     "--thresholds: must be positive, got -1.0")])
+    ("grid", "--thresholds", "0", "--thresholds: backbone.threshold_s: must "
+                                  "be positive and finite, got 0.0"),
+    ("grid", "--thresholds", "2.0,-1", "--thresholds: backbone.threshold_s: "
+                                       "must be positive and finite, got "
+                                       "-1.0"),
+    ("grid", "--seeds", "0,-1", "--seeds: data.seed: must be >= 0, got -1")])
 def test_ablate_rejects_malformed_seeds_or_thresholds(tmp_path, capsys, mode,
                                                       flag, value, message):
     out = tmp_path / "abl"
     assert_exits_in_one_line(
-        ["ablate", "--mode", mode, "--out", str(out), "--windows", "40",
-         "--epochs", "2", "--train-videos", "4", "--val-videos", "2",
-         "--segments", "16", flag, value], out, message)
+        ["ablate", mode, "--out", str(out), *ABLATE_FLAGS[mode], flag,
+         value], out, message)
     assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv,message", [
     # grid mode trained and recorded 4 identical cells
-    (["ablate", "--mode", "grid", "--kinds", "tdgc,tdgc", "--poolings",
-      "mean,mean"], "--kinds: repeated entry tdgc"),
-    (["ablate", "--mode", "grid", "--kinds", "tdgc", "--poolings",
-      "mean,mean"], "--poolings: repeated entry mean"),
+    (["ablate", "grid", "--kinds", "tdgc,tdgc", "--poolings", "mean,mean"],
+     "--kinds: repeated entry tdgc"),
+    (["ablate", "grid", "--kinds", "tdgc", "--poolings", "mean,mean"],
+     "--poolings: repeated entry mean"),
     # order mode dropped the repeat without a word
-    (["ablate", "--mode", "order", "--kinds", "gcn,gcn"],
+    (["ablate", "order", "--kinds", "gcn,gcn"],
      "--kinds: repeated entry gcn"),
     # entries are compared as parsed values
-    (["ablate", "--mode", "grid", "--kinds", "tdgc", "--thresholds",
-      "2.0,2.00"], "--thresholds: repeated entry 2.00"),
+    (["ablate", "grid", "--kinds", "tdgc", "--thresholds", "2.0,2.00"],
+     "--thresholds: repeated entry 2.00"),
     # ended in a ValueError traceback from build_prototypes
     (["build-prototypes", "--tasks", "oscc,oscc"],
      "--tasks: repeated entry oscc")])
@@ -1056,9 +1120,7 @@ def test_a_repeated_list_entry_exits_in_one_line(tmp_path, capsys, argv,
     ws = workspace()
     out = tmp_path / "out"
     if argv[0] == "ablate":
-        argv = argv + ["--out", str(out), "--seeds", "0", "--windows", "40",
-                       "--epochs", "2", "--train-videos", "4",
-                       "--val-videos", "2", "--segments", "16"]
+        argv = argv + ["--out", str(out), *ABLATE_FLAGS[argv[1]]]
     else:
         argv = argv + ["--data", str(ws / "data"), "--support-run",
                        str(ws / "run_mtl"), "--run", str(out)]
@@ -1073,38 +1135,41 @@ def test_a_repeated_list_entry_exits_in_one_line(tmp_path, capsys, argv,
      "--noise: must be non-negative and finite, got -1.0"),
     ("grid", ["--noise", "inf"],
      "--noise: data.noise: must be non-negative and finite, got inf"),
-    ("grid", ["--thresholds", "2.0,inf"], "--thresholds: must be finite, "
-                                          "got inf")])
+    ("grid", ["--thresholds", "2.0,inf"], "--thresholds: "
+     "backbone.threshold_s: must be positive and finite, got inf")])
 def test_ablate_rejects_non_finite_noise_or_threshold(tmp_path, capsys, mode,
                                                        flags, message):
     # a nan noise ended in a probe traceback, a negative one in numpy's
     # own error; grid mode read --noise unchecked, and inf thresholds ran
     out = tmp_path / "abl"
     assert_exits_in_one_line(
-        ["ablate", "--mode", mode, "--out", str(out), "--seeds", "0",
-         "--kinds", "tdgc", "--windows", "40", "--epochs", "2",
-         "--train-videos", "4", "--val-videos", "2", "--segments", "16"]
-        + flags, out, message)
+        ["ablate", mode, "--out", str(out), *ABLATE_FLAGS[mode], "--kinds",
+         "tdgc"] + flags, out, message)
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--poolings", "avg"), ("--poolings", "max"), ("--thresholds", "inf"),
-    ("--thresholds", "9.0")])
-def test_ablate_order_refuses_grid_only_flags(tmp_path, capsys, flag, value):
-    # the probe builds its graph at one window and pools nothing, so these
-    # flags were checked and then ignored
+@pytest.mark.parametrize("mode,flag,value", [
+    ("order", "--poolings", "avg"), ("order", "--poolings", "max"),
+    ("order", "--thresholds", "inf"), ("order", "--thresholds", "9.0"),
+    ("order", "--train-videos", "4"), ("order", "--val-videos", "2"),
+    ("order", "--segments", "16"), ("grid", "--windows", "40")])
+def test_ablate_refuses_the_other_modes_flags(tmp_path, capsys, mode, flag,
+                                              value):
+    # one --mode command took all twelve flags: the probe ignored the
+    # corpus sizes and the grid ignored --windows without a word
     out = tmp_path / "abl"
-    assert_exits_in_one_line(
-        ["ablate", "--mode", "order", "--out", str(out), "--seeds", "0",
-         "--kinds", "tdgc", "--windows", "40", "--epochs", "2", flag, value],
-        out, f"{flag}: applies only to --mode grid")
-    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", mode, "--out", str(out), *ABLATE_FLAGS[mode], flag,
+              value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode,flags,message", [
     ("order", ["--epochs", "0"], "--epochs: must be at least 1, got 0"),
-    ("grid", ["--epochs", "0"], "--epochs: must be at least 1, got 0"),
+    ("grid", ["--epochs", "0"], "--epochs: train.epochs: must be >= 1, "
+                                "got 0"),
     ("grid", ["--train-videos", "0"],
      "--train-videos: data.num_train_videos: must be >= 1, got 0"),
     ("grid", ["--val-videos", "0"],
@@ -1116,10 +1181,8 @@ def test_ablate_rejects_empty_runs(tmp_path, capsys, mode, flags, message):
     # runs, or end in a numpy traceback
     out = tmp_path / "abl"
     assert_exits_in_one_line(
-        ["ablate", "--mode", mode, "--out", str(out), "--seeds", "0",
-         "--kinds", "tdgc", "--windows", "40", "--epochs", "2",
-         "--train-videos", "4", "--val-videos", "2", "--segments", "16"]
-        + flags, out, message)
+        ["ablate", mode, "--out", str(out), *ABLATE_FLAGS[mode], "--kinds",
+         "tdgc"] + flags, out, message)
     assert capsys.readouterr().out == ""
 
 
@@ -1130,7 +1193,7 @@ def test_ablate_rejects_windows_the_split_leaves_empty(tmp_path, capsys,
     # split empty
     out = tmp_path / "abl"
     assert_exits_in_one_line(
-        ["ablate", "--mode", "order", "--out", str(out), "--seeds", "0",
+        ["ablate", "order", "--out", str(out), "--seeds", "0",
          "--kinds", "tdgc", "--epochs", "2", "--windows", windows], out,
         f"--windows: the 0.8 train split must leave a window on each side, "
         f"got {windows}")

@@ -97,6 +97,9 @@ def test_validate_rejects_unknown_arm_or_support_task(change, field):
     ("data", dict(num_verbs=1), "data.num_verbs"),
     ("data", dict(event_len_lo=3, event_len_hi=2), "data.event_len_hi"),
     ("train", dict(seed=-1), "train.seed"),
+    # lr_at read a negative warmup as a shifted schedule
+    ("train", dict(epochs=0, warmup_epochs=-1), "train.epochs"),
+    ("train", dict(warmup_epochs=-1), "train.warmup_epochs"),
 ])
 def test_validate_rejects_negative_seed_or_unusable_data(section, change,
                                                          field):

@@ -268,10 +268,10 @@ def compute() -> dict:
         # every default kind, at a size where full, no_sign and no_gate differ
         order = ws / "order"
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["ablate", "--mode", "order", "--out", str(order),
+            assert main(["ablate", "order", "--out", str(order),
                          "--seeds", "0,1", "--windows", "600",
                          "--epochs", "8"]) == 0
-        for path in [order / "metrics.json",
+        for path in [order / "config.json", order / "metrics.json",
                      *sorted((order / "tables").glob("*.csv"))]:
             out[f"cli/ablate-order/{path.name}"] = _sha(path.read_bytes())
     return out

@@ -18,7 +18,7 @@ import pytest
 
 from tgk import ablation, metrics, optim, training
 from tgk.autodiff import GradientTape, Tensor, add, backward, mul, tsum
-from tgk.cli import _write_metrics
+from tgk.cli import _write_json
 from tgk.graph import VideoCache, build_graph
 from tgk.hierarchy import BackboneConfig
 from tgk.layers import TDGC_VARIANTS
@@ -734,7 +734,7 @@ def test_unscorable_metrics_are_null_in_strict_json(tmp_path):
            **evaluate(trained("lta"), [video], small_cfg())}
     assert out == {"pnr": {"loc_err_s": None},
                    "lta": {"verb_ed": None, "noun_ed": None, "mean_ed": None}}
-    _write_metrics(tmp_path, {"metrics": out})
+    _write_json(tmp_path, "metrics.json", {"metrics": out})
 
     def reject(constant):
         raise ValueError(f"non-finite constant {constant}")
@@ -742,7 +742,8 @@ def test_unscorable_metrics_are_null_in_strict_json(tmp_path):
     text = (tmp_path / "metrics.json").read_text()
     assert json.loads(text, parse_constant=reject) == {"metrics": out}
     with pytest.raises(ValueError):
-        _write_metrics(tmp_path, {"metrics": {"pnr": {"loc_err_s": np.nan}}})
+        _write_json(tmp_path, "metrics.json",
+                    {"metrics": {"pnr": {"loc_err_s": np.nan}}})
 
 
 # ---------------------------------------------------------------------------
