@@ -14,7 +14,7 @@ in feature space (mean).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +34,22 @@ __all__ = [
 class PrototypeBank:
     """Frozen prototypes for one support task.
 
-    ``prototypes`` is (P, dim) with rows ordered by ``keys`` (sorted
-    (verb, noun) pairs) and every value finite; the array is marked
-    read-only at construction.
+    ``prototypes`` is (P, dim) with P >= 1 rows ordered by ``keys``
+    (sorted (verb, noun) pairs) and every value finite; the array is
+    marked read-only at construction, so its squared row norms
+    ``sq_norms``, which matching reads, are computed once.
     """
 
     task: str
     prototypes: np.ndarray
     keys: list[tuple[int, int]]
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         self.prototypes.flags.writeable = False
+        if not self.prototypes.shape[0]:
+            raise ValueError(f"bank {self.task}: holds no prototypes")
         if self.prototypes.shape[0] != len(self.keys):
             raise ValueError("one key per prototype row required")
         if sorted(self.keys) != list(self.keys):
@@ -53,6 +57,8 @@ class PrototypeBank:
         if not np.isfinite(self.prototypes).all():
             raise ValueError(f"bank {self.task}: prototypes hold non-finite "
                              "values")
+        self.sq_norms = (self.prototypes * self.prototypes).sum(axis=1)
+        self.sq_norms.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -102,32 +108,51 @@ def knn_match(x: np.ndarray, bank: PrototypeBank, k: int) -> np.ndarray:
     """Indices of each row's k nearest prototypes by Euclidean distance.
 
     Distance ties go to the lower prototype index, so matching is
-    deterministic; k is capped at the bank size. A GEMM expansion
-    ``|x|^2 - 2 x.p + |p|^2`` screens the candidates: with E a bound on its
-    error against the exact expression's, every true neighbour sits within
-    2E of the row's k-th screened value, so only those candidates get the
-    exact ``((x - p) ** 2).sum()``, whose bytes the ordering compares.
+    deterministic; k must be >= 0 and is capped at the bank size. A GEMM
+    expansion ``|x|^2 - 2 x.p + |p|^2`` screens the candidates, and the
+    order compares the bytes of the exact ``((x - p) ** 2).sum()``. With E
+    a bound on the screen's error against that expression's, a row whose
+    k + 1 smallest screened values (all P when k = P) sit more than 2E
+    apart has the same exact order, with no ties, so it keeps its
+    screened order. Only the other rows, the near-ties, get the exact
+    expression, on the candidates within 2E of the row's k-th screened
+    value, where every true neighbour sits.
     """
+    if k < 0:
+        raise ValueError(f"knn_match: k must be >= 0, got {k}")
     x = np.asarray(x, dtype=np.float64)
     protos = bank.prototypes
     k = min(k, bank.size)
     if k == 0:
         return np.zeros((x.shape[0], 0), dtype=np.intp)
     xx = (x * x).sum(axis=1)
-    pp = (protos * protos).sum(axis=1)
+    pp = bank.sq_norms
     approx = xx[:, None] - 2.0 * (x @ protos.T) + pp
-    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
     # approx and the exact expression each lie within (D + 2) u (|x| + |p|)^2
     # of the true distance, u = eps / 2, so E = (D + 2) eps (|x| + |p|)^2;
     # one more eps (|x| + |p|)^2 covers the rounding of E and the threshold.
     err = (x.shape[1] + 3) * np.finfo(np.float64).eps * (
         np.sqrt(xx) + np.sqrt(pp.max())) ** 2
-    rows, cols = np.nonzero(~(approx > (kth + 2.0 * err)[:, None]))
-    d2 = ((x[rows] - protos[cols]) ** 2).sum(axis=1)
-    order = np.lexsort((cols, d2, rows))
-    counts = np.bincount(rows, minlength=x.shape[0])
-    first = np.cumsum(counts) - counts
-    return cols[order][first[:, None] + np.arange(k)]
+    # each row's k + 1 smallest screened values (all P when k = P), sorted
+    near = (np.argpartition(approx, k, axis=1)[:, :k + 1] if k < bank.size
+            else np.broadcast_to(np.arange(k), approx.shape))
+    each = np.arange(x.shape[0])[:, None]
+    screened = approx[each, near]
+    order = np.argsort(screened, axis=1, kind="stable")
+    near, screened = near[each, order], screened[each, order]
+    gaps = screened[:, 1:] - screened[:, :-1]
+    tied = np.flatnonzero(~(gaps > 2.0 * err[:, None]).all(axis=1))
+    out = near[:, :k].copy()
+    if len(tied):
+        kth = screened[tied, k - 1]
+        rows, cols = np.nonzero(
+            ~(approx[tied] > (kth + 2.0 * err[tied])[:, None]))
+        d2 = ((x[tied[rows]] - protos[cols]) ** 2).sum(axis=1)
+        order = np.lexsort((cols, d2, rows))
+        counts = np.bincount(rows, minlength=len(tied))
+        first = np.cumsum(counts) - counts
+        out[tied] = cols[order][first[:, None] + np.arange(k)]
+    return out
 
 
 @dataclass
@@ -165,7 +190,11 @@ def interaction_forward(p: InteractionParams, x: Tensor, bank: PrototypeBank,
     for layer, (w_self, w_proto) in enumerate(p.layers):
         if rematch and layer:
             idx = knn_match(x.data, bank, k)
-        proto_mean = bank.prototypes[idx].mean(axis=1)
+        # the bytes of prototypes[idx].mean(axis=1) at any dim >= 2 (a
+        # config's dim is even): both add the k rows in column order, then
+        # divide by k; at dim 1 the mean sums pairwise
+        proto_mean = np.add.reduce(bank.prototypes.take(idx.T, axis=0),
+                                   axis=0) / idx.shape[1]
         x = linear(x, w_self, matmul(Tensor(proto_mean), w_proto))
     return x
 

@@ -480,6 +480,18 @@ def test_train_novel_rejects_bank_with_non_finite_rows(tmp_path):
         f"{protos}: bank oscc: prototypes hold non-finite values")
 
 
+def test_train_novel_rejects_bank_without_rows(tmp_path):
+    protos = copied_banks(tmp_path)
+    index = protos / "prototypes" / "oscc.json"
+    raw = json.loads(index.read_text())
+    raw.update(num_prototypes=0, keys=[])
+    index.write_text(json.dumps(raw))
+    (protos / "prototypes" / "oscc.bin").write_bytes(b"")
+    run = tmp_path / "run"
+    assert_exits_in_one_line(egopack_argv(protos, run), run,
+                             f"{protos}: bank oscc: holds no prototypes")
+
+
 def test_train_novel_rejects_bank_without_dim(tmp_path):
     protos = copied_banks(tmp_path)
     index = protos / "prototypes" / "ar.json"

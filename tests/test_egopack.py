@@ -27,6 +27,7 @@ from tgk.egopack import (
     load_bank,
     save_bank,
 )
+from tgk.graph import save_rows
 from tgk.synth import SynthConfig, generate_dataset
 from tgk.training import TrainConfig, build_prototype_banks, run_mtl
 
@@ -68,6 +69,15 @@ def test_bank_is_frozen_and_validated():
         PrototypeBank("ar", np.zeros((2, 3)), [(0, 0)])
     with pytest.raises(ValueError):
         PrototypeBank("ar", np.zeros((2, 3)), [(1, 0), (0, 0)])
+
+
+def test_bank_rejects_zero_rows(tmp_path):
+    with pytest.raises(ValueError, match="^bank oscc: holds no prototypes$"):
+        PrototypeBank("oscc", np.zeros((0, 8)), [])
+    save_rows(tmp_path / "oscc", np.zeros((0, 8)), "num_prototypes",
+              task="oscc", keys=[])
+    with pytest.raises(ValueError, match="^bank oscc: holds no prototypes$"):
+        load_bank(tmp_path, "oscc")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -153,6 +163,13 @@ def test_knn_match_caps_k_at_bank_size():
     assert idx.shape == (2, 3)
 
 
+def test_knn_match_rejects_negative_k():
+    bank = random_bank(np.random.default_rng(5), p=3)
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        knn_match(np.zeros((2, 4)), bank, -1)
+    assert knn_match(np.zeros((2, 4)), bank, 0).shape == (2, 0)
+
+
 def full_tensor_knn_match(x: np.ndarray, bank: PrototypeBank, k: int
                           ) -> np.ndarray:
     """The (N, P, D) difference-tensor matcher the screened ``knn_match``
@@ -210,6 +227,65 @@ def test_knn_match_equals_full_tensor_matcher():
         assert np.array_equal(got, expected)
 
     check()
+
+
+def exact_rows(monkeypatch, x, bank, k) -> tuple[np.ndarray, int]:
+    """``knn_match(x, bank, k)`` and how many rows took the exact path:
+    the rows its ``lexsort`` orders, 0 when it never sorts."""
+    rows = []
+    real = np.lexsort
+
+    def spy(keys):
+        rows.append(len(np.unique(keys[-1])))
+        return real(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    got = knn_match(x, bank, k)
+    monkeypatch.setattr(np, "lexsort", real)
+    return got, sum(rows)
+
+
+def test_knn_match_screened_order_at_benchmark_size(monkeypatch):
+    """256 queries against 48 prototypes at k = 8, the transfer arm's
+    largest call: most rows keep their screened order, byte for byte the
+    full-tensor matcher's."""
+    rng = np.random.default_rng(21)
+    bank = PrototypeBank("ar", rng.normal(size=(48, 32)),
+                         [(i, 0) for i in range(48)])
+    x = rng.normal(size=(256, 32))
+    got, exact = exact_rows(monkeypatch, x, bank, 8)
+    assert np.array_equal(got, full_tensor_knn_match(x, bank, 8))
+    assert exact < 256 // 4
+
+
+def test_knn_match_exact_path_on_near_duplicate_bank(monkeypatch):
+    """Prototypes duplicated up to 1e-12 sit closer than the screen can
+    tell apart, so every row takes the exact distance and its tie rule."""
+    rng = np.random.default_rng(22)
+    protos = np.repeat(rng.normal(size=(16, 32)), 3, axis=0)
+    protos += rng.normal(size=protos.shape) * 1e-12 + 100.0
+    bank = PrototypeBank("ar", protos, [(i, 0) for i in range(48)])
+    x = protos[rng.integers(0, 48, size=64)] + rng.normal(size=(64, 32)) * 1e-9
+    for k in (8, 48):
+        got, exact = exact_rows(monkeypatch, x, bank, k)
+        assert np.array_equal(got, full_tensor_knn_match(x, bank, k))
+        assert exact == 64
+
+
+def test_prototype_mean_bytes():
+    """The interaction's prototype mean keeps the bytes of
+    ``prototypes[idx].mean(axis=1)`` (every config dim is even, so >= 2)."""
+    rng = np.random.default_rng(23)
+    for dim, p, n, k in ((2, 5, 7, 3), (32, 48, 256, 8), (12, 9, 40, 9),
+                         (6, 30, 1, 16)):
+        bank = PrototypeBank("ar", rng.normal(size=(p, dim)) * 10.0,
+                             [(i, 0) for i in range(p)])
+        params = InteractionParams.init(rng, dim, num_layers=1)
+        x = rng.normal(size=(n, dim))
+        got = interaction_forward(params, Tensor(x), bank, k).data
+        ((w_self, w_proto),) = params.layers
+        pm = bank.prototypes[knn_match(x, bank, k)].mean(axis=1)
+        assert np.array_equal(got, x @ w_self.data + pm @ w_proto.data)
 
 
 # ---------------------------------------------------------------------------
