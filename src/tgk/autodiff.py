@@ -491,16 +491,27 @@ def tdgc_aggregate(h: Tensor, dt: np.ndarray, src: ScatterPlan,
     return _emit(out, inputs, back)
 
 
-def concat_rows(tensors) -> Tensor:
+def concat_rows(tensors, shifts=None) -> Tensor:
     """Stack a list of 2-D tensors along axis 0; backward splits the
-    gradient."""
+    gradient. Given ``shifts``, one (1, cols) tensor per part, each part
+    is added to its shift first, in the same record: the bytes of
+    ``add`` per part, then ``concat_rows``, with each shift's gradient the
+    sum of its part's gradient rows."""
+    shifts = [] if shifts is None else list(shifts)
     sizes = [t.shape[0] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
+    if shifts:
+        out = np.concatenate([t.data + s.data
+                              for t, s in zip(tensors, shifts)], axis=0)
+    else:
+        out = np.concatenate([t.data for t in tensors], axis=0)
 
     def back(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=0))
+        parts = [np.ascontiguousarray(p) for p in np.split(g, splits, axis=0)]
+        return (*parts, *(_unbroadcast(p, s.shape) if s.requires_grad else None
+                          for p, s in zip(parts, shifts)))
 
-    return _emit(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors), back)
+    return _emit(out, (*tensors, *shifts), back)
 
 
 # ---------------------------------------------------------------------------

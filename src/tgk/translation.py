@@ -6,8 +6,9 @@ with a learned per-task embedding, and run through a small pre-norm
 transformer encoder whose attention is masked by temporal distance: token
 i may attend to token j only when |t_i - t_j| <= 2**stage_i (inclusive),
 so coarse-stage tokens see farther. The mask is asymmetric whenever the
-two tokens' stages differ, and every token always sees itself. After
-encoding, the rows belonging to the primary task feed its head.
+two tokens' stages differ, and every token always sees itself. Only the
+rows belonging to the primary task feed its head, so the last layer
+encodes only those.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, attention_index, concat_rows, gather_rows, layer_norm_rows,
-    linear, masked_attention, merge_heads, split_heads,
+    ScatterPlan, Tensor, add, attention_index, concat_rows, gather_rows,
+    layer_norm_rows, linear, masked_attention, merge_heads, split_heads,
 )
 from .graph import VideoCache
 from .optim import linear_init, uniform_fan_in
@@ -88,20 +89,30 @@ class EncoderLayerParams:
                 *self.ff.params()]
 
 
-def _attention(p: EncoderLayerParams, x: Tensor, mask: np.ndarray,
-               admitted: np.ndarray) -> Tensor:
-    """All heads at once: (heads, tokens, dh) stacks through one masked
-    attention record, the (tokens, tokens) mask broadcast over heads."""
-    q, k, v = (split_heads(linear(x, w, b), p.num_heads)
-               for w, b in ((p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv)))
+def _attention(p: EncoderLayerParams, xq: Tensor, x: Tensor,
+               mask: np.ndarray, admitted: np.ndarray) -> Tensor:
+    """All heads at once: (heads, rows, dh) stacks through one masked
+    attention record, queries from ``xq``'s rows and keys and values from
+    ``x``'s, the (rows, tokens) mask broadcast over heads."""
+    q, k, v = (split_heads(linear(src, w, b), p.num_heads)
+               for src, w, b in ((xq, p.wq, p.bq), (x, p.wk, p.bk),
+                                 (x, p.wv, p.bv)))
     out = masked_attention(q, k, v, mask, admitted)
     return linear(merge_heads(out), p.wo, p.bo)
 
 
 def _encoder_layer(p: EncoderLayerParams, x: Tensor, mask: np.ndarray,
-                   admitted: np.ndarray) -> Tensor:
-    x = add(x, _attention(p, layer_norm_rows(x, p.ln1_g, p.ln1_b), mask,
-                          admitted))
+                   admitted: np.ndarray, rows: ScatterPlan | None = None
+                   ) -> Tensor:
+    """One block over every token, or, given the ``gather_rows`` plan
+    ``rows``, one whose keys and values read every token and whose
+    queries and everything after them run on those rows only, under
+    their rows of the admission ``mask``."""
+    h = layer_norm_rows(x, p.ln1_g, p.ln1_b)
+    hq = h
+    if rows is not None:
+        hq, x = gather_rows(h, rows), gather_rows(x, rows)
+    x = add(x, _attention(p, hq, h, mask, admitted))
     h = mlp_forward(p.ff, layer_norm_rows(x, p.ln2_g, p.ln2_b))
     return add(x, h)
 
@@ -140,14 +151,25 @@ class TranslationParams:
 
 
 def encoder_forward(p: TranslationParams, x: Tensor, mask: np.ndarray,
-                    admitted: np.ndarray | None = None) -> Tensor:
+                    admitted: np.ndarray | None = None,
+                    rows: tuple[ScatterPlan, np.ndarray, np.ndarray] | None
+                    = None) -> Tensor:
     """The encoder over tokens ``x`` under the boolean admission ``mask``;
     ``admitted`` is ``attention_index(mask, heads)``, built here when not
-    given."""
+    given. Every layer runs on all tokens and all rows come back, unless
+    ``rows`` is ``(plan, rows_mask, rows_admitted)``: the ``gather_rows``
+    plan of some token rows, ``mask`` at those rows and its attention
+    index. Then the last layer computes its queries and everything after
+    them on those rows only, and only they come back, with the bytes of
+    those rows of the full encoding."""
     if admitted is None:
         admitted = attention_index(mask, p.num_heads)
-    for layer in p.layers:
+    last = len(p.layers) - (rows is not None)
+    for layer in p.layers[:last]:
         x = _encoder_layer(layer, x, mask, admitted)
+    if rows is not None:
+        plan, rows_mask, rows_admitted = rows
+        x = _encoder_layer(p.layers[-1], x, rows_mask, rows_admitted, plan)
     return layer_norm_rows(x, p.ln_g, p.ln_b)
 
 
@@ -159,33 +181,34 @@ def translation_forward(p: TranslationParams,
 
     ``tokens`` maps task name to (features, positions_s, stage). Tasks are
     concatenated in sorted-name order with their learned embedding added,
-    the temporal mask and its attention index are built from positions
-    and stages, once per ``cache`` for each token layout, and the encoded
-    rows of ``primary`` come back in their original order.
+    in one record; the temporal mask, its primary block and their
+    attention indices are built from positions, stages and the primary
+    rows, once per ``cache`` for each token layout and primary. Every
+    encoder layer but the last runs on all tokens, and the last computes
+    the encoded rows of ``primary`` only, in their original order.
     """
     if primary not in tokens:
         raise KeyError(f"primary task {primary!r} has no tokens")
     names = sorted(tokens)
-    parts, pos_parts, stage_parts = [], [], []
-    offset = 0
-    primary_rows = None
-    for name in names:
-        feats, positions, stage = tokens[name]
-        parts.append(add(feats, p.task_embed[name]))
-        pos_parts.append(np.asarray(positions, dtype=np.float64))
-        stage_parts.append(np.full(feats.shape[0], stage, dtype=np.int64))
-        if name == primary:
-            primary_rows = np.arange(offset, offset + feats.shape[0])
-        offset += feats.shape[0]
-    x = concat_rows(parts)
-    positions, stages = np.concatenate(pos_parts), np.concatenate(stage_parts)
+    sizes = [tokens[name][0].shape[0] for name in names]
+    start = sum(sizes[:names.index(primary)])
+    block = slice(start, start + tokens[primary][0].shape[0])
+    x = concat_rows([tokens[name][0] for name in names],
+                    [p.task_embed[name] for name in names])
+    positions = np.concatenate([np.asarray(tokens[name][1], dtype=np.float64)
+                                for name in names])
+    stages = np.repeat(np.array([tokens[name][2] for name in names],
+                                dtype=np.int64), sizes)
     cache = VideoCache() if cache is None else cache
 
     def layout():
         mask = build_mask(positions, stages)
-        return mask, attention_index(mask, p.num_heads)
+        return (mask, attention_index(mask, p.num_heads),
+                (ScatterPlan.of(np.arange(block.start, block.stop),
+                                len(positions)),
+                 mask[block], attention_index(mask[block], p.num_heads)))
 
-    mask, admitted = cache.get(
-        ("mask", p.num_heads, positions.tobytes(), stages.tobytes()), layout)
-    encoded = encoder_forward(p, x, mask, admitted)
-    return gather_rows(encoded, primary_rows)
+    mask, admitted, rows = cache.get(
+        ("mask", p.num_heads, positions.tobytes(), stages.tobytes(),
+         block.start, block.stop), layout)
+    return encoder_forward(p, x, mask, admitted, rows)

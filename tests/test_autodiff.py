@@ -616,6 +616,31 @@ def test_concat_rows_splits_gradient():
     check_grads(lambda x, y: concat_rows([x, y]), [a, b], rng)
 
 
+def test_concat_rows_with_shifts_keeps_add_then_concat_bytes():
+    """Row shifts added in the concatenation's record give the bytes of an
+    ``add`` per part, then ``concat_rows``: the output and every gradient,
+    a frozen part's included."""
+    rng = np.random.default_rng(19)
+    parts = [rng.normal(size=(n, 5)) for n in (3, 1, 4)]
+    shifts = [rng.normal(size=(1, 5)) for _ in parts]
+    weights = rng.normal(size=(8, 5))
+
+    def run(fused):
+        xs = [Tensor(a, requires_grad=i != 1) for i, a in enumerate(parts)]
+        ss = [Tensor(a, requires_grad=True) for a in shifts]
+        with GradientTape() as tape:
+            out = concat_rows(xs, ss) if fused else concat_rows(
+                [add(x, sh) for x, sh in zip(xs, ss)])
+            loss = weighted_loss(out, weights)
+        backward(tape, loss, xs + ss)
+        return [out.data] + [t.grad for t in xs + ss]
+
+    for got, want in zip(run(True), run(False)):
+        assert got.tobytes() == want.tobytes()
+    check_grads(lambda x, y, u, v: concat_rows([x, y], [u, v]),
+                [parts[0], parts[2], shifts[0], shifts[1]], rng)
+
+
 # ---------------------------------------------------------------------------
 # softmax family
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from tgk import translation
-from tgk.autodiff import GradientTape, Tensor, backward, mul, tsum
+from tgk.autodiff import (
+    GradientTape, Tensor, add, backward, concat_rows, gather_rows, mul, tsum,
+)
 from tgk.graph import VideoCache
 from tgk.translation import (
     EncoderLayerParams,
@@ -159,7 +161,7 @@ def test_translation_forward_returns_primary_rows():
     mask = build_mask(np.array([0.0, 1.0, 2.0, 0.5, 1.5]),
                       np.array([1, 1, 1, 2, 2]))
     expected = encoder_forward(p, Tensor(x), mask).data[3:]
-    assert np.allclose(out.data, expected, atol=1e-12)
+    assert np.array_equal(out.data, expected)
 
 
 def test_translation_forward_requires_primary_tokens():
@@ -208,6 +210,37 @@ def test_translation_forward_builds_one_mask_per_token_layout(monkeypatch):
     assert len(built) == 2
 
 
+def test_translation_forward_caches_one_mask_per_primary(monkeypatch):
+    """Two primaries over one token layout read different mask rows, so
+    each gets its own cached layout, and each returns its own block of
+    the full encoding."""
+    built = []
+    real = translation.build_mask
+
+    def counting(positions, stages):
+        built.append(positions.tobytes())
+        return real(positions, stages)
+
+    monkeypatch.setattr(translation, "build_mask", counting)
+    rng = np.random.default_rng(15)
+    p = TranslationParams.init(rng, 4, ["a", "b"], num_layers=2, num_heads=2)
+    tokens = {
+        "a": (Tensor(rng.normal(size=(3, 4))), np.array([0.0, 1.0, 9.0]), 1),
+        "b": (Tensor(rng.normal(size=(2, 4))), np.array([0.5, 8.0]), 2),
+    }
+    x = np.concatenate([tokens[t][0].data + p.task_embed[t].data
+                        for t in ("a", "b")])
+    full = encoder_forward(p, Tensor(x), build_mask(
+        np.array([0.0, 1.0, 9.0, 0.5, 8.0]), np.array([1, 1, 1, 2, 2]))).data
+    cache = VideoCache()
+    for _ in range(2):
+        out_a = translation_forward(p, tokens, primary="a", cache=cache)
+        out_b = translation_forward(p, tokens, primary="b", cache=cache)
+    assert len(built) == 2 and built[0] == built[1]
+    assert np.array_equal(out_a.data, full[:3])
+    assert np.array_equal(out_b.data, full[3:])
+
+
 def test_tape_records_do_not_grow_with_heads():
     """All heads share one attention: a translation step's tape holds as
     many records at six heads as at one."""
@@ -254,40 +287,45 @@ def benchmark_layout_forward():
 
 
 def test_tape_records_at_benchmark_layout():
-    """Each attention, each layer norm and each affine map is one record:
-    39, where the composed chains took 99."""
+    """Each attention, each layer norm and each affine map is one record,
+    the task embeddings and the token concatenation one more, and the last
+    layer selects the primary rows with two gathers: 36, where a
+    task-embedding add per task and a final gather made it 39 and the
+    composed chains took 99."""
     tape, _ = benchmark_layout_forward()
-    assert len(tape.records) <= 39
+    assert len(tape.records) <= 36
 
 
 def test_tape_bytes_at_benchmark_layout():
     """Each attention record keeps its softmax numerators compressed to
     the admitted entries (about 15% of the (heads, tokens, tokens) scores)
-    and the row sums, and each affine map keeps one output: about 1.9 MB.
-    A dense numerator array per layer made it 2.8 MB, and the composed
-    chains, which kept four such arrays per layer and an output per
-    product and per bias, 7.1 MB."""
+    and the row sums, and each affine map keeps one output; the last
+    layer's queries and everything after them hold the 32 primary rows
+    only: about 1.33 MB. All 128 rows in the last layer made it 1.9 MB, a
+    dense numerator array per layer 2.8 MB, and the composed chains,
+    which kept four such arrays per layer and an output per product and
+    per bias, 7.1 MB."""
     _, held = benchmark_layout_forward()
-    assert held <= 2.1e6
+    assert held <= 1.4e6
 
 
 def test_attention_backward_peak_at_benchmark_layout():
     """One attention record's backward works in a single dense (heads,
-    tokens, tokens) buffer: its peak stays below two such float64 arrays
-    (1,048,576 bytes at 4 x 128 x 128), where a fresh ``e / s`` and a
-    fresh ``g @ vᵀ`` took about 1.15 MB."""
+    tokens, tokens) buffer: the first layer's, over all 128 tokens, peaks
+    below two such float64 arrays (1,048,576 bytes at 4 x 128 x 128),
+    where a fresh ``e / s`` and a fresh ``g @ vᵀ`` took about 1.15 MB."""
     tape, _ = benchmark_layout_forward()
     attention = [r for r in tape.records
                  if r.backward_fn.__qualname__.startswith("masked_attention.")]
-    assert len(attention) == 2
-    g = np.random.default_rng(14).normal(size=attention[-1].out.shape)
+    assert [r.out.shape for r in attention] == [(4, 128, 8), (4, 32, 8)]
+    g = np.random.default_rng(14).normal(size=attention[0].out.shape)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        grads = attention[-1].backward_fn(g)
+        grads = attention[0].backward_fn(g)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
@@ -319,6 +357,42 @@ def test_translation_gradients_finite_difference():
     worst = finite_diff_check(build_loss, p.params() + [feats_a, feats_b],
                               rel_tol=1e-4, max_entries=10)
     assert worst < 1e-4
+
+
+def test_translation_gradients_match_all_rows_path():
+    """The last layer on the primary rows only gives the gradients of the
+    full encoding's primary rows: every layer on every token, then a
+    gather. A GEMM over fewer rows may take another BLAS kernel, so the
+    bytes may differ in the last places."""
+    rng = np.random.default_rng(16)
+    dim = 32
+    p = TranslationParams.init(rng, dim, ["ar", "mq", "oscc", "pnr"])
+    tokens = {t: (Tensor(rng.normal(size=(32, dim)), requires_grad=t == "mq"),
+                  np.arange(32) + 0.5 * (t == "oscc"), 1 + (t == "pnr"))
+              for t in ("ar", "mq", "oscc", "pnr")}
+    weights = Tensor(rng.normal(size=(32, dim)))
+    leaves = p.params() + [tokens["mq"][0]]
+
+    def grads(forward):
+        with GradientTape() as tape:
+            loss = tsum(mul(forward(), weights))
+        backward(tape, loss, leaves=leaves)
+        return [t.grad.copy() for t in leaves]
+
+    def all_rows():
+        names = sorted(tokens)
+        x = concat_rows([add(tokens[t][0], p.task_embed[t]) for t in names])
+        mask = build_mask(np.concatenate([tokens[t][1] for t in names]),
+                          np.repeat([tokens[t][2] for t in names], 32))
+        return gather_rows(encoder_forward(p, x, mask), np.arange(32, 64))
+
+    fast, slow = (grads(lambda: translation_forward(p, tokens, primary="mq")),
+                  grads(all_rows))
+    # the key bias shifts every score of a row alike, so its gradient is
+    # zero up to rounding: the floor scales with the largest gradient
+    scale = max(np.abs(g).max() for g in slow)
+    for got, want in zip(fast, slow):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_every_translation_parameter_receives_gradient():
